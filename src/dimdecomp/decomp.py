@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,11 @@ ADD = "ADD"
 RDD = "RDD"
 
 DEFAULT_MAX_GRID_POINTS = 4_000_000
-_EVAL_CHUNK = 500_000
+#: an ADD table stores prod(q_j + 1) values; this caps it at 128 MiB of float64
+MAX_TABLE_VALUES = 1 << 24
+# rows per call of the target on the tensor grid; bounds the transient
+# index, point and function-temporary arrays of grid evaluation
+_EVAL_CHUNK = 65_536
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -325,11 +329,17 @@ def build_add(
 ) -> ComponentTable:
     """Build the integration-based decomposition on the tensor Gauss grid.
 
-    The target is evaluated once on the full tensor grid.  The component of
-    subset ``u`` is then the conditional mean over the complementary
-    coordinates minus the components of all proper subsets, assembled in
-    cardinality order; on a Gauss grid this makes zero means, orthogonality
-    and grid exactness hold to roundoff by construction.
+    Follows the operator form ``y_u = prod_{j in u} (I - P_j)
+    prod_{j not in u} P_j y``, where ``P_j`` is Gauss quadrature over
+    coordinate ``j``.  The target is evaluated once on the full tensor grid
+    (``prod q_j`` evaluations, in chunks).  One top-down sweep of the subset
+    lattice then forms every conditional mean ``M_u`` from its parent
+    ``M_{u + {j}}`` by a single one-axis contraction, and each mean becomes
+    its component in place by applying ``I - P_j`` along its own axes.  The
+    table stores ``prod (q_j + 1)`` values and costs one contraction per
+    subset, plus ``|u|`` centering passes per component.  On a Gauss grid
+    zero means, orthogonality and grid exactness hold to roundoff by
+    construction.
 
     Parameters
     ----------
@@ -339,42 +349,44 @@ def build_add(
         (needed by the sampling estimators). Default False.
     max_grid_points : int, optional
         Reject builds whose full tensor grid exceeds this many points.
+        Builds whose table would exceed ``MAX_TABLE_VALUES`` values are
+        rejected as well, before the target is evaluated.
 
     Returns
     -------
     ComponentTable
         An ADD table holding all ``2**dim`` components.
     """
-    Y = _evaluate_full_grid(problem, max_grid_points)
     N = problem.dim
-    orders = problem.orders
+    table_values = prod(q + 1 for q in problem.orders)
+    if table_values > MAX_TABLE_VALUES:
+        raise ValueError(
+            f"ADD table needs {table_values} values, over the budget {MAX_TABLE_VALUES}"
+        )
+    Y = _evaluate_full_grid(problem, max_grid_points)
     weights = [r.weights for r in problem.rules]
-    components: dict[int, np.ndarray] = {}
-    y_empty = 0.0
-    for u in all_subsets_up_to(N, N):
-        own = set(u.indices())
-        M = Y
-        for ax in reversed([i for i in range(N) if i not in own]):
-            M = np.tensordot(M, weights[ax], axes=([ax], [0]))
-        if u.is_empty:
-            y_empty = float(M)
-            continue
-        M = np.array(M, dtype=float)
-        coords = u.indices()
-        for v in strict_subsets(u):
-            if v.is_empty:
-                M -= y_empty
-            else:
-                vset = set(v.indices())
-                shape = tuple(orders[j] if j in vset else 1 for j in coords)
-                M -= components[v.mask].reshape(shape)
-        components[u.mask] = M
+    full = (1 << N) - 1
+    # (a) conditional means, each from its parent by one contraction; the
+    # full-set mean is a copy because Y itself stays as the table's grid
+    means = {full: Y.copy()}
+    for u in range(full - 1, -1, -1):
+        j = (full ^ u).bit_length() - 1  # highest coordinate outside u
+        parent = u | 1 << j
+        view, rest = _along(means[parent], parent, j)
+        means[u] = _integrate(view, weights[j]).reshape(rest)
+    y_empty = float(means.pop(0))
+    # (b) components in place: (I - P_j) along every own coordinate
+    for u, M in means.items():
+        for j in range(N):
+            if u >> j & 1:
+                view, _ = _along(M, u, j)
+                view -= _integrate(view, weights[j])[:, None, :]
     bary = [_bary_weights(r.nodes) for r in problem.rules] if interpolation else None
     return ComponentTable(
         ADD,
         problem,
         y_empty,
-        components=components,
+        components=means,
         full_values=Y,
         interpolation=interpolation,
         bary_weights=bary,
@@ -532,6 +544,9 @@ def check_add_structure(
     must hold to roundoff whatever the target function.  Orthogonality
     loops over all component pairs and is skipped above
     `max_orthogonality_dim` variables to keep the cost quadratic-small.
+    Exactness sums all components back onto the full grid with the
+    subset-sum (zeta) transform, the inverse of the build's sweep, and
+    compares the sum with the stored grid values.
     """
     table._require(ADD)
     N = table.dim
@@ -545,12 +560,11 @@ def check_add_structure(
         if u.is_empty:
             continue
         vals = table.grid_values(u)
-        w = [weights[j] for j in u.indices()]
-        for col, wj in enumerate(w):
-            mean = np.tensordot(vals, wj, axes=([col], [0]))
-            r = float(np.max(np.abs(mean)))
+        for j in u.indices():
+            view, _ = _along(vals, u.mask, j)
+            r = float(np.max(np.abs(_integrate(view, weights[j]))))
             if r > worst:
-                worst, worst_label = r, f"subset {u.label()}, coordinate {u.indices()[col] + 1}"
+                worst, worst_label = r, f"subset {u.label()}, coordinate {j + 1}"
             # only the per-coordinate means matter; full mean is their special case
     tol = TOL_ZERO_MEAN * scale
     results.append(
@@ -573,16 +587,10 @@ def check_add_structure(
         )
 
     Y = table._full_values
-    recon = np.full_like(Y, table.y_empty)
-    orders = table.problem.orders
-    for u in all_subsets_up_to(N, N):
-        if u.is_empty:
-            continue
-        own = set(u.indices())
-        shape = tuple(orders[j] if j in own else 1 for j in range(N))
-        recon = recon + table.grid_values(u).reshape(shape)
+    recon = _subset_sum(table, (1 << N) - 1, N)
     denom = max(1.0, float(np.max(np.abs(Y))))
-    r = float(np.max(np.abs(recon - Y))) / denom
+    np.subtract(recon, Y, out=recon)
+    r = float(np.max(np.abs(recon, out=recon))) / denom
     results.append(
         CheckResult("add_grid_exactness", r, TOL_EXACTNESS, r <= TOL_EXACTNESS, "")
     )
@@ -694,6 +702,46 @@ def _evaluate_full_grid(problem: ProblemSpec, max_grid_points: int) -> np.ndarra
     if not np.all(np.isfinite(vals)):
         raise ValueError("function returned non-finite values on the tensor grid")
     return vals.reshape(orders)
+
+
+def _along(arr: np.ndarray, mask: int, j: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Coordinate `j` of the array of subset `mask`.
+
+    Returns an ``(before, q_j, after)`` view of `arr` and the shape `arr`
+    has without that axis.  Subset arrays keep their axes in ascending
+    coordinate order, so `j` is axis ``popcount(mask & ((1 << j) - 1))``.
+    The reshape is a view only for a C-contiguous `arr`, as every array
+    built here is; callers that write through it rely on that.
+    """
+    k = (mask & ((1 << j) - 1)).bit_count()
+    shape = arr.shape
+    return arr.reshape(prod(shape[:k]), shape[k], -1), shape[:k] + shape[k + 1 :]
+
+
+def _integrate(view: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quadrature along the middle axis of an ``(a, q, b)`` view: ``(a, b)``."""
+    return np.einsum("aqb,q->ab", view, weights)
+
+
+def _subset_sum(table: ComponentTable, w: int, j: int) -> np.ndarray:
+    """Sum of the components ``y_v``, lifted onto the axes of subset `w`,
+    over the subsets ``v`` of `w` that agree with `w` on coordinates >= j.
+
+    ``_subset_sum(table, full, N)`` rebuilds the full grid.  This is the
+    subset-sum (zeta) transform ``f(w) += lift_j f(w - {j})`` over the
+    coordinates below `j`, restricted to the branch that feeds `w` and
+    taken depth first, so each partial sum is freed once it is added in.
+    Every mask visited contains ``j - 1``.
+    """
+    if j == 0:
+        return table._components[w] if w else np.asarray(table.y_empty)
+    acc = _subset_sum(table, w, j - 1)
+    if j == 1:
+        acc = acc.copy()  # the table's own array
+    low = _subset_sum(table, w & ~(1 << (j - 1)), j - 1)
+    view, _ = _along(acc, w, j - 1)
+    view += low.reshape(view.shape[0], 1, view.shape[2])
+    return acc
 
 
 def _conditional_mean(

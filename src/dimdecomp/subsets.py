@@ -94,11 +94,6 @@ class VariableSubset:
         return self.label()
 
 
-def sort_key(u: VariableSubset) -> tuple[int, int]:
-    """Canonical ordering: by cardinality, then by numeric mask."""
-    return (u.cardinality, u.mask)
-
-
 def subsets_of_cardinality(
     dim: int, size: int, *, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[VariableSubset]:

@@ -34,6 +34,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def counted(problem):
+    """`problem` with its target wrapped to record every block of rows."""
+    seen = []
+
+    def function(x):
+        seen.append(np.array(x))
+        return problem.function(x)
+
+    return ProblemSpec(function, problem.measure, problem.quad_order), seen
+
+
 class TestAddBuild:
     def test_constant_function(self):
         m = ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), 3)
@@ -72,17 +83,26 @@ class TestAddBuild:
 
     def test_against_bruteforce_lattice_oracle(self):
         # independent slow oracle: conditional means by explicit loops over
-        # the complement grid, components by textbook recursion
-        p = product_linear_problem(3, quad_order=5)
+        # the complement grid, components by textbook recursion; the mixed
+        # orders on a non-symmetric target catch any mix-up of axes
+        for p in (
+            product_linear_problem(3, quad_order=5),
+            poly_problem(4, quad_order=(2, 3, 4, 5)),
+        ):
+            self._check_against_oracle(p)
+
+    @staticmethod
+    def _check_against_oracle(p):
+        N = p.dim
         t = build_add(p)
         nodes = [r.nodes for r in p.rules]
         weights = [r.weights for r in p.rules]
 
         def cond_mean(coords, vals):
-            rest = [j for j in range(3) if j not in coords]
+            rest = [j for j in range(N) if j not in coords]
             total = 0.0
             for multi in itertools.product(*[range(len(nodes[j])) for j in rest]):
-                x = np.empty(3)
+                x = np.empty(N)
                 w = 1.0
                 for j, v in zip(coords, vals):
                     x[j] = v
@@ -103,22 +123,59 @@ class TestAddBuild:
 
         g = rng(11)
         for _ in range(10):
-            size = int(g.integers(1, 4))
-            coords = tuple(sorted(g.choice(3, size=size, replace=False).tolist()))
+            size = int(g.integers(1, N + 1))
+            coords = tuple(sorted(g.choice(N, size=size, replace=False).tolist()))
             idx = tuple(int(g.integers(len(nodes[j]))) for j in coords)
             vals = tuple(float(nodes[j][i]) for j, i in zip(coords, idx))
-            u = VariableSubset.from_indices(coords, 3)
+            u = VariableSubset.from_indices(coords, N)
             got = float(t.component(u, np.array(vals)))
             assert got == pytest.approx(oracle(coords, vals), abs=1e-12)
+
+        # every stored value against the alternating-sum route
+        for mask in t.masks():
+            u = VariableSubset(mask, N)
+            grid = t.grid_values(u)
+            assert grid.shape == tuple(len(nodes[j]) for j in u.indices())
+            for idx in np.ndindex(grid.shape):
+                x_u = [nodes[j][i] for j, i in zip(u.indices(), idx)]
+                assert grid[idx] == pytest.approx(
+                    explicit_component(p, u, ADD, x_u), abs=1e-12
+                )
+
+        checks = check_add_structure(t)
+        assert "add_orthogonality" in [c.name for c in checks]
+        for c in checks:
+            assert c.passed, (c.name, c.residual)
 
     def test_structure_checks_pass(self, plin3_table):
         for c in check_add_structure(plin3_table):
             assert c.passed, (c.name, c.residual)
 
     def test_grid_budget_enforced(self):
-        p = product_linear_problem(6, quad_order=64)
-        with pytest.raises(ValueError, match="budget"):
-            build_add(p)
+        # the grid and the table budgets are both checked before the target
+        # is evaluated even once
+        cases = [
+            (product_linear_problem(6, quad_order=64), {}),
+            (product_linear_problem(3, quad_order=10), {"max_grid_points": 999}),
+            # 2**20 grid points fit the grid budget; the 3**20-value table does not
+            (product_linear_problem(20, quad_order=2), {}),
+        ]
+        for problem, kwargs in cases:
+            p, seen = counted(problem)
+            with pytest.raises(ValueError, match="budget"):
+                build_add(p, **kwargs)
+            assert seen == []
+
+    def test_evaluates_each_grid_point_once(self):
+        # prod(q_j) evaluations, the paper's cost of ADD, over several chunks
+        p, seen = counted(product_linear_problem(5, quad_order=10))
+        build_add(p)
+        assert len(seen) > 1
+        rows = np.concatenate(seen)
+        assert rows.shape == (10**5, 5)
+        for j, r in enumerate(p.rules):
+            assert np.all(np.isin(rows[:, j], r.nodes))
+        assert len(np.unique(rows, axis=0)) == 10**5
 
     def test_nonfinite_values_rejected(self):
         m = ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 2)
