@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import comb, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class ProblemSpec:
     ----------
     function : callable
         Vectorized map from points of shape ``(..., dim)`` to ``(...,)``.
+        Batches may be column-major and read-only: the anchored kernel
+        reuses one Fortran-ordered buffer across calls.  The function must
+        not write into its input (a read-only batch raises ``ValueError``)
+        and must call ``np.ascontiguousarray`` itself if it needs C order.
     measure : ProductMeasure
         Independent product measure of the inputs.
     quad_order : int or tuple of int, optional
@@ -116,11 +121,7 @@ class AnchoredApprox:
     anchor: np.ndarray
 
     def __post_init__(self) -> None:
-        anchor = np.asarray(self.anchor, dtype=float)
-        if anchor.shape != (self.problem.dim,):
-            raise ValueError(f"anchor must have shape ({self.problem.dim},)")
-        if not np.all(self.problem.measure.contains(anchor)):
-            raise ValueError("anchor lies outside the measure's support")
+        anchor = _check_anchor(self.problem, self.anchor).copy()
         if not 0 <= self.order < self.problem.dim:
             raise ValueError("truncation order must satisfy 0 <= S < dim")
         anchor.setflags(write=False)
@@ -280,19 +281,11 @@ class ComponentTable:
 
     # -- RDD internals ----------------------------------------------------
 
-    def _anchored_rows(self, coords: tuple[int, ...], X: np.ndarray) -> np.ndarray:
-        """Evaluate y with coordinates `coords` taken from X, the rest anchored."""
-        Z = np.tile(self.anchor, (X.shape[0], 1))
-        if coords:
-            cols = list(coords)
-            Z[:, cols] = X[:, cols]
-        return self.problem.evaluate(Z)
-
     def _rdd_truncated(self, order: int, X: np.ndarray) -> np.ndarray:
         comp: dict[int, np.ndarray] = {}
         out = np.zeros(X.shape[0])
-        for u in all_subsets_up_to(self.dim, order):
-            acc = self._anchored_rows(u.indices(), X)
+        subsets = all_subsets_up_to(self.dim, order)
+        for u, acc in _anchored(self.problem, self.anchor, X, subsets):
             for v in strict_subsets(u):
                 acc = acc - comp[v.mask]
             comp[u.mask] = acc
@@ -301,17 +294,10 @@ class ComponentTable:
 
     def _rdd_component_at(self, u: VariableSubset, X: np.ndarray) -> np.ndarray:
         # Recurse over the sub-lattice of u only; columns of X follow
-        # u.indices(), so map each v ⊆ u to its column positions.
-        coords = u.indices()
-        col_of = {j: k for k, j in enumerate(coords)}
-        full = np.empty((X.shape[0], self.dim))
+        # u.indices().
         comp: dict[int, np.ndarray] = {}
         lattice = list(strict_subsets(u)) + [u]
-        for v in lattice:
-            full[:] = self.anchor
-            for j in v.indices():
-                full[:, j] = X[:, col_of[j]]
-            acc = self.problem.evaluate(full)
+        for v, acc in _anchored(self.problem, self.anchor, X, lattice, u.indices()):
             for w in strict_subsets(v):
                 acc = acc - comp[w.mask]
             comp[v.mask] = acc
@@ -399,18 +385,11 @@ def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
     Nothing is precomputed beyond ``y(anchor)``; components are reproduced
     from anchored evaluations when queried.
     """
-    c = np.asarray(anchor, dtype=float)
-    if c.shape != (problem.dim,):
-        raise ValueError(f"anchor must have shape ({problem.dim},)")
-    if not np.all(problem.measure.contains(c)):
-        raise ValueError("anchor lies outside the measure's support")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("anchor must be finite")
+    c = _check_anchor(problem, anchor).copy()
+    c.setflags(write=False)
     y_c = float(problem.evaluate(c[None, :])[0])
     if not np.isfinite(y_c):
         raise ValueError("function value at the anchor is not finite")
-    c = c.copy()
-    c.setflags(write=False)
     return ComponentTable(RDD, problem, y_c, anchor=c)
 
 
@@ -447,28 +426,17 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
     if not 0 <= order < N:
         raise ValueError("truncation order must satisfy 0 <= S < dim")
     X, squeeze = _as_rows(x, N)
-    C = np.asarray(anchor, dtype=float)
-    if C.ndim == 1:
-        if C.shape != (N,):
-            raise ValueError(f"anchor must have shape ({N},)")
-        if not np.all(problem.measure.contains(C)):
-            raise ValueError("anchor lies outside the measure's support")
-        C = np.broadcast_to(C, X.shape)
-    elif C.shape == X.shape:
-        if not np.all(problem.measure.contains(C)):
-            raise ValueError("an anchor row lies outside the measure's support")
-    else:
-        raise ValueError("per-row anchors must match the shape of x")
+    C = _check_anchor(problem, anchor, rows=X.shape[0])
+    # a subset of cardinality s = S - k carries the weight of term k above
+    weight = [
+        (-1) ** (order - s) * comb(N - s - 1, order - s) for s in range(order + 1)
+    ]
+    subsets = chain.from_iterable(
+        subsets_of_cardinality(N, s) for s in range(order, -1, -1)
+    )
     out = np.zeros(X.shape[0])
-    Z = np.empty_like(X)
-    for k in range(order + 1):
-        w = (-1) ** k * comb(N - order + k - 1, k)
-        for u in subsets_of_cardinality(N, order - k):
-            Z[:] = C
-            cols = list(u.indices())
-            if cols:
-                Z[:, cols] = X[:, cols]
-            out += w * problem.evaluate(Z)
+    for u, y in _anchored(problem, C, X, subsets):
+        out += weight[u.cardinality] * y
     return float(out[0]) if squeeze else out
 
 
@@ -496,28 +464,25 @@ def explicit_component(
     if pt.shape != (u.cardinality,):
         raise ValueError(f"x_u must have shape ({u.cardinality},)")
     coords = u.indices()
-    value_at = dict(zip(coords, pt))
+    lattice = list(strict_subsets(u)) + [u]
     if kind == RDD:
-        c = np.asarray(anchor, dtype=float)
-        if c.shape != (problem.dim,):
-            raise ValueError(f"anchor must have shape ({problem.dim},)")
-    total = 0.0
-    lattice = list(strict_subsets(u)) + [u] if not u.is_empty else [u]
-    for v in lattice:
-        sign = (-1) ** (u.cardinality - v.cardinality)
-        if kind == ADD:
-            term = _conditional_mean(
+        c = _check_anchor(problem, anchor)
+        anchored = _anchored(problem, c, pt[None, :], lattice, coords)
+        terms = [float(y[0]) for _, y in anchored]
+    else:
+        value_at = dict(zip(coords, pt))
+        terms = [
+            _conditional_mean(
                 problem,
                 v.indices(),
                 [value_at[j] for j in v.indices()],
                 max_grid_points,
             )
-        else:
-            z = c.copy()
-            for j in v.indices():
-                z[j] = value_at[j]
-            term = float(problem.evaluate(z[None, :])[0])
-        total += sign * term
+            for v in lattice
+        ]
+    total = 0.0
+    for v, term in zip(lattice, terms):
+        total += (-1) ** (u.cardinality - v.cardinality) * term
     return total
 
 
@@ -682,6 +647,61 @@ def _as_rows(x, width: int) -> tuple[np.ndarray, bool]:
     if arr.ndim == 2 and arr.shape[1] == width:
         return arr, False
     raise ValueError(f"points must have shape ({width},) or (m, {width})")
+
+
+def _check_anchor(problem: ProblemSpec, anchor, rows: int | None = None) -> np.ndarray:
+    """The anchor as a float array, checked for shape, finiteness and support.
+
+    One point of shape ``(dim,)``; when `rows` is given, one anchor per row
+    of shape ``(rows, dim)`` is accepted as well.
+    """
+    c = np.asarray(anchor, dtype=float)
+    N = problem.dim
+    if c.shape != (N,) and (rows is None or c.shape != (rows, N)):
+        per_row = "" if rows is None else f" or ({rows}, {N}), one row per point"
+        raise ValueError(f"anchor must have shape ({N},){per_row}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("anchor must be finite")
+    if not np.all(problem.measure.contains(c)):
+        raise ValueError("anchor lies outside the measure's support")
+    return c
+
+
+def _anchored(
+    problem: ProblemSpec,
+    anchor: np.ndarray,
+    X: np.ndarray,
+    subsets: Iterable[VariableSubset],
+    coords: Sequence[int] | None = None,
+) -> Iterator[tuple[VariableSubset, np.ndarray]]:
+    """Yield ``(u, y(x_u, c_{-u}))`` for each subset ``u``, in order.
+
+    The one anchored kernel.  `anchor` is a checked ``(dim,)`` point or one
+    anchor per row of `X`; column ``k`` of `X` holds coordinate
+    ``coords[k]`` (all coordinates in order by default).  A single
+    Fortran-ordered ``(m, dim)`` buffer holds the anchor for the whole
+    batch.  Each subset writes only its own columns from `X`, the target
+    sees a read-only view of the buffer, and the columns are restored from
+    the anchor afterwards, so a subset costs ``O(m |u|)`` copying and the
+    target reads contiguous columns.
+    """
+    if coords is None:
+        coords = range(problem.dim)
+    col = {j: k for k, j in enumerate(coords)}
+    Z = np.empty((X.shape[0], problem.dim), order="F")
+    Z[:] = anchor
+    batch = Z.view()
+    batch.flags.writeable = False
+    for u in subsets:
+        own = u.indices()
+        for j in own:
+            Z[:, j] = X[:, col[j]]
+        y = problem.evaluate(batch)
+        if np.may_share_memory(y, Z):
+            y = y.copy()  # the target returned a view of its input
+        for j in own:
+            Z[:, j] = anchor[..., j]
+        yield u, y
 
 
 def _evaluate_full_grid(problem: ProblemSpec, max_grid_points: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Subset algebra over variable index sets, backed by bitmasks.
 
 Bit ``i`` of a mask stands for variable ``i + 1``, so reports print subsets
-as 1-based index lists like ``[1, 3]``.  Full-lattice traversals are capped
-(default 24 bits): tables over all ``2**N`` subsets stop being desk-scale
-beyond that.  Cardinality-only arithmetic elsewhere in the package carries
-no such cap.
+as 1-based index lists like ``[1, 3]``.  Enumerations are capped on the
+number of subsets they yield (default ``2**24``), not on the dimension:
+the full lattice stops being desk-scale beyond 24 variables, while the
+``C(N, s)`` subsets of a low cardinality stay cheap at any ``N``.
+Cardinality-only arithmetic elsewhere in the package carries no cap.
 """
 from __future__ import annotations
 
@@ -97,11 +98,13 @@ class VariableSubset:
 def subsets_of_cardinality(
     dim: int, size: int, *, cap: int = DEFAULT_SUBSET_CAP
 ) -> Iterator[VariableSubset]:
-    """All subsets of a given cardinality, in increasing mask order."""
-    if dim > cap:
-        raise ValueError(f"dimension {dim} exceeds the enumeration cap {cap}")
+    """All subsets of a given cardinality, in increasing mask order.
+
+    Raises before yielding anything when there are more than ``2**cap``.
+    """
     if not 0 <= size <= dim:
         raise ValueError(f"cardinality {size} outside [0, {dim}]")
+    _check_count(comb(dim, size), cap)
     masks = sorted(
         sum(1 << i for i in c) for c in combinations(range(dim), size)
     )
@@ -117,9 +120,12 @@ def all_subsets_up_to(
     Parameters
     ----------
     dim : int
-        Number of variables; must not exceed `cap`.
+        Number of variables.
     max_order : int
         Largest cardinality to emit; ``0 <= max_order <= dim``.
+    cap : int, optional
+        Raise before yielding anything when more than ``2**cap`` subsets
+        would be emitted.
 
     Yields
     ------
@@ -127,10 +133,7 @@ def all_subsets_up_to(
         Starting with the empty set, ending with the lexicographically
         largest subset of cardinality `max_order`.
     """
-    if dim > cap:
-        raise ValueError(f"dimension {dim} exceeds the enumeration cap {cap}")
-    if not 0 <= max_order <= dim:
-        raise ValueError(f"max order {max_order} outside [0, {dim}]")
+    _check_count(count_up_to(dim, max_order), cap)
     for size in range(max_order + 1):
         yield from subsets_of_cardinality(dim, size, cap=cap)
 
@@ -140,6 +143,11 @@ def count_up_to(dim: int, max_order: int) -> int:
     if not 0 <= max_order <= dim:
         raise ValueError(f"max order {max_order} outside [0, {dim}]")
     return sum(comb(dim, s) for s in range(max_order + 1))
+
+
+def _check_count(count: int, cap: int) -> None:
+    if count > 1 << cap:
+        raise ValueError(f"{count} subsets exceed the enumeration cap 2**{cap}")
 
 
 def complement(u: VariableSubset) -> VariableSubset:

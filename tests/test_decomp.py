@@ -21,6 +21,7 @@ from dimdecomp import (
     check_add_structure,
     check_form_equivalence,
     check_rdd_structure,
+    count_up_to,
     eval_truncated,
     explicit_component,
     make_function,
@@ -28,6 +29,10 @@ from dimdecomp import (
     strict_subsets,
 )
 from tests.conftest import poly_problem, product_linear_problem, sobol_g_problem
+
+
+# outside U(-1, 1)^3 and not finite: every anchor validator rejects it
+BAD_ANCHOR = np.array([5.0, np.nan, 0.0])
 
 
 def rng(seed=0):
@@ -277,6 +282,8 @@ class TestRddBuild:
     def test_anchor_validation(self, plin3):
         with pytest.raises(ValueError):
             build_rdd(plin3, np.zeros(4))
+        with pytest.raises(ValueError):
+            build_rdd(plin3, BAD_ANCHOR)
         p = sobol_g_problem(3)
         with pytest.raises(ValueError, match="support"):
             build_rdd(p, np.array([0.5, 0.5, -0.5]))
@@ -354,9 +361,122 @@ class TestRddDirect:
             rdd_direct(p, 3, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             rdd_direct(p, 1, np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            rdd_direct(p, 1, BAD_ANCHOR, np.zeros(3))
+        with pytest.raises(ValueError):
+            rdd_direct(p, 1, np.stack([np.zeros(3), BAD_ANCHOR]), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            rdd_direct(p, 1, np.zeros((3, 3)), np.zeros((2, 3)))
         ps = sobol_g_problem(3)
         with pytest.raises(ValueError, match="support"):
             rdd_direct(ps, 1, np.array([-0.5, 0.5, 0.5]), np.full(3, 0.5))
+
+
+def reference_rdd_direct(problem, order, anchor, X):
+    """The collapsed anchored sum with a C-ordered batch refilled from the
+    anchor for every subset, subsets in (cardinality descending, mask) order."""
+    N = problem.dim
+    C = np.broadcast_to(anchor, X.shape)
+    out = np.zeros(X.shape[0])
+    Z = np.empty_like(X)
+    for k in range(order + 1):
+        w = (-1) ** k * math.comb(N - order + k - 1, k)
+        subsets = sorted(
+            itertools.combinations(range(N), order - k),
+            key=lambda cols: sum(1 << j for j in cols),
+        )
+        for cols in subsets:
+            Z[:] = C
+            Z[:, list(cols)] = X[:, list(cols)]
+            out += w * problem.evaluate(Z)
+    return out
+
+
+class TestAnchoredKernel:
+    @pytest.mark.parametrize("make", [product_linear_problem, sobol_g_problem])
+    @pytest.mark.parametrize("dim,order", [(6, 3), (20, 2)])
+    def test_bitwise_equal_to_refilled_reference(self, make, dim, order):
+        p = make(dim)
+        lo = -1.0 if make is product_linear_problem else 0.0
+        g = rng(dim + order)
+        X = g.uniform(lo, 1.0, (300, dim))
+        C = g.uniform(lo, 1.0, (300, dim))
+        for anchor in (C[0], C):
+            got = rdd_direct(p, order, anchor, X)
+            assert np.array_equal(got, reference_rdd_direct(p, order, anchor, X))
+
+    @pytest.mark.parametrize("dim,order", [(6, 3), (20, 2)])
+    def test_one_call_of_m_rows_per_subset(self, dim, order):
+        # count_up_to(N, S) target calls of m rows each, the paper's cost
+        m = 40
+        p, seen = counted(product_linear_problem(dim))
+        g = rng(dim)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+        want = [(m, dim)] * count_up_to(dim, order)
+        rdd_direct(p, order, C, X)
+        assert [b.shape for b in seen] == want
+        table = build_rdd(p, C[0])
+        seen.clear()
+        table.truncated(order, X)
+        assert [b.shape for b in seen] == want
+        seen.clear()
+        rdd_direct(p, order, C[0], X)
+        assert [b.shape for b in seen] == want
+
+    def test_no_dimension_cap(self):
+        # N = 40 is past the full-lattice cap; S = 2 needs 821 evaluations
+        # per point.  For a product target the anchored S-variate surrogate
+        # is the degree <= S part in t of prod_j (1 + a_j c_j + t a_j (x_j - c_j)).
+        dim, order, m = 40, 2, 200
+        g = rng(40)
+        a = g.uniform(-1.0, 1.0, dim)
+        measure = ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), dim)
+        p = ProblemSpec(make_function("product_linear", dim, a=a), measure, 2)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+
+        def closed_form(anchor):
+            coeffs = np.zeros((order + 1, m))
+            coeffs[0] = 1.0
+            for j in range(dim):
+                alpha = 1.0 + a[j] * anchor[..., j]
+                beta = a[j] * (X[:, j] - anchor[..., j])
+                coeffs[1:] = alpha * coeffs[1:] + beta * coeffs[:-1]
+                coeffs[0] *= alpha
+            return coeffs.sum(axis=0)
+
+        for anchor in (C, C[0]):
+            want = closed_form(anchor)
+            got = rdd_direct(p, order, anchor, X)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-9
+
+    def test_target_writing_into_its_batch_raises(self, plin3):
+        # the kernel reuses its buffer: a target that wrote into it would
+        # corrupt later evaluations, so it sees a read-only view
+        def clobbering(x):
+            x[..., 0] = 0.0
+            return np.ones(x.shape[:-1])
+
+        p = ProblemSpec(clobbering, plin3.measure, 3)
+        X = rng(4).uniform(-1.0, 1.0, (5, 3))
+        c = np.zeros(3)
+        with pytest.raises(ValueError, match="read-only"):
+            rdd_direct(p, 1, c, X)
+        with pytest.raises(ValueError, match="read-only"):
+            build_rdd(p, c)
+        u = VariableSubset.from_indices([0, 2], 3)
+        with pytest.raises(ValueError, match="read-only"):
+            explicit_component(p, u, RDD, X[0, [0, 2]], anchor=c)
+
+    def test_target_returning_a_view_of_its_batch(self, plin3):
+        # y = x_1 is returned as a column of the buffer itself; the kernel
+        # must not let the next subset overwrite it
+        p = ProblemSpec(lambda x: x[..., 0], plin3.measure, 3)
+        X = rng(6).uniform(-1.0, 1.0, (7, 3))
+        c = np.array([0.25, -0.5, 0.75])
+        np.testing.assert_array_equal(rdd_direct(p, 2, c, X), X[:, 0])
+        np.testing.assert_array_equal(build_rdd(p, c).truncated(1, X), X[:, 0])
 
 
 class TestExplicitComponent:
@@ -399,6 +519,8 @@ class TestExplicitComponent:
             explicit_component(plin3, u, ADD, np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             explicit_component(plin3, u, RDD, np.array([0.1]), anchor=np.zeros(2))
+        with pytest.raises(ValueError):
+            explicit_component(plin3, u, RDD, np.array([0.1]), anchor=BAD_ANCHOR)
 
 
 class TestFormEquivalence:
@@ -411,11 +533,16 @@ class TestFormEquivalence:
 
 class TestAnchoredApprox:
     def test_callable_and_validated(self, plin3):
-        f = AnchoredApprox(plin3, 1, np.zeros(3))
+        c = np.zeros(3)
+        f = AnchoredApprox(plin3, 1, c)
         x = np.array([0.4, -0.3, 0.1])
         assert f(x) == pytest.approx(rdd_direct(plin3, 1, np.zeros(3), x))
+        # the surrogate freezes its own copy, not the caller's array
+        assert c.flags.writeable and not f.anchor.flags.writeable
         with pytest.raises(ValueError):
             AnchoredApprox(plin3, 3, np.zeros(3))
+        with pytest.raises(ValueError):
+            AnchoredApprox(plin3, 1, BAD_ANCHOR)
         p = sobol_g_problem(3)
         with pytest.raises(ValueError, match="support"):
             AnchoredApprox(p, 1, np.array([2.0, 0.5, 0.5]))

@@ -85,11 +85,17 @@ class TestEnumeration:
         assert len(subs) == count_up_to(dim, max_order)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            list(all_subsets_up_to(DEFAULT_SUBSET_CAP + 1, 1))
-        # explicit override allows more
-        big = list(subsets_of_cardinality(30, 1, cap=30))
-        assert len(big) == 30
+        # the cap bounds the number of subsets yielded, not the dimension
+        with pytest.raises(ValueError, match="cap"):
+            next(all_subsets_up_to(DEFAULT_SUBSET_CAP + 1, DEFAULT_SUBSET_CAP + 1))
+        with pytest.raises(ValueError, match="cap"):
+            next(subsets_of_cardinality(30, 15))
+        assert len(list(subsets_of_cardinality(30, 1))) == 30
+        assert len(list(all_subsets_up_to(100, 1))) == 101
+        # explicit override moves the bound either way
+        with pytest.raises(ValueError, match="cap"):
+            next(subsets_of_cardinality(30, 1, cap=4))
+        assert len(list(subsets_of_cardinality(30, 1, cap=5))) == 30
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
