@@ -101,7 +101,9 @@ def generalized_binomial(r, k: int):
 
     ``k < 0`` gives 0, ``k == 0`` gives 1, otherwise the falling factorial
     ``r (r-1) ... (r-k+1) / k!``.  Integer `r` stays exact integer
-    arithmetic; float `r` promotes the result to float.
+    arithmetic through :func:`math.comb`, with the reflection
+    ``C(r, k) = (-1)**k C(k - r - 1, k)`` for negative `r`; float `r`
+    promotes the result to float.
     """
     if not isinstance(k, Integral):
         raise ValueError("lower argument must be an integer")
@@ -111,10 +113,10 @@ def generalized_binomial(r, k: int):
     if k == 0:
         return 1
     if isinstance(r, Integral):
-        num = 1
-        for j in range(k):
-            num *= int(r) - j
-        return num // math.factorial(k)
+        r = int(r)
+        if r >= 0:
+            return comb(r, k)
+        return (-1) ** k * comb(k - r - 1, k)
     out = 1.0
     for j in range(k):
         out *= float(r) - j
@@ -125,7 +127,9 @@ def coeff_b(order: int, s: int) -> int:
     """Amplification factor ``b_S(s)`` as an exact integer.
 
     For ``s <= S`` the sum telescopes to 1; past the truncation order it
-    grows polynomially in ``s`` with degree ``2 S``.
+    grows polynomially in ``s`` with degree ``2 S``.  A negative upper
+    argument ``r = s - S + k - 1`` (only for ``s <= S``) is reflected to
+    ``k - r - 1 = S - s``; the sign drops out of the square.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -133,7 +137,9 @@ def coeff_b(order: int, s: int) -> int:
         raise ValueError("cardinality must be nonnegative")
     total = 0
     for k in range(order + 1):
-        total += generalized_binomial(s - order + k - 1, k) ** 2 * comb(s, order - k)
+        r = s - order + k - 1
+        c = comb(r, k) if r >= 0 else comb(order - s, k)
+        total += c * c * comb(s, order - k)
     return total
 
 

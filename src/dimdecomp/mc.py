@@ -23,7 +23,6 @@ from dimdecomp.decomp import (
     ADD,
     ComponentTable,
     ProblemSpec,
-    _cardinal_matrix,
     _fold_interp,
     rdd_direct,
 )
@@ -285,14 +284,9 @@ def optimality_probe(
             y = problem.evaluate(X)
             y_best = table.truncated(order, X)
             shift = np.full(m, delta0)
+            cols = table._cardinal_matrices(X, range(table.dim)) if nonempty else []
             for u in nonempty:
-                mats = [
-                    _cardinal_matrix(
-                        problem.rules[j].nodes, table._bary[j], X[:, j]
-                    )
-                    for j in u.indices()
-                ]
-                shift += _fold_interp(deltas[u.mask], mats)
+                shift += _fold_interp(deltas[u.mask], [cols[j] for j in u.indices()])
             err = (y - y_best - shift) ** 2
             exc = shift**2
             acc_err.update(err)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from dimdecomp import (
     ProblemSpec,
     ProductMeasure,
     VariableSubset,
+    all_subsets_up_to,
     build_add,
     build_rdd,
     check_add_structure,
@@ -25,9 +28,12 @@ from dimdecomp import (
     eval_truncated,
     explicit_component,
     make_function,
+    mc_add_error,
     rdd_direct,
     strict_subsets,
 )
+from dimdecomp import decomp
+from dimdecomp.cli import main
 from tests.conftest import poly_problem, product_linear_problem, sobol_g_problem
 
 
@@ -229,6 +235,82 @@ class TestAddEvaluation:
             plin3_table.truncated(4, np.zeros(3))
         with pytest.raises(ValueError):
             plin3_table.truncated(-1, np.zeros(3))
+
+
+def unblocked_fold(vals, mats):
+    """Off-grid ADD evaluation with both contractions over all rows at once."""
+    out = np.einsum("mi,i...->m...", mats[0], vals)
+    for L in mats[1:]:
+        out = np.einsum("mi,mi...->m...", L, out)
+    return out
+
+
+class TestInterpolationBlocks:
+    # q = 4 and m = 2503: a budget of 1000 values gives blocks of 1000,
+    # 250, 62, 15 and 3 rows for |u| = 1..5, each with a ragged last
+    # block; the default splits |u| = 5 into 1024-row blocks; a budget of
+    # 1 gives one-row blocks (checked on the first 37 rows)
+    @pytest.fixture(scope="class")
+    def setup(self):
+        p = sobol_g_problem(5, quad_order=4)
+        table = build_add(p, interpolation=True)
+        X = rng(5).uniform(0.0, 1.0, (2503, 5))
+        mats = [
+            decomp._cardinal_matrix(r.nodes, decomp._bary_weights(r.nodes), X[:, j])
+            for j, r in enumerate(p.rules)
+        ]
+        return table, X, mats
+
+    @pytest.mark.parametrize("budget,m", [(None, 2503), (1000, 2503), (1, 37)])
+    def test_component_equals_unblocked_kernel(self, setup, budget, m, monkeypatch):
+        table, X, mats = setup
+        X, mats = X[:m], [L[:m] for L in mats]
+        if budget is not None:
+            monkeypatch.setattr(decomp, "_FOLD_BLOCK_VALUES", budget)
+        for u in all_subsets_up_to(5, 5):
+            if u.is_empty:
+                continue
+            coords = list(u.indices())
+            want = unblocked_fold(table.grid_values(u), [mats[j] for j in coords])
+            assert np.array_equal(table.component(u, X[:, coords]), want)
+
+    @pytest.mark.parametrize("budget,m", [(None, 2503), (1000, 2503), (1, 37)])
+    def test_truncated_equals_unblocked_kernel(self, setup, budget, m, monkeypatch):
+        table, X, mats = setup
+        X, mats = X[:m], [L[:m] for L in mats]
+        if budget is not None:
+            monkeypatch.setattr(decomp, "_FOLD_BLOCK_VALUES", budget)
+        for order in range(1, 6):
+            want = np.full(X.shape[0], table.y_empty)
+            for u in all_subsets_up_to(5, order):
+                if not u.is_empty:
+                    vals = table.grid_values(u)
+                    want += unblocked_fold(vals, [mats[j] for j in u.indices()])
+            assert np.array_equal(table.truncated(order, X), want)
+
+    def test_verify_at_six_variables_order_ten_stays_small(self, tmp_path, capsys):
+        # unblocked, the 5-variate components left a (2000, 10**4)
+        # intermediate per chunk: a 190 MiB peak here, and an OOM kill at
+        # the default 100 000 samples
+        config = tmp_path / "verify.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "function": {"name": "product_linear"},
+                    "dim": 6,
+                    "quad_order": 10,
+                    "mc": {"n_samples": 2000},
+                }
+            )
+        )
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 96 * 2**20
 
 
 class TestRddBuild:
@@ -580,3 +662,16 @@ def test_problem_spec_validation():
         ProblemSpec(make_function("product_linear", 2), m, (3, 4, 5))
     with pytest.raises(ValueError):
         ProblemSpec("not callable", m, 3)
+
+
+def test_output_shape_contract(plin3, plin3_table):
+    # an (m, 1) output would broadcast against (m,) arrays downstream
+    p = ProblemSpec(lambda x: plin3.function(x)[..., None], plin3.measure, 3)
+    X = rng(7).uniform(-1.0, 1.0, (20, 3))
+    match = r"returned shape \(\d+, 1\) .* expected \(\d+,\)"
+    with pytest.raises(ValueError, match=match):
+        mc_add_error(p, plin3_table, 1, 1000)
+    with pytest.raises(ValueError, match=match):
+        rdd_direct(p, 1, np.zeros(3), X)
+    with pytest.raises(ValueError, match=match):
+        build_add(p)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dimdecomp import (
@@ -99,6 +99,14 @@ class TestCoefficient:
         assert all(coeff_b(0, s) == 1 for s in range(1, 41))
 
     @given(st.integers(0, 6), st.integers(0, 12))
+    # figure1 sweeps every order at N = 100; (99, 50) reflects negative
+    # upper arguments at that scale
+    @example(1, 100)
+    @example(2, 100)
+    @example(49, 100)
+    @example(98, 100)
+    @example(99, 100)
+    @example(99, 50)
     def test_matches_rational_oracle(self, order, s):
         assert coeff_b(order, s) == frac_coeff_b(order, s)
 
