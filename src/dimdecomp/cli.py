@@ -441,8 +441,8 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
             )
         )
 
-    for s in orders:
-        est = mc_add_error(problem, table, s, cfg.n_samples, cfg.seed)
+    add_ests = mc_add_error(problem, table, orders, cfg.n_samples, cfg.seed)
+    for s, est in zip(orders, add_ests):
         target = sum(v for m, v in vmap.sigma2.items() if m.bit_count() > s)
         gate = 3.0 * est.std_error
         resid = abs(est.mean - target)

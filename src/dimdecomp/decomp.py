@@ -53,6 +53,9 @@ _EVAL_CHUNK = 65_536
 # at N=5, q=6, 100k samples took 1.2-1.5 s for any block from 2**14 to
 # 2**20 values, and 2.0 s unblocked
 _FOLD_BLOCK_VALUES = 1 << 18
+# values of the per-coordinate cardinal matrices held at once by off-grid ADD
+# truncation (2 MiB); longer batches are summed in row blocks
+_CARDINAL_BLOCK_VALUES = 1 << 18
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -226,14 +229,51 @@ class ComponentTable:
 
     def truncated(self, order: int, x) -> float | np.ndarray:
         """Evaluate the S-variate truncated sum at full points ``x``."""
-        if not 0 <= order <= self.dim:
-            raise ValueError(f"truncation order {order} outside [0, {self.dim}]")
+        return self.truncated_sums((order,), x)[0]
+
+    def truncated_sums(self, orders: Sequence[int], x) -> list[float | np.ndarray]:
+        """The truncated sums at several orders, one per entry of `orders`.
+
+        One pass over the components up to ``max(orders)`` in (cardinality,
+        mask) order keeps a running sum and copies it at each requested
+        cardinality boundary, so every result is bit-for-bit the one a
+        separate :meth:`truncated` call gives.  Repeated orders share one
+        array.  Off-grid ADD tables make the pass once per row block (see
+        :meth:`_truncation_rows`); each row's sum does not depend on the
+        block it falls in.
+        """
+        orders = _check_orders(orders, self.dim)
         X, squeeze = _as_rows(x, self.dim)
-        if self.kind == ADD:
-            out = self._add_truncated(order, X)
-        else:
-            out = self._rdd_truncated(order, X)
-        return float(out[0]) if squeeze else out
+        top = max(orders)
+        sums = {s: np.empty(X.shape[0]) for s in orders}
+        step = self._truncation_rows(X.shape[0])
+        for start in range(0, X.shape[0], step):
+            rows = slice(start, start + step)
+            block = X[rows]
+            if self.kind == ADD:
+                parts = self._add_components(top, block)
+            else:
+                subsets = all_subsets_up_to(self.dim, top)
+                parts = _rdd_components(self.problem, self.anchor, block, subsets)
+            out = np.zeros(block.shape[0])
+            card = 0
+            for u, y in parts:
+                if u.cardinality > card:
+                    card = u.cardinality
+                    if card - 1 in sums:
+                        sums[card - 1][rows] = out
+                out += y
+            sums[top][rows] = out
+        return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
+
+    def _truncation_rows(self, m: int) -> int:
+        """Rows per pass of :meth:`truncated_sums`: all `m` rows, except that
+        off-grid ADD keeps one block's cardinal matrices within
+        ``_CARDINAL_BLOCK_VALUES`` values (never less than one row)."""
+        if self.kind == ADD and self.interpolation:
+            per_row = sum(len(rule.nodes) for rule in self.problem.rules)
+            return max(1, _CARDINAL_BLOCK_VALUES // per_row)
+        return max(1, m)
 
     # -- ADD internals ----------------------------------------------------
 
@@ -276,46 +316,33 @@ class ComponentTable:
         idx = self._grid_indices(X, u.indices())
         return vals[tuple(idx)]
 
-    def _add_truncated(self, order: int, X: np.ndarray) -> np.ndarray:
-        out = np.full(X.shape[0], self.y_empty)
+    def _add_components(
+        self, order: int, X: np.ndarray
+    ) -> Iterator[tuple[VariableSubset, float | np.ndarray]]:
+        """Yield ``(u, y_u(X))`` for every ``|u| <= order`` in (cardinality,
+        mask) order, from one set of per-coordinate matrices or indices."""
         if self.interpolation:
             cols = self._cardinal_matrices(X, range(self.dim))
         else:
             idx = self._grid_indices(X, range(self.dim))
         for u in all_subsets_up_to(self.dim, order):
             if u.is_empty:
+                yield u, self.y_empty
                 continue
             vals = self._components[u.mask]
             coords = u.indices()
             if self.interpolation:
-                out += _fold_interp(vals, [cols[j] for j in coords])
+                yield u, _fold_interp(vals, [cols[j] for j in coords])
             else:
-                out += vals[tuple(idx[j] for j in coords)]
-        return out
+                yield u, vals[tuple(idx[j] for j in coords)]
 
     # -- RDD internals ----------------------------------------------------
-
-    def _rdd_truncated(self, order: int, X: np.ndarray) -> np.ndarray:
-        comp: dict[int, np.ndarray] = {}
-        out = np.zeros(X.shape[0])
-        subsets = all_subsets_up_to(self.dim, order)
-        for u, acc in _anchored(self.problem, self.anchor, X, subsets):
-            for v in strict_subsets(u):
-                acc = acc - comp[v.mask]
-            comp[u.mask] = acc
-            out += acc
-        return out
 
     def _rdd_component_at(self, u: VariableSubset, X: np.ndarray) -> np.ndarray:
         # Recurse over the sub-lattice of u only; columns of X follow
         # u.indices().
-        comp: dict[int, np.ndarray] = {}
         lattice = list(strict_subsets(u)) + [u]
-        for v, acc in _anchored(self.problem, self.anchor, X, lattice, u.indices()):
-            for w in strict_subsets(v):
-                acc = acc - comp[w.mask]
-            comp[v.mask] = acc
-        return comp[u.mask]
+        return dict(_rdd_components(self.problem, self.anchor, X, lattice, u.indices()))[u]
 
 
 # -- builders --------------------------------------------------------------
@@ -587,6 +614,8 @@ def check_rdd_structure(
     probed at `n_points` random points drawn from the input measure.
     """
     table._require(RDD)
+    if n_points < 1:
+        raise ValueError(f"structure checks need at least 1 point, got {n_points}")
     N = table.dim
     rng = np.random.default_rng(seed)
     X = table.problem.measure.sample(rng, n_points)
@@ -626,20 +655,28 @@ def check_form_equivalence(
     """Truncated component-sum route vs direct collapsed route, pointwise.
 
     Draws `n_pairs` independent (anchor, point) pairs from the input
-    measure and compares :func:`eval_truncated` on a fresh RDD table
-    against :func:`rdd_direct`.  Relative deviation is measured against
+    measure, anchor first within each pair, and runs each route once on the
+    whole batch with one anchor per row: the Möbius component recursion
+    summed up to ``|u| <= order`` (what ``build_rdd(problem,
+    c).truncated(order, x)`` computes for each pair) against
+    :func:`rdd_direct`.  Relative deviation is measured against
     ``max(1, |direct value|)``.
     """
+    if n_pairs < 1:
+        raise ValueError(f"form equivalence needs at least 1 pair, got {n_pairs}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_pairs):
-        c = problem.measure.sample(rng)
-        x = problem.measure.sample(rng)
-        table = build_rdd(problem, c)
-        a = table.truncated(order, x)
-        b = rdd_direct(problem, order, c, x)
-        r = abs(a - b) / max(1.0, abs(b))
-        worst = max(worst, r)
+    pairs = [
+        (problem.measure.sample(rng), problem.measure.sample(rng))
+        for _ in range(n_pairs)
+    ]
+    C = np.array([c for c, _ in pairs])
+    X = np.array([x for _, x in pairs])
+    direct = rdd_direct(problem, order, C, X)
+    summed = np.zeros(n_pairs)
+    subsets = all_subsets_up_to(problem.dim, order)
+    for _, y in _rdd_components(problem, C, X, subsets):
+        summed += y
+    worst = float(np.max(np.abs(summed - direct) / np.maximum(1.0, np.abs(direct))))
     return CheckResult(
         f"rdd_form_equivalence_S{order}",
         worst,
@@ -679,6 +716,49 @@ def _check_anchor(problem: ProblemSpec, anchor, rows: int | None = None) -> np.n
     if not np.all(problem.measure.contains(c)):
         raise ValueError("anchor lies outside the measure's support")
     return c
+
+
+def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
+    """Truncation orders as ints, each an integer in ``[0, dim]``.
+
+    Rejects an empty sequence, a non-integer order (numpy integers pass)
+    and an order out of range, so callers can check before any work.
+    """
+    try:
+        orders = tuple(orders)
+    except TypeError:
+        raise ValueError(f"orders must be a sequence of integers, got {orders!r}") from None
+    if not orders:
+        raise ValueError("need at least one truncation order")
+    for s in orders:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"truncation order must be an integer, got {s!r}")
+        if not 0 <= s <= dim:
+            raise ValueError(f"truncation order {s} outside [0, {dim}]")
+    return tuple(int(s) for s in orders)
+
+
+def _rdd_components(
+    problem: ProblemSpec,
+    anchor: np.ndarray,
+    X: np.ndarray,
+    subsets: Iterable[VariableSubset],
+    coords: Sequence[int] | None = None,
+) -> Iterator[tuple[VariableSubset, np.ndarray]]:
+    """Yield ``(u, y_u)`` for each anchored component, by Möbius recursion.
+
+    `subsets` must be closed under taking subsets and ordered by
+    (cardinality, mask), so every strict subset of ``u`` comes before it:
+    ``y_u = y(x_u, c_{-u}) - sum_{v < u} y_v``.  `anchor`, `X` and
+    `coords` are as in :func:`_anchored`; a per-row anchor gives each row
+    its own decomposition.
+    """
+    comp: dict[int, np.ndarray] = {}
+    for u, acc in _anchored(problem, anchor, X, subsets, coords):
+        for v in strict_subsets(u):
+            acc = acc - comp[v.mask]
+        comp[u.mask] = acc
+        yield u, acc
 
 
 def _anchored(

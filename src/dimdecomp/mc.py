@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from dimdecomp.decomp import (
     ADD,
     ComponentTable,
     ProblemSpec,
+    _check_orders,
     _fold_interp,
     rdd_direct,
 )
@@ -117,19 +119,43 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise ValueError(f"{label} needs at least {minimum} samples, got {n}")
 
 
+def _sampled(n: int, seed: int, chunk: int, count: int, gaps) -> list[McEstimate]:
+    """The one sampling loop: mean squared gaps over `n` draws, in chunks.
+
+    ``gaps(rng, m)`` draws a chunk of `m` rows from `rng` and returns (or
+    yields) `count` gap arrays, one per accumulator; each estimate is the
+    count-weighted merge of its chunk means and carries `seed`.
+    """
+    rng = np.random.default_rng(seed)
+    accs = [_Accumulator() for _ in range(count)]
+    left = int(n)
+    while left > 0:
+        m = min(chunk, left)
+        for acc, gap in zip(accs, gaps(rng, m), strict=True):
+            acc.update(gap * gap)
+        left -= m
+    return [acc.result(seed) for acc in accs]
+
+
 def mc_add_error(
     problem: ProblemSpec,
     table: ComponentTable,
-    order: int,
+    order: int | Sequence[int],
     n: int = 100_000,
     seed: int = 0,
     *,
     chunk: int = DEFAULT_CHUNK,
-) -> McEstimate:
+) -> McEstimate | list[McEstimate]:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
     Requires an ADD `table` built with interpolation so the surrogate can
-    be evaluated at the sampled (off-grid) points.
+    be evaluated at the sampled (off-grid) points.  `order` is one
+    truncation order, which returns one estimate, or a sequence of them,
+    which returns one estimate per entry.  All orders share every draw, the
+    target values and one pass over the components (see
+    :meth:`ComponentTable.truncated_sums`), and each estimate is
+    bit-for-bit what a single-order call with the same seed gives.  Orders
+    are checked before any draw.
     """
     table._require(ADD)
     if not table.interpolation:
@@ -137,16 +163,16 @@ def mc_add_error(
             "sampling the surrogate needs a table built with interpolation=True"
         )
     _check_n(n, MIN_SAMPLES, "mc_add_error")
-    rng = np.random.default_rng(seed)
-    acc = _Accumulator()
-    left = int(n)
-    while left > 0:
-        m = min(chunk, left)
+    single = isinstance(order, (int, np.integer))
+    orders = _check_orders((order,) if single else order, table.dim)
+
+    def gaps(rng, m):
         X = problem.measure.sample(rng, m)
-        gap = problem.evaluate(X) - table.truncated(order, X)
-        acc.update(gap * gap)
-        left -= m
-    return acc.result(seed)
+        y = problem.evaluate(X)
+        return (y - t for t in table.truncated_sums(orders, X))
+
+    ests = _sampled(n, seed, chunk, len(orders), gaps)
+    return ests[0] if single else ests
 
 
 def mc_rdd_error(
@@ -160,17 +186,14 @@ def mc_rdd_error(
 ) -> McEstimate:
     """Sampled mean-square error of the anchored surrogate at a fixed anchor."""
     _check_n(n, MIN_SAMPLES, "mc_rdd_error")
+    _check_orders((order,), problem.dim - 1)
     c = np.asarray(anchor, dtype=float)
-    rng = np.random.default_rng(seed)
-    acc = _Accumulator()
-    left = int(n)
-    while left > 0:
-        m = min(chunk, left)
+
+    def gaps(rng, m):
         X = problem.measure.sample(rng, m)
-        gap = problem.evaluate(X) - rdd_direct(problem, order, c, X)
-        acc.update(gap * gap)
-        left -= m
-    return acc.result(seed)
+        return [problem.evaluate(X) - rdd_direct(problem, order, c, X)]
+
+    return _sampled(n, seed, chunk, 1, gaps)[0]
 
 
 def mc_expected_rdd_error(
@@ -189,17 +212,14 @@ def mc_expected_rdd_error(
     ``sum_{s>S} (1 + b_S(s)) V_s`` predicts.
     """
     _check_n(n_pairs, MIN_PAIRS, "mc_expected_rdd_error")
-    rng = np.random.default_rng(seed)
-    acc = _Accumulator()
-    left = int(n_pairs)
-    while left > 0:
-        m = min(chunk, left)
+    _check_orders((order,), problem.dim - 1)
+
+    def gaps(rng, m):
         X = problem.measure.sample(rng, m)
         C = problem.measure.sample(rng, m)
-        gap = problem.evaluate(X) - rdd_direct(problem, order, C, X)
-        acc.update(gap * gap)
-        left -= m
-    return acc.result(seed)
+        return [problem.evaluate(X) - rdd_direct(problem, order, C, X)]
+
+    return _sampled(n_pairs, seed, chunk, 1, gaps)[0]
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,17 @@ def poly_problem(dim: int = 4, quad_order: int = 6) -> ProblemSpec:
     )
 
 
+def counted(problem: ProblemSpec):
+    """`problem` with its target wrapped to record every block of rows."""
+    seen = []
+
+    def function(x):
+        seen.append(np.array(x))
+        return problem.function(x)
+
+    return ProblemSpec(function, problem.measure, problem.quad_order), seen
+
+
 @pytest.fixture(scope="session")
 def plin3():
     return product_linear_problem(3)

@@ -34,7 +34,13 @@ from dimdecomp import (
 )
 from dimdecomp import decomp
 from dimdecomp.cli import main
-from tests.conftest import poly_problem, product_linear_problem, sobol_g_problem
+from tests.conftest import (
+    counted,
+    ishigami_problem,
+    poly_problem,
+    product_linear_problem,
+    sobol_g_problem,
+)
 
 
 # outside U(-1, 1)^3 and not finite: every anchor validator rejects it
@@ -43,17 +49,6 @@ BAD_ANCHOR = np.array([5.0, np.nan, 0.0])
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def counted(problem):
-    """`problem` with its target wrapped to record every block of rows."""
-    seen = []
-
-    def function(x):
-        seen.append(np.array(x))
-        return problem.function(x)
-
-    return ProblemSpec(function, problem.measure, problem.quad_order), seen
 
 
 class TestAddBuild:
@@ -235,6 +230,29 @@ class TestAddEvaluation:
             plin3_table.truncated(4, np.zeros(3))
         with pytest.raises(ValueError):
             plin3_table.truncated(-1, np.zeros(3))
+        with pytest.raises(ValueError, match="integer"):
+            plin3_table.truncated(1.5, np.zeros(3))
+        with pytest.raises(ValueError, match="at least one"):
+            plin3_table.truncated_sums((), np.zeros(3))
+
+    def test_truncated_sums_equal_one_call_per_order(self, plin3, plin3_table):
+        # one pass with a copy at each cardinality boundary, unsorted orders
+        # with repeats, ADD (off and on the grid) and RDD tables alike
+        X = rng(8).uniform(-1.0, 1.0, (30, 3))
+        nodes = [r.nodes for r in plin3.rules]
+        on_grid = np.column_stack([nodes[j][[0, 4, 9]] for j in range(3)])
+        orders = (2, 0, 3, 0, 1)
+        for table, pts in (
+            (plin3_table, X),
+            (build_add(plin3), on_grid),
+            (build_rdd(plin3, np.array([0.2, -0.4, 0.6])), X),
+        ):
+            got = table.truncated_sums(orders, pts)
+            for s, y in zip(orders, got):
+                assert np.array_equal(y, table.truncated(s, pts))
+            assert table.truncated_sums(orders, pts[0]) == [
+                table.truncated(s, pts[0]) for s in orders
+            ]
 
 
 def unblocked_fold(vals, mats):
@@ -287,6 +305,46 @@ class TestInterpolationBlocks:
                     vals = table.grid_values(u)
                     want += unblocked_fold(vals, [mats[j] for j in u.indices()])
             assert np.array_equal(table.truncated(order, X), want)
+
+    # 5 coordinates of 4 nodes give 20 cardinal values per row: a budget of
+    # 1000 values makes 50-row blocks with a ragged last one, a budget of 1
+    # one-row blocks
+    @pytest.mark.parametrize("budget,m,rows", [(1000, 2503, 50), (1, 37, 1)])
+    def test_truncated_sums_in_row_blocks(self, setup, budget, m, rows, monkeypatch):
+        table, X, mats = setup
+        X, mats = X[:m], [L[:m] for L in mats]
+        monkeypatch.setattr(decomp, "_CARDINAL_BLOCK_VALUES", budget)
+        seen = []
+        kernel = decomp._cardinal_matrix
+
+        def recorded(nodes, bw, t):
+            seen.append(t.shape[0])
+            return kernel(nodes, bw, t)
+
+        monkeypatch.setattr(decomp, "_cardinal_matrix", recorded)
+        orders = (2, 0, 5, 0, 1)
+        got = table.truncated_sums(orders, X)
+        assert max(seen) == rows
+        for order, sums in zip(orders, got):
+            want = np.full(X.shape[0], table.y_empty)
+            for u in all_subsets_up_to(5, order):
+                if not u.is_empty:
+                    vals = table.grid_values(u)
+                    want += unblocked_fold(vals, [mats[j] for j in u.indices()])
+            assert np.array_equal(sums, want)
+
+    def test_add_error_cardinal_matrices_stay_small(self):
+        # one whole-chunk set of cardinal matrices is 5 x (100 000, 6)
+        # float64 values, 23 MiB, and put the peak at 39 MiB
+        p = product_linear_problem(5, quad_order=6)
+        table = build_add(p, interpolation=True)
+        tracemalloc.start()
+        try:
+            mc_add_error(p, table, range(5), 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_verify_at_six_variables_order_ten_stays_small(self, tmp_path, capsys):
         # unblocked, the 5-variate components left a (2000, 10**4)
@@ -360,6 +418,11 @@ class TestRddBuild:
         t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
         for c in check_rdd_structure(t, seed=7):
             assert c.passed, (c.name, c.residual)
+
+    def test_structure_checks_need_a_point(self, plin3):
+        t = build_rdd(plin3, np.zeros(3))
+        with pytest.raises(ValueError, match="at least 1 point"):
+            check_rdd_structure(t, n_points=0)
 
     def test_anchor_validation(self, plin3):
         with pytest.raises(ValueError):
@@ -605,12 +668,51 @@ class TestExplicitComponent:
             explicit_component(plin3, u, RDD, np.array([0.1]), anchor=BAD_ANCHOR)
 
 
+def reference_form_residual(problem, order, n_pairs, seed):
+    """The pair-by-pair form check: one RDD table and one point per pair."""
+    g = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        c = problem.measure.sample(g)
+        x = problem.measure.sample(g)
+        a = build_rdd(problem, c).truncated(order, x)
+        b = rdd_direct(problem, order, c, x)
+        worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    return worst
+
+
 class TestFormEquivalence:
     @pytest.mark.parametrize("dim,order", [(4, 0), (4, 2), (6, 3)])
     def test_routes_agree(self, dim, order):
         p = product_linear_problem(dim)
         res = check_form_equivalence(p, order, n_pairs=20, seed=dim * 10 + order)
         assert res.passed, res
+
+    @pytest.mark.parametrize(
+        "make,orders",
+        [
+            (lambda: product_linear_problem(5), (0, 1, 2, 3)),
+            (lambda: sobol_g_problem(4), (1, 2, 3)),
+            (ishigami_problem, (1, 2)),
+        ],
+    )
+    def test_batch_equals_pair_by_pair_reference(self, make, orders):
+        p = make()
+        for order in orders:
+            res = check_form_equivalence(p, order, n_pairs=50, seed=order + 3)
+            assert res.residual == reference_form_residual(p, order, 50, order + 3)
+            assert res.passed, res
+
+    @pytest.mark.parametrize("dim,order", [(3, 0), (5, 2), (6, 3)])
+    def test_one_target_call_per_subset_and_route(self, dim, order):
+        p, seen = counted(product_linear_problem(dim))
+        check_form_equivalence(p, order, n_pairs=17, seed=1)
+        assert [b.shape for b in seen] == [(17, dim)] * (2 * count_up_to(dim, order))
+
+    def test_needs_a_pair(self, plin3):
+        for n_pairs in (0, -1):
+            with pytest.raises(ValueError, match="at least 1 pair"):
+                check_form_equivalence(plin3, 1, n_pairs=n_pairs)
 
 
 class TestAnchoredApprox:

@@ -7,6 +7,7 @@ import pytest
 
 from dimdecomp import (
     McEstimate,
+    ProductMeasure,
     build_add,
     build_rdd,
     mc_add_error,
@@ -16,7 +17,8 @@ from dimdecomp import (
     pool,
     worker_seed,
 )
-from tests.conftest import product_linear_problem
+from dimdecomp.mc import DEFAULT_CHUNK
+from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
 
 class TestMcEstimate:
@@ -99,6 +101,61 @@ class TestAddErrorSampling:
     def test_chunked_run_covers_requested_n(self, plin3, plin3_table):
         est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=1, chunk=1024)
         assert est.n == 5000
+
+
+@pytest.fixture(scope="module")
+def sobol5():
+    p = sobol_g_problem(5, quad_order=6)
+    return p, build_add(p, interpolation=True)
+
+
+class TestAddErrorOrders:
+    @pytest.mark.parametrize(
+        "name,orders",
+        [
+            ("plin3", range(4)),  # every order of a 3-variable table
+            ("plin3", (3, 0, 3)),
+            ("sobol5", range(5)),
+            ("sobol5", (3, 0, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("n,chunk", [(2000, DEFAULT_CHUNK), (5000, 1024)])
+    def test_equals_one_call_per_order(
+        self, plin3, plin3_table, sobol5, name, orders, n, chunk
+    ):
+        problem, table = (plin3, plin3_table) if name == "plin3" else sobol5
+        got = mc_add_error(problem, table, orders, n, seed=13, chunk=chunk)
+        want = [mc_add_error(problem, table, s, n, seed=13, chunk=chunk) for s in orders]
+        assert got == want
+
+    def test_one_target_row_per_sample_for_all_orders(self, sobol5):
+        problem, table = sobol5
+        p, seen = counted(problem)
+        mc_add_error(p, table, range(5), n=5000, seed=1, chunk=1024)
+        assert [len(b) for b in seen] == [1024] * 4 + [904]
+
+    def test_orders_checked_before_any_work(self, plin3, plin3_table, monkeypatch):
+        p, seen = counted(plin3)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the orders were checked")
+
+        monkeypatch.setattr(ProductMeasure, "sample", no_draw)
+        for bad in ((), [], 4, -1, (1, 7), 1.5, (1, 2.0), "1", None, True):
+            with pytest.raises(ValueError):
+                mc_add_error(p, plin3_table, bad, n=1000)
+        for bad in (3, -1, 1.0):
+            with pytest.raises(ValueError):
+                mc_rdd_error(p, bad, np.zeros(3), n=1000)
+            with pytest.raises(ValueError):
+                mc_expected_rdd_error(p, bad, n_pairs=10_000)
+        assert seen == []
+        monkeypatch.undo()
+        one = mc_add_error(plin3, plin3_table, 1, n=1000)
+        assert mc_add_error(plin3, plin3_table, np.int64(1), n=1000) == one
+        assert mc_add_error(plin3, plin3_table, np.arange(1, 3), n=1000) == [
+            one, mc_add_error(plin3, plin3_table, 2, n=1000)
+        ]
 
 
 class TestRddErrorSampling:
