@@ -45,7 +45,7 @@ def main() -> None:
         ProductMeasure.iid(default_marginal(args.function), args.dim),
         args.quad_order,
     )
-    table = build_add(problem, interpolation=True)
+    table = build_add(problem)
     vmap = variance_components(table)
     print(f"{args.function}, dim {args.dim}, quad order {args.quad_order}, "
           f"total variance {vmap.total:.6g}")

@@ -20,7 +20,6 @@ from dimdecomp.decomp import (
     check_add_structure,
     check_form_equivalence,
     check_rdd_structure,
-    eval_truncated,
     explicit_component,
     rdd_direct,
 )
@@ -60,12 +59,10 @@ from dimdecomp.measures import (
     gauss_exactness_residual,
     gauss_rule,
     product_rules,
-    sample,
 )
 from dimdecomp.subsets import (
     VariableSubset,
     all_subsets_up_to,
-    complement,
     count_up_to,
     strict_subsets,
     subsets_of_cardinality,

@@ -385,7 +385,7 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
         CheckResult("subset_enumeration_count", float(count_gap), 0.0, count_gap == 0)
     )
 
-    table = build_add(problem, interpolation=True)
+    table = build_add(problem)
     if corrupt_table:
         # test hook: break the first univariate component's zero mean
         table._components[1] = table._components[1] + 1e-3 * table.scale
@@ -455,21 +455,20 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
                 f"sampled {_fmt(est.mean)} vs analytic {_fmt(target)} at n={est.n}",
             )
         )
-        if s < cfg.dim:
-            budget = rdd_expected_error(s, vmap)
-            pairs = max(cfg.n_samples, 10_000)
-            est = mc_expected_rdd_error(problem, s, pairs, cfg.seed + 1)
-            gate = 3.0 * est.std_error
-            resid = abs(est.mean - budget.e_rdd_expected)
-            checks.append(
-                CheckResult(
-                    f"mc_gate_rdd_S{s}",
-                    resid,
-                    gate,
-                    resid <= gate,
-                    f"sampled {_fmt(est.mean)} vs analytic {_fmt(budget.e_rdd_expected)} at n={est.n}",
-                )
+        budget = rdd_expected_error(s, vmap)
+        pairs = max(cfg.n_samples, 10_000)
+        est = mc_expected_rdd_error(problem, s, pairs, cfg.seed + 1)
+        gate = 3.0 * est.std_error
+        resid = abs(est.mean - budget.e_rdd_expected)
+        checks.append(
+            CheckResult(
+                f"mc_gate_rdd_S{s}",
+                resid,
+                gate,
+                resid <= gate,
+                f"sampled {_fmt(est.mean)} vs analytic {_fmt(budget.e_rdd_expected)} at n={est.n}",
             )
+        )
 
     passed = all(c.passed for c in checks)
     report = {

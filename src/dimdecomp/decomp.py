@@ -8,8 +8,8 @@ Two constructions of the split are built here:
   input product measure.  Every nonempty component has zero mean in each of
   its own coordinates and distinct components are orthogonal, so variances
   add across subsets.  Components are stored on tensor subgrids of the
-  per-coordinate Gauss nodes; off-grid evaluation is available through
-  barycentric interpolation.
+  per-coordinate Gauss nodes and evaluated at any point by barycentric
+  interpolation, which reproduces the stored values exactly at the nodes.
 * **RDD** (:func:`build_rdd`) replaces every integral with an evaluation at
   a fixed anchor point ``c``.  Components cost only function calls — no
   grids — and every nonempty component vanishes as soon as one of its own
@@ -142,10 +142,10 @@ class AnchoredApprox:
 
     def __post_init__(self) -> None:
         anchor = _check_anchor(self.problem, self.anchor).copy()
-        if not 0 <= self.order < self.problem.dim:
-            raise ValueError("truncation order must satisfy 0 <= S < dim")
+        (order,) = _check_orders((self.order,), self.problem.dim - 1)
         anchor.setflags(write=False)
         object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "order", order)
 
     def __call__(self, x) -> np.ndarray | float:
         return rdd_direct(self.problem, self.order, self.anchor, x)
@@ -155,9 +155,10 @@ class ComponentTable:
     """Components of a built decomposition, queried by subset.
 
     ADD tables hold component values on tensor subgrids of the Gauss nodes
-    (plus barycentric data when built with ``interpolation=True``).  RDD
-    tables hold no values: components are reproduced on demand from anchored
-    evaluations of the target, memoized within each call.
+    and evaluate them anywhere by barycentric interpolation (the weights are
+    computed on first use).  RDD tables hold no values: components are
+    reproduced on demand from anchored evaluations of the target, memoized
+    within each call.
 
     Build through :func:`build_add` / :func:`build_rdd`, not directly.
     """
@@ -171,8 +172,6 @@ class ComponentTable:
         anchor: np.ndarray | None = None,
         components: dict[int, np.ndarray] | None = None,
         full_values: np.ndarray | None = None,
-        interpolation: bool = False,
-        bary_weights: Sequence[np.ndarray] | None = None,
     ) -> None:
         if kind not in (ADD, RDD):
             raise ValueError(f"kind must be {ADD!r} or {RDD!r}")
@@ -184,10 +183,8 @@ class ComponentTable:
         self.problem = problem
         self.y_empty = float(y_empty)
         self.anchor = anchor
-        self.interpolation = bool(interpolation)
         self._components = components or {}
         self._full_values = full_values
-        self._bary = list(bary_weights) if bary_weights is not None else None
 
     @property
     def dim(self) -> int:
@@ -212,9 +209,9 @@ class ComponentTable:
     def component(self, u: VariableSubset, x) -> float | np.ndarray:
         """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
 
-        Columns of ``x`` follow ``u.indices()`` in ascending order.  For ADD
-        tables the points must lie on the subgrid unless the table was built
-        with interpolation.
+        Columns of ``x`` follow ``u.indices()`` in ascending order.  ADD
+        tables interpolate between the Gauss nodes; at a node the result is
+        the stored grid value, bit for bit.
         """
         if u.dim != self.dim:
             raise ValueError(f"subset dimension {u.dim} != table dimension {self.dim}")
@@ -238,7 +235,7 @@ class ComponentTable:
         mask) order keeps a running sum and copies it at each requested
         cardinality boundary, so every result is bit-for-bit the one a
         separate :meth:`truncated` call gives.  Repeated orders share one
-        array.  Off-grid ADD tables make the pass once per row block (see
+        array.  ADD tables make the pass once per row block (see
         :meth:`_truncation_rows`); each row's sum does not depend on the
         block it falls in.
         """
@@ -267,10 +264,10 @@ class ComponentTable:
         return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
 
     def _truncation_rows(self, m: int) -> int:
-        """Rows per pass of :meth:`truncated_sums`: all `m` rows, except that
-        off-grid ADD keeps one block's cardinal matrices within
+        """Rows per pass of :meth:`truncated_sums`: all `m` rows for RDD; for
+        ADD as many as keep one block's cardinal matrices within
         ``_CARDINAL_BLOCK_VALUES`` values (never less than one row)."""
-        if self.kind == ADD and self.interpolation:
+        if self.kind == ADD:
             per_row = sum(len(rule.nodes) for rule in self.problem.rules)
             return max(1, _CARDINAL_BLOCK_VALUES // per_row)
         return max(1, m)
@@ -281,26 +278,10 @@ class ComponentTable:
         if self.kind != kind:
             raise ValueError(f"operation requires a {kind} table, not {self.kind}")
 
-    def _grid_indices(self, X: np.ndarray, coords: Sequence[int]) -> list[np.ndarray]:
-        """Column-wise node indices of on-grid points; raises off grid."""
-        rules = self.problem.rules
-        out = []
-        for col, j in enumerate(coords):
-            nodes = rules[j].nodes
-            pos = np.searchsorted(nodes, X[:, col]).clip(0, len(nodes) - 1)
-            prev = np.maximum(pos - 1, 0)
-            pick = np.where(
-                np.abs(nodes[pos] - X[:, col]) <= np.abs(nodes[prev] - X[:, col]),
-                pos,
-                prev,
-            )
-            tol = 1e-12 * max(1.0, float(np.max(np.abs(nodes))))
-            if np.any(np.abs(nodes[pick] - X[:, col]) > tol):
-                raise ValueError(
-                    "off-grid evaluation requires a table built with interpolation=True"
-                )
-            out.append(pick)
-        return out
+    @cached_property
+    def _bary(self) -> list[np.ndarray]:
+        """Barycentric weights of each coordinate's Gauss nodes."""
+        return [_bary_weights(r.nodes) for r in self.problem.rules]
 
     def _cardinal_matrices(self, X: np.ndarray, coords: Sequence[int]) -> list[np.ndarray]:
         rules = self.problem.rules
@@ -310,31 +291,19 @@ class ComponentTable:
         ]
 
     def _add_component_at(self, u: VariableSubset, X: np.ndarray) -> np.ndarray:
-        vals = self._components[u.mask]
-        if self.interpolation:
-            return _fold_interp(vals, self._cardinal_matrices(X, u.indices()))
-        idx = self._grid_indices(X, u.indices())
-        return vals[tuple(idx)]
+        return _fold_interp(self._components[u.mask], self._cardinal_matrices(X, u.indices()))
 
     def _add_components(
         self, order: int, X: np.ndarray
     ) -> Iterator[tuple[VariableSubset, float | np.ndarray]]:
         """Yield ``(u, y_u(X))`` for every ``|u| <= order`` in (cardinality,
-        mask) order, from one set of per-coordinate matrices or indices."""
-        if self.interpolation:
-            cols = self._cardinal_matrices(X, range(self.dim))
-        else:
-            idx = self._grid_indices(X, range(self.dim))
+        mask) order, from one set of per-coordinate cardinal matrices."""
+        cols = self._cardinal_matrices(X, range(self.dim))
         for u in all_subsets_up_to(self.dim, order):
             if u.is_empty:
                 yield u, self.y_empty
                 continue
-            vals = self._components[u.mask]
-            coords = u.indices()
-            if self.interpolation:
-                yield u, _fold_interp(vals, [cols[j] for j in coords])
-            else:
-                yield u, vals[tuple(idx[j] for j in coords)]
+            yield u, _fold_interp(self._components[u.mask], [cols[j] for j in u.indices()])
 
     # -- RDD internals ----------------------------------------------------
 
@@ -351,7 +320,6 @@ class ComponentTable:
 def build_add(
     problem: ProblemSpec,
     *,
-    interpolation: bool = False,
     max_grid_points: int = DEFAULT_MAX_GRID_POINTS,
 ) -> ComponentTable:
     """Build the integration-based decomposition on the tensor Gauss grid.
@@ -371,9 +339,6 @@ def build_add(
     Parameters
     ----------
     problem : ProblemSpec
-    interpolation : bool, optional
-        Store barycentric data so components can be evaluated off the grid
-        (needed by the sampling estimators). Default False.
     max_grid_points : int, optional
         Reject builds whose full tensor grid exceeds this many points.
         Builds whose table would exceed ``MAX_TABLE_VALUES`` values are
@@ -382,7 +347,8 @@ def build_add(
     Returns
     -------
     ComponentTable
-        An ADD table holding all ``2**dim`` components.
+        An ADD table holding all ``2**dim`` components, evaluable at any
+        point by barycentric interpolation.
     """
     N = problem.dim
     table_values = prod(q + 1 for q in problem.orders)
@@ -408,16 +374,7 @@ def build_add(
             if u >> j & 1:
                 view, _ = _along(M, u, j)
                 view -= _integrate(view, weights[j])[:, None, :]
-    bary = [_bary_weights(r.nodes) for r in problem.rules] if interpolation else None
-    return ComponentTable(
-        ADD,
-        problem,
-        y_empty,
-        components=means,
-        full_values=Y,
-        interpolation=interpolation,
-        bary_weights=bary,
-    )
+    return ComponentTable(ADD, problem, y_empty, components=means, full_values=Y)
 
 
 def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
@@ -432,11 +389,6 @@ def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
     if not np.isfinite(y_c):
         raise ValueError("function value at the anchor is not finite")
     return ComponentTable(RDD, problem, y_c, anchor=c)
-
-
-def eval_truncated(table: ComponentTable, order: int, x) -> float | np.ndarray:
-    """Functional alias for :meth:`ComponentTable.truncated`."""
-    return table.truncated(order, x)
 
 
 def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarray:
@@ -464,8 +416,7 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
         Scalar for a single point, else shape ``(m,)``.
     """
     N = problem.dim
-    if not 0 <= order < N:
-        raise ValueError("truncation order must satisfy 0 <= S < dim")
+    (order,) = _check_orders((order,), N - 1)
     X, squeeze = _as_rows(x, N)
     C = _check_anchor(problem, anchor, rows=X.shape[0])
     # a subset of cardinality s = S - k carries the weight of term k above

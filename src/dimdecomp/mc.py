@@ -24,6 +24,7 @@ from dimdecomp.decomp import (
     ADD,
     ComponentTable,
     ProblemSpec,
+    _check_anchor,
     _check_orders,
     _fold_interp,
     rdd_direct,
@@ -148,20 +149,15 @@ def mc_add_error(
 ) -> McEstimate | list[McEstimate]:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
-    Requires an ADD `table` built with interpolation so the surrogate can
-    be evaluated at the sampled (off-grid) points.  `order` is one
-    truncation order, which returns one estimate, or a sequence of them,
-    which returns one estimate per entry.  All orders share every draw, the
-    target values and one pass over the components (see
-    :meth:`ComponentTable.truncated_sums`), and each estimate is
-    bit-for-bit what a single-order call with the same seed gives.  Orders
-    are checked before any draw.
+    `table` is an ADD table of `problem`; the surrogate is interpolated at
+    the sampled (off-grid) points.  `order` is one truncation order, which
+    returns one estimate, or a sequence of them, which returns one estimate
+    per entry.  All orders share every draw, the target values and one pass
+    over the components (see :meth:`ComponentTable.truncated_sums`), and
+    each estimate is bit-for-bit what a single-order call with the same
+    seed gives.  Orders are checked before any draw.
     """
     table._require(ADD)
-    if not table.interpolation:
-        raise ValueError(
-            "sampling the surrogate needs a table built with interpolation=True"
-        )
     _check_n(n, MIN_SAMPLES, "mc_add_error")
     single = isinstance(order, (int, np.integer))
     orders = _check_orders((order,) if single else order, table.dim)
@@ -187,7 +183,7 @@ def mc_rdd_error(
     """Sampled mean-square error of the anchored surrogate at a fixed anchor."""
     _check_n(n, MIN_SAMPLES, "mc_rdd_error")
     _check_orders((order,), problem.dim - 1)
-    c = np.asarray(anchor, dtype=float)
+    c = _check_anchor(problem, anchor)
 
     def gaps(rng, m):
         X = problem.measure.sample(rng, m)
@@ -274,12 +270,7 @@ def optimality_probe(
     excess is identically zero.
     """
     table._require(ADD)
-    if not table.interpolation:
-        raise ValueError(
-            "sampling the surrogate needs a table built with interpolation=True"
-        )
-    if not 0 <= order < table.dim:
-        raise ValueError("truncation order must satisfy 0 <= S < dim")
+    (order,) = _check_orders((order,), table.dim - 1)
     if n_perturbations < 1:
         raise ValueError("need at least one perturbation")
     _check_n(n_samples, MIN_SAMPLES, "optimality_probe")

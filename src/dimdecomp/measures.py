@@ -152,11 +152,6 @@ class ProductMeasure:
         return out
 
 
-def sample(measure: ProductMeasure, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Functional alias for :meth:`ProductMeasure.sample`."""
-    return measure.sample(rng, size)
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and probability-normalized weights for one coordinate."""

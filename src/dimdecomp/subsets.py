@@ -150,10 +150,6 @@ def _check_count(count: int, cap: int) -> None:
         raise ValueError(f"{count} subsets exceed the enumeration cap 2**{cap}")
 
 
-def complement(u: VariableSubset) -> VariableSubset:
-    return u.complement()
-
-
 def strict_subsets(u: VariableSubset) -> Iterator[VariableSubset]:
     """All proper subsets of `u` (the empty set included), ordered by
     (cardinality, mask)."""

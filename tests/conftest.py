@@ -74,7 +74,7 @@ def plin3():
 
 @pytest.fixture(scope="session")
 def plin3_table(plin3):
-    return build_add(plin3, interpolation=True)
+    return build_add(plin3)
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +89,7 @@ def plin4():
 
 @pytest.fixture(scope="session")
 def plin4_table(plin4):
-    return build_add(plin4, interpolation=True)
+    return build_add(plin4)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from dimdecomp import (
     check_form_equivalence,
     check_rdd_structure,
     count_up_to,
-    eval_truncated,
     explicit_component,
     make_function,
     mc_add_error,
@@ -212,18 +211,28 @@ class TestAddEvaluation:
             plin3_table.truncated(3, X), plin3.evaluate(X), rtol=1e-12, atol=1e-14
         )
 
-    def test_off_grid_without_interpolation_raises(self, plin3):
-        t = build_add(plin3)  # no interpolation
-        with pytest.raises(ValueError, match="interpolation"):
-            t.truncated(1, np.array([0.123456, 0.0, 0.0]))
-
-    def test_component_interpolation_matches_grid(self, plin3, plin3_table):
-        u = VariableSubset.from_indices([0, 2], 3)
+    def test_component_interpolation_matches_grid(self, plin3):
+        # at a node every cardinal matrix is one-hot, so interpolation
+        # returns the stored grid values bit for bit
+        table = build_add(plin3)
         nodes = [r.nodes for r in plin3.rules]
-        pts = np.array([[nodes[0][3], nodes[2][8]], [nodes[0][9], nodes[2][0]]])
-        got = plin3_table.component(u, pts)
-        grid = plin3_table.grid_values(u)
-        np.testing.assert_allclose(got, [grid[3, 8], grid[9, 0]], rtol=1e-12)
+        idx = rng(8).integers(0, 10, (40, 3))
+        X = np.column_stack([nodes[j][idx[:, j]] for j in range(3)])
+
+        def on_grid(u):
+            if u.is_empty:
+                return table.grid_values(u)
+            return table.grid_values(u)[tuple(idx[:, list(u.indices())].T)]
+
+        for u in all_subsets_up_to(3, 3):
+            if not u.is_empty:
+                got = table.component(u, X[:, list(u.indices())])
+                assert np.array_equal(got, on_grid(u))
+        for order in range(4):
+            want = np.zeros(len(X))
+            for u in all_subsets_up_to(3, order):
+                want += on_grid(u)
+            assert np.array_equal(table.truncated(order, X), want)
 
     def test_order_out_of_range(self, plin3_table):
         with pytest.raises(ValueError):
@@ -271,7 +280,7 @@ class TestInterpolationBlocks:
     @pytest.fixture(scope="class")
     def setup(self):
         p = sobol_g_problem(5, quad_order=4)
-        table = build_add(p, interpolation=True)
+        table = build_add(p)
         X = rng(5).uniform(0.0, 1.0, (2503, 5))
         mats = [
             decomp._cardinal_matrix(r.nodes, decomp._bary_weights(r.nodes), X[:, j])
@@ -337,7 +346,7 @@ class TestInterpolationBlocks:
         # one whole-chunk set of cardinal matrices is 5 x (100 000, 6)
         # float64 values, 23 MiB, and put the peak at 39 MiB
         p = product_linear_problem(5, quad_order=6)
-        table = build_add(p, interpolation=True)
+        table = build_add(p)
         tracemalloc.start()
         try:
             mc_add_error(p, table, range(5), 100_000, seed=3)
@@ -502,8 +511,11 @@ class TestRddDirect:
 
     def test_validation(self):
         p = product_linear_problem(3)
-        with pytest.raises(ValueError, match="0 <= S < dim"):
-            rdd_direct(p, 3, np.zeros(3), np.zeros(3))
+        for bad, msg in (
+            (3, r"outside \[0, 2\]"), (-1, "outside"), (1.5, "integer"), (True, "integer")
+        ):
+            with pytest.raises(ValueError, match=msg):
+                rdd_direct(p, bad, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             rdd_direct(p, 1, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError):
@@ -723,8 +735,10 @@ class TestAnchoredApprox:
         assert f(x) == pytest.approx(rdd_direct(plin3, 1, np.zeros(3), x))
         # the surrogate freezes its own copy, not the caller's array
         assert c.flags.writeable and not f.anchor.flags.writeable
-        with pytest.raises(ValueError):
-            AnchoredApprox(plin3, 3, np.zeros(3))
+        for bad in (3, -1, 1.5, True):
+            with pytest.raises(ValueError, match="truncation order"):
+                AnchoredApprox(plin3, bad, np.zeros(3))
+        assert type(AnchoredApprox(plin3, np.int64(1), c).order) is int
         with pytest.raises(ValueError):
             AnchoredApprox(plin3, 1, BAD_ANCHOR)
         p = sobol_g_problem(3)
@@ -747,13 +761,6 @@ def test_rdd_annihilation_property(mask, data):
     pin = data.draw(st.integers(0, len(coords) - 1))
     x_u[pin] = c[coords[pin]]
     assert abs(float(t.component(u, x_u))) <= 1e-12
-
-
-def test_eval_truncated_alias(plin3, plin3_table):
-    x = np.array([0.25, 0.5, -0.75])
-    assert eval_truncated(plin3_table, 2, x) == pytest.approx(
-        plin3_table.truncated(2, x)
-    )
 
 
 def test_problem_spec_validation():

@@ -89,11 +89,6 @@ class TestAddErrorSampling:
         est = mc_add_error(plin3, plin3_table, 3, n=2000, seed=0)
         assert abs(est.mean) <= 1e-25
 
-    def test_requires_interpolation(self, plin3):
-        bare = build_add(plin3)
-        with pytest.raises(ValueError, match="interpolation"):
-            mc_add_error(plin3, bare, 1, n=2000)
-
     def test_sample_count_floor(self, plin3, plin3_table):
         with pytest.raises(ValueError, match="at least"):
             mc_add_error(plin3, plin3_table, 1, n=999)
@@ -106,7 +101,7 @@ class TestAddErrorSampling:
 @pytest.fixture(scope="module")
 def sobol5():
     p = sobol_g_problem(5, quad_order=6)
-    return p, build_add(p, interpolation=True)
+    return p, build_add(p)
 
 
 class TestAddErrorOrders:
@@ -183,6 +178,13 @@ class TestRddErrorSampling:
         with pytest.raises(ValueError, match="at least"):
             mc_rdd_error(plin3, 0, np.zeros(3), n=500)
 
+    def test_anchor_checked_before_any_target_call(self, plin3):
+        p, seen = counted(plin3)
+        for bad in ([5.0, 0.0, 0.0], [np.nan, 0.0, 0.0], np.zeros(2), np.zeros((1000, 3))):
+            with pytest.raises(ValueError, match="anchor"):
+                mc_rdd_error(p, 1, bad, n=1000)
+        assert seen == []
+
 
 class TestExpectedRddSampling:
     def test_zero_order_doubles_the_variance(self, plin3):
@@ -229,11 +231,11 @@ class TestOptimalityProbe:
             assert probe.error.mean > rep.e_add
 
     def test_validation(self, plin3, plin3_table):
-        bare = build_add(plin3)
-        with pytest.raises(ValueError, match="interpolation"):
-            optimality_probe(plin3, bare, 1)
-        with pytest.raises(ValueError, match="0 <= S < dim"):
-            optimality_probe(plin3, plin3_table, 3, n_samples=2000)
+        for bad, msg in (
+            (3, r"outside \[0, 2\]"), (-1, "outside"), (1.5, "integer"), (True, "integer")
+        ):
+            with pytest.raises(ValueError, match=msg):
+                optimality_probe(plin3, plin3_table, bad, n_samples=2000)
         with pytest.raises(ValueError, match="perturbation"):
             optimality_probe(plin3, plin3_table, 1, n_perturbations=0)
 

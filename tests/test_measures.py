@@ -13,7 +13,6 @@ from dimdecomp.measures import (
     gauss_exactness_residual,
     gauss_rule,
     product_rules,
-    sample,
 )
 
 UNIFORMS = [
@@ -163,22 +162,22 @@ class TestProductMeasure:
 class TestSampling:
     def test_deterministic_given_seed(self):
         m = ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 4)
-        a = sample(m, np.random.default_rng(42), 100)
-        b = sample(m, np.random.default_rng(42), 100)
+        a = m.sample(np.random.default_rng(42), 100)
+        b = m.sample(np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
         # a single draw is the first row of a size-1 batch
-        c = sample(m, np.random.default_rng(42))
-        np.testing.assert_array_equal(c, sample(m, np.random.default_rng(42), 1)[0])
+        c = m.sample(np.random.default_rng(42))
+        np.testing.assert_array_equal(c, m.sample(np.random.default_rng(42), 1)[0])
 
     def test_samples_in_support(self):
         m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
-        X = sample(m, np.random.default_rng(7), 1000)
+        X = m.sample(np.random.default_rng(7), 1000)
         assert X.shape == (1000, 2)
         assert np.all(m.contains(X))
 
     def test_sample_mean_near_true_mean(self):
         # 3σ gate: sd of uniform(0,1) is 1/√12, n = 10^6
         m = ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), 1)
-        X = sample(m, np.random.default_rng(123), 1_000_000)
+        X = m.sample(np.random.default_rng(123), 1_000_000)
         gate = 3.0 / math.sqrt(12.0) / math.sqrt(1_000_000)
         assert abs(float(np.mean(X)) - 0.5) <= gate

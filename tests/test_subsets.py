@@ -11,7 +11,6 @@ from dimdecomp.subsets import (
     DEFAULT_SUBSET_CAP,
     VariableSubset,
     all_subsets_up_to,
-    complement,
     count_up_to,
     strict_subsets,
     subsets_of_cardinality,
@@ -128,7 +127,7 @@ class TestStrictSubsets:
 def test_complement_is_involution(dim, data):
     mask = data.draw(st.integers(0, (1 << dim) - 1))
     u = VariableSubset(mask, dim)
-    assert complement(complement(u)) == u
+    assert u.complement().complement() == u
     assert u.complement().cardinality == dim - u.cardinality
 
 
