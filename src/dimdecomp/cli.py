@@ -193,7 +193,10 @@ def parse_config(data: dict) -> RunConfig:
         raw = data["truncation_orders"]
         if not isinstance(raw, list) or not raw:
             raise ConfigError("truncation_orders must be a nonempty list")
-        cfg.truncation_orders = tuple(int(s) for s in raw)
+        bad = [s for s in raw if isinstance(s, bool) or not isinstance(s, int)]
+        if bad:
+            raise ConfigError(f"truncation_orders must be integers, got {bad[0]!r}")
+        cfg.truncation_orders = tuple(raw)
     if "mc" in data:
         mc = data["mc"]
         _reject_unknown(mc, {"n_samples", "seed"}, "mc")

@@ -10,6 +10,10 @@ Two constructions of the split are built here:
   add across subsets.  Components are stored on tensor subgrids of the
   per-coordinate Gauss nodes and evaluated at any point by barycentric
   interpolation, which reproduces the stored values exactly at the nodes.
+  Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
+  products of cardinal matrices), one for each half of a component's
+  coordinates, so every component costs one GEMM, and a block of rows
+  builds each factor once for all the components that share it.
 * **RDD** (:func:`build_rdd`) replaces every integral with an evaluation at
   a fixed anchor point ``c``.  Components cost only function calls — no
   grids — and every nonempty component vanishes as soon as one of its own
@@ -25,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,14 +53,13 @@ MAX_TABLE_VALUES = 1 << 24
 # rows per call of the target on the tensor grid; bounds the transient
 # index, point and function-temporary arrays of grid evaluation
 _EVAL_CHUNK = 65_536
-# values per row block of the first contraction in off-grid ADD evaluation
-# (2 MiB); on a 2-core machine (numpy 2.4) verify's five mc_add_error calls
-# at N=5, q=6, 100k samples took 1.2-1.5 s for any block from 2**14 to
-# 2**20 values, and 2.0 s unblocked
-_FOLD_BLOCK_VALUES = 1 << 18
-# values of the per-coordinate cardinal matrices held at once by off-grid ADD
-# truncation (2 MiB); longer batches are summed in row blocks
-_CARDINAL_BLOCK_VALUES = 1 << 18
+# values held per row block by off-grid ADD evaluation: the block's
+# Khatri-Rao factors and its largest GEMM output together (32 MiB); rows per
+# block depend on the table (or the one component asked for), never on the
+# truncation orders.  On a 2-core machine (one BLAS thread) truncated sums
+# at N=6, q=10 took 2.3, 1.3 and 1.1 s per 20k rows at 2**20, 2**22 and
+# 2**23 values, and 0.34-0.37 s per 100k rows at N=5, q=6 for all three
+_BLOCK_VALUES = 1 << 22
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -219,7 +223,10 @@ class ComponentTable:
             return self.y_empty
         X, squeeze = _as_rows(x, u.cardinality)
         if self.kind == ADD:
-            out = self._add_component_at(u, X)
+            coords = u.indices()
+            out = np.empty(X.shape[0])
+            for rows in self._row_blocks(X.shape[0], coords):
+                out[rows] = _Interpolant(self, X[rows], coords)(self._components[u.mask], coords)
         else:
             out = self._rdd_component_at(u, X)
         return float(out[0]) if squeeze else out
@@ -235,42 +242,23 @@ class ComponentTable:
         mask) order keeps a running sum and copies it at each requested
         cardinality boundary, so every result is bit-for-bit the one a
         separate :meth:`truncated` call gives.  Repeated orders share one
-        array.  ADD tables make the pass once per row block (see
-        :meth:`_truncation_rows`); each row's sum does not depend on the
-        block it falls in.
+        array.  ADD tables make the pass once per row block through the
+        bilinear kernel (:class:`_Interpolant`): each component is one GEMM
+        between Khatri-Rao factors that the block builds once and shares.
+        The rows of a block depend on the table alone (see
+        :meth:`_row_blocks`), so the requested orders never change a value;
+        another block size changes values at roundoff level only.
         """
         orders = _check_orders(orders, self.dim)
         X, squeeze = _as_rows(x, self.dim)
-        top = max(orders)
-        sums = {s: np.empty(X.shape[0]) for s in orders}
-        step = self._truncation_rows(X.shape[0])
-        for start in range(0, X.shape[0], step):
-            rows = slice(start, start + step)
-            block = X[rows]
-            if self.kind == ADD:
-                parts = self._add_components(top, block)
-            else:
-                subsets = all_subsets_up_to(self.dim, top)
-                parts = _rdd_components(self.problem, self.anchor, block, subsets)
-            out = np.zeros(block.shape[0])
-            card = 0
-            for u, y in parts:
-                if u.cardinality > card:
-                    card = u.cardinality
-                    if card - 1 in sums:
-                        sums[card - 1][rows] = out
-                out += y
-            sums[top][rows] = out
-        return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
-
-    def _truncation_rows(self, m: int) -> int:
-        """Rows per pass of :meth:`truncated_sums`: all `m` rows for RDD; for
-        ADD as many as keep one block's cardinal matrices within
-        ``_CARDINAL_BLOCK_VALUES`` values (never less than one row)."""
         if self.kind == ADD:
-            per_row = sum(len(rule.nodes) for rule in self.problem.rules)
-            return max(1, _CARDINAL_BLOCK_VALUES // per_row)
-        return max(1, m)
+            sums = self._interpolated_sums(self._components, self.y_empty, orders, X)
+        else:
+            sums = {s: np.empty(X.shape[0]) for s in orders}
+            subsets = all_subsets_up_to(self.dim, max(orders))
+            parts = _rdd_components(self.problem, self.anchor, X, subsets)
+            _running_sums(parts, sums, slice(None), X.shape[0])
+        return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
 
     # -- ADD internals ----------------------------------------------------
 
@@ -283,27 +271,58 @@ class ComponentTable:
         """Barycentric weights of each coordinate's Gauss nodes."""
         return [_bary_weights(r.nodes) for r in self.problem.rules]
 
-    def _cardinal_matrices(self, X: np.ndarray, coords: Sequence[int]) -> list[np.ndarray]:
-        rules = self.problem.rules
-        return [
-            _cardinal_matrix(rules[j].nodes, self._bary[j], X[:, col])
-            for col, j in enumerate(coords)
-        ]
+    def _row_blocks(self, m: int, coords: Sequence[int] | None = None) -> Iterator[slice]:
+        """Row blocks of off-grid evaluation, sized by ``_BLOCK_VALUES``.
 
-    def _add_component_at(self, u: VariableSubset, X: np.ndarray) -> np.ndarray:
-        return _fold_interp(self._components[u.mask], self._cardinal_matrices(X, u.indices()))
+        The budget covers the Khatri-Rao factors a block holds and its
+        largest GEMM output.  For the one component of `coords` that is its
+        head and tail factors, each with its prefixes, and its output.  For
+        truncated sums (`coords` None) a row may hold the factor of every
+        subset of at most ``ceil(N/2)`` coordinates, ``sum_k e_k(q)``
+        values, and an output of at most the ``floor(N/2)`` largest ``q_j``
+        multiplied.  Rows per block (never less than one) thus depend on the
+        table and the component alone, not on the orders asked for.
+        """
+        q = self.problem.orders
+        if coords is None:
+            q = sorted(q)
+            N = len(q)
+            e = [1] + [0] * N  # elementary symmetric polynomials of the q_j
+            for qj in q:
+                for k in range(N, 0, -1):
+                    e[k] += qj * e[k - 1]
+            per_row = sum(e[1 : (N + 1) // 2 + 1]) + prod(q[N - N // 2 :])
+        else:
+            q = [q[j] for j in coords]
+            h = (len(q) + 1) // 2
+            per_row = sum(accumulate(q[:h], mul)) + sum(accumulate(q[h:], mul)) + prod(q[h:])
+        step = max(1, _BLOCK_VALUES // per_row)
+        return (slice(start, start + step) for start in range(0, m, step))
 
-    def _add_components(
-        self, order: int, X: np.ndarray
-    ) -> Iterator[tuple[VariableSubset, float | np.ndarray]]:
-        """Yield ``(u, y_u(X))`` for every ``|u| <= order`` in (cardinality,
-        mask) order, from one set of per-coordinate cardinal matrices."""
-        cols = self._cardinal_matrices(X, range(self.dim))
-        for u in all_subsets_up_to(self.dim, order):
-            if u.is_empty:
-                yield u, self.y_empty
-                continue
-            yield u, _fold_interp(self._components[u.mask], [cols[j] for j in u.indices()])
+    def _interpolated_sums(
+        self,
+        grids: dict[int, np.ndarray],
+        constant: float,
+        orders: tuple[int, ...],
+        X: np.ndarray,
+    ) -> dict[int, np.ndarray]:
+        """Truncated sums, at the full points `X`, of the subgrid arrays
+        `grids` (by subset mask, the table's layout) plus `constant`.
+
+        Serves the table's own components and any same-shaped arrays (the
+        perturbations of :func:`dimdecomp.mc.optimality_probe`) alike.
+        """
+        sums = {s: np.empty(X.shape[0]) for s in orders}
+        top = max(orders)
+        for rows in self._row_blocks(X.shape[0]):
+            block = X[rows]
+            interp = _Interpolant(self, block, range(self.dim))
+            parts = (
+                (u, interp(grids[u.mask], u.indices()) if u.mask else constant)
+                for u in all_subsets_up_to(self.dim, top)
+            )
+            _running_sums(parts, sums, rows, len(block))
+        return sums
 
     # -- RDD internals ----------------------------------------------------
 
@@ -581,18 +600,27 @@ def check_rdd_structure(
         CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS, r <= TOL_EXACTNESS, "")
     )
 
-    worst = 0.0
-    worst_label = ""
+    # each row draws its subset and pinned coordinate; the rows of one
+    # subset then share one component recursion
+    Z = X.copy()
+    drawn = []
+    rows_of: dict[tuple[int, ...], list[int]] = {}
     for row in range(n_points):
         size = int(rng.integers(1, N + 1))
         coords = tuple(sorted(rng.choice(N, size=size, replace=False).tolist()))
+        pin = coords[int(rng.integers(size))]
+        Z[row, pin] = table.anchor[pin]
+        drawn.append((VariableSubset.from_indices(coords, N), pin))
+        rows_of.setdefault(coords, []).append(row)
+    resid = np.empty(n_points)
+    for coords, rows in rows_of.items():
         u = VariableSubset.from_indices(coords, N)
-        x_u = X[row, list(coords)].copy()
-        pin = int(rng.integers(size))
-        x_u[pin] = table.anchor[coords[pin]]
-        r = abs(float(table.component(u, x_u)))
+        resid[rows] = np.abs(table.component(u, Z[np.ix_(rows, coords)]))
+    worst = 0.0
+    worst_label = ""
+    for r, (u, pin) in zip(resid, drawn):
         if r > worst:
-            worst, worst_label = r, f"subset {u.label()}, pinned coordinate {coords[pin] + 1}"
+            worst, worst_label = float(r), f"subset {u.label()}, pinned coordinate {pin + 1}"
     tol = TOL_ANNIHILATION * scale
     results.append(
         CheckResult("rdd_annihilation", worst, tol, worst <= tol, worst_label)
@@ -687,6 +715,26 @@ def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
         if not 0 <= s <= dim:
             raise ValueError(f"truncation order {s} outside [0, {dim}]")
     return tuple(int(s) for s in orders)
+
+
+def _running_sums(
+    parts: Iterable[tuple[VariableSubset, float | np.ndarray]],
+    sums: dict[int, np.ndarray],
+    rows: slice,
+    m: int,
+) -> None:
+    """Sum `parts` (``(u, y_u)`` in (cardinality, mask) order, from the
+    empty subset up to ``max(sums)``) into ``sums[s][rows]`` for each order
+    ``s``: the running sum is copied out at each cardinality boundary."""
+    out = np.zeros(m)
+    card = 0
+    for u, y in parts:
+        if u.cardinality > card:
+            card = u.cardinality
+            if card - 1 in sums:
+                sums[card - 1][rows] = out
+        out += y
+    sums[max(sums)][rows] = out
 
 
 def _rdd_components(
@@ -871,36 +919,67 @@ def _bary_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def _cardinal_matrix(nodes: np.ndarray, bw: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Lagrange cardinal values L_j(t_i) as an (m, n) matrix."""
-    diff = t[:, None] - nodes[None, :]
+    """Lagrange cardinal values ``L_i(t_r)`` as an (n, m) matrix, one row
+    per node, so each row is contiguous over the points."""
+    diff = t[None, :] - nodes[:, None]
     tol = 1e-14 * max(1.0, float(np.max(np.abs(nodes))))
     hit = np.abs(diff) < tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bw / diff
-        L = ratio / np.sum(ratio, axis=1, keepdims=True)
-    rows = np.nonzero(np.any(hit, axis=1))[0]
-    if rows.size:
-        L[rows] = 0.0
-        cols = np.argmax(hit[rows], axis=1)
-        L[rows, cols] = 1.0
+        ratio = bw[:, None] / diff
+        L = ratio / np.sum(ratio, axis=0)
+    cols = np.nonzero(np.any(hit, axis=0))[0]
+    if cols.size:
+        L[:, cols] = 0.0
+        L[np.argmax(hit[:, cols], axis=0), cols] = 1.0
     return L
 
 
-def _fold_interp(vals: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Contract per-coordinate cardinal matrices into subgrid values.
+class _Interpolant:
+    """Off-grid evaluation of subgrid arrays at one block of rows.
 
-    Works in row blocks: the first contraction leaves ``vals.size // q``
-    values per row, and a block holds at most ``_FOLD_BLOCK_VALUES`` of
-    them (never less than one row).  Each output row depends only on its
-    own rows of `mats`, so blocking does not change the result.
+    For a subset with ascending coordinates ``u``, let the head be its first
+    ``h = ceil(|u|/2)`` coordinates and the tail the rest, and let ``K_v``
+    be the row-wise Kronecker (Khatri-Rao) product of the cardinal matrices
+    of the coordinates in ``v``, in ascending order.  Barycentric
+    interpolation of a subgrid array ``V`` is then bilinear,
+
+    ``y_u(X) = rowsum((K_head(X) @ V.reshape(q^h, -1)) * K_tail(X))``,
+
+    one GEMM per component.  Each factor is built once per block from its
+    prefix, ``K_{v+j} = K_v (.) L_j``, and shared by every component whose
+    head or tail it is.  Factors are stored transposed, ``(prod q_j, m)``,
+    so that building one multiplies contiguous runs of rows.  Column ``k``
+    of `X` holds coordinate ``coords[k]``.  A GEMM may round a row
+    differently for another number of rows, so callers size row blocks by
+    the table or the component alone (``ComponentTable._row_blocks``).
     """
-    m = mats[0].shape[0]
-    rows = max(1, _FOLD_BLOCK_VALUES // (vals.size // mats[0].shape[1]))
-    out = np.empty(m)
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
-        acc = np.einsum("mi,i...->m...", mats[0][block], vals)
-        for L in mats[1:]:
-            acc = np.einsum("mi,mi...->m...", L[block], acc)
-        out[block] = acc
-    return out
+
+    def __init__(self, table: ComponentTable, X: np.ndarray, coords: Iterable[int]) -> None:
+        self._table = table
+        self._X = X
+        self._col = {j: k for k, j in enumerate(coords)}
+        self._factors: dict[tuple[int, ...], np.ndarray] = {}
+
+    def factor(self, coords: tuple[int, ...]) -> np.ndarray:
+        """``K_v`` for the ascending coordinates `coords`, transposed."""
+        K = self._factors.get(coords)
+        if K is None:
+            if len(coords) == 1:
+                (j,) = coords
+                t = self._X[:, self._col[j]]
+                K = _cardinal_matrix(self._table.problem.rules[j].nodes, self._table._bary[j], t)
+            else:
+                A = self.factor(coords[:-1])
+                L = self.factor(coords[-1:])
+                K = (A[:, None, :] * L[None, :, :]).reshape(-1, A.shape[1])
+            self._factors[coords] = K
+        return K
+
+    def __call__(self, vals: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+        """Interpolate `vals`, an array over the subgrid of `coords`."""
+        h = (len(coords) + 1) // 2
+        head = self.factor(coords[:h])
+        if h == len(coords):
+            return vals @ head
+        out = vals.reshape(len(head), -1).T @ head
+        return np.einsum("tm,tm->m", out, self.factor(coords[h:]))

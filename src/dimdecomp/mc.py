@@ -26,7 +26,6 @@ from dimdecomp.decomp import (
     ProblemSpec,
     _check_anchor,
     _check_orders,
-    _fold_interp,
     rdd_direct,
 )
 from dimdecomp.errors import add_error
@@ -294,10 +293,7 @@ def optimality_probe(
             X = problem.measure.sample(rng, m)
             y = problem.evaluate(X)
             y_best = table.truncated(order, X)
-            shift = np.full(m, delta0)
-            cols = table._cardinal_matrices(X, range(table.dim)) if nonempty else []
-            for u in nonempty:
-                shift += _fold_interp(deltas[u.mask], [cols[j] for j in u.indices()])
+            shift = table._interpolated_sums(deltas, delta0, (order,), X)[order]
             err = (y - y_best - shift) ** 2
             exc = shift**2
             acc_err.update(err)

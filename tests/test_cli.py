@@ -118,6 +118,16 @@ class TestErrors:
         assert main(["errors", "--config", cfg, "--truncation-orders", "5"]) == 1
         assert "truncation order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orders", [[1.5, True], [True], ["1"], [1, 2.0]])
+    def test_non_integer_orders_are_a_config_error(self, tmp_path, capsys, orders):
+        # [1.5, true] is no order, not order 1 twice
+        cfg = write_config(
+            tmp_path, {**BASE, "truncation_orders": orders, "out": str(tmp_path / "out")}
+        )
+        assert main(["errors", "--config", cfg]) == 1
+        assert "truncation_orders must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerify:
     def test_battery_passes(self, tmp_path, capsys):

@@ -272,57 +272,89 @@ def unblocked_fold(vals, mats):
     return out
 
 
+def cardinal_matrices(problem, X):
+    """Per-coordinate (m, q_j) cardinal matrices of the points `X`."""
+    return [
+        decomp._cardinal_matrix(r.nodes, decomp._bary_weights(r.nodes), X[:, j]).T
+        for j, r in enumerate(problem.rules)
+    ]
+
+
+def assert_agrees(got, want, table):
+    """Agreement to roundoff: relative, or against the table's scale where
+    a value cancels towards zero."""
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * table.scale)
+
+
+def reference_sums(table, mats, top, rows=None):
+    """Truncated sums up to `top` through `unblocked_fold`, one per order;
+    `rows` caps the rows per einsum chain to bound its intermediates."""
+    m = mats[0].shape[0]
+    rows = rows or m
+    sums = []
+    acc = np.full(m, table.y_empty)
+    for u in all_subsets_up_to(table.dim, top):
+        if u.cardinality > len(sums):
+            sums.append(acc.copy())
+        if not u.is_empty:
+            vals = table.grid_values(u)
+            for start in range(0, m, rows):
+                block = [mats[j][start : start + rows] for j in u.indices()]
+                acc[start : start + rows] += unblocked_fold(vals, block)
+    return sums + [acc]
+
+
 class TestInterpolationBlocks:
-    # q = 4 and m = 2503: a budget of 1000 values gives blocks of 1000,
-    # 250, 62, 15 and 3 rows for |u| = 1..5, each with a ragged last
-    # block; the default splits |u| = 5 into 1024-row blocks; a budget of
-    # 1 gives one-row blocks (checked on the first 37 rows)
+    # GEMMs round a row differently for other numbers of rows, so the
+    # bilinear kernel agrees with the einsum reference to roundoff only.
+    # q = 4 at N = 5.  Truncated sums: a row of a block holds at most
+    # 20 + 160 + 640 factor values plus a 16-value GEMM output, 836
+    # values.  One component of k coordinates holds its head and tail
+    # factors with their prefixes and its output: 5, 12, 28, 56 and 120
+    # values for k = 1..5.  The default budget takes all 2503 rows in one
+    # block; a budget of 1000 makes one-row blocks for truncated sums and
+    # blocks of 200, 83, 35, 17 and 8 rows for components, each with a
+    # ragged last block; a budget of 1 one-row blocks (checked on the
+    # first 37 rows)
     @pytest.fixture(scope="class")
     def setup(self):
         p = sobol_g_problem(5, quad_order=4)
         table = build_add(p)
         X = rng(5).uniform(0.0, 1.0, (2503, 5))
-        mats = [
-            decomp._cardinal_matrix(r.nodes, decomp._bary_weights(r.nodes), X[:, j])
-            for j, r in enumerate(p.rules)
-        ]
-        return table, X, mats
+        return table, X, cardinal_matrices(p, X)
 
     @pytest.mark.parametrize("budget,m", [(None, 2503), (1000, 2503), (1, 37)])
     def test_component_equals_unblocked_kernel(self, setup, budget, m, monkeypatch):
         table, X, mats = setup
         X, mats = X[:m], [L[:m] for L in mats]
         if budget is not None:
-            monkeypatch.setattr(decomp, "_FOLD_BLOCK_VALUES", budget)
+            monkeypatch.setattr(decomp, "_BLOCK_VALUES", budget)
         for u in all_subsets_up_to(5, 5):
             if u.is_empty:
                 continue
             coords = list(u.indices())
             want = unblocked_fold(table.grid_values(u), [mats[j] for j in coords])
-            assert np.array_equal(table.component(u, X[:, coords]), want)
+            assert_agrees(table.component(u, X[:, coords]), want, table)
 
     @pytest.mark.parametrize("budget,m", [(None, 2503), (1000, 2503), (1, 37)])
     def test_truncated_equals_unblocked_kernel(self, setup, budget, m, monkeypatch):
         table, X, mats = setup
         X, mats = X[:m], [L[:m] for L in mats]
         if budget is not None:
-            monkeypatch.setattr(decomp, "_FOLD_BLOCK_VALUES", budget)
-        for order in range(1, 6):
-            want = np.full(X.shape[0], table.y_empty)
-            for u in all_subsets_up_to(5, order):
-                if not u.is_empty:
-                    vals = table.grid_values(u)
-                    want += unblocked_fold(vals, [mats[j] for j in u.indices()])
-            assert np.array_equal(table.truncated(order, X), want)
+            monkeypatch.setattr(decomp, "_BLOCK_VALUES", budget)
+        want = reference_sums(table, mats, 5)
+        for order, got in enumerate(table.truncated_sums(range(1, 6), X), start=1):
+            assert_agrees(got, want[order], table)
 
-    # 5 coordinates of 4 nodes give 20 cardinal values per row: a budget of
-    # 1000 values makes 50-row blocks with a ragged last one, a budget of 1
-    # one-row blocks
-    @pytest.mark.parametrize("budget,m,rows", [(1000, 2503, 50), (1, 37, 1)])
+    # 836 values per row (see above): a budget of 41 800 values makes
+    # 50-row blocks with a ragged last one, a budget of 1 one-row blocks;
+    # the blocks do not depend on the orders asked for, so every sum is
+    # bit-for-bit its own truncated call
+    @pytest.mark.parametrize("budget,m,rows", [(41_800, 2503, 50), (1, 37, 1)])
     def test_truncated_sums_in_row_blocks(self, setup, budget, m, rows, monkeypatch):
         table, X, mats = setup
         X, mats = X[:m], [L[:m] for L in mats]
-        monkeypatch.setattr(decomp, "_CARDINAL_BLOCK_VALUES", budget)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", budget)
         seen = []
         kernel = decomp._cardinal_matrix
 
@@ -334,13 +366,58 @@ class TestInterpolationBlocks:
         orders = (2, 0, 5, 0, 1)
         got = table.truncated_sums(orders, X)
         assert max(seen) == rows
+        want = reference_sums(table, mats, 5)
         for order, sums in zip(orders, got):
-            want = np.full(X.shape[0], table.y_empty)
-            for u in all_subsets_up_to(5, order):
-                if not u.is_empty:
-                    vals = table.grid_values(u)
-                    want += unblocked_fold(vals, [mats[j] for j in u.indices()])
-            assert np.array_equal(sums, want)
+            assert_agrees(sums, want[order], table)
+            assert np.array_equal(sums, table.truncated(order, X))
+
+    def test_ragged_orders(self, monkeypatch):
+        # q = (3, 5, 2, 4): heads and tails of unequal lengths; a row holds
+        # e_1 + e_2 = 14 + 71 factor values plus a 5 * 4 output, 105 values,
+        # so a budget of 735 makes 7-row blocks that the cache must fit
+        p = sobol_g_problem(4, quad_order=(3, 5, 2, 4))
+        table = build_add(p)
+        X = rng(9).uniform(0.0, 1.0, (300, 4))
+        mats = cardinal_matrices(p, X)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", 735)
+        held = []
+        call = decomp._Interpolant.__call__
+
+        def recorded(self, vals, coords):
+            out = call(self, vals, coords)
+            held.append(sum(K.size for K in self._factors.values()))
+            return out
+
+        monkeypatch.setattr(decomp._Interpolant, "__call__", recorded)
+        got = table.truncated_sums(range(5), X)
+        assert 0 < max(held) <= 735 - 7 * 20
+        for order, want in enumerate(reference_sums(table, mats, 4)):
+            assert_agrees(got[order], want, table)
+        for u in all_subsets_up_to(4, 4):
+            if not u.is_empty:
+                coords = list(u.indices())
+                want = unblocked_fold(table.grid_values(u), [mats[j] for j in coords])
+                assert_agrees(table.component(u, X[:, coords]), want, table)
+
+    def test_univariate_components_have_no_tail(self, setup):
+        # |u| = 1: the head is the whole subset and the GEMM a matrix-vector
+        # product; at the nodes the cardinal matrix is one-hot
+        table, X, mats = setup
+        nodes = table.problem.rules[2].nodes
+        u = VariableSubset.from_indices([2], 5)
+        want = unblocked_fold(table.grid_values(u), [mats[2]])
+        assert_agrees(table.component(u, X[:, [2]]), want, table)
+        assert np.array_equal(table.component(u, nodes[:, None]), table.grid_values(u))
+
+    def test_six_variables_order_ten(self):
+        # the verify shape whose 5-variate components dominate its cost
+        p = product_linear_problem(6, quad_order=10)
+        table = build_add(p)
+        X = rng(12).uniform(-1.0, 1.0, (2000, 6))
+        got = table.truncated_sums(range(6), X)
+        want = reference_sums(table, cardinal_matrices(p, X), 5, rows=200)
+        for order in range(6):
+            assert_agrees(got[order], want[order], table)
 
     def test_add_error_cardinal_matrices_stay_small(self):
         # one whole-chunk set of cardinal matrices is 5 x (100 000, 6)
@@ -427,6 +504,53 @@ class TestRddBuild:
         t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
         for c in check_rdd_structure(t, seed=7):
             assert c.passed, (c.name, c.residual)
+
+    @pytest.mark.parametrize(
+        "make,seed",
+        [
+            (lambda: product_linear_problem(5, quad_order=6), 5),
+            (lambda: poly_problem(4), 1),
+            (lambda: sobol_g_problem(6), 8),
+            (ishigami_problem, 3),
+        ],
+    )
+    def test_annihilation_batched_by_subset(self, make, seed):
+        # the rows of each drawn subset share one recursion; the per-row
+        # route below (one recursion per row, as the check once ran) must
+        # give the same residual and label, bit for bit, from the same
+        # target rows
+        problem, seen = counted(make())
+        N = problem.dim
+        anchor = problem.measure.sample(rng(seed))
+        table = build_rdd(problem, anchor)
+        seen.clear()
+        results = {c.name: c for c in check_rdd_structure(table, seed=seed)}
+        batched_rows = sum(len(x) for x in seen)
+
+        seen.clear()
+        g = np.random.default_rng(seed)
+        X = problem.measure.sample(g, 100)
+        worst, label = 0.0, ""
+        for row in range(100):
+            size = int(g.integers(1, N + 1))
+            coords = tuple(sorted(g.choice(N, size=size, replace=False).tolist()))
+            u = VariableSubset.from_indices(coords, N)
+            x_u = X[row, list(coords)].copy()
+            pin = int(g.integers(size))
+            x_u[pin] = anchor[coords[pin]]
+            r = abs(float(table.component(u, x_u)))
+            if r > worst:
+                worst, label = r, f"subset {u.label()}, pinned coordinate {coords[pin] + 1}"
+        per_row_rows = sum(len(x) for x in seen)
+
+        got = results["rdd_annihilation"]
+        assert (got.residual, got.detail) == (worst, label)
+        # pinning makes each evaluation equal its partner without the
+        # pinned coordinate, so the recursion cancels to exactly zero; a
+        # wrong pin in either route shows as a nonzero residual
+        assert worst == 0.0
+        # the full-sum check adds 100 rows per subset of all N, plus 100
+        assert batched_rows == per_row_rows + 100 * 2**N + 100
 
     def test_structure_checks_need_a_point(self, plin3):
         t = build_rdd(plin3, np.zeros(3))
