@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +43,13 @@ from dimdecomp.errors import (
     rdd_expected_error,
 )
 from dimdecomp.functions import default_marginal, function_names, make_function
-from dimdecomp.mc import mc_add_error, mc_expected_rdd_error
+from dimdecomp.mc import McEstimate, mc_add_error, mc_expected_rdd_error
 from dimdecomp.measures import (
     MarginalMeasure,
     ProductMeasure,
     gauss_exactness_residual,
 )
-from dimdecomp.subsets import all_subsets_up_to, count_up_to
+from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
 from dimdecomp.variance import (
     sobol_D,
     sobol_indices,
@@ -114,12 +114,18 @@ class RunConfig:
     def orders_to_run(self) -> tuple[int, ...]:
         if self.truncation_orders is None:
             return tuple(range(self.dim))
-        for s in self.truncation_orders:
-            if not 0 <= s < self.dim:
-                raise ConfigError(
-                    f"truncation order {s} must satisfy 0 <= S < dim ({self.dim})"
-                )
-        return self.truncation_orders
+        try:
+            return _check_orders(self.truncation_orders, self.dim - 1)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (dim {self.dim})") from exc
+
+
+def _integer(value, where: str) -> int:
+    """A config integer: ``bool`` and non-integer numbers are rejected,
+    not truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
@@ -158,7 +164,7 @@ def parse_config(data: dict) -> RunConfig:
     )
     cfg = RunConfig()
     if "dim" in data:
-        cfg.dim = int(data["dim"])
+        cfg.dim = _integer(data["dim"], "dim")
         if cfg.dim < 1:
             raise ConfigError("dim must be at least 1")
     if "function" in data:
@@ -187,21 +193,25 @@ def parse_config(data: dict) -> RunConfig:
     if "quad_order" in data:
         raw = data["quad_order"]
         cfg.quad_order = (
-            tuple(int(n) for n in raw) if isinstance(raw, list) else int(raw)
+            tuple(_integer(n, "quad_order") for n in raw)
+            if isinstance(raw, list)
+            else _integer(raw, "quad_order")
         )
     if "truncation_orders" in data:
         raw = data["truncation_orders"]
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(raw, list):
             raise ConfigError("truncation_orders must be a nonempty list")
-        bad = [s for s in raw if isinstance(s, bool) or not isinstance(s, int)]
-        if bad:
-            raise ConfigError(f"truncation_orders must be integers, got {bad[0]!r}")
-        cfg.truncation_orders = tuple(raw)
+        try:
+            cfg.truncation_orders = _check_orders(raw, cfg.dim - 1)
+        except ValueError as exc:
+            raise ConfigError(
+                f"truncation_orders must be integers in [0, {cfg.dim - 1}]: {exc}"
+            ) from exc
     if "mc" in data:
         mc = data["mc"]
         _reject_unknown(mc, {"n_samples", "seed"}, "mc")
-        cfg.n_samples = int(mc.get("n_samples", cfg.n_samples))
-        cfg.seed = int(mc.get("seed", cfg.seed))
+        cfg.n_samples = _integer(mc.get("n_samples", cfg.n_samples), "mc.n_samples")
+        cfg.seed = _integer(mc.get("seed", cfg.seed), "mc.seed")
         if cfg.n_samples < 2:
             raise ConfigError("mc.n_samples must be at least 2")
     if "out" in data:
@@ -210,9 +220,9 @@ def parse_config(data: dict) -> RunConfig:
         fig = data["figure1"]
         _reject_unknown(fig, {"n_min", "n_max", "right_dim", "rates", "scale"}, "figure1")
         f1 = Figure1Config(
-            n_min=int(fig.get("n_min", 3)),
-            n_max=int(fig.get("n_max", 100)),
-            right_dim=int(fig.get("right_dim", 20)),
+            n_min=_integer(fig.get("n_min", 3), "figure1.n_min"),
+            n_max=_integer(fig.get("n_max", 100), "figure1.n_max"),
+            right_dim=_integer(fig.get("right_dim", 20), "figure1.right_dim"),
             rates=tuple(float(r) for r in fig.get("rates", (5.0, 50.0))),
             scale=float(fig.get("scale", 1.0)),
         )
@@ -272,16 +282,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(cells)
 
 
-def _check_dict(c: CheckResult) -> dict:
-    return {
-        "name": c.name,
-        "residual": c.residual,
-        "tolerance": c.tolerance,
-        "passed": c.passed,
-        "detail": c.detail,
-    }
-
-
 def _print_checks(checks: list[CheckResult]) -> None:
     for c in checks:
         status = "ok " if c.passed else "FAIL"
@@ -317,7 +317,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         "total_variance": vmap.total,
         "closure_residual": variance_closure_residual(table, vmap),
         "constant_function": constant,
-        "checks": [_check_dict(c) for c in checks],
+        "checks": [asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
     out.mkdir(parents=True, exist_ok=True)
@@ -364,6 +364,18 @@ def cmd_errors(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _mc_gate(name: str, est: McEstimate, target: float) -> CheckResult:
+    """A sampled estimate against its analytic target, gated at 3 standard
+    errors (:meth:`McEstimate.within`)."""
+    return CheckResult(
+        name,
+        abs(est.mean - target),
+        3.0 * est.std_error,
+        est.within(target),
+        f"sampled {_fmt(est.mean)} vs analytic {_fmt(target)} at n={est.n}",
+    )
+
+
 def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
     problem = cfg.problem()
     orders = cfg.orders_to_run()
@@ -405,7 +417,7 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
         for u in all_subsets_up_to(cfg.dim, cfg.dim):
             if u.is_empty:
                 continue
-            direct = sobol_D(problem, u)
+            direct = sobol_D(table, u)
             subset_sum = sum(
                 vmap.sigma2[m] for m in vmap.sigma2 if m & ~u.mask == 0
             )
@@ -447,31 +459,11 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
     add_ests = mc_add_error(problem, table, orders, cfg.n_samples, cfg.seed)
     for s, est in zip(orders, add_ests):
         target = sum(v for m, v in vmap.sigma2.items() if m.bit_count() > s)
-        gate = 3.0 * est.std_error
-        resid = abs(est.mean - target)
-        checks.append(
-            CheckResult(
-                f"mc_gate_add_S{s}",
-                resid,
-                gate,
-                resid <= gate,
-                f"sampled {_fmt(est.mean)} vs analytic {_fmt(target)} at n={est.n}",
-            )
-        )
+        checks.append(_mc_gate(f"mc_gate_add_S{s}", est, target))
         budget = rdd_expected_error(s, vmap)
         pairs = max(cfg.n_samples, 10_000)
         est = mc_expected_rdd_error(problem, s, pairs, cfg.seed + 1)
-        gate = 3.0 * est.std_error
-        resid = abs(est.mean - budget.e_rdd_expected)
-        checks.append(
-            CheckResult(
-                f"mc_gate_rdd_S{s}",
-                resid,
-                gate,
-                resid <= gate,
-                f"sampled {_fmt(est.mean)} vs analytic {_fmt(budget.e_rdd_expected)} at n={est.n}",
-            )
-        )
+        checks.append(_mc_gate(f"mc_gate_rdd_S{s}", est, budget.e_rdd_expected))
 
     passed = all(c.passed for c in checks)
     report = {
@@ -482,7 +474,7 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
         "seed": cfg.seed,
         "n_samples": cfg.n_samples,
         "corrupt_table": corrupt_table,
-        "checks": [_check_dict(c) for c in checks],
+        "checks": [asdict(c) for c in checks],
         "passed": passed,
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -526,7 +518,7 @@ def cmd_contrived(cfg: RunConfig) -> int:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "contrived.json").write_text(
-        json.dumps(dataclasses.asdict(rep), indent=2) + "\n"
+        json.dumps(asdict(rep), indent=2) + "\n"
     )
     print(f"two-scale stress case: {rep.dim} variables,")
     print(

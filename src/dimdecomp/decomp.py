@@ -39,6 +39,7 @@ import numpy as np
 from dimdecomp.measures import ProductMeasure, QuadratureRule, product_rules
 from dimdecomp.subsets import (
     VariableSubset,
+    _check_orders,
     all_subsets_up_to,
     strict_subsets,
     subsets_of_cardinality,
@@ -68,6 +69,8 @@ TOL_ORTHOGONALITY = 1e-10
 TOL_EXACTNESS = 1e-10
 TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
+#: pairwise orthogonality loops over all component pairs, so it runs up to here
+MAX_ORTHOGONALITY_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,8 @@ class ProblemSpec:
     ----------
     function : callable
         Vectorized map from points of shape ``(..., dim)`` to ``(...,)``;
-        :meth:`evaluate` rejects any other output shape.
+        :meth:`evaluate` rejects any other output shape and any non-finite
+        value.
         Batches may be column-major and read-only: the anchored kernel
         reuses one Fortran-ordered buffer across calls.  The function must
         not write into its input (a read-only batch raises ``ValueError``)
@@ -121,7 +125,9 @@ class ProblemSpec:
         """Evaluate the target as a float array of shape ``x.shape[:-1]``.
 
         Raises ``ValueError`` naming both shapes when the function returns
-        any other shape (say ``(m, 1)``), which would otherwise broadcast.
+        any other shape (say ``(m, 1)``), which would otherwise broadcast,
+        and when any value is not finite.  Every grid, anchored and sampled
+        evaluation of the package goes through here.
         """
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.function(x), dtype=float)
@@ -130,6 +136,8 @@ class ProblemSpec:
                 f"function returned shape {out.shape} for points of shape "
                 f"{x.shape}; expected {x.shape[:-1]}"
             )
+        if not np.isfinite(out).all():
+            raise ValueError("function returned non-finite values")
         return out
 
 
@@ -405,8 +413,6 @@ def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
     c = _check_anchor(problem, anchor).copy()
     c.setflags(write=False)
     y_c = float(problem.evaluate(c[None, :])[0])
-    if not np.isfinite(y_c):
-        raise ValueError("function value at the anchor is not finite")
     return ComponentTable(RDD, problem, y_c, anchor=c)
 
 
@@ -458,7 +464,6 @@ def explicit_component(
     x_u,
     *,
     anchor=None,
-    max_grid_points: int = DEFAULT_MAX_GRID_POINTS,
 ) -> float:
     """Evaluate one component by its non-recursive alternating-sum form.
 
@@ -483,12 +488,7 @@ def explicit_component(
     else:
         value_at = dict(zip(coords, pt))
         terms = [
-            _conditional_mean(
-                problem,
-                v.indices(),
-                [value_at[j] for j in v.indices()],
-                max_grid_points,
-            )
+            _conditional_mean(problem, v.indices(), [value_at[j] for j in v.indices()])
             for v in lattice
         ]
     total = 0.0
@@ -511,15 +511,13 @@ class CheckResult:
     detail: str = ""
 
 
-def check_add_structure(
-    table: ComponentTable, *, max_orthogonality_dim: int = 5
-) -> list[CheckResult]:
+def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     """Zero means, pairwise orthogonality and grid exactness of an ADD table.
 
     All three are expectations under the discrete Gauss measure, so they
     must hold to roundoff whatever the target function.  Orthogonality
     loops over all component pairs and is skipped above
-    `max_orthogonality_dim` variables to keep the cost quadratic-small.
+    ``MAX_ORTHOGONALITY_DIM`` variables to keep the cost quadratic-small.
     Exactness sums all components back onto the full grid with the
     subset-sum (zeta) transform, the inverse of the build's sweep, and
     compares the sum with the stored grid values.
@@ -547,7 +545,7 @@ def check_add_structure(
         CheckResult("add_zero_mean", worst, tol, worst <= tol, worst_label)
     )
 
-    if N <= max_orthogonality_dim:
+    if N <= MAX_ORTHOGONALITY_DIM:
         worst = 0.0
         worst_label = ""
         subsets = [u for u in all_subsets_up_to(N, N) if not u.is_empty]
@@ -582,6 +580,14 @@ def check_rdd_structure(
     coordinates sits at the matching anchor coordinate.  Exactness: summing
     all components reproduces the target at arbitrary points.  Both are
     probed at `n_points` random points drawn from the input measure.
+
+    For a deterministic target the annihilation residual is exactly 0 by
+    construction: with a coordinate pinned at the anchor, each anchored
+    evaluation is bit-equal to its partner without that coordinate, and the
+    Möbius recursion cancels them in the same order.  The check therefore
+    guards the bookkeeping of the recursion (which strict subsets it
+    subtracts), not roundoff; its label names the subset and the pinned
+    coordinate of the worst row.
     """
     table._require(RDD)
     if n_points < 1:
@@ -697,26 +703,6 @@ def _check_anchor(problem: ProblemSpec, anchor, rows: int | None = None) -> np.n
     return c
 
 
-def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
-    """Truncation orders as ints, each an integer in ``[0, dim]``.
-
-    Rejects an empty sequence, a non-integer order (numpy integers pass)
-    and an order out of range, so callers can check before any work.
-    """
-    try:
-        orders = tuple(orders)
-    except TypeError:
-        raise ValueError(f"orders must be a sequence of integers, got {orders!r}") from None
-    if not orders:
-        raise ValueError("need at least one truncation order")
-    for s in orders:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"truncation order must be an integer, got {s!r}")
-        if not 0 <= s <= dim:
-            raise ValueError(f"truncation order {s} outside [0, {dim}]")
-    return tuple(int(s) for s in orders)
-
-
 def _running_sums(
     parts: Iterable[tuple[VariableSubset, float | np.ndarray]],
     sums: dict[int, np.ndarray],
@@ -812,8 +798,6 @@ def _evaluate_full_grid(problem: ProblemSpec, max_grid_points: int) -> np.ndarra
         multi = np.unravel_index(flat, orders)
         pts = np.column_stack([nodes[j][multi[j]] for j in range(N)])
         vals[flat] = problem.evaluate(pts)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function returned non-finite values on the tensor grid")
     return vals.reshape(orders)
 
 
@@ -829,6 +813,14 @@ def _along(arr: np.ndarray, mask: int, j: int) -> tuple[np.ndarray, tuple[int, .
     k = (mask & ((1 << j) - 1)).bit_count()
     shape = arr.shape
     return arr.reshape(prod(shape[:k]), shape[k], -1), shape[:k] + shape[k + 1 :]
+
+
+def _expectation(arr, weights: Sequence[np.ndarray]) -> float:
+    """Gauss expectation of a subgrid array: axis ``k`` is integrated
+    against ``weights[k]``, contracting the last axis first."""
+    for k in reversed(range(np.ndim(arr))):
+        arr = np.tensordot(arr, weights[k], axes=([k], [0]))
+    return float(arr)
 
 
 def _integrate(view: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -861,16 +853,16 @@ def _conditional_mean(
     problem: ProblemSpec,
     coords: tuple[int, ...],
     values: Iterable[float],
-    max_grid_points: int,
 ) -> float:
     """Quadrature of y over the coordinates not in `coords`, others fixed."""
     N = problem.dim
     rest = [j for j in range(N) if j not in set(coords)]
     orders = problem.orders
     total = int(np.prod([orders[j] for j in rest])) if rest else 1
-    if total > max_grid_points:
+    if total > DEFAULT_MAX_GRID_POINTS:
         raise ValueError(
-            f"conditional-mean grid has {total} points, over the budget {max_grid_points}"
+            f"conditional-mean grid has {total} points, over the budget "
+            f"{DEFAULT_MAX_GRID_POINTS}"
         )
     pts = np.empty((total, N))
     for j, val in zip(coords, values):
@@ -902,10 +894,7 @@ def _pair_inner(
         shape = tuple(orders[j] if j in own else 1 for j in union)
         return np.asarray(table.grid_values(w)).reshape(shape)
 
-    prod = lift(u) * lift(v)
-    for k in reversed(range(len(union))):
-        prod = np.tensordot(prod, weights[union[k]], axes=([k], [0]))
-    return float(prod)
+    return _expectation(lift(u) * lift(v), [weights[j] for j in union])
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:

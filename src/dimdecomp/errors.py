@@ -26,6 +26,8 @@ from math import comb, fsum
 from numbers import Integral
 from typing import Mapping, Protocol, runtime_checkable
 
+from dimdecomp.subsets import _check_orders
+
 
 @runtime_checkable
 class VarianceLike(Protocol):
@@ -153,8 +155,7 @@ def add_error(order: int, v: VarianceLike) -> float:
     """Mean-square truncation error of the integration-based surrogate:
     the variance sitting above the truncation order, ``sum_{s > S} V_s``."""
     dim, sums = _variance_sums(v)
-    if not 0 <= order < dim:
-        raise ValueError("truncation order must satisfy 0 <= S < dim")
+    (order,) = _check_orders((order,), dim - 1)
     return fsum(val for s, val in sums.items() if s > order)
 
 
@@ -167,8 +168,7 @@ def rdd_expected_error(order: int, v: VarianceLike) -> ErrorBudget:
     variance whatever the variance profile.
     """
     dim, sums = _variance_sums(v)
-    if not 0 <= order < dim:
-        raise ValueError("truncation order must satisfy 0 <= S < dim")
+    (order,) = _check_orders((order,), dim - 1)
     per = {}
     for s in range(order + 1, dim + 1):
         per[s] = (sums.get(s, 0.0), 1 + coeff_b(order, s))
@@ -188,8 +188,7 @@ def rdd_expected_error(order: int, v: VarianceLike) -> ErrorBudget:
 def error_bounds(order: int, dim: int) -> tuple[int, int]:
     """Exact integer coefficients pinching the expected anchored error:
     ``(1 + b_S(S+1), 1 + b_S(N))``.  The lower one equals ``2**(S+1)``."""
-    if not 0 <= order < dim:
-        raise ValueError("truncation order must satisfy 0 <= S < dim")
+    (order,) = _check_orders((order,), dim - 1)
     return 1 + coeff_b(order, order + 1), 1 + coeff_b(order, dim)
 
 

@@ -7,15 +7,19 @@ land within sampling noise of the closed-form budget.
 
 Sampling draws from the problem's product measure via
 :func:`numpy.random.default_rng`; identical (seed, n) give identical
-estimates.  Samples accumulate in fixed-size chunks through a
-count-weighted mean/variance merge — the same combination rule exposed by
-:func:`pool`, so embarrassingly parallel runs (worker ``k`` seeded
-``worker_seed(base, k)``) reproduce exactly the united statistics.
+estimates.  Every estimator runs the one sampling loop, :func:`_sampled`:
+samples accumulate in fixed-size chunks through a count-weighted
+mean/variance merge — the same combination rule exposed by :func:`pool`,
+so embarrassingly parallel runs (worker ``k`` seeded
+``worker_seed(base, k)``) reproduce exactly the united statistics.  A
+non-finite target value raises ``ValueError`` at the draw that produced it
+(see :meth:`ProblemSpec.evaluate`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -25,11 +29,10 @@ from dimdecomp.decomp import (
     ComponentTable,
     ProblemSpec,
     _check_anchor,
-    _check_orders,
     rdd_direct,
 )
 from dimdecomp.errors import add_error
-from dimdecomp.subsets import all_subsets_up_to
+from dimdecomp.subsets import _check_orders, all_subsets_up_to
 from dimdecomp.variance import variance_components
 
 MIN_SAMPLES = 1_000
@@ -119,20 +122,22 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise ValueError(f"{label} needs at least {minimum} samples, got {n}")
 
 
-def _sampled(n: int, seed: int, chunk: int, count: int, gaps) -> list[McEstimate]:
-    """The one sampling loop: mean squared gaps over `n` draws, in chunks.
+def _sampled(
+    n: int, rng: np.random.Generator, seed: int, chunk: int, count: int, values
+) -> list[McEstimate]:
+    """The one sampling loop: means of sampled values over `n` draws, in chunks.
 
-    ``gaps(rng, m)`` draws a chunk of `m` rows from `rng` and returns (or
-    yields) `count` gap arrays, one per accumulator; each estimate is the
-    count-weighted merge of its chunk means and carries `seed`.
+    ``values(rng, m)`` draws a chunk of `m` rows from the caller's
+    generator `rng` and returns (or yields) `count` value arrays, one per
+    accumulator — the squared gaps of the estimators here.  Each estimate
+    is the count-weighted merge of its chunk means and carries `seed`.
     """
-    rng = np.random.default_rng(seed)
     accs = [_Accumulator() for _ in range(count)]
     left = int(n)
     while left > 0:
         m = min(chunk, left)
-        for acc, gap in zip(accs, gaps(rng, m), strict=True):
-            acc.update(gap * gap)
+        for acc, v in zip(accs, values(rng, m), strict=True):
+            acc.update(v)
         left -= m
     return [acc.result(seed) for acc in accs]
 
@@ -158,15 +163,15 @@ def mc_add_error(
     """
     table._require(ADD)
     _check_n(n, MIN_SAMPLES, "mc_add_error")
-    single = isinstance(order, (int, np.integer))
+    single = isinstance(order, Integral)
     orders = _check_orders((order,) if single else order, table.dim)
 
-    def gaps(rng, m):
+    def squared_gaps(rng, m):
         X = problem.measure.sample(rng, m)
         y = problem.evaluate(X)
-        return (y - t for t in table.truncated_sums(orders, X))
+        return ((y - t) ** 2 for t in table.truncated_sums(orders, X))
 
-    ests = _sampled(n, seed, chunk, len(orders), gaps)
+    ests = _sampled(n, np.random.default_rng(seed), seed, chunk, len(orders), squared_gaps)
     return ests[0] if single else ests
 
 
@@ -184,11 +189,11 @@ def mc_rdd_error(
     _check_orders((order,), problem.dim - 1)
     c = _check_anchor(problem, anchor)
 
-    def gaps(rng, m):
+    def squared_gap(rng, m):
         X = problem.measure.sample(rng, m)
-        return [problem.evaluate(X) - rdd_direct(problem, order, c, X)]
+        return [(problem.evaluate(X) - rdd_direct(problem, order, c, X)) ** 2]
 
-    return _sampled(n, seed, chunk, 1, gaps)[0]
+    return _sampled(n, np.random.default_rng(seed), seed, chunk, 1, squared_gap)[0]
 
 
 def mc_expected_rdd_error(
@@ -209,12 +214,12 @@ def mc_expected_rdd_error(
     _check_n(n_pairs, MIN_PAIRS, "mc_expected_rdd_error")
     _check_orders((order,), problem.dim - 1)
 
-    def gaps(rng, m):
+    def squared_gap(rng, m):
         X = problem.measure.sample(rng, m)
         C = problem.measure.sample(rng, m)
-        return [problem.evaluate(X) - rdd_direct(problem, order, C, X)]
+        return [(problem.evaluate(X) - rdd_direct(problem, order, C, X)) ** 2]
 
-    return _sampled(n_pairs, seed, chunk, 1, gaps)[0]
+    return _sampled(n_pairs, np.random.default_rng(seed), seed, chunk, 1, squared_gap)[0]
 
 
 @dataclass(frozen=True)
@@ -264,7 +269,8 @@ def optimality_probe(
     `amplitude` times the table scale) to every stored component with
     ``|u| <= S`` — including the constant — and samples both the error of
     the perturbed surrogate and its excess over the unperturbed one.
-    Probe ``k`` draws from a generator seeded ``worker_seed(seed, k)``.
+    Probe ``k`` draws from a generator seeded ``worker_seed(seed, k)``:
+    its perturbations first, then the sample chunks of :func:`_sampled`.
     With ``amplitude = 0`` the perturbed surrogate *is* the optimum and the
     excess is identically zero.
     """
@@ -284,25 +290,17 @@ def optimality_probe(
             u.mask: rng.uniform(-bound, bound, size=np.shape(table.grid_values(u)))
             for u in nonempty
         }
-        acc_err = _Accumulator()
-        acc_exc = _Accumulator()
-        acc_split = _Accumulator()
-        left = int(n_samples)
-        while left > 0:
-            m = min(chunk, left)
+
+        def error_excess_split(rng, m):
             X = problem.measure.sample(rng, m)
             y = problem.evaluate(X)
             y_best = table.truncated(order, X)
             shift = table._interpolated_sums(deltas, delta0, (order,), X)[order]
             err = (y - y_best - shift) ** 2
             exc = shift**2
-            acc_err.update(err)
-            acc_exc.update(exc)
-            acc_split.update(err - exc)
-            left -= m
-        err_est = acc_err.result(seed)
-        exc_est = acc_exc.result(seed)
-        split = acc_split.result(seed)
+            return err, exc, err - exc
+
+        err_est, exc_est, split = _sampled(n_samples, rng, seed, chunk, 3, error_excess_split)
         dominates = err_est.mean >= e_add - 3.0 * err_est.std_error
         split_holds = abs(split.mean - e_add) <= 3.0 * split.std_error
         probes.append(

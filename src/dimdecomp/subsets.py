@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from numbers import Integral
 from typing import Iterable, Iterator
 
 DEFAULT_SUBSET_CAP = 24
@@ -143,6 +144,27 @@ def count_up_to(dim: int, max_order: int) -> int:
     if not 0 <= max_order <= dim:
         raise ValueError(f"max order {max_order} outside [0, {dim}]")
     return sum(comb(dim, s) for s in range(max_order + 1))
+
+
+def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
+    """Truncation orders as ints, each an integer in ``[0, dim]``.
+
+    Rejects an empty sequence, a non-integer order (numpy integers pass,
+    ``bool`` does not) and an order out of range, so callers can check
+    before any work.  Callers that need ``S < N`` pass ``dim = N - 1``.
+    """
+    try:
+        orders = tuple(orders)
+    except TypeError:
+        raise ValueError(f"orders must be a sequence of integers, got {orders!r}") from None
+    if not orders:
+        raise ValueError("need at least one truncation order")
+    for s in orders:
+        if isinstance(s, bool) or not isinstance(s, Integral):
+            raise ValueError(f"truncation order must be an integer, got {s!r}")
+        if not 0 <= s <= dim:
+            raise ValueError(f"truncation order {s} outside [0, {dim}]")
+    return tuple(int(s) for s in orders)
 
 
 def _check_count(count: int, cap: int) -> None:

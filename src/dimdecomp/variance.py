@@ -15,13 +15,7 @@ from math import fsum
 
 import numpy as np
 
-from dimdecomp.decomp import (
-    ADD,
-    DEFAULT_MAX_GRID_POINTS,
-    ComponentTable,
-    ProblemSpec,
-    _evaluate_full_grid,
-)
+from dimdecomp.decomp import ADD, ComponentTable, _expectation
 from dimdecomp.subsets import VariableSubset, all_subsets_up_to
 
 #: variance closure must hold this tightly (relative)
@@ -108,10 +102,9 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
     for u in all_subsets_up_to(N, N):
         if u.is_empty:
             continue
-        sq = np.asarray(table.grid_values(u)) ** 2
-        for k in reversed(range(u.cardinality)):
-            sq = np.tensordot(sq, weights[u.indices()[k]], axes=([k], [0]))
-        val = float(sq)
+        val = _expectation(
+            np.asarray(table.grid_values(u)) ** 2, [weights[j] for j in u.indices()]
+        )
         if val < 0.0:
             if -val > CLAMP_WARN * table.scale**2:
                 warnings.warn(
@@ -136,10 +129,7 @@ def variance_closure_residual(table: ComponentTable, vmap: VarianceMap) -> float
     ``(y - y_empty)**2`` on the full grid."""
     table._require(ADD)
     weights = [r.weights for r in table.problem.rules]
-    sq = (table._full_values - table.y_empty) ** 2
-    for k in reversed(range(table.dim)):
-        sq = np.tensordot(sq, weights[k], axes=([k], [0]))
-    direct = float(sq)
+    direct = _expectation((table._full_values - table.y_empty) ** 2, weights)
     # floor the denominator at the roundoff scale of the quadratures so a
     # (near-)constant function compares noise against noise instead of
     # dividing by it
@@ -158,37 +148,31 @@ def sobol_indices(vmap: VarianceMap) -> dict[int, float]:
     return {mask: v / vmap.total for mask, v in vmap.sigma2.items()}
 
 
-def sobol_D(
-    problem: ProblemSpec,
-    u: VariableSubset,
-    *,
-    max_grid_points: int = DEFAULT_MAX_GRID_POINTS,
-) -> float:
+def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
     """Subset-sum variance of `u` via the cross-covariance identity.
 
     Evaluates ``E[ y(X) * E[y | X_u] ] - (E[y])**2`` by nested tensor
-    quadrature — the inner conditional mean integrates over the complement
-    coordinates, the outer expectation over everything.  Equals
+    quadrature on the full grid of target values that :func:`build_add`
+    evaluated for the ADD `table` — the inner conditional mean integrates
+    over the complement coordinates, the outer expectation over everything.
+    It reads those grid values only, never the components, so it stays an
+    independent route and calls the target no further.  Equals
     ``sum_{v ⊆ u, v != {}} sigma2_v``; the test-suite pins that identity
     against :func:`variance_components`.
     """
-    if u.dim != problem.dim:
-        raise ValueError(f"subset dimension {u.dim} != problem dimension {problem.dim}")
+    table._require(ADD)
+    if u.dim != table.dim:
+        raise ValueError(f"subset dimension {u.dim} != table dimension {table.dim}")
     if u.is_empty:
         return 0.0
-    Y = _evaluate_full_grid(problem, max_grid_points)
-    N = problem.dim
-    orders = problem.orders
-    weights = [r.weights for r in problem.rules]
+    Y = table._full_values
+    N = table.dim
+    orders = table.problem.orders
+    weights = [r.weights for r in table.problem.rules]
     own = set(u.indices())
     cond = Y
     for ax in reversed([j for j in range(N) if j not in own]):
         cond = np.tensordot(cond, weights[ax], axes=([ax], [0]))
     # broadcast conditional mean back over the full grid and take E[y * cond]
     shape = tuple(orders[j] if j in own else 1 for j in range(N))
-    prod = Y * cond.reshape(shape)
-    mean = Y
-    for ax in reversed(range(N)):
-        prod = np.tensordot(prod, weights[ax], axes=([ax], [0]))
-        mean = np.tensordot(mean, weights[ax], axes=([ax], [0]))
-    return float(prod) - float(mean) ** 2
+    return _expectation(Y * cond.reshape(shape), weights) - _expectation(Y, weights) ** 2

@@ -4,6 +4,9 @@ Session-scoped so the expensive tensor-grid builds happen once.
 """
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,16 @@ from dimdecomp import (
     make_function,
     variance_components,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _subprocess_import_path():
+    """pytest puts src on this process's import path (pyproject.toml);
+    tests that run `python -m dimdecomp` in a subprocess need it there too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 def product_linear_problem(dim: int, quad_order: int = 10) -> ProblemSpec:

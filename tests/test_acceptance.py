@@ -158,11 +158,12 @@ def test_c06_subset_sum_identity(criterion):
         for factory in (product_linear_problem, sobol_g_problem):
             for dim in (2, 3, 4, 5):
                 problem = factory(dim, quad_order=8)
-                vmap = variance_components(build_add(problem))
+                table = build_add(problem)
+                vmap = variance_components(table)
                 for u in all_subsets_up_to(dim, dim):
                     if u.is_empty:
                         continue
-                    direct = sobol_D(problem, u)
+                    direct = sobol_D(table, u)
                     summed = math.fsum(
                         vmap.sigma2[v.mask]
                         for v in all_subsets_up_to(dim, dim)

@@ -224,6 +224,27 @@ class TestConfigHandling:
         )
         assert main(["decompose", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            ({"dim": 3.9}, "dim"),
+            ({"quad_order": True}, "quad_order"),
+            ({"quad_order": 4.0}, "quad_order"),
+            ({"quad_order": [4, 5.5, 6]}, "quad_order"),
+            ({"mc": {"n_samples": 2000.5}}, "mc.n_samples"),
+            ({"mc": {"seed": True}}, "mc.seed"),
+            ({"figure1": {"n_min": 3.5}}, "figure1.n_min"),
+            ({"figure1": {"n_max": 50.5}}, "figure1.n_max"),
+            ({"figure1": {"right_dim": "20"}}, "figure1.right_dim"),
+        ],
+    )
+    def test_integer_fields_are_not_truncated(self, tmp_path, capsys, extra, field):
+        # {"dim": 3.9} is no dimension, not dimension 3
+        cfg = write_config(tmp_path, {**BASE, **extra, "out": str(tmp_path / "out")})
+        assert main(["decompose", "--config", cfg]) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_cli_flag(self, capsys):
         assert main(["decompose", "--bogus"]) == 1
         assert "error" in capsys.readouterr().err

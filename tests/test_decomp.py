@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -551,6 +552,20 @@ class TestRddBuild:
         assert worst == 0.0
         # the full-sum check adds 100 rows per subset of all N, plus 100
         assert batched_rows == per_row_rows + 100 * 2**N + 100
+
+    def test_annihilation_catches_a_broken_recursion(self, plin3, monkeypatch):
+        # a recursion that forgets to subtract the constant component leaves
+        # y(c) in every univariate component at its own anchor coordinate
+        real = decomp.strict_subsets
+        monkeypatch.setattr(
+            decomp, "strict_subsets", lambda u: (v for v in real(u) if not v.is_empty)
+        )
+        t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
+        results = {c.name: c for c in check_rdd_structure(t, seed=7)}
+        got = results["rdd_annihilation"]
+        assert not got.passed
+        assert got.residual > 1e3 * got.tolerance
+        assert re.fullmatch(r"subset \[[1-3](,[1-3])*\], pinned coordinate [1-3]", got.detail)
 
     def test_structure_checks_need_a_point(self, plin3):
         t = build_rdd(plin3, np.zeros(3))

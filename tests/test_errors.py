@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -179,11 +180,23 @@ class TestErrorsOnProductLinear:
             assert lo == hi == 2**dim
 
     def test_order_validation(self, plin3_vmap):
-        for bad in (-1, 3, 7):
-            with pytest.raises(ValueError, match="0 <= S < dim"):
+        # one validator for every entry point: an order is an integer (a
+        # numpy integer counts, a bool or a float with an integral value
+        # does not) with 0 <= S < dim, never silently truncated
+        cases = [(-1, "outside"), (3, "outside"), (7, "outside")] + [
+            (bad, "must be an integer") for bad in (1.5, True, np.float64(1.0))
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
                 add_error(bad, plin3_vmap)
-            with pytest.raises(ValueError, match="0 <= S < dim"):
+            with pytest.raises(ValueError, match=message):
                 rdd_expected_error(bad, plin3_vmap)
+            with pytest.raises(ValueError, match=message):
+                error_bounds(bad, 3)
+        one = np.int64(1)
+        assert add_error(one, plin3_vmap) == add_error(1, plin3_vmap)
+        assert rdd_expected_error(one, plin3_vmap) == rdd_expected_error(1, plin3_vmap)
+        assert error_bounds(one, 3) == error_bounds(1, 3)
 
     def test_rejects_non_variance_inputs(self):
         with pytest.raises(TypeError):

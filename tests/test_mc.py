@@ -7,14 +7,17 @@ import pytest
 
 from dimdecomp import (
     McEstimate,
+    ProblemSpec,
     ProductMeasure,
     build_add,
     build_rdd,
+    check_form_equivalence,
     mc_add_error,
     mc_expected_rdd_error,
     mc_rdd_error,
     optimality_probe,
     pool,
+    rdd_direct,
     worker_seed,
 )
 from dimdecomp.mc import DEFAULT_CHUNK
@@ -244,3 +247,30 @@ class TestOptimalityProbe:
             plin3, plin3_table, 1, n_perturbations=2, seed=0, n_samples=2000,
         )
         assert rep.probes[0].error.mean != rep.probes[1].error.mean
+
+
+class TestNonFiniteTarget:
+    """A NaN from the target raises a finiteness error on every path,
+    rather than a misleading estimate error or a NaN result."""
+
+    @pytest.fixture
+    def nan_problem(self, plin3):
+        def function(x):
+            return np.where(x[..., 0] > 0.5, np.nan, 1.0 + x[..., 1])
+
+        return ProblemSpec(function, plin3.measure, plin3.quad_order)
+
+    def test_sampled_estimators(self, nan_problem, plin3_table):
+        with pytest.raises(ValueError, match="finite"):
+            mc_add_error(nan_problem, plin3_table, 1, 2_000, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            mc_expected_rdd_error(nan_problem, 1, 10_000, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            mc_rdd_error(nan_problem, 1, np.zeros(3), 2_000, seed=1)
+
+    def test_anchored_routes(self, nan_problem):
+        X = np.array([[0.9, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError, match="finite"):
+            rdd_direct(nan_problem, 1, np.zeros(3), X)
+        with pytest.raises(ValueError, match="finite"):
+            check_form_equivalence(nan_problem, 1, n_pairs=100, seed=1)

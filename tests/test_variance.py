@@ -17,7 +17,7 @@ from dimdecomp import (
     variance_closure_residual,
     variance_components,
 )
-from tests.conftest import product_linear_problem, sobol_g_problem
+from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
 
 class TestProductLinearOracle:
@@ -124,12 +124,12 @@ class TestSubsetSumIdentity:
         (sobol_g_problem, 3),
     ])
     def test_identity(self, factory, dim):
-        p = factory(dim)
-        vmap = variance_components(build_add(p))
+        table = build_add(factory(dim))
+        vmap = variance_components(table)
         for u in all_subsets_up_to(dim, dim):
             if u.is_empty:
                 continue
-            direct = sobol_D(p, u)
+            direct = sobol_D(table, u)
             summed = math.fsum(
                 vmap.sigma2[v.mask]
                 for v in all_subsets_up_to(dim, dim)
@@ -137,12 +137,21 @@ class TestSubsetSumIdentity:
             )
             assert direct == pytest.approx(summed, rel=1e-8, abs=1e-12)
 
-    def test_full_subset_gives_total(self, plin3, plin3_vmap):
-        D = sobol_D(plin3, VariableSubset.full(3))
+    def test_full_subset_gives_total(self, plin3_table, plin3_vmap):
+        D = sobol_D(plin3_table, VariableSubset.full(3))
         assert D == pytest.approx(plin3_vmap.total, rel=1e-10)
 
-    def test_single_variable_value(self, plin3):
-        D = sobol_D(plin3, VariableSubset.from_indices([0], 3))
+    def test_reads_the_table_grid_without_target_calls(self):
+        # the grid build_add evaluated is the one sobol_D integrates
+        problem, seen = counted(product_linear_problem(3, quad_order=6))
+        table = build_add(problem)
+        seen.clear()
+        for u in all_subsets_up_to(3, 3):
+            sobol_D(table, u)
+        assert seen == []
+
+    def test_single_variable_value(self, plin3_table):
+        D = sobol_D(plin3_table, VariableSubset.from_indices([0], 3))
         assert D == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
