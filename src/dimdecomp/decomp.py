@@ -17,7 +17,10 @@ Two constructions of the split are built here:
 * **RDD** (:func:`build_rdd`) replaces every integral with an evaluation at
   a fixed anchor point ``c``.  Components cost only function calls — no
   grids — and every nonempty component vanishes as soon as one of its own
-  coordinates equals the matching anchor coordinate.
+  coordinates equals the matching anchor coordinate.  One kernel makes
+  every anchored evaluation, streaming cache-sized row blocks: per block,
+  the target sees one column-major buffer in which only the columns that
+  change between consecutive subsets are rewritten.
 
 Truncating either expansion to ``|u| <= S`` gives an S-variate surrogate.
 For the anchored expansion the truncated sum collapses telescopically into
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb, prod
+from numbers import Integral
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +65,14 @@ _EVAL_CHUNK = 65_536
 # at N=6, q=10 took 2.3, 1.3 and 1.1 s per 20k rows at 2**20, 2**22 and
 # 2**23 values, and 0.34-0.37 s per 100k rows at N=5, q=6 for all three
 _BLOCK_VALUES = 1 << 22
+# values per row block of the anchored kernel: the block's evaluation
+# buffer of (rows, dim) float64 is 512 KiB, and its copies of the points and
+# per-row anchors are no larger, so the columns the target reads and the
+# kernel rewrites stay in cache.  On a 2-core machine (one BLAS thread) a
+# pass of the rdd_mc benchmark took 0.41-0.58, 0.32-0.40, 0.33-0.41 and
+# 0.42-0.46 s at 2**15, 2**16, 2**17 and 2**18 values (0.69 s with whole
+# batches); smaller blocks pay more per-call overhead, larger ones spill
+_ANCHOR_BLOCK_VALUES = 1 << 16
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -84,13 +96,16 @@ class ProblemSpec:
         :meth:`evaluate` rejects any other output shape and any non-finite
         value.
         Batches may be column-major and read-only: the anchored kernel
-        reuses one Fortran-ordered buffer across calls.  The function must
-        not write into its input (a read-only batch raises ``ValueError``)
-        and must call ``np.ascontiguousarray`` itself if it needs C order.
+        passes row blocks of its points, reusing one Fortran-ordered
+        buffer per block across calls.  The function must not write into
+        its input (a read-only batch raises ``ValueError``) and must call
+        ``np.ascontiguousarray`` itself if it needs C order.
     measure : ProductMeasure
         Independent product measure of the inputs.
-    quad_order : int or tuple of int, optional
-        Gauss nodes per coordinate (scalar broadcasts). Default 10.
+    quad_order : int or sequence of int, optional
+        Gauss nodes per coordinate (scalar broadcasts), each an integer of
+        at least 1; numpy integers pass, ``bool`` and non-integers raise
+        ``ValueError``. Default 10.
     """
 
     function: Callable[[np.ndarray], np.ndarray]
@@ -100,22 +115,27 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not callable(self.function):
             raise ValueError("function must be callable")
-        orders = self.orders  # validates length/positivity via product_rules later
-        if any(n < 1 for n in orders):
-            raise ValueError("quadrature orders must be at least 1")
+        self.orders  # checks the quadrature orders at construction
 
     @property
     def dim(self) -> int:
         return self.measure.dim
 
-    @property
+    @cached_property
     def orders(self) -> tuple[int, ...]:
-        if isinstance(self.quad_order, int):
-            return (self.quad_order,) * self.dim
-        orders = tuple(int(n) for n in self.quad_order)
+        """Gauss nodes per coordinate, one int per dimension."""
+        try:
+            orders = tuple(self.quad_order)
+        except TypeError:
+            orders = (self.quad_order,) * self.dim
         if len(orders) != self.dim:
             raise ValueError(f"got {len(orders)} orders for dimension {self.dim}")
-        return orders
+        for n in orders:
+            if isinstance(n, bool) or not isinstance(n, Integral):
+                raise ValueError(f"quadrature order must be an integer, got {n!r}")
+            if n < 1:
+                raise ValueError("quadrature orders must be at least 1")
+        return tuple(int(n) for n in orders)
 
     @cached_property
     def rules(self) -> tuple[QuadratureRule, ...]:
@@ -170,7 +190,7 @@ class ComponentTable:
     and evaluate them anywhere by barycentric interpolation (the weights are
     computed on first use).  RDD tables hold no values: components are
     reproduced on demand from anchored evaluations of the target, memoized
-    within each call.
+    within each row block of a call.
 
     Build through :func:`build_add` / :func:`build_rdd`, not directly.
     """
@@ -264,8 +284,8 @@ class ComponentTable:
         else:
             sums = {s: np.empty(X.shape[0]) for s in orders}
             subsets = all_subsets_up_to(self.dim, max(orders))
-            parts = _rdd_components(self.problem, self.anchor, X, subsets)
-            _running_sums(parts, sums, slice(None), X.shape[0])
+            for rows, parts in _rdd_components(self.problem, self.anchor, X, subsets):
+                _running_sums(parts, sums, rows, len(X[rows]))
         return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
 
     # -- ADD internals ----------------------------------------------------
@@ -338,7 +358,10 @@ class ComponentTable:
         # Recurse over the sub-lattice of u only; columns of X follow
         # u.indices().
         lattice = list(strict_subsets(u)) + [u]
-        return dict(_rdd_components(self.problem, self.anchor, X, lattice, u.indices()))[u]
+        out = np.empty(X.shape[0])
+        for rows, parts in _rdd_components(self.problem, self.anchor, X, lattice, u.indices()):
+            out[rows] = dict(parts)[u]
+        return out
 
 
 # -- builders --------------------------------------------------------------
@@ -424,6 +447,11 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
 
     ``sum_{k=0..S} (-1)**k C(N-S+k-1, k) sum_{|u|=S-k} y(x_u, c_-u)``.
 
+    The ``sum_{k<=S} C(N, k)`` anchored evaluations per point run through
+    :func:`_anchored` in row blocks of at most ``_ANCHOR_BLOCK_VALUES //
+    N`` rows; each row gets the value a single batch would give it, so the
+    block size never changes a result.
+
     Parameters
     ----------
     problem : ProblemSpec
@@ -452,8 +480,10 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
         subsets_of_cardinality(N, s) for s in range(order, -1, -1)
     )
     out = np.zeros(X.shape[0])
-    for u, y in _anchored(problem, C, X, subsets):
-        out += weight[u.cardinality] * y
+    for rows, block in _anchored(problem, C, X, subsets):
+        acc = out[rows]
+        for u, y in block:
+            acc += weight[u.cardinality] * y
     return float(out[0]) if squeeze else out
 
 
@@ -483,8 +513,8 @@ def explicit_component(
     lattice = list(strict_subsets(u)) + [u]
     if kind == RDD:
         c = _check_anchor(problem, anchor)
-        anchored = _anchored(problem, c, pt[None, :], lattice, coords)
-        terms = [float(y[0]) for _, y in anchored]
+        ((_, block),) = _anchored(problem, c, pt[None, :], lattice, coords)
+        terms = [float(y[0]) for _, y in block]
     else:
         value_at = dict(zip(coords, pt))
         terms = [
@@ -659,8 +689,10 @@ def check_form_equivalence(
     direct = rdd_direct(problem, order, C, X)
     summed = np.zeros(n_pairs)
     subsets = all_subsets_up_to(problem.dim, order)
-    for _, y in _rdd_components(problem, C, X, subsets):
-        summed += y
+    for rows, parts in _rdd_components(problem, C, X, subsets):
+        acc = summed[rows]
+        for _, y in parts:
+            acc += y
     worst = float(np.max(np.abs(summed - direct) / np.maximum(1.0, np.abs(direct))))
     return CheckResult(
         f"rdd_form_equivalence_S{order}",
@@ -729,19 +761,31 @@ def _rdd_components(
     X: np.ndarray,
     subsets: Iterable[VariableSubset],
     coords: Sequence[int] | None = None,
-) -> Iterator[tuple[VariableSubset, np.ndarray]]:
-    """Yield ``(u, y_u)`` for each anchored component, by Möbius recursion.
+) -> Iterator[tuple[slice, Iterator[tuple[VariableSubset, np.ndarray]]]]:
+    """Yield ``(rows, parts)`` per row block, `parts` yielding ``(u, y_u)``
+    for each anchored component at those rows, by Möbius recursion.
 
     `subsets` must be closed under taking subsets and ordered by
     (cardinality, mask), so every strict subset of ``u`` comes before it:
-    ``y_u = y(x_u, c_{-u}) - sum_{v < u} y_v``.  `anchor`, `X` and
-    `coords` are as in :func:`_anchored`; a per-row anchor gives each row
-    its own decomposition.
+    ``y_u = y(x_u, c_{-u}) - sum_{v < u} y_v``.  `anchor`, `X`, `coords`
+    and the row blocks are as in :func:`_anchored`; a per-row anchor gives
+    each row its own decomposition.
     """
+    subsets = list(subsets)
+    below = [[v.mask for v in strict_subsets(u)] for u in subsets]
+    for rows, block in _anchored(problem, anchor, X, subsets, coords):
+        yield rows, _mobius(block, below)
+
+
+def _mobius(
+    block: Iterable[tuple[VariableSubset, np.ndarray]], below: list[list[int]]
+) -> Iterator[tuple[VariableSubset, np.ndarray]]:
+    """Components of one row block: subtract from each anchored value the
+    components of the strict subsets `below` it (masks, in order)."""
     comp: dict[int, np.ndarray] = {}
-    for u, acc in _anchored(problem, anchor, X, subsets, coords):
-        for v in strict_subsets(u):
-            acc = acc - comp[v.mask]
+    for (u, acc), masks in zip(block, below, strict=True):
+        for v in masks:
+            acc = acc - comp[v]
         comp[u.mask] = acc
         yield u, acc
 
@@ -752,34 +796,64 @@ def _anchored(
     X: np.ndarray,
     subsets: Iterable[VariableSubset],
     coords: Sequence[int] | None = None,
-) -> Iterator[tuple[VariableSubset, np.ndarray]]:
-    """Yield ``(u, y(x_u, c_{-u}))`` for each subset ``u``, in order.
+) -> Iterator[tuple[slice, Iterator[tuple[VariableSubset, np.ndarray]]]]:
+    """Yield ``(rows, block)`` per row block of `X`; `block` yields
+    ``(u, y(x_u, c_{-u}))`` at those rows for each subset ``u``, in order.
 
     The one anchored kernel.  `anchor` is a checked ``(dim,)`` point or one
     anchor per row of `X`; column ``k`` of `X` holds coordinate
-    ``coords[k]`` (all coordinates in order by default).  A single
-    Fortran-ordered ``(m, dim)`` buffer holds the anchor for the whole
-    batch.  Each subset writes only its own columns from `X`, the target
-    sees a read-only view of the buffer, and the columns are restored from
-    the anchor afterwards, so a subset costs ``O(m |u|)`` copying and the
-    target reads contiguous columns.
+    ``coords[k]`` (all coordinates in order by default).  A block has at
+    most ``_ANCHOR_BLOCK_VALUES // dim`` rows (at least one), so the
+    buffers it writes and the target reads stay in cache; the batch as a
+    whole is never copied.  Every block sees the same subsets in the same
+    order, and each row gets the values a single batch would give it.
+    Which columns change between consecutive subsets is worked out once:
+    a block restores only the columns that leave and writes only those
+    that enter.
     """
-    if coords is None:
-        coords = range(problem.dim)
-    col = {j: k for k, j in enumerate(coords)}
+    N = problem.dim
+    col = {j: k for k, j in enumerate(range(N) if coords is None else coords)}
+    steps = []  # (u, columns to restore, (column, column of X) to write)
+    free: set[int] = set()
+    for u in subsets:
+        own = set(u.indices())
+        steps.append((u, free - own, [(j, col[j]) for j in own - free]))
+        free = own
+    per_row = anchor.ndim == 2
+    step = max(1, _ANCHOR_BLOCK_VALUES // N)
+    for start in range(0, X.shape[0], step):
+        rows = slice(start, start + step)
+        block_anchor = anchor[rows] if per_row else anchor
+        yield rows, _anchored_block(problem, block_anchor, X[rows], steps)
+
+
+def _anchored_block(
+    problem: ProblemSpec,
+    anchor: np.ndarray,
+    X: np.ndarray,
+    steps: list[tuple[VariableSubset, set[int], list[tuple[int, int]]]],
+) -> Iterator[tuple[VariableSubset, np.ndarray]]:
+    """One row block of :func:`_anchored`.
+
+    The block's points and per-row anchors are copied to Fortran order
+    once, so each column written is a contiguous copy.  One Fortran-ordered
+    ``(rows, dim)`` buffer starts at the anchor and is rewritten column by
+    column as `steps` say; the target sees a read-only view of it.
+    """
+    X = np.asfortranarray(X)
+    C = np.asfortranarray(anchor)
     Z = np.empty((X.shape[0], problem.dim), order="F")
-    Z[:] = anchor
+    Z[:] = C
     batch = Z.view()
     batch.flags.writeable = False
-    for u in subsets:
-        own = u.indices()
-        for j in own:
-            Z[:, j] = X[:, col[j]]
+    for u, leave, enter in steps:
+        for j in leave:
+            Z[:, j] = C[..., j]
+        for j, k in enter:
+            Z[:, j] = X[:, k]
         y = problem.evaluate(batch)
         if np.may_share_memory(y, Z):
             y = y.copy()  # the target returned a view of its input
-        for j in own:
-            Z[:, j] = anchor[..., j]
         yield u, y
 
 

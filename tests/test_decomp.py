@@ -31,6 +31,7 @@ from dimdecomp import (
     mc_add_error,
     rdd_direct,
     strict_subsets,
+    subsets_of_cardinality,
 )
 from dimdecomp import decomp
 from dimdecomp.cli import main
@@ -720,6 +721,89 @@ class TestAnchoredKernel:
         rdd_direct(p, order, C[0], X)
         assert [b.shape for b in seen] == want
 
+    @pytest.mark.parametrize("block_rows", [7, 1])
+    def test_ragged_row_blocks_change_no_value(self, monkeypatch, block_rows):
+        # 50 rows fit one block by default; 7-row blocks leave a ragged last
+        # block of 1 row, and 1-row blocks are the smallest the budget allows
+        dim, order, m = 5, 2, 50
+        p = product_linear_problem(dim)
+        g = rng(31)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+        table = build_rdd(p, C[0])
+        u = VariableSubset.from_indices([1, 3, 4], dim)
+
+        def routes():
+            return (
+                table.truncated_sums(range(dim + 1), X),
+                table.component(u, X[:, [1, 3, 4]]),
+                check_form_equivalence(p, order, n_pairs=m, seed=5).residual,
+            )
+
+        whole = routes()
+        monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+        for anchor in (C[0], C):
+            got = rdd_direct(p, order, anchor, X)
+            assert np.array_equal(got, reference_rdd_direct(p, order, anchor, X))
+        sums, component, residual = routes()
+        assert all(np.array_equal(a, b) for a, b in zip(sums, whole[0], strict=True))
+        assert np.array_equal(component, whole[1])
+        assert residual == whole[2]
+
+    @pytest.mark.parametrize("block_rows", [7, 1])
+    def test_blocks_see_every_subset_in_order(self, monkeypatch, block_rows):
+        # each target call holds one block of rows, and every block runs
+        # through the subsets in the kernel's order: m * count_up_to(N, S)
+        # rows in all, the paper's cost
+        dim, order, m = 5, 2, 50
+        monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+        p, seen = counted(product_linear_problem(dim))
+        g = rng(32)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+
+        def batches(subsets, anchor):
+            anchor = np.broadcast_to(anchor, X.shape)
+            out = []
+            for start in range(0, m, block_rows):
+                rows = slice(start, start + block_rows)
+                for u in subsets:
+                    own = np.isin(np.arange(dim), u.indices())
+                    out.append(np.where(own, X[rows], anchor[rows]))
+            return out
+
+        descending = [u for s in range(order, -1, -1) for u in subsets_of_cardinality(dim, s)]
+        for anchor in (C, C[0]):
+            seen.clear()
+            rdd_direct(p, order, anchor, X)
+            assert max(len(b) for b in seen) <= block_rows
+            assert sum(len(b) for b in seen) == m * count_up_to(dim, order)
+            want = batches(descending, anchor)
+            assert len(seen) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+        table = build_rdd(p, C[0])
+        seen.clear()
+        table.truncated(order, X)
+        want = batches(list(all_subsets_up_to(dim, order)), C[0])
+        assert len(seen) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+    def test_row_blocks_bound_the_transient_memory(self):
+        # the whole batch is never copied: one (m, N) Fortran buffer of
+        # 200k rows with per-row anchors took a 22.9 MiB peak, blocks 3.7
+        dim, order, m = 6, 3, 200_000
+        p = product_linear_problem(dim)
+        g = rng(8)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+        tracemalloc.start()
+        try:
+            rdd_direct(p, order, C, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_no_dimension_cap(self):
         # N = 40 is past the full-lattice cap; S = 2 needs 821 evaluations
         # per point.  For a product target the anchored S-variate surrogate
@@ -910,6 +994,25 @@ def test_problem_spec_validation():
         ProblemSpec(make_function("product_linear", 2), m, (3, 4, 5))
     with pytest.raises(ValueError):
         ProblemSpec("not callable", m, 3)
+
+
+def test_problem_spec_quadrature_orders():
+    m = ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 3)
+    f = make_function("product_linear", 3)
+    for good, want in (
+        (np.int64(6), (6, 6, 6)),
+        ((4, np.int32(5), 6), (4, 5, 6)),
+        (np.array([4, 5, 6]), (4, 5, 6)),
+        ([2, 3, 4], (2, 3, 4)),
+    ):
+        orders = ProblemSpec(f, m, good).orders
+        assert orders == want and all(type(n) is int for n in orders)
+    for bad in (True, 5.5, np.float64(6.0), (4, 5.5, 6), (True, 2, 3), "abc", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProblemSpec(f, m, bad)
+    for bad in (0, (4, 0, 6), np.int64(-1)):
+        with pytest.raises(ValueError, match="at least 1"):
+            ProblemSpec(f, m, bad)
 
 
 def test_output_shape_contract(plin3, plin3_table):
