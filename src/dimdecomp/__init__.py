@@ -35,7 +35,6 @@ from dimdecomp.errors import (
     decay_curves,
     dim_for_pmin,
     error_bounds,
-    generalized_binomial,
     lambert_w0,
     pmin_for_N,
     rdd_expected_error,
@@ -48,7 +47,6 @@ from dimdecomp.mc import (
     mc_expected_rdd_error,
     mc_rdd_error,
     optimality_probe,
-    pool,
     worker_seed,
 )
 from dimdecomp.measures import (

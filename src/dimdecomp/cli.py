@@ -6,7 +6,8 @@ battery with analytic-vs-sampled gates), ``figure1`` (threshold-rate and
 decay-sweep tables) and ``contrived`` (the two-scale stress case).
 
 Runs are configured by a JSON file (see README for the schema) plus a few
-command-line overrides; unknown keys are rejected rather than ignored.
+command-line overrides, which are written over the file's keys and
+validated with them; unknown keys are rejected rather than ignored.
 All numeric output is printed with 12 significant digits, and every
 subcommand is deterministic for a fixed config — seeds live in the config.
 
@@ -19,8 +20,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
-from numbers import Integral
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from dimdecomp.errors import (
     rdd_expected_error,
 )
 from dimdecomp.functions import default_marginal, function_names, make_function
-from dimdecomp.mc import McEstimate, mc_add_error, mc_expected_rdd_error
+from dimdecomp.mc import MIN_SAMPLES, McEstimate, mc_add_error, mc_expected_rdd_error
 from dimdecomp.measures import (
     MarginalMeasure,
     ProductMeasure,
@@ -114,10 +115,7 @@ class RunConfig:
     def orders_to_run(self) -> tuple[int, ...]:
         if self.truncation_orders is None:
             return tuple(range(self.dim))
-        try:
-            return _check_orders(self.truncation_orders, self.dim - 1)
-        except ValueError as exc:
-            raise ConfigError(f"{exc} (dim {self.dim})") from exc
+        return self.truncation_orders
 
 
 def _integer(value, where: str) -> int:
@@ -128,15 +126,26 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A config number: ``bool`` and strings are rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+    unknown = set(_section(section, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
 
 
 def _parse_marginal(data, where: str) -> MarginalMeasure:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
     _reject_unknown(data, {"kind", "lo", "hi"}, where)
     try:
         return MarginalMeasure(data["kind"], data.get("lo"), data.get("hi"))
@@ -146,8 +155,6 @@ def _parse_marginal(data, where: str) -> MarginalMeasure:
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw config mapping into a :class:`RunConfig`."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     _reject_unknown(
         data,
         {
@@ -168,7 +175,7 @@ def parse_config(data: dict) -> RunConfig:
         if cfg.dim < 1:
             raise ConfigError("dim must be at least 1")
     if "function" in data:
-        fn = dict(data["function"])
+        fn = dict(_section(data["function"], "function"))
         if "name" not in fn:
             raise ConfigError("function section needs a name")
         cfg.function_name = str(fn.pop("name"))
@@ -212,20 +219,26 @@ def parse_config(data: dict) -> RunConfig:
         _reject_unknown(mc, {"n_samples", "seed"}, "mc")
         cfg.n_samples = _integer(mc.get("n_samples", cfg.n_samples), "mc.n_samples")
         cfg.seed = _integer(mc.get("seed", cfg.seed), "mc.seed")
-        if cfg.n_samples < 2:
-            raise ConfigError("mc.n_samples must be at least 2")
+        if cfg.n_samples < MIN_SAMPLES:
+            raise ConfigError(f"mc.n_samples must be at least {MIN_SAMPLES}")
+        if cfg.seed < 0:
+            raise ConfigError("mc.seed must be nonnegative")
     if "out" in data:
         cfg.out_dir = Path(str(data["out"]))
     if "figure1" in data:
         fig = data["figure1"]
-        _reject_unknown(fig, {"n_min", "n_max", "right_dim", "rates", "scale"}, "figure1")
-        f1 = Figure1Config(
-            n_min=_integer(fig.get("n_min", 3), "figure1.n_min"),
-            n_max=_integer(fig.get("n_max", 100), "figure1.n_max"),
-            right_dim=_integer(fig.get("right_dim", 20), "figure1.right_dim"),
-            rates=tuple(float(r) for r in fig.get("rates", (5.0, 50.0))),
-            scale=float(fig.get("scale", 1.0)),
-        )
+        _reject_unknown(fig, {f.name for f in fields(Figure1Config)}, "figure1")
+        given = {}
+        for key in ("n_min", "n_max", "right_dim"):
+            if key in fig:
+                given[key] = _integer(fig[key], f"figure1.{key}")
+        if "rates" in fig:
+            if not isinstance(fig["rates"], list):
+                raise ConfigError(f"figure1.rates must be a list, got {fig['rates']!r}")
+            given["rates"] = tuple(_number(r, "figure1.rates") for r in fig["rates"])
+        if "scale" in fig:
+            given["scale"] = _number(fig["scale"], "figure1.scale")
+        f1 = Figure1Config(**given)
         if f1.n_min < 3:
             raise ConfigError("figure1.n_min must be at least 3 (no threshold exists below)")
         if f1.n_max < f1.n_min:
@@ -237,9 +250,10 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
-    if path is None:
-        cfg = RunConfig()
-    else:
+    """The config file (none: defaults) with the command-line flags written
+    over its keys, validated as one mapping by :func:`parse_config`."""
+    data = {}
+    if path is not None:
         if not path.strip():
             raise ConfigError("config path is empty")
         try:
@@ -248,18 +262,15 @@ def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        cfg = parse_config(data)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = Path(args.out)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "n_samples", None) is not None:
-        cfg.n_samples = args.n_samples
-    if getattr(args, "quad_order", None) is not None:
-        cfg.quad_order = args.quad_order
-    if getattr(args, "truncation_orders", None) is not None:
-        cfg.truncation_orders = tuple(args.truncation_orders)
-    return cfg
+    data = dict(_section(data, "config"))
+    flags = vars(args)
+    for key in ("out", "quad_order", "truncation_orders"):
+        if flags.get(key) is not None:
+            data[key] = flags[key]
+    mc = {key: flags[key] for key in ("seed", "n_samples") if flags.get(key) is not None}
+    if mc:
+        data["mc"] = {**_section(data.get("mc", {}), "mc"), **mc}
+    return parse_config(data)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -605,10 +616,7 @@ def main(argv=None) -> int:
         if args.command == "contrived":
             return cmd_contrived(cfg)
         raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

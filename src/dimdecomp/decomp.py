@@ -34,13 +34,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb, prod
-from numbers import Integral
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from dimdecomp.measures import ProductMeasure, QuadratureRule, product_rules
+from dimdecomp.measures import (
+    ProductMeasure,
+    QuadratureRule,
+    _check_quad_orders,
+    product_rules,
+)
 from dimdecomp.subsets import (
     VariableSubset,
     _check_orders,
@@ -52,6 +56,8 @@ from dimdecomp.subsets import (
 ADD = "ADD"
 RDD = "RDD"
 
+#: points of one full tensor grid (build_add) or conditional-mean grid:
+#: 32 MiB of float64 target values
 DEFAULT_MAX_GRID_POINTS = 4_000_000
 #: an ADD table stores prod(q_j + 1) values; this caps it at 128 MiB of float64
 MAX_TABLE_VALUES = 1 << 24
@@ -83,6 +89,8 @@ TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
 #: pairwise orthogonality loops over all component pairs, so it runs up to here
 MAX_ORTHOGONALITY_DIM = 5
+#: random points at which check_rdd_structure probes an RDD table
+RDD_STRUCTURE_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -124,18 +132,7 @@ class ProblemSpec:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         """Gauss nodes per coordinate, one int per dimension."""
-        try:
-            orders = tuple(self.quad_order)
-        except TypeError:
-            orders = (self.quad_order,) * self.dim
-        if len(orders) != self.dim:
-            raise ValueError(f"got {len(orders)} orders for dimension {self.dim}")
-        for n in orders:
-            if isinstance(n, bool) or not isinstance(n, Integral):
-                raise ValueError(f"quadrature order must be an integer, got {n!r}")
-            if n < 1:
-                raise ValueError("quadrature orders must be at least 1")
-        return tuple(int(n) for n in orders)
+        return _check_quad_orders(self.quad_order, self.dim)
 
     @cached_property
     def rules(self) -> tuple[QuadratureRule, ...]:
@@ -367,11 +364,7 @@ class ComponentTable:
 # -- builders --------------------------------------------------------------
 
 
-def build_add(
-    problem: ProblemSpec,
-    *,
-    max_grid_points: int = DEFAULT_MAX_GRID_POINTS,
-) -> ComponentTable:
+def build_add(problem: ProblemSpec) -> ComponentTable:
     """Build the integration-based decomposition on the tensor Gauss grid.
 
     Follows the operator form ``y_u = prod_{j in u} (I - P_j)
@@ -386,13 +379,13 @@ def build_add(
     zero means, orthogonality and grid exactness hold to roundoff by
     construction.
 
+    Builds whose full tensor grid exceeds ``DEFAULT_MAX_GRID_POINTS``
+    points, or whose table would exceed ``MAX_TABLE_VALUES`` values, are
+    rejected before the target is evaluated.
+
     Parameters
     ----------
     problem : ProblemSpec
-    max_grid_points : int, optional
-        Reject builds whose full tensor grid exceeds this many points.
-        Builds whose table would exceed ``MAX_TABLE_VALUES`` values are
-        rejected as well, before the target is evaluated.
 
     Returns
     -------
@@ -406,7 +399,7 @@ def build_add(
         raise ValueError(
             f"ADD table needs {table_values} values, over the budget {MAX_TABLE_VALUES}"
         )
-    Y = _evaluate_full_grid(problem, max_grid_points)
+    Y = _evaluate_full_grid(problem)
     weights = [r.weights for r in problem.rules]
     full = (1 << N) - 1
     # (a) conditional means, each from its parent by one contraction; the
@@ -601,15 +594,14 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     return results
 
 
-def check_rdd_structure(
-    table: ComponentTable, *, n_points: int = 100, seed: int = 0
-) -> list[CheckResult]:
+def check_rdd_structure(table: ComponentTable, *, seed: int = 0) -> list[CheckResult]:
     """Anchor annihilation and full-sum exactness of an RDD table.
 
     Annihilation: a nonempty component is zero whenever any one of its own
     coordinates sits at the matching anchor coordinate.  Exactness: summing
     all components reproduces the target at arbitrary points.  Both are
-    probed at `n_points` random points drawn from the input measure.
+    probed at ``RDD_STRUCTURE_POINTS`` random points drawn from the input
+    measure.
 
     For a deterministic target the annihilation residual is exactly 0 by
     construction: with a coordinate pinned at the anchor, each anchored
@@ -620,8 +612,7 @@ def check_rdd_structure(
     coordinate of the worst row.
     """
     table._require(RDD)
-    if n_points < 1:
-        raise ValueError(f"structure checks need at least 1 point, got {n_points}")
+    n_points = RDD_STRUCTURE_POINTS
     N = table.dim
     rng = np.random.default_rng(seed)
     X = table.problem.measure.sample(rng, n_points)
@@ -857,12 +848,12 @@ def _anchored_block(
         yield u, y
 
 
-def _evaluate_full_grid(problem: ProblemSpec, max_grid_points: int) -> np.ndarray:
+def _evaluate_full_grid(problem: ProblemSpec) -> np.ndarray:
     orders = problem.orders
     total = int(np.prod(orders))
-    if total > max_grid_points:
+    if total > DEFAULT_MAX_GRID_POINTS:
         raise ValueError(
-            f"tensor grid has {total} points, over the budget {max_grid_points}"
+            f"tensor grid has {total} points, over the budget {DEFAULT_MAX_GRID_POINTS}"
         )
     nodes = [r.nodes for r in problem.rules]
     N = problem.dim

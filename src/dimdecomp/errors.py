@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb, fsum
-from numbers import Integral
 from typing import Mapping, Protocol, runtime_checkable
 
 from dimdecomp.subsets import _check_orders
@@ -96,33 +95,6 @@ class ErrorBudget:
     lower: float
     upper: float
     per_cardinality: dict[int, tuple[float, int]]
-
-
-def generalized_binomial(r, k: int):
-    """Binomial coefficient ``C(r, k)`` for any real upper argument.
-
-    ``k < 0`` gives 0, ``k == 0`` gives 1, otherwise the falling factorial
-    ``r (r-1) ... (r-k+1) / k!``.  Integer `r` stays exact integer
-    arithmetic through :func:`math.comb`, with the reflection
-    ``C(r, k) = (-1)**k C(k - r - 1, k)`` for negative `r`; float `r`
-    promotes the result to float.
-    """
-    if not isinstance(k, Integral):
-        raise ValueError("lower argument must be an integer")
-    k = int(k)
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    if isinstance(r, Integral):
-        r = int(r)
-        if r >= 0:
-            return comb(r, k)
-        return (-1) ** k * comb(k - r - 1, k)
-    out = 1.0
-    for j in range(k):
-        out *= float(r) - j
-    return out / math.factorial(k)
 
 
 def coeff_b(order: int, s: int) -> int:
@@ -318,15 +290,17 @@ def dim_for_pmin(rate: float) -> float:
     return 1.0 + lambert_w0(2.0 * (1.0 + rate) * t) / t
 
 
+#: decay rates searched by :func:`pmin_for_N`: just above 1 (no decay) up to 1e6
+PMIN_BRACKET = (1.0 + 1e-9, 1.0e6)
+
+
 def _pmin_residual(rate: float, dim: int) -> float:
     """Threshold condition ``2/p = (N-1) (1 + 1/p)**N / (1 + p)**2`` as a
     signed residual (positive when the anchored budget still inverts)."""
     return (dim - 1) * math.exp(dim * math.log1p(1.0 / rate)) / (1.0 + rate) ** 2 - 2.0 / rate
 
 
-def pmin_for_N(
-    dim: int, *, bracket: tuple[float, float] = (1.0 + 1e-9, 1.0e6)
-) -> float:
+def pmin_for_N(dim: int) -> float:
     """Slowest decay rate at which moving from ``S = 0`` to ``S = 1`` still
     helps the anchored surrogate, for a given dimension.
 
@@ -339,12 +313,12 @@ def pmin_for_N(
     Raises
     ------
     ValueError
-        If no root lies in `bracket` (at ``dim = 2`` the inversion never
+        If no root lies in ``PMIN_BRACKET`` (at ``dim = 2`` the inversion never
         happens, so there is no threshold to find).
     """
     if dim < 2:
         raise ValueError("dimension must be at least 2")
-    lo, hi = bracket
+    lo, hi = PMIN_BRACKET
     flo, fhi = _pmin_residual(lo, dim), _pmin_residual(hi, dim)
     if flo == 0.0:
         root = lo

@@ -8,12 +8,10 @@ land within sampling noise of the closed-form budget.
 Sampling draws from the problem's product measure via
 :func:`numpy.random.default_rng`; identical (seed, n) give identical
 estimates.  Every estimator runs the one sampling loop, :func:`_sampled`:
-samples accumulate in fixed-size chunks through a count-weighted
-mean/variance merge — the same combination rule exposed by :func:`pool`,
-so embarrassingly parallel runs (worker ``k`` seeded
-``worker_seed(base, k)``) reproduce exactly the united statistics.  A
-non-finite target value raises ``ValueError`` at the draw that produced it
-(see :meth:`ProblemSpec.evaluate`).
+samples accumulate in chunks of ``DEFAULT_CHUNK`` rows (read at call time)
+through a count-weighted mean/variance merge.  A non-finite target value
+raises ``ValueError`` at the draw that produced it (see
+:meth:`ProblemSpec.evaluate`).
 """
 from __future__ import annotations
 
@@ -55,9 +53,9 @@ class McEstimate:
         if not self.std_error >= 0.0:
             raise ValueError("standard error must be nonnegative")
 
-    def within(self, target: float, n_sigma: float = 3.0) -> bool:
-        """True when `target` lies inside mean ± n_sigma * std_error."""
-        return abs(self.mean - target) <= n_sigma * self.std_error
+    def within(self, target: float) -> bool:
+        """True when `target` lies inside mean ± 3 * std_error."""
+        return abs(self.mean - target) <= 3.0 * self.std_error
 
 
 class _Accumulator:
@@ -74,17 +72,12 @@ class _Accumulator:
         b = np.asarray(batch, dtype=float).reshape(-1)
         if b.size == 0:
             return
-        m = float(np.mean(b))
-        self._merge(b.size, m, float(np.sum((b - m) ** 2)))
-
-    def _merge(self, n2: int, mean2: float, m2_2: float) -> None:
-        if n2 == 0:
-            return
-        n1 = self.n
+        n1, n2 = self.n, b.size
         n = n1 + n2
-        delta = mean2 - self.mean
+        m = float(np.mean(b))
+        delta = m - self.mean
         self.mean += delta * n2 / n
-        self.m2 += m2_2 + delta * delta * n1 * n2 / n
+        self.m2 += float(np.sum((b - m) ** 2)) + delta * delta * n1 * n2 / n
         self.n = n
 
     def result(self, seed: int) -> McEstimate:
@@ -95,26 +88,10 @@ class _Accumulator:
 
 
 def worker_seed(base_seed: int, worker_index: int) -> int:
-    """Seed for parallel worker `worker_index`: ``base_seed + worker_index``."""
+    """Seed of independent stream `worker_index`: ``base_seed + worker_index``."""
     if worker_index < 0:
         raise ValueError("worker index must be nonnegative")
     return int(base_seed) + int(worker_index)
-
-
-def pool(estimates) -> McEstimate:
-    """Combine independent estimates of the same mean, count-weighted.
-
-    Exact algebra on (n, mean, variance) triples: pooling per-worker
-    results equals the single-stream statistics over the concatenated
-    samples, up to roundoff.  The pooled estimate keeps the first seed.
-    """
-    ests = list(estimates)
-    if not ests:
-        raise ValueError("nothing to pool")
-    acc = _Accumulator()
-    for e in ests:
-        acc._merge(e.n, e.mean, e.std_error**2 * e.n * (e.n - 1))
-    return acc.result(ests[0].seed)
 
 
 def _check_n(n: int, minimum: int, label: str) -> None:
@@ -123,9 +100,10 @@ def _check_n(n: int, minimum: int, label: str) -> None:
 
 
 def _sampled(
-    n: int, rng: np.random.Generator, seed: int, chunk: int, count: int, values
+    n: int, rng: np.random.Generator, seed: int, count: int, values
 ) -> list[McEstimate]:
-    """The one sampling loop: means of sampled values over `n` draws, in chunks.
+    """The one sampling loop: means of sampled values over `n` draws, in
+    chunks of ``DEFAULT_CHUNK`` rows.
 
     ``values(rng, m)`` draws a chunk of `m` rows from the caller's
     generator `rng` and returns (or yields) `count` value arrays, one per
@@ -135,7 +113,7 @@ def _sampled(
     accs = [_Accumulator() for _ in range(count)]
     left = int(n)
     while left > 0:
-        m = min(chunk, left)
+        m = min(DEFAULT_CHUNK, left)
         for acc, v in zip(accs, values(rng, m), strict=True):
             acc.update(v)
         left -= m
@@ -148,8 +126,6 @@ def mc_add_error(
     order: int | Sequence[int],
     n: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = DEFAULT_CHUNK,
 ) -> McEstimate | list[McEstimate]:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
@@ -171,7 +147,7 @@ def mc_add_error(
         y = problem.evaluate(X)
         return ((y - t) ** 2 for t in table.truncated_sums(orders, X))
 
-    ests = _sampled(n, np.random.default_rng(seed), seed, chunk, len(orders), squared_gaps)
+    ests = _sampled(n, np.random.default_rng(seed), seed, len(orders), squared_gaps)
     return ests[0] if single else ests
 
 
@@ -181,8 +157,6 @@ def mc_rdd_error(
     anchor,
     n: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = DEFAULT_CHUNK,
 ) -> McEstimate:
     """Sampled mean-square error of the anchored surrogate at a fixed anchor."""
     _check_n(n, MIN_SAMPLES, "mc_rdd_error")
@@ -193,7 +167,7 @@ def mc_rdd_error(
         X = problem.measure.sample(rng, m)
         return [(problem.evaluate(X) - rdd_direct(problem, order, c, X)) ** 2]
 
-    return _sampled(n, np.random.default_rng(seed), seed, chunk, 1, squared_gap)[0]
+    return _sampled(n, np.random.default_rng(seed), seed, 1, squared_gap)[0]
 
 
 def mc_expected_rdd_error(
@@ -201,8 +175,6 @@ def mc_expected_rdd_error(
     order: int,
     n_pairs: int = 100_000,
     seed: int = 0,
-    *,
-    chunk: int = DEFAULT_CHUNK,
 ) -> McEstimate:
     """Anchored-surrogate error averaged over random anchors.
 
@@ -219,7 +191,7 @@ def mc_expected_rdd_error(
         C = problem.measure.sample(rng, m)
         return [(problem.evaluate(X) - rdd_direct(problem, order, C, X)) ** 2]
 
-    return _sampled(n_pairs, np.random.default_rng(seed), seed, chunk, 1, squared_gap)[0]
+    return _sampled(n_pairs, np.random.default_rng(seed), seed, 1, squared_gap)[0]
 
 
 @dataclass(frozen=True)
@@ -261,7 +233,6 @@ def optimality_probe(
     *,
     n_samples: int = 20_000,
     amplitude: float = 0.25,
-    chunk: int = DEFAULT_CHUNK,
 ) -> OptimalityReport:
     """Probe mean-square optimality of the S-variate truncation.
 
@@ -300,7 +271,7 @@ def optimality_probe(
             exc = shift**2
             return err, exc, err - exc
 
-        err_est, exc_est, split = _sampled(n_samples, rng, seed, chunk, 3, error_excess_split)
+        err_est, exc_est, split = _sampled(n_samples, rng, seed, 3, error_excess_split)
         dominates = err_est.mean >= e_add - 3.0 * err_est.std_error
         split_holds = abs(split.mean - e_add) <= 3.0 * split.std_error
         probes.append(

@@ -12,12 +12,13 @@ machinery downstream quantitative rather than approximate.
 
 Sampling uses :func:`numpy.random.default_rng` (PCG64).  Results are
 deterministic for a fixed seed and call sequence within this package
-version; estimators that run workers in parallel derive per-worker seeds as
-``base_seed + worker_index``.
+version; estimators that need several independent streams seed stream
+``k`` with ``base_seed + k``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -173,14 +174,8 @@ class QuadratureRule:
     def order(self) -> int:
         return len(self.nodes)
 
-    def integrate(self, values) -> float:
-        """Weighted sum of function values given on the nodes."""
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
-
-def gauss_rule(
-    marginal: MarginalMeasure, order: int, *, max_order: int = GAUSS_MAX_ORDER
-) -> QuadratureRule:
+def gauss_rule(marginal: MarginalMeasure, order: int) -> QuadratureRule:
     """Gauss rule of a given order for one marginal measure.
 
     For ``uniform(lo, hi)`` the Gauss-Legendre nodes are mapped affinely to
@@ -193,9 +188,8 @@ def gauss_rule(
     ----------
     marginal : MarginalMeasure
     order : int
-        Number of nodes, ``1 <= order <= max_order``.
-    max_order : int, optional
-        Guard against accidentally huge rules; raise to go past 64 nodes.
+        Number of nodes, ``1 <= order <= GAUSS_MAX_ORDER`` (64); the cap
+        guards against accidentally huge rules.
 
     Returns
     -------
@@ -204,8 +198,8 @@ def gauss_rule(
     """
     if order < 1:
         raise ValueError("quadrature order must be at least 1")
-    if order > max_order:
-        raise ValueError(f"quadrature order {order} exceeds the cap {max_order}")
+    if order > GAUSS_MAX_ORDER:
+        raise ValueError(f"quadrature order {order} exceeds the cap {GAUSS_MAX_ORDER}")
     if marginal.kind == _UNIFORM:
         x, w = np.polynomial.legendre.leggauss(order)
         lo, hi = marginal.lo, marginal.hi
@@ -233,24 +227,37 @@ def gauss_exactness_residual(marginal: MarginalMeasure, rule: QuadratureRule) ->
 
 
 def product_rules(
-    measure: ProductMeasure,
-    orders: int | Iterable[int],
-    *,
-    max_order: int = GAUSS_MAX_ORDER,
+    measure: ProductMeasure, orders: int | Iterable[int]
 ) -> tuple[QuadratureRule, ...]:
-    """One Gauss rule per coordinate; a scalar order is broadcast."""
-    if isinstance(orders, int):
-        per_coord = (orders,) * measure.dim
-    else:
-        per_coord = tuple(int(n) for n in orders)
-        if len(per_coord) != measure.dim:
-            raise ValueError(
-                f"got {len(per_coord)} orders for dimension {measure.dim}"
-            )
+    """One Gauss rule per coordinate; a scalar order is broadcast.
+
+    `orders` is checked by :func:`_check_quad_orders`.
+    """
     return tuple(
-        gauss_rule(m, n, max_order=max_order)
-        for m, n in zip(measure.marginals, per_coord)
+        gauss_rule(m, n)
+        for m, n in zip(measure.marginals, _check_quad_orders(orders, measure.dim))
     )
+
+
+def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:
+    """Gauss nodes per coordinate as `dim` ints, each at least 1.
+
+    A scalar broadcasts to every coordinate.  Numpy integers pass (as a
+    scalar or in a sequence); ``bool`` and non-integers raise
+    ``ValueError``, so ``True`` is no 1-node rule.
+    """
+    try:
+        orders = tuple(orders)
+    except TypeError:
+        orders = (orders,) * dim
+    if len(orders) != dim:
+        raise ValueError(f"got {len(orders)} orders for dimension {dim}")
+    for n in orders:
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ValueError(f"quadrature order must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError("quadrature orders must be at least 1")
+    return tuple(int(n) for n in orders)
 
 
 def _check_points(x, dim: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Bit ``i`` of a mask stands for variable ``i + 1``, so reports print subsets
 as 1-based index lists like ``[1, 3]``.  Enumerations are capped on the
-number of subsets they yield (default ``2**24``), not on the dimension:
+number of subsets they yield (``2**DEFAULT_SUBSET_CAP``, read at call
+time), not on the dimension:
 the full lattice stops being desk-scale beyond 24 variables, while the
 ``C(N, s)`` subsets of a low cardinality stay cheap at any ``N``.
 Cardinality-only arithmetic elsewhere in the package carries no cap.
@@ -96,16 +97,15 @@ class VariableSubset:
         return self.label()
 
 
-def subsets_of_cardinality(
-    dim: int, size: int, *, cap: int = DEFAULT_SUBSET_CAP
-) -> Iterator[VariableSubset]:
+def subsets_of_cardinality(dim: int, size: int) -> Iterator[VariableSubset]:
     """All subsets of a given cardinality, in increasing mask order.
 
-    Raises before yielding anything when there are more than ``2**cap``.
+    Raises before yielding anything when there are more than
+    ``2**DEFAULT_SUBSET_CAP``.
     """
     if not 0 <= size <= dim:
         raise ValueError(f"cardinality {size} outside [0, {dim}]")
-    _check_count(comb(dim, size), cap)
+    _check_count(comb(dim, size))
     masks = sorted(
         sum(1 << i for i in c) for c in combinations(range(dim), size)
     )
@@ -113,9 +113,7 @@ def subsets_of_cardinality(
         yield VariableSubset(m, dim)
 
 
-def all_subsets_up_to(
-    dim: int, max_order: int, *, cap: int = DEFAULT_SUBSET_CAP
-) -> Iterator[VariableSubset]:
+def all_subsets_up_to(dim: int, max_order: int) -> Iterator[VariableSubset]:
     """Every subset with ``|u| <= max_order``, ordered by (cardinality, mask).
 
     Parameters
@@ -123,10 +121,9 @@ def all_subsets_up_to(
     dim : int
         Number of variables.
     max_order : int
-        Largest cardinality to emit; ``0 <= max_order <= dim``.
-    cap : int, optional
-        Raise before yielding anything when more than ``2**cap`` subsets
-        would be emitted.
+        Largest cardinality to emit; ``0 <= max_order <= dim``.  Raises
+        before yielding anything when more than ``2**DEFAULT_SUBSET_CAP``
+        subsets would be emitted.
 
     Yields
     ------
@@ -134,9 +131,9 @@ def all_subsets_up_to(
         Starting with the empty set, ending with the lexicographically
         largest subset of cardinality `max_order`.
     """
-    _check_count(count_up_to(dim, max_order), cap)
+    _check_count(count_up_to(dim, max_order))
     for size in range(max_order + 1):
-        yield from subsets_of_cardinality(dim, size, cap=cap)
+        yield from subsets_of_cardinality(dim, size)
 
 
 def count_up_to(dim: int, max_order: int) -> int:
@@ -167,9 +164,11 @@ def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
     return tuple(int(s) for s in orders)
 
 
-def _check_count(count: int, cap: int) -> None:
-    if count > 1 << cap:
-        raise ValueError(f"{count} subsets exceed the enumeration cap 2**{cap}")
+def _check_count(count: int) -> None:
+    if count > 1 << DEFAULT_SUBSET_CAP:
+        raise ValueError(
+            f"{count} subsets exceed the enumeration cap 2**{DEFAULT_SUBSET_CAP}"
+        )
 
 
 def strict_subsets(u: VariableSubset) -> Iterator[VariableSubset]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dimdecomp.cli import main
+from dimdecomp.cli import RunConfig, _build_parser, load_config, main
 
 
 def write_config(tmp_path: Path, data: dict) -> str:
@@ -244,6 +244,56 @@ class TestConfigHandling:
         assert main(["decompose", "--config", cfg]) == 1
         assert f"{field} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            # verify needs mc_add_error's floor; no subcommand gets past parsing
+            ({"mc": {"n_samples": 500}}, "mc.n_samples must be at least 1000"),
+            ({"mc": {"seed": -1}}, "mc.seed must be nonnegative"),
+            ({"mc": 5}, "mc must be an object"),
+            ({"function": "sobol_g"}, "function must be an object"),
+            ({"figure1": 5}, "figure1 must be an object"),
+            ({"figure1": {"rates": 5}}, "figure1.rates must be a list"),
+            # a string is no list of rates, not the rates (5.0, 5.0)
+            ({"figure1": {"rates": "55"}}, "figure1.rates must be a list"),
+            ({"figure1": {"rates": ["5", 50]}}, "figure1.rates must be a number"),
+            ({"figure1": {"scale": "2"}}, "figure1.scale must be a number"),
+        ],
+    )
+    def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):
+        cfg = write_config(tmp_path, {**BASE, **extra, "out": str(tmp_path / "out")})
+        assert main(["decompose", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags,extra,message",
+        [
+            # the same order in the config file exits 1 as well
+            (["--truncation-orders", "9"], {}, "truncation order 9 outside [0, 2]"),
+            (["--truncation-orders", "1", "3"], {}, "truncation order 3 outside [0, 2]"),
+            (["--seed", "-1"], {}, "mc.seed must be nonnegative"),
+            (["--n-samples", "500"], {}, "mc.n_samples must be at least 1000"),
+            (["--seed", "3"], {"mc": 5}, "mc must be an object"),
+        ],
+    )
+    def test_flags_are_validated_like_file_keys(self, tmp_path, capsys, flags, extra, message):
+        cfg = write_config(tmp_path, {**BASE, **extra, "out": str(tmp_path / "out")})
+        assert main(["decompose", "--config", cfg, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_merge_into_file_sections(self, tmp_path):
+        cfg = write_config(tmp_path, {**BASE, "mc": {"n_samples": 2000, "seed": 5}})
+        args = _build_parser().parse_args(["verify", "--config", cfg, "--seed", "8"])
+        got = load_config(args.config, args)
+        assert (got.seed, got.n_samples, got.dim) == (8, 2000, 3)
+        args = _build_parser().parse_args(["verify", "--n-samples", "3000"])
+        got = load_config(args.config, args)
+        assert (got.seed, got.n_samples) == (RunConfig().seed, 3000)
 
     def test_unknown_cli_flag(self, capsys):
         assert main(["decompose", "--bogus"]) == 1

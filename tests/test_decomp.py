@@ -158,20 +158,21 @@ class TestAddBuild:
         for c in check_add_structure(plin3_table):
             assert c.passed, (c.name, c.residual)
 
-    def test_grid_budget_enforced(self):
+    def test_grid_budget_enforced(self, monkeypatch):
         # the grid and the table budgets are both checked before the target
         # is evaluated even once
-        cases = [
-            (product_linear_problem(6, quad_order=64), {}),
-            (product_linear_problem(3, quad_order=10), {"max_grid_points": 999}),
-            # 2**20 grid points fit the grid budget; the 3**20-value table does not
-            (product_linear_problem(20, quad_order=2), {}),
-        ]
-        for problem, kwargs in cases:
+        def rejected_before_any_evaluation(problem):
             p, seen = counted(problem)
             with pytest.raises(ValueError, match="budget"):
-                build_add(p, **kwargs)
+                build_add(p)
             assert seen == []
+
+        rejected_before_any_evaluation(product_linear_problem(6, quad_order=64))
+        # 2**20 grid points fit the grid budget; the 3**20-value table does not
+        rejected_before_any_evaluation(product_linear_problem(20, quad_order=2))
+        # the grid budget is read at call time
+        monkeypatch.setattr(decomp, "DEFAULT_MAX_GRID_POINTS", 999)
+        rejected_before_any_evaluation(product_linear_problem(3, quad_order=10))
 
     def test_evaluates_each_grid_point_once(self):
         # prod(q_j) evaluations, the paper's cost of ADD, over several chunks
@@ -567,11 +568,6 @@ class TestRddBuild:
         assert not got.passed
         assert got.residual > 1e3 * got.tolerance
         assert re.fullmatch(r"subset \[[1-3](,[1-3])*\], pinned coordinate [1-3]", got.detail)
-
-    def test_structure_checks_need_a_point(self, plin3):
-        t = build_rdd(plin3, np.zeros(3))
-        with pytest.raises(ValueError, match="at least 1 point"):
-            check_rdd_structure(t, n_points=0)
 
     def test_anchor_validation(self, plin3):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from dimdecomp import (
     decay_curves,
     dim_for_pmin,
     error_bounds,
-    generalized_binomial,
     lambert_w0,
     pmin_for_N,
     rdd_expected_error,
@@ -43,32 +42,6 @@ def frac_coeff_b(order: int, s: int) -> Fraction:
         ),
         Fraction(0),
     )
-
-
-class TestGeneralizedBinomial:
-    @given(st.integers(-40, 40), st.integers(-3, 12))
-    def test_matches_rational_oracle(self, r, k):
-        got = generalized_binomial(r, k)
-        assert isinstance(got, int)
-        assert got == frac_binomial(r, k)
-
-    @given(st.integers(-30, 30), st.integers(1, 10))
-    def test_pascal_recurrence(self, r, k):
-        assert generalized_binomial(r, k) == generalized_binomial(
-            r - 1, k - 1
-        ) + generalized_binomial(r - 1, k)
-
-    def test_edge_cases(self):
-        assert generalized_binomial(5, 0) == 1
-        assert generalized_binomial(-1, 0) == 1
-        assert generalized_binomial(3, -1) == 0
-        assert generalized_binomial(-1, 3) == -1
-        assert generalized_binomial(-2, 2) == 3
-        assert generalized_binomial(7, 2) == math.comb(7, 2)
-
-    def test_real_argument(self):
-        assert generalized_binomial(0.5, 2) == pytest.approx(-1.0 / 8.0)
-        assert generalized_binomial(0.5, 0) == 1
 
 
 class TestCoefficient:

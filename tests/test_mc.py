@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,10 +14,10 @@ from dimdecomp import (
     mc_expected_rdd_error,
     mc_rdd_error,
     optimality_probe,
-    pool,
     rdd_direct,
     worker_seed,
 )
+from dimdecomp import mc
 from dimdecomp.mc import DEFAULT_CHUNK
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
@@ -29,7 +27,6 @@ class TestMcEstimate:
         est = McEstimate(mean=1.0, std_error=0.1, n=1000, seed=0)
         assert est.within(1.25)
         assert not est.within(1.31)
-        assert est.within(1.15, n_sigma=2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,38 +38,6 @@ class TestMcEstimate:
 def test_worker_seed_is_offset():
     assert worker_seed(42, 0) == 42
     assert worker_seed(42, 7) == 49
-
-
-class TestPool:
-    def test_matches_count_weighted_merge(self, plin3, plin3_table):
-        parts = [
-            mc_add_error(plin3, plin3_table, 1, n=2000, seed=worker_seed(7, k))
-            for k in range(3)
-        ]
-        merged = pool(parts)
-        n = sum(p.n for p in parts)
-        mean = sum(p.n * p.mean for p in parts) / n
-        # independent check of the pooled spread: recombine the second
-        # moments (se^2 * n^2 is the within-part sum of squared deviations
-        # about that part's mean, up to the n-1 factor)
-        m2 = 0.0
-        for p in parts:
-            var = p.std_error**2 * p.n  # sample variance of one draw
-            m2 += var * (p.n - 1) + p.n * (p.mean - mean) ** 2
-        se = math.sqrt(m2 / (n - 1) / n)
-        assert merged.n == n
-        assert merged.mean == pytest.approx(mean, rel=1e-12)
-        assert merged.std_error == pytest.approx(se, rel=1e-9)
-
-    def test_single_estimate_passthrough(self):
-        est = McEstimate(mean=2.0, std_error=0.5, n=50, seed=3)
-        got = pool([est])
-        assert (got.mean, got.n) == (2.0, 50)
-        assert got.std_error == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pool([])
 
 
 class TestAddErrorSampling:
@@ -96,9 +61,24 @@ class TestAddErrorSampling:
         with pytest.raises(ValueError, match="at least"):
             mc_add_error(plin3, plin3_table, 1, n=999)
 
-    def test_chunked_run_covers_requested_n(self, plin3, plin3_table):
-        est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=1, chunk=1024)
+    def test_chunked_run_covers_requested_n(self, plin3, plin3_table, monkeypatch):
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
+        est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=1)
         assert est.n == 5000
+
+    def test_chunk_merge_equals_one_pass_statistics(self, plin3, plin3_table, monkeypatch):
+        # the count-weighted merge of 1024-row chunks gives the mean and
+        # standard error of all 5000 squared gaps taken at once
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
+        est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=3)
+        rng = np.random.default_rng(3)
+        gaps = []
+        for m in [1024] * 4 + [904]:
+            X = plin3.measure.sample(rng, m)
+            gaps.append((plin3.evaluate(X) - plin3_table.truncated(1, X)) ** 2)
+        g = np.concatenate(gaps)
+        assert est.mean == pytest.approx(float(np.mean(g)), rel=1e-12)
+        assert est.std_error == pytest.approx(float(np.std(g, ddof=1)) / g.size**0.5, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -119,17 +99,19 @@ class TestAddErrorOrders:
     )
     @pytest.mark.parametrize("n,chunk", [(2000, DEFAULT_CHUNK), (5000, 1024)])
     def test_equals_one_call_per_order(
-        self, plin3, plin3_table, sobol5, name, orders, n, chunk
+        self, plin3, plin3_table, sobol5, name, orders, n, chunk, monkeypatch
     ):
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
         problem, table = (plin3, plin3_table) if name == "plin3" else sobol5
-        got = mc_add_error(problem, table, orders, n, seed=13, chunk=chunk)
-        want = [mc_add_error(problem, table, s, n, seed=13, chunk=chunk) for s in orders]
+        got = mc_add_error(problem, table, orders, n, seed=13)
+        want = [mc_add_error(problem, table, s, n, seed=13) for s in orders]
         assert got == want
 
-    def test_one_target_row_per_sample_for_all_orders(self, sobol5):
+    def test_one_target_row_per_sample_for_all_orders(self, sobol5, monkeypatch):
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
         problem, table = sobol5
         p, seen = counted(problem)
-        mc_add_error(p, table, range(5), n=5000, seed=1, chunk=1024)
+        mc_add_error(p, table, range(5), n=5000, seed=1)
         assert [len(b) for b in seen] == [1024] * 4 + [904]
 
     def test_orders_checked_before_any_work(self, plin3, plin3_table, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dimdecomp import measures
 from dimdecomp.measures import (
     GAUSS_MAX_ORDER,
     MarginalMeasure,
@@ -114,12 +115,14 @@ class TestGaussRules:
         np.testing.assert_allclose(shifted.nodes, 1.5 * base.nodes + 3.5, rtol=1e-14)
         np.testing.assert_allclose(shifted.weights, base.weights, rtol=1e-14)
 
-    def test_order_bounds(self):
+    def test_order_bounds(self, monkeypatch):
         with pytest.raises(ValueError):
             gauss_rule(NORMAL, 0)
         with pytest.raises(ValueError):
             gauss_rule(NORMAL, GAUSS_MAX_ORDER + 1)
-        rule = gauss_rule(NORMAL, 80, max_order=128)
+        # the cap is read at call time
+        monkeypatch.setattr(measures, "GAUSS_MAX_ORDER", 128)
+        rule = gauss_rule(NORMAL, 80)
         assert rule.order == 80
 
     def test_rule_arrays_are_frozen(self):
@@ -157,6 +160,20 @@ class TestProductMeasure:
         assert rules[0].order == 3 and rules[1].order == 5
         with pytest.raises(ValueError):
             product_rules(m, (3, 5, 7))
+
+    @pytest.mark.parametrize("orders", [True, (3, True), 2.0, (3, 4.5), ("3", 3), 0, (3, 0)])
+    def test_rules_reject_bad_orders(self, orders):
+        # True is no 1-node rule, 2.0 no 2-node rule
+        m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
+        with pytest.raises(ValueError, match="quadrature order"):
+            product_rules(m, orders)
+
+    @pytest.mark.parametrize("orders", [np.int64(3), (np.int64(3), 3), np.array([3, 3])])
+    def test_rules_accept_numpy_integers(self, orders):
+        m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
+        rules = product_rules(m, orders)
+        assert [r.order for r in rules] == [3, 3]
+        assert all(type(r.order) is int for r in rules)
 
 
 class TestSampling:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dimdecomp import subsets
 from dimdecomp.subsets import (
     DEFAULT_SUBSET_CAP,
     VariableSubset,
@@ -83,7 +84,7 @@ class TestEnumeration:
         assert len(subs) == sum(comb(dim, s) for s in range(max_order + 1))
         assert len(subs) == count_up_to(dim, max_order)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         # the cap bounds the number of subsets yielded, not the dimension
         with pytest.raises(ValueError, match="cap"):
             next(all_subsets_up_to(DEFAULT_SUBSET_CAP + 1, DEFAULT_SUBSET_CAP + 1))
@@ -91,10 +92,15 @@ class TestEnumeration:
             next(subsets_of_cardinality(30, 15))
         assert len(list(subsets_of_cardinality(30, 1))) == 30
         assert len(list(all_subsets_up_to(100, 1))) == 101
-        # explicit override moves the bound either way
+        # the cap is read at call time, so moving it moves the bound either way
+        monkeypatch.setattr(subsets, "DEFAULT_SUBSET_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
-            next(subsets_of_cardinality(30, 1, cap=4))
-        assert len(list(subsets_of_cardinality(30, 1, cap=5))) == 30
+            next(subsets_of_cardinality(30, 1))
+        with pytest.raises(ValueError, match="cap"):
+            next(all_subsets_up_to(30, 1))
+        monkeypatch.setattr(subsets, "DEFAULT_SUBSET_CAP", 5)
+        assert len(list(subsets_of_cardinality(30, 1))) == 30
+        assert len(list(all_subsets_up_to(30, 1))) == 31
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
