@@ -22,6 +22,7 @@ from dimdecomp.decomp import (
     check_rdd_structure,
     explicit_component,
     rdd_direct,
+    rdd_direct_sums,
 )
 from dimdecomp.errors import (
     CardinalitySums,
@@ -45,6 +46,7 @@ from dimdecomp.mc import (
     OptimalityReport,
     mc_add_error,
     mc_expected_rdd_error,
+    mc_expected_rdd_errors,
     mc_rdd_error,
     optimality_probe,
     worker_seed,

@@ -44,7 +44,14 @@ from dimdecomp.errors import (
     rdd_expected_error,
 )
 from dimdecomp.functions import default_marginal, function_names, make_function
-from dimdecomp.mc import MIN_SAMPLES, McEstimate, mc_add_error, mc_expected_rdd_error
+from dimdecomp.mc import (  # noqa: F401 - perfbench traces mc_expected_rdd_error here
+    MIN_PAIRS,
+    MIN_SAMPLES,
+    McEstimate,
+    mc_add_error,
+    mc_expected_rdd_error,
+    mc_expected_rdd_errors,
+)
 from dimdecomp.measures import (
     MarginalMeasure,
     ProductMeasure,
@@ -224,7 +231,9 @@ def parse_config(data: dict) -> RunConfig:
         if cfg.seed < 0:
             raise ConfigError("mc.seed must be nonnegative")
     if "out" in data:
-        cfg.out_dir = Path(str(data["out"]))
+        if not isinstance(data["out"], str) or not data["out"]:
+            raise ConfigError(f"out must be a nonempty string, got {data['out']!r}")
+        cfg.out_dir = Path(data["out"])
     if "figure1" in data:
         fig = data["figure1"]
         _reject_unknown(fig, {f.name for f in fields(Figure1Config)}, "figure1")
@@ -448,8 +457,8 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
         checks.append(check_form_equivalence(problem, s, seed=cfg.seed + s))
 
     slack = 1e-12
-    for s in orders:
-        budget = rdd_expected_error(s, vmap)
+    budgets = [rdd_expected_error(s, vmap) for s in orders]
+    for s, budget in zip(orders, budgets):
         if budget.e_add <= 0.0:
             continue
         lo_ok = budget.e_rdd_expected >= budget.lower * (1.0 - slack)
@@ -468,13 +477,13 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
         )
 
     add_ests = mc_add_error(problem, table, orders, cfg.n_samples, cfg.seed)
-    for s, est in zip(orders, add_ests):
+    rdd_ests = mc_expected_rdd_errors(
+        problem, orders, max(cfg.n_samples, MIN_PAIRS), cfg.seed + 1
+    )
+    for s, budget, add_est, rdd_est in zip(orders, budgets, add_ests, rdd_ests):
         target = sum(v for m, v in vmap.sigma2.items() if m.bit_count() > s)
-        checks.append(_mc_gate(f"mc_gate_add_S{s}", est, target))
-        budget = rdd_expected_error(s, vmap)
-        pairs = max(cfg.n_samples, 10_000)
-        est = mc_expected_rdd_error(problem, s, pairs, cfg.seed + 1)
-        checks.append(_mc_gate(f"mc_gate_rdd_S{s}", est, budget.e_rdd_expected))
+        checks.append(_mc_gate(f"mc_gate_add_S{s}", add_est, target))
+        checks.append(_mc_gate(f"mc_gate_rdd_S{s}", rdd_est, budget.e_rdd_expected))
 
     passed = all(c.passed for c in checks)
     report = {

@@ -25,8 +25,9 @@ Two constructions of the split are built here:
 Truncating either expansion to ``|u| <= S`` gives an S-variate surrogate.
 For the anchored expansion the truncated sum collapses telescopically into
 a binomially weighted sum of anchored evaluations, which
-:func:`rdd_direct` evaluates without materializing any components; the two
-routes agree pointwise and the test-suite holds them to that.
+:func:`rdd_direct` evaluates without materializing any components, and
+:func:`rdd_direct_sums` at several orders from one pass; the two routes
+agree pointwise and the test-suite holds them to that.
 """
 from __future__ import annotations
 
@@ -111,9 +112,10 @@ class ProblemSpec:
     measure : ProductMeasure
         Independent product measure of the inputs.
     quad_order : int or sequence of int, optional
-        Gauss nodes per coordinate (scalar broadcasts), each an integer of
-        at least 1; numpy integers pass, ``bool`` and non-integers raise
-        ``ValueError``. Default 10.
+        Gauss nodes per coordinate (scalar broadcasts), each an integer in
+        ``[1, GAUSS_MAX_ORDER]``; numpy integers pass, ``bool``,
+        non-integers and orders above the cap raise ``ValueError`` at
+        construction. Default 10.
     """
 
     function: Callable[[np.ndarray], np.ndarray]
@@ -443,7 +445,8 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
     The ``sum_{k<=S} C(N, k)`` anchored evaluations per point run through
     :func:`_anchored` in row blocks of at most ``_ANCHOR_BLOCK_VALUES //
     N`` rows; each row gets the value a single batch would give it, so the
-    block size never changes a result.
+    block size never changes a result.  This is the single-order case of
+    :func:`rdd_direct_sums`.
 
     Parameters
     ----------
@@ -461,23 +464,41 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
     float or ndarray
         Scalar for a single point, else shape ``(m,)``.
     """
+    return rdd_direct_sums(problem, (order,), anchor, x)[0]
+
+
+def rdd_direct_sums(
+    problem: ProblemSpec, orders: Sequence[int], anchor, x
+) -> list[float | np.ndarray]:
+    """The anchored surrogates at several orders, one per entry of `orders`.
+
+    The anchored twin of :meth:`ComponentTable.truncated_sums`: one pass of
+    :func:`_anchored` over the ``sum_{k<=S_max} C(N, k)`` subsets of the
+    largest order, from cardinality ``S_max`` down to 0 (mask order
+    inside), serves every order.  Each order adds only its own subsets,
+    with its own collapsed weights (see :func:`rdd_direct`), in the same
+    sequence as a single-order pass, so every result is bit-for-bit what
+    :func:`rdd_direct` gives for that order.  Repeated orders share one
+    array; `anchor` and `x` are as in :func:`rdd_direct`.
+    """
     N = problem.dim
-    (order,) = _check_orders((order,), N - 1)
+    orders = _check_orders(orders, N - 1)
     X, squeeze = _as_rows(x, N)
     C = _check_anchor(problem, anchor, rows=X.shape[0])
-    # a subset of cardinality s = S - k carries the weight of term k above
-    weight = [
-        (-1) ** (order - s) * comb(N - s - 1, order - s) for s in range(order + 1)
+    top = max(orders)
+    sums = {S: np.zeros(X.shape[0]) for S in orders}
+    # per cardinality s: (order, weight) of every order whose sum holds s
+    terms = [
+        [(S, (-1) ** (S - s) * comb(N - s - 1, S - s)) for S in sums if S >= s]
+        for s in range(top + 1)
     ]
-    subsets = chain.from_iterable(
-        subsets_of_cardinality(N, s) for s in range(order, -1, -1)
-    )
-    out = np.zeros(X.shape[0])
+    subsets = chain.from_iterable(subsets_of_cardinality(N, s) for s in range(top, -1, -1))
     for rows, block in _anchored(problem, C, X, subsets):
-        acc = out[rows]
+        accs = [[(sums[S][rows], w) for S, w in t] for t in terms]
         for u, y in block:
-            acc += weight[u.cardinality] * y
-    return float(out[0]) if squeeze else out
+            for acc, w in accs[u.cardinality]:
+                acc += w * y
+    return [float(sums[S][0]) if squeeze else sums[S] for S in orders]
 
 
 def explicit_component(

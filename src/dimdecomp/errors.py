@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb, fsum
-from typing import Mapping, Protocol, runtime_checkable
+from operator import mul
+from typing import Iterator, Mapping, Protocol, runtime_checkable
 
 from dimdecomp.subsets import _check_orders
 
@@ -213,24 +214,50 @@ def _decay_term(coeff: int, dim: int, s: int, rate: float, scale: float) -> floa
         )
 
 
+def _amplification_rows(dim: int) -> Iterator[list[int]]:
+    """Yield ``[1 + b_S(s) for s = S+1 .. dim]`` for ``S = 0 .. dim - 1``,
+    as exact integers.
+
+    With ``m = s - S >= 1`` no binomial of :func:`coeff_b` needs a reflected
+    argument, so one Pascal triangle ``P`` (rows ``0 .. dim``) and the
+    squares ``Q[m][k] = C(m + k - 1, k)**2 = P[m + k - 1][k]**2`` make every
+    entry one integer dot product,
+    ``b_S(s) = sum_{k<=S} Q[s - S][k] * P[s][S - k]``.  Order ``S`` reads
+    ``Q[m][:S + 1]`` for ``m <= dim - S`` only, so ``Q`` gains column ``S``
+    as order ``S`` starts and drops the rows no later order reads: at most
+    about ``dim**2 / 4`` squares are held at once, not ``dim**2 / 2``.
+    """
+    P = [[1]]
+    for _ in range(dim):
+        row = P[-1]
+        P.append([1, *map(sum, zip(row, row[1:])), 1])
+    Q = [[] for _ in range(dim + 1)]
+    for S in range(dim):
+        del Q[dim - S + 1 :]
+        for m in range(1, dim - S + 1):
+            Q[m].append(P[m + S - 1][S] ** 2)
+        yield [1 + sum(map(mul, Q[s - S], P[s][S::-1])) for s in range(S + 1, dim + 1)]
+
+
 def decay_curves(model: DecayModel) -> list[DecayPoint]:
     """Error-vs-order sweep ``S = 0 .. N-1`` under the decay model.
 
     The integration-based error only sheds variance as S grows, so it is
     strictly decreasing.  The anchored budget multiplies each shed term by
     its amplification factor and can *rise* with S when the decay is slow —
-    the crossover this table is built to expose.
+    the crossover this table is built to expose.  The factors come from one
+    exact table per call (:func:`_amplification_rows`) and the unamplified
+    terms are computed once, so every float equals the one a term-by-term
+    :func:`coeff_b` sweep gives.
     """
+    N, rate, scale = model.dim, model.rate, model.scale
+    shed = [_decay_term(1, N, s, rate, scale) for s in range(N + 1)]
     out = []
     total = model.total_variance
-    for order in range(model.dim):
-        e_add = fsum(
-            _decay_term(1, model.dim, s, model.rate, model.scale)
-            for s in range(order + 1, model.dim + 1)
-        )
+    for order, coeffs in enumerate(_amplification_rows(N)):
+        e_add = fsum(shed[order + 1 :])
         e_rdd = fsum(
-            _decay_term(1 + coeff_b(order, s), model.dim, s, model.rate, model.scale)
-            for s in range(order + 1, model.dim + 1)
+            _decay_term(c, N, s, rate, scale) for s, c in enumerate(coeffs, order + 1)
         )
         out.append(
             DecayPoint(

@@ -28,6 +28,7 @@ from dimdecomp.decomp import (
     ProblemSpec,
     _check_anchor,
     rdd_direct,
+    rdd_direct_sums,
 )
 from dimdecomp.errors import add_error
 from dimdecomp.subsets import _check_orders, all_subsets_up_to
@@ -181,17 +182,35 @@ def mc_expected_rdd_error(
     Each pair draws a point X and an anchor C independently from the input
     measure (in that order within every chunk) and samples
     ``(y(X) - yhat_S(X; C))**2`` — the double expectation the exact budget
-    ``sum_{s>S} (1 + b_S(s)) V_s`` predicts.
+    ``sum_{s>S} (1 + b_S(s)) V_s`` predicts.  The single-order case of
+    :func:`mc_expected_rdd_errors`.
+    """
+    return mc_expected_rdd_errors(problem, (order,), n_pairs, seed)[0]
+
+
+def mc_expected_rdd_errors(
+    problem: ProblemSpec, orders: Sequence[int], n_pairs: int, seed: int
+) -> list[McEstimate]:
+    """:func:`mc_expected_rdd_error` at several orders, one estimate per
+    entry of `orders`.
+
+    All orders share every draw of X and C, the target values and one
+    anchored pass over the ``|u| <= max(orders)`` subsets (see
+    :func:`rdd_direct_sums`), so each pair costs
+    ``1 + count_up_to(N, max(orders))`` target evaluations, and each
+    estimate is bit-for-bit what a single-order call with the same seed
+    gives.  Orders are checked before any draw.
     """
     _check_n(n_pairs, MIN_PAIRS, "mc_expected_rdd_error")
-    _check_orders((order,), problem.dim - 1)
+    orders = _check_orders(orders, problem.dim - 1)
 
-    def squared_gap(rng, m):
+    def squared_gaps(rng, m):
         X = problem.measure.sample(rng, m)
         C = problem.measure.sample(rng, m)
-        return [(problem.evaluate(X) - rdd_direct(problem, order, C, X)) ** 2]
+        y = problem.evaluate(X)
+        return ((y - r) ** 2 for r in rdd_direct_sums(problem, orders, C, X))
 
-    return _sampled(n_pairs, np.random.default_rng(seed), seed, 1, squared_gap)[0]
+    return _sampled(n_pairs, np.random.default_rng(seed), seed, len(orders), squared_gaps)
 
 
 @dataclass(frozen=True)

@@ -189,17 +189,16 @@ def gauss_rule(marginal: MarginalMeasure, order: int) -> QuadratureRule:
     marginal : MarginalMeasure
     order : int
         Number of nodes, ``1 <= order <= GAUSS_MAX_ORDER`` (64); the cap
-        guards against accidentally huge rules.
+        guards against accidentally huge rules.  Checked by
+        :func:`_check_quad_orders`, so ``bool`` and non-integers raise
+        ``ValueError``.
 
     Returns
     -------
     QuadratureRule
         Nodes ascending, weights positive and summing to one.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be at least 1")
-    if order > GAUSS_MAX_ORDER:
-        raise ValueError(f"quadrature order {order} exceeds the cap {GAUSS_MAX_ORDER}")
+    (order,) = _check_quad_orders((order,), 1)
     if marginal.kind == _UNIFORM:
         x, w = np.polynomial.legendre.leggauss(order)
         lo, hi = marginal.lo, marginal.hi
@@ -240,7 +239,8 @@ def product_rules(
 
 
 def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:
-    """Gauss nodes per coordinate as `dim` ints, each at least 1.
+    """Gauss nodes per coordinate as `dim` ints, each in
+    ``[1, GAUSS_MAX_ORDER]`` (the cap is read at call time).
 
     A scalar broadcasts to every coordinate.  Numpy integers pass (as a
     scalar or in a sequence); ``bool`` and non-integers raise
@@ -257,6 +257,8 @@ def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:
             raise ValueError(f"quadrature order must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("quadrature orders must be at least 1")
+        if n > GAUSS_MAX_ORDER:
+            raise ValueError(f"quadrature order {n} exceeds the cap {GAUSS_MAX_ORDER}")
     return tuple(int(n) for n in orders)
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from dimdecomp import cli
 from dimdecomp.cli import RunConfig, _build_parser, load_config, main
+from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
 
 
 def write_config(tmp_path: Path, data: dict) -> str:
@@ -144,6 +146,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all checks passed" in out
 
+    def test_one_anchored_sweep_for_all_orders(self, tmp_path, monkeypatch):
+        # one call for every order, sized by the estimator's own pair floor
+        calls = []
+
+        def recorded(problem, orders, n_pairs, seed):
+            calls.append((tuple(orders), n_pairs, seed))
+            return mc_expected_rdd_errors(problem, orders, n_pairs, seed)
+
+        monkeypatch.setattr(cli, "mc_expected_rdd_errors", recorded)
+        cfg = write_config(
+            tmp_path,
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 1000, "seed": 7}},
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        assert calls == [((0, 1, 2), MIN_PAIRS, 8)]
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        gates = [c["name"] for c in report["checks"] if c["name"].startswith("mc_gate_")]
+        assert gates == [f"mc_gate_{kind}_S{s}" for s in range(3) for kind in ("add", "rdd")]
+
     def test_fault_injection_is_caught_and_named(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -268,6 +289,19 @@ class TestConfigHandling:
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", [None, [1], "", 5, {"dir": "x"}, True])
+    def test_out_must_be_a_nonempty_string(self, tmp_path, capsys, monkeypatch, out):
+        # {"out": null} wrote into ./None, {"out": [1]} into ./[1]
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {**BASE, "out": out})
+        assert main(["decompose", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out must be a nonempty string")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert main(["contrived", "--out", ""]) == 1
+        assert "out must be a nonempty string" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,extra,message",

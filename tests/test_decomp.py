@@ -30,6 +30,7 @@ from dimdecomp import (
     make_function,
     mc_add_error,
     rdd_direct,
+    rdd_direct_sums,
     strict_subsets,
     subsets_of_cardinality,
 )
@@ -783,6 +784,50 @@ class TestAnchoredKernel:
         want = batches(list(all_subsets_up_to(dim, order)), C[0])
         assert len(seen) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    @pytest.mark.parametrize(
+        "make,dim,orders",
+        [
+            (product_linear_problem, 5, range(5)),
+            (product_linear_problem, 5, (3, 0, 3, 1)),
+            (sobol_g_problem, 6, (2, 4)),
+            (sobol_g_problem, 20, (0, 2, 1)),
+        ],
+    )
+    def test_sums_equal_one_call_per_order(self, monkeypatch, block_rows, make, dim, orders):
+        # one anchored pass serves every order, bit for bit, and evaluates
+        # only the subsets of the largest order: m * count_up_to(N, S_max) rows
+        m = 50
+        if block_rows is not None:
+            monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+        lo = -1.0 if make is product_linear_problem else 0.0
+        g = rng(dim)
+        X = g.uniform(lo, 1.0, (m, dim))
+        C = g.uniform(lo, 1.0, (m, dim))
+        p, seen = counted(make(dim))
+        for anchor in (C[0], C):
+            seen.clear()
+            got = rdd_direct_sums(p, orders, anchor, X)
+            assert sum(len(b) for b in seen) == m * count_up_to(dim, max(orders))
+            assert max(len(b) for b in seen) <= (block_rows or m)
+            want = [rdd_direct(p, S, anchor, X) for S in orders]
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        point = rdd_direct_sums(p, orders, C[0], X[0])
+        assert point == [rdd_direct(p, S, C[0], X[0]) for S in orders]
+        assert all(isinstance(v, float) for v in point)
+
+    def test_sums_check_orders_before_any_target_call(self):
+        p, seen = counted(product_linear_problem(3))
+        for bad in ((), 1, (1, 3), (-1,), (1.5,), (True,), None):
+            with pytest.raises(ValueError):
+                rdd_direct_sums(p, bad, np.zeros(3), np.zeros(3))
+        # the single-order route takes one integer order, never a sequence
+        for bad in ((1,), [0, 1], np.arange(2)):
+            with pytest.raises(ValueError):
+                rdd_direct(p, bad, np.zeros(3), np.zeros(3))
+        assert seen == []
 
     def test_row_blocks_bound_the_transient_memory(self):
         # the whole batch is never copied: one (m, N) Fortran buffer of

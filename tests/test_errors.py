@@ -21,6 +21,7 @@ from dimdecomp import (
     pmin_for_N,
     rdd_expected_error,
 )
+from dimdecomp.errors import _amplification_rows, _decay_term
 
 
 def frac_binomial(r: int, k: int) -> Fraction:
@@ -231,12 +232,34 @@ class TestDecayModel:
         assert pts[-1].e_rdd_normalized > 0.0
 
     def test_term_overflow_falls_back_to_logs(self):
-        from dimdecomp.errors import _decay_term
-
         # coefficient and rate**s both overflow float, the quotient does not:
         # 10**400 * C(350, 350) / 10**350 == 1e50 exactly
         got = _decay_term(10**400, 350, 350, 10.0, 1.0)
         assert got == pytest.approx(1e50, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 120])
+    def test_amplification_table_is_one_plus_coeff_b(self, dim):
+        table = list(_amplification_rows(dim))
+        assert len(table) == dim
+        for S, row in enumerate(table):
+            assert row == [1 + coeff_b(S, s) for s in range(S + 1, dim + 1)]
+
+    def test_sweep_equals_term_by_term_coefficients(self):
+        # the figure1 sweep at the paper's N = 100, float for float
+        dim = 100
+        for rate in (5.0, 50.0):
+            model = DecayModel(dim=dim, rate=rate, scale=1.0)
+            pts = decay_curves(model)
+            assert [pt.order for pt in pts] == list(range(dim))
+            for pt in pts:
+                S = pt.order
+                missing = range(S + 1, dim + 1)
+                e_add = math.fsum(_decay_term(1, dim, s, rate, 1.0) for s in missing)
+                e_rdd = math.fsum(
+                    _decay_term(1 + coeff_b(S, s), dim, s, rate, 1.0) for s in missing
+                )
+                assert (pt.e_add, pt.e_rdd) == (e_add, e_rdd)
+                assert pt.e_rdd_normalized == e_rdd / model.total_variance
 
     def test_matches_product_linear_spectrum(self, plin4_vmap):
         # rate 3, scale 1 reproduces the product-linear variance layout

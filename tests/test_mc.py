@@ -12,12 +12,13 @@ from dimdecomp import (
     check_form_equivalence,
     mc_add_error,
     mc_expected_rdd_error,
+    mc_expected_rdd_errors,
     mc_rdd_error,
     optimality_probe,
     rdd_direct,
     worker_seed,
 )
-from dimdecomp import mc
+from dimdecomp import count_up_to, mc
 from dimdecomp.mc import DEFAULT_CHUNK
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
@@ -188,6 +189,62 @@ class TestExpectedRddSampling:
         a = mc_expected_rdd_error(plin3, 1, n_pairs=10_000, seed=3)
         b = mc_expected_rdd_error(plin3, 1, n_pairs=10_000, seed=3)
         assert a == b
+
+
+class TestExpectedRddOrders:
+    @pytest.mark.parametrize(
+        "make,dim,orders",
+        [
+            (product_linear_problem, 3, range(3)),
+            (product_linear_problem, 5, (3, 0, 3, 1)),
+            (sobol_g_problem, 5, range(5)),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 4096])
+    def test_equals_one_call_per_order(self, make, dim, orders, chunk, monkeypatch):
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
+        p = make(dim)
+        got = mc_expected_rdd_errors(p, orders, 10_000, 21)
+        want = [mc_expected_rdd_error(p, s, 10_000, 21) for s in orders]
+        assert got == want  # mean, std_error, n and seed, bit for bit
+
+        def per_order(s):
+            # one order per pass: draw X then C, gap against rdd_direct
+            def squared_gap(rng, m):
+                X = p.measure.sample(rng, m)
+                C = p.measure.sample(rng, m)
+                return [(p.evaluate(X) - rdd_direct(p, s, C, X)) ** 2]
+
+            return mc._sampled(10_000, np.random.default_rng(21), 21, 1, squared_gap)[0]
+
+        assert got == [per_order(s) for s in orders]
+
+    def test_one_draw_and_one_anchored_pass_for_all_orders(self, monkeypatch):
+        # per pair: one target row for y(X) and count_up_to(N, S_max) anchored
+        # rows, whatever the number of orders
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", 4096)
+        dim, n = 5, 10_000
+        p, seen = counted(product_linear_problem(dim))
+        mc_expected_rdd_errors(p, (1, 3, 0, 2), n, 4)
+        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 3))
+        seen.clear()
+        mc_expected_rdd_error(p, 3, n, 4)
+        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 3))
+
+    def test_orders_checked_before_any_draw(self, plin3, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the orders were checked")
+
+        monkeypatch.setattr(ProductMeasure, "sample", no_draw)
+        for bad in ((), 1, (0, 3), (-1,), (1.5,), (True,)):
+            with pytest.raises(ValueError):
+                mc_expected_rdd_errors(plin3, bad, 10_000, 0)
+        with pytest.raises(ValueError, match="at least"):
+            mc_expected_rdd_errors(plin3, (0, 1), 9_999, 0)
+        # the single-order estimator takes one integer order, never a sequence
+        for bad in ((1,), [0, 1]):
+            with pytest.raises(ValueError):
+                mc_expected_rdd_error(plin3, bad, 10_000)
 
 
 class TestOptimalityProbe:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dimdecomp import measures
+from dimdecomp import ProblemSpec, measures
 from dimdecomp.measures import (
     GAUSS_MAX_ORDER,
     MarginalMeasure,
@@ -125,6 +125,13 @@ class TestGaussRules:
         rule = gauss_rule(NORMAL, 80)
         assert rule.order == 80
 
+    @pytest.mark.parametrize("order", [True, 2.0, np.float64(3.0), "3", [3], None])
+    def test_order_goes_through_the_one_validator(self, order):
+        # True is no 1-node rule, 2.0 no numpy TypeError
+        with pytest.raises(ValueError, match="quadrature order must be an integer"):
+            gauss_rule(NORMAL, order)
+        assert gauss_rule(NORMAL, np.int64(3)).order == 3
+
     def test_rule_arrays_are_frozen(self):
         rule = gauss_rule(NORMAL, 4)
         with pytest.raises(ValueError):
@@ -167,6 +174,22 @@ class TestProductMeasure:
         m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
         with pytest.raises(ValueError, match="quadrature order"):
             product_rules(m, orders)
+
+    def test_cap_is_checked_with_the_orders(self, monkeypatch):
+        m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
+
+        def f(x):
+            return x[..., 0]
+
+        for orders in (GAUSS_MAX_ORDER + 1, (3, GAUSS_MAX_ORDER + 1)):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                product_rules(m, orders)
+            # at construction, not at the first use of the rules
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                ProblemSpec(f, m, orders)
+        assert ProblemSpec(f, m, GAUSS_MAX_ORDER).orders == (GAUSS_MAX_ORDER,) * 2
+        monkeypatch.setattr(measures, "GAUSS_MAX_ORDER", 128)
+        assert ProblemSpec(f, m, 80).orders == (80, 80)
 
     @pytest.mark.parametrize("orders", [np.int64(3), (np.int64(3), 3), np.array([3, 3])])
     def test_rules_accept_numpy_integers(self, orders):
