@@ -62,8 +62,8 @@ RDD = "RDD"
 DEFAULT_MAX_GRID_POINTS = 4_000_000
 #: an ADD table stores prod(q_j + 1) values; this caps it at 128 MiB of float64
 MAX_TABLE_VALUES = 1 << 24
-# rows per call of the target on the tensor grid; bounds the transient
-# index, point and function-temporary arrays of grid evaluation
+# rows per call of the target on the tensor grid; bounds the point buffer
+# and function-temporary arrays of grid evaluation
 _EVAL_CHUNK = 65_536
 # values held per row block by off-grid ADD evaluation: the block's
 # Khatri-Rao factors and its largest GEMM output together (32 MiB); rows per
@@ -106,9 +106,11 @@ class ProblemSpec:
         value.
         Batches may be column-major and read-only: the anchored kernel
         passes row blocks of its points, reusing one Fortran-ordered
-        buffer per block across calls.  The function must not write into
-        its input (a read-only batch raises ``ValueError``) and must call
-        ``np.ascontiguousarray`` itself if it needs C order.
+        buffer per block across calls, and the tensor grid of
+        :func:`build_add` reuses one C-ordered buffer for all its chunks.
+        The function must not write into its input (a read-only batch
+        raises ``ValueError``) and must call ``np.ascontiguousarray``
+        itself if it needs C order.
     measure : ProductMeasure
         Independent product measure of the inputs.
     quad_order : int or sequence of int, optional
@@ -372,7 +374,9 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
     Follows the operator form ``y_u = prod_{j in u} (I - P_j)
     prod_{j not in u} P_j y``, where ``P_j`` is Gauss quadrature over
     coordinate ``j``.  The target is evaluated once on the full tensor grid
-    (``prod q_j`` evaluations, in chunks).  One top-down sweep of the subset
+    (``prod q_j`` evaluations), in chunks of at most ``_EVAL_CHUNK`` rows
+    that cover the grid in C order and share one read-only point buffer
+    (see :func:`_evaluate_full_grid`).  One top-down sweep of the subset
     lattice then forms every conditional mean ``M_u`` from its parent
     ``M_{u + {j}}`` by a single one-axis contraction, and each mean becomes
     its component in place by applying ``I - P_j`` along its own axes.  The
@@ -870,20 +874,46 @@ def _anchored_block(
 
 
 def _evaluate_full_grid(problem: ProblemSpec) -> np.ndarray:
+    """Target values on the full tensor Gauss grid, of shape ``orders``.
+
+    Chunks of at most ``_EVAL_CHUNK`` rows cover the grid in C order.  The
+    trailing block, the longest run of last axes with at most
+    ``_EVAL_CHUNK`` points, lies whole in every chunk, and a chunk holds as
+    many consecutive index tuples of the leading axes as fit.  One
+    C-ordered ``(rows, dim)`` buffer serves every chunk: its trailing
+    columns are written once, and each chunk rewrites only the leading
+    ones.  The target sees a read-only view of it.
+    """
     orders = problem.orders
-    total = int(np.prod(orders))
+    total = prod(orders)
     if total > DEFAULT_MAX_GRID_POINTS:
         raise ValueError(
             f"tensor grid has {total} points, over the budget {DEFAULT_MAX_GRID_POINTS}"
         )
     nodes = [r.nodes for r in problem.rules]
     N = problem.dim
+    t, T = N, 1  # the trailing block: axes t.. with T points
+    while t and T * orders[t - 1] <= _EVAL_CHUNK:
+        t -= 1
+        T *= orders[t]
+    n_lead = total // T
+    step = min(_EVAL_CHUNK // T, n_lead)
+    # allocated before the point buffer: the other order raised the peak
+    # RSS of add_grid runs by about 3 MiB through heap layout alone
     vals = np.empty(total)
-    for start in range(0, total, _EVAL_CHUNK):
-        flat = np.arange(start, min(start + _EVAL_CHUNK, total))
-        multi = np.unravel_index(flat, orders)
-        pts = np.column_stack([nodes[j][multi[j]] for j in range(N)])
-        vals[flat] = problem.evaluate(pts)
+    Z = np.empty((step, T, N))
+    if t < N:
+        tail = np.meshgrid(*nodes[t:], indexing="ij")
+        Z[:, :, t:] = np.stack(tail, axis=-1).reshape(T, N - t)
+    batch = Z.reshape(step * T, N)
+    batch.flags.writeable = False
+    for start in range(0, n_lead, step):
+        n = min(step, n_lead - start)
+        if t:
+            lead = np.unravel_index(np.arange(start, start + n), orders[:t])
+            lead_pts = np.column_stack([nodes[k][i] for k, i in enumerate(lead)])
+            Z[:n, :, :t] = lead_pts[:, None, :]
+        vals[start * T : (start + n) * T] = problem.evaluate(batch[: n * T])
     return vals.reshape(orders)
 
 
@@ -903,9 +933,10 @@ def _along(arr: np.ndarray, mask: int, j: int) -> tuple[np.ndarray, tuple[int, .
 
 def _expectation(arr, weights: Sequence[np.ndarray]) -> float:
     """Gauss expectation of a subgrid array: axis ``k`` is integrated
-    against ``weights[k]``, contracting the last axis first."""
+    against ``weights[k]``, contracting the last axis first, one
+    matrix-vector product per axis."""
     for k in reversed(range(np.ndim(arr))):
-        arr = np.tensordot(arr, weights[k], axes=([k], [0]))
+        arr = np.dot(arr.reshape(-1, arr.shape[-1]), weights[k]).reshape(arr.shape[:-1])
     return float(arr)
 
 
@@ -944,7 +975,7 @@ def _conditional_mean(
     N = problem.dim
     rest = [j for j in range(N) if j not in set(coords)]
     orders = problem.orders
-    total = int(np.prod([orders[j] for j in rest])) if rest else 1
+    total = prod(orders[j] for j in rest)
     if total > DEFAULT_MAX_GRID_POINTS:
         raise ValueError(
             f"conditional-mean grid has {total} points, over the budget "

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from dimdecomp import cli
 from dimdecomp.cli import RunConfig, _build_parser, load_config, main
+from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
 
 
@@ -164,6 +166,30 @@ class TestVerify:
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         gates = [c["name"] for c in report["checks"] if c["name"].startswith("mc_gate_")]
         assert gates == [f"mc_gate_{kind}_S{s}" for s in range(3) for kind in ("add", "rdd")]
+
+    def test_add_gates_target_the_error_budget(self, tmp_path, monkeypatch):
+        # each mc_gate_add_S{s} compares with the budget's e_add, shifted
+        # here so that no other sum of the same variances can match it
+        budgets, targets = [], {}
+        gate = cli._mc_gate
+
+        def shifted(order, vmap):
+            budget = rdd_expected_error(order, vmap)
+            budgets.append(dataclasses.replace(budget, e_add=1.5 + order))
+            return budgets[-1]
+
+        def recorded(name, est, target):
+            targets[name] = target
+            return gate(name, est, target)
+
+        monkeypatch.setattr(cli, "rdd_expected_error", shifted)
+        monkeypatch.setattr(cli, "_mc_gate", recorded)
+        cfg = write_config(
+            tmp_path,
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 1000, "seed": 7}},
+        )
+        main(["verify", "--config", cfg])
+        assert [targets[f"mc_gate_add_S{b.order}"] for b in budgets] == [1.5, 2.5, 3.5]
 
     def test_fault_injection_is_caught_and_named(self, tmp_path, capsys):
         cfg = write_config(

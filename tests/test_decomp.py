@@ -195,6 +195,54 @@ class TestAddBuild:
             build_add(p)
 
 
+class TestFullGrid:
+    @pytest.mark.parametrize("make", [product_linear_problem, sobol_g_problem])
+    @pytest.mark.parametrize(
+        "chunk, dim, q",
+        [
+            # a 10**4-point trailing block, 6 leading tuples per chunk and
+            # a ragged last chunk of 4
+            (None, 6, 10),
+            (None, 10, 3),  # the whole grid in one chunk
+            (None, 3, (7, 64, 50)),
+            (None, 3, (64, 64, 3)),
+            (None, 1, 13),
+            # 7 rows per call, below one axis length: chunks of single
+            # points, of one trailing block, or of several with a ragged
+            # last one
+            (7, 3, 10),
+            (7, 2, (5, 3)),
+            (7, 4, (7, 12, 5, 9)),
+            (7, 1, 13),
+        ],
+    )
+    def test_target_on_meshgrid_points_in_bounded_calls(
+        self, monkeypatch, make, chunk, dim, q
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(decomp, "_EVAL_CHUNK", chunk)
+        problem = make(dim, quad_order=q)
+        p, seen = counted(problem)
+        got = decomp._evaluate_full_grid(p)
+        mesh = np.meshgrid(*[r.nodes for r in p.rules], indexing="ij")
+        pts = np.stack(mesh, axis=-1).reshape(-1, dim)
+        assert np.array_equal(got, problem.function(pts).reshape(p.orders))
+        # each point once, in C order, in calls of at most one chunk
+        start = 0
+        for rows in seen:
+            assert len(rows) <= decomp._EVAL_CHUNK
+            assert np.array_equal(rows, pts[start : start + len(rows)])
+            start += len(rows)
+        assert start == math.prod(p.orders)
+
+    def test_target_returning_a_view_of_its_batch(self):
+        # y = x_1, a leading column the next chunk rewrites
+        p = product_linear_problem(6)
+        p = ProblemSpec(lambda x: x[..., 0], p.measure, p.quad_order)
+        want = np.broadcast_to(p.rules[0].nodes[:, None], (10, 10**5)).reshape(p.orders)
+        assert np.array_equal(decomp._evaluate_full_grid(p), want)
+
+
 class TestAddEvaluation:
     def test_truncated_full_order_reproduces_grid_points(self, plin3, plin3_table):
         nodes = [r.nodes for r in plin3.rules]
@@ -873,8 +921,9 @@ class TestAnchoredKernel:
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-9
 
     def test_target_writing_into_its_batch_raises(self, plin3):
-        # the kernel reuses its buffer: a target that wrote into it would
-        # corrupt later evaluations, so it sees a read-only view
+        # the kernel and the tensor grid reuse their buffers: a target that
+        # wrote into one would corrupt later evaluations, so it sees a
+        # read-only view
         def clobbering(x):
             x[..., 0] = 0.0
             return np.ones(x.shape[:-1])
@@ -889,6 +938,8 @@ class TestAnchoredKernel:
         u = VariableSubset.from_indices([0, 2], 3)
         with pytest.raises(ValueError, match="read-only"):
             explicit_component(p, u, RDD, X[0, [0, 2]], anchor=c)
+        with pytest.raises(ValueError, match="read-only"):
+            build_add(p)
 
     def test_target_returning_a_view_of_its_batch(self, plin3):
         # y = x_1 is returned as a column of the buffer itself; the kernel
@@ -926,6 +977,15 @@ class TestExplicitComponent:
             direct = explicit_component(p, u, RDD, x_u, anchor=c)
             recursive = float(t.component(u, x_u))
             assert direct == pytest.approx(recursive, rel=1e-10, abs=1e-12)
+
+    def test_add_route_budget_counts_without_overflow(self):
+        # 16**16 = 2**64 points wrap to 0 in int64 arithmetic and would pass
+        # the budget check
+        p, seen = counted(product_linear_problem(17, quad_order=16))
+        u = VariableSubset.from_indices([1], 17)
+        with pytest.raises(ValueError, match="budget"):
+            explicit_component(p, u, ADD, [0.5])
+        assert seen == []
 
     def test_empty_subset_gives_the_mean(self, plin3):
         u = VariableSubset.empty(3)

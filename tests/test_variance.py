@@ -17,6 +17,7 @@ from dimdecomp import (
     variance_closure_residual,
     variance_components,
 )
+from dimdecomp.decomp import _expectation
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
 
@@ -161,3 +162,18 @@ def test_variance_map_requires_complete_cover(plin3_vmap):
     partial = {k: v for k, v in plin3_vmap.sigma2.items() if k != 5}
     with pytest.raises(ValueError):
         VarianceMap(dim=3, y_empty=1.0, sigma2=partial, total=plin3_vmap.total)
+
+
+def nested_tensordot_expectation(arr, weights):
+    for k in reversed(range(np.ndim(arr))):
+        arr = np.tensordot(arr, weights[k], axes=([k], [0]))
+    return float(arr)
+
+
+@pytest.mark.parametrize("ndim", range(11))
+def test_expectation_equals_nested_tensordot(ndim):
+    g = np.random.default_rng(ndim)
+    shape = tuple(int(n) for n in g.integers(1, 4 if ndim > 6 else 12, ndim))
+    arr = g.standard_normal(shape)
+    weights = [g.uniform(0.0, 1.0, n) for n in shape]
+    assert _expectation(arr, weights) == nested_tensordot_expectation(arr, weights)
