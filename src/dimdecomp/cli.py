@@ -422,8 +422,9 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
 
     table = build_add(problem)
     if corrupt_table:
-        # test hook: break the first univariate component's zero mean
-        table._components[1] = table._components[1] + 1e-3 * table.scale
+        # test hook: break the first univariate component's zero mean, in
+        # place, so every check that reads the table array sees it
+        table._components[1] += 1e-3 * table.scale
     checks.extend(check_add_structure(table))
 
     vmap = variance_components(table, check_closure=False)

@@ -7,9 +7,11 @@ Two constructions of the split are built here:
 * **ADD** (:func:`build_add`) defines components by integration against the
   input product measure.  Every nonempty component has zero mean in each of
   its own coordinates and distinct components are orthogonal, so variances
-  add across subsets.  Components are stored on tensor subgrids of the
-  per-coordinate Gauss nodes and evaluated at any point by barycentric
-  interpolation, which reproduces the stored values exactly at the nodes.
+  add across subsets.  All components live in one array with, per axis,
+  the Gauss nodes plus one slot for "integrated out", so the build, the
+  variances and the structure checks are ``N`` axis passes each.  They are
+  evaluated at any point by barycentric interpolation, which reproduces the
+  stored values exactly at the nodes.
   Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
   products of cardinal matrices), one for each half of a component's
   coordinates, so every component costs one GEMM, and a block of rows
@@ -187,11 +189,11 @@ class AnchoredApprox:
 class ComponentTable:
     """Components of a built decomposition, queried by subset.
 
-    ADD tables hold component values on tensor subgrids of the Gauss nodes
-    and evaluate them anywhere by barycentric interpolation (the weights are
-    computed on first use).  RDD tables hold no values: components are
-    reproduced on demand from anchored evaluations of the target, memoized
-    within each row block of a call.
+    ADD tables hold component values on tensor subgrids of the Gauss nodes,
+    views of one array (see :func:`build_add`), and evaluate them anywhere
+    by barycentric interpolation (weights computed on first use).  RDD
+    tables hold no values: components are reproduced on demand from
+    anchored evaluations of the target, memoized per row block of a call.
 
     Build through :func:`build_add` / :func:`build_rdd`, not directly.
     """
@@ -203,7 +205,7 @@ class ComponentTable:
         y_empty: float,
         *,
         anchor: np.ndarray | None = None,
-        components: dict[int, np.ndarray] | None = None,
+        components: np.ndarray | None = None,
         full_values: np.ndarray | None = None,
     ) -> None:
         if kind not in (ADD, RDD):
@@ -211,12 +213,13 @@ class ComponentTable:
         if kind == RDD and anchor is None:
             raise ValueError("an RDD table needs an anchor")
         if kind == ADD and components is None:
-            raise ValueError("an ADD table needs component grids")
+            raise ValueError("an ADD table needs its component array")
         self.kind = kind
         self.problem = problem
         self.y_empty = float(y_empty)
         self.anchor = anchor
-        self._components = components or {}
+        self._array = components
+        self._components = _ComponentViews(components) if kind == ADD else {}
         self._full_values = full_values
 
     @property
@@ -230,7 +233,8 @@ class ComponentTable:
 
     def masks(self) -> list[int]:
         """Masks of stored components (ADD) in (cardinality, mask) order."""
-        return sorted(self._components, key=lambda m: (m.bit_count(), m))
+        stored = range(1, 1 << self.dim) if self.kind == ADD else ()
+        return sorted(stored, key=lambda m: (m.bit_count(), m))
 
     def grid_values(self, u: VariableSubset) -> np.ndarray | float:
         """ADD component values on the subgrid of `u` (a scalar for ``u = {}``)."""
@@ -253,9 +257,10 @@ class ComponentTable:
         X, squeeze = _as_rows(x, u.cardinality)
         if self.kind == ADD:
             coords = u.indices()
+            vals = np.ascontiguousarray(self._components[u.mask])  # once, not per block
             out = np.empty(X.shape[0])
             for rows in self._row_blocks(X.shape[0], coords):
-                out[rows] = _Interpolant(self, X[rows], coords)(self._components[u.mask], coords)
+                out[rows] = _Interpolant(self, X[rows], coords)(vals, coords)
         else:
             out = self._rdd_component_at(u, X)
         return float(out[0]) if squeeze else out
@@ -339,16 +344,18 @@ class ComponentTable:
         `grids` (by subset mask, the table's layout) plus `constant`.
 
         Serves the table's own components and any same-shaped arrays (the
-        perturbations of :func:`dimdecomp.mc.optimality_probe`) alike.
+        perturbations of :func:`dimdecomp.mc.optimality_probe`) alike, each
+        made C-contiguous once per call rather than once per row block.
         """
         sums = {s: np.empty(X.shape[0]) for s in orders}
-        top = max(orders)
+        subsets = list(all_subsets_up_to(self.dim, max(orders)))
+        dense = {u.mask: np.ascontiguousarray(grids[u.mask]) for u in subsets if u.mask}
         for rows in self._row_blocks(X.shape[0]):
             block = X[rows]
             interp = _Interpolant(self, block, range(self.dim))
             parts = (
-                (u, interp(grids[u.mask], u.indices()) if u.mask else constant)
-                for u in all_subsets_up_to(self.dim, top)
+                (u, interp(dense[u.mask], u.indices()) if u.mask else constant)
+                for u in subsets
             )
             _running_sums(parts, sums, rows, len(block))
         return sums
@@ -365,6 +372,19 @@ class ComponentTable:
         return out
 
 
+class _ComponentViews(dict):
+    """ADD components by subset mask: views of the one table array (see
+    :func:`build_add`), made on first use; writing one writes the table."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __missing__(self, mask: int) -> np.ndarray:
+        idx = (slice(n - 1) if mask >> j & 1 else n - 1 for j, n in enumerate(self.array.shape))
+        view = self[mask] = self.array[tuple(idx)]
+        return view
+
+
 # -- builders --------------------------------------------------------------
 
 
@@ -376,13 +396,18 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
     coordinate ``j``.  The target is evaluated once on the full tensor grid
     (``prod q_j`` evaluations), in chunks of at most ``_EVAL_CHUNK`` rows
     that cover the grid in C order and share one read-only point buffer
-    (see :func:`_evaluate_full_grid`).  One top-down sweep of the subset
-    lattice then forms every conditional mean ``M_u`` from its parent
-    ``M_{u + {j}}`` by a single one-axis contraction, and each mean becomes
-    its component in place by applying ``I - P_j`` along its own axes.  The
-    table stores ``prod (q_j + 1)`` values and costs one contraction per
-    subset, plus ``|u|`` centering passes per component.  On a Gauss grid
-    zero means, orthogonality and grid exactness hold to roundoff by
+    (see :func:`_evaluate_full_grid`).
+
+    All components live in one C-ordered array ``T`` of shape
+    ``(q_1 + 1, ..., q_N + 1)``: along axis ``j``, index ``i < q_j`` means
+    "``j`` in ``u``, at node ``i``" and the slot ``q_j`` means "integrated
+    out".  Component ``u`` is the view taking ``:q_j`` on its own axes and
+    the slot on the others; the all-slot entry is the mean.  ``T`` is the
+    Kronecker operator ``(x)_j [I - 1 w_j^T; w_j^T]`` applied to the grid:
+    in 2N axis passes, last axis first, each axis gets its slot (the Gauss
+    sum over its nodes) and then has the slot subtracted from its nodes,
+    skipping the still-zero slots of the axes not yet passed.  On a Gauss
+    grid zero means, orthogonality and grid exactness hold to roundoff by
     construction.
 
     Builds whose full tensor grid exceeds ``DEFAULT_MAX_GRID_POINTS``
@@ -399,31 +424,22 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
         An ADD table holding all ``2**dim`` components, evaluable at any
         point by barycentric interpolation.
     """
-    N = problem.dim
-    table_values = prod(q + 1 for q in problem.orders)
+    q = problem.orders
+    table_values = prod(n + 1 for n in q)
     if table_values > MAX_TABLE_VALUES:
         raise ValueError(
             f"ADD table needs {table_values} values, over the budget {MAX_TABLE_VALUES}"
         )
     Y = _evaluate_full_grid(problem)
-    weights = [r.weights for r in problem.rules]
-    full = (1 << N) - 1
-    # (a) conditional means, each from its parent by one contraction; the
-    # full-set mean is a copy because Y itself stays as the table's grid
-    means = {full: Y.copy()}
-    for u in range(full - 1, -1, -1):
-        j = (full ^ u).bit_length() - 1  # highest coordinate outside u
-        parent = u | 1 << j
-        view, rest = _along(means[parent], parent, j)
-        means[u] = _integrate(view, weights[j]).reshape(rest)
-    y_empty = float(means.pop(0))
-    # (b) components in place: (I - P_j) along every own coordinate
-    for u, M in means.items():
-        for j in range(N):
-            if u >> j & 1:
-                view, _ = _along(M, u, j)
-                view -= _integrate(view, weights[j])[:, None, :]
-    return ComponentTable(ADD, problem, y_empty, components=means, full_values=Y)
+    T = np.zeros(tuple(n + 1 for n in q))
+    nodes = tuple(slice(0, n) for n in q)
+    T[nodes] = Y
+    for j in reversed(range(len(q))):
+        # (q_0, ..., q_{j-1}, q_j + 1, rest): earlier axes have no slots yet
+        V = T.reshape(T.shape[: j + 1] + (-1,))[nodes[:j]]
+        np.matmul(problem.rules[j].weights, V[..., :-1, :], out=V[..., -1, :])  # P_j
+        V[..., :-1, :] -= V[..., -1:, :]  # I - P_j
+    return ComponentTable(ADD, problem, float(T[q]), components=T, full_values=Y)
 
 
 def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
@@ -563,31 +579,36 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     """Zero means, pairwise orthogonality and grid exactness of an ADD table.
 
     All three are expectations under the discrete Gauss measure, so they
-    must hold to roundoff whatever the target function.  Orthogonality
-    loops over all component pairs and is skipped above
-    ``MAX_ORTHOGONALITY_DIM`` variables to keep the cost quadratic-small.
-    Exactness sums all components back onto the full grid with the
-    subset-sum (zeta) transform, the inverse of the build's sweep, and
-    compares the sum with the stored grid values.
+    must hold to roundoff whatever the target function.  Summing axis
+    ``j`` of the table array over its nodes gives the mean along ``j`` of
+    every component holding ``j``; the label decodes the worst subset from
+    its index.  Orthogonality loops over all component pairs and is skipped
+    above ``MAX_ORTHOGONALITY_DIM`` variables to keep the cost
+    quadratic-small.  Exactness inverts the build's map (nodes plus slot,
+    axis by axis) and compares the sum with the stored grid values.  Both
+    sweeps read one leading-axis slab of the table at a time, so no
+    temporary is larger than a few slabs.
     """
     table._require(ADD)
     N = table.dim
+    q = table.problem.orders
     weights = [r.weights for r in table.problem.rules]
+    T = table._array
     scale = table.scale
     results = []
 
-    worst = 0.0
-    worst_label = ""
-    for u in all_subsets_up_to(N, N):
-        if u.is_empty:
-            continue
-        vals = table.grid_values(u)
-        for j in u.indices():
-            view, _ = _along(vals, u.mask, j)
-            r = float(np.max(np.abs(_integrate(view, weights[j]))))
-            if r > worst:
-                worst, worst_label = r, f"subset {u.label()}, coordinate {j + 1}"
-            # only the per-coordinate means matter; full mean is their special case
+    # Gauss sums along axis j over its nodes: axis 0 whole, the others by slab
+    parts = chain([(0, 0, T)], ((i, j, T[i : i + 1]) for i in range(len(T)) for j in range(1, N)))
+    worst, worst_label = 0.0, ""
+    for i, j, part in parts:
+        means = _axis_map(weights[j][None, :], part, j)
+        k = int(np.abs(means, out=means).argmax())  # a NaN is the argmax
+        r = float(means.flat[k])
+        if r > worst or np.isnan(r):
+            at = list(np.unravel_index(k, means.shape))
+            at[0] += i
+            u = VariableSubset.from_indices([c for c in range(N) if at[c] < q[c]], N)
+            worst, worst_label = r, f"subset {u.label()}, coordinate {j + 1}"
     tol = TOL_ZERO_MEAN * scale
     results.append(
         CheckResult("add_zero_mean", worst, tol, worst <= tol, worst_label)
@@ -609,10 +630,17 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
         )
 
     Y = table._full_values
-    recon = _subset_sum(table, (1 << N) - 1, N)
-    denom = max(1.0, float(np.max(np.abs(Y))))
-    np.subtract(recon, Y, out=recon)
-    r = float(np.max(np.abs(recon, out=recon))) / denom
+    r = 0.0
+    for i in range(q[0]):
+        # slab i of the grid: nodes + slot on every axis, dropping the slot
+        recon = T[i : i + 1] + T[-1:]
+        for j in range(1, N):
+            V = _around(recon, j)
+            shape = recon.shape[:j] + (q[j],) + recon.shape[j + 1 :]
+            recon = (V[:, :-1] + V[:, -1:]).reshape(shape)
+        np.subtract(recon, Y[i : i + 1], out=recon)
+        r = np.maximum(r, np.abs(recon, out=recon).max())  # keeps a NaN
+    r = float(r) / max(1.0, float(Y.max()), -float(Y.min()))
     results.append(
         CheckResult("add_grid_exactness", r, TOL_EXACTNESS, r <= TOL_EXACTNESS, "")
     )
@@ -917,18 +945,18 @@ def _evaluate_full_grid(problem: ProblemSpec) -> np.ndarray:
     return vals.reshape(orders)
 
 
-def _along(arr: np.ndarray, mask: int, j: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Coordinate `j` of the array of subset `mask`.
-
-    Returns an ``(before, q_j, after)`` view of `arr` and the shape `arr`
-    has without that axis.  Subset arrays keep their axes in ascending
-    coordinate order, so `j` is axis ``popcount(mask & ((1 << j) - 1))``.
-    The reshape is a view only for a C-contiguous `arr`, as every array
-    built here is; callers that write through it rely on that.
-    """
-    k = (mask & ((1 << j) - 1)).bit_count()
+def _around(arr: np.ndarray, k: int) -> np.ndarray:
+    """``(before, n_k, after)`` view of the C-contiguous `arr` around axis
+    `k`; callers that write through it rely on the view."""
     shape = arr.shape
-    return arr.reshape(prod(shape[:k]), shape[k], -1), shape[:k] + shape[k + 1 :]
+    return arr.reshape(prod(shape[:k]), shape[k], -1)
+
+
+def _axis_map(matrix: np.ndarray, arr: np.ndarray, k: int) -> np.ndarray:
+    """`matrix` applied to the first ``matrix.shape[1]`` entries of axis `k`
+    of the C-contiguous `arr` (one matmul); axis `k` gets ``len(matrix)``."""
+    out = np.matmul(matrix, _around(arr, k)[:, : matrix.shape[1]])
+    return out.reshape(arr.shape[:k] + (len(matrix),) + arr.shape[k + 1 :])
 
 
 def _expectation(arr, weights: Sequence[np.ndarray]) -> float:
@@ -938,32 +966,6 @@ def _expectation(arr, weights: Sequence[np.ndarray]) -> float:
     for k in reversed(range(np.ndim(arr))):
         arr = np.dot(arr.reshape(-1, arr.shape[-1]), weights[k]).reshape(arr.shape[:-1])
     return float(arr)
-
-
-def _integrate(view: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Quadrature along the middle axis of an ``(a, q, b)`` view: ``(a, b)``."""
-    return np.einsum("aqb,q->ab", view, weights)
-
-
-def _subset_sum(table: ComponentTable, w: int, j: int) -> np.ndarray:
-    """Sum of the components ``y_v``, lifted onto the axes of subset `w`,
-    over the subsets ``v`` of `w` that agree with `w` on coordinates >= j.
-
-    ``_subset_sum(table, full, N)`` rebuilds the full grid.  This is the
-    subset-sum (zeta) transform ``f(w) += lift_j f(w - {j})`` over the
-    coordinates below `j`, restricted to the branch that feeds `w` and
-    taken depth first, so each partial sum is freed once it is added in.
-    Every mask visited contains ``j - 1``.
-    """
-    if j == 0:
-        return table._components[w] if w else np.asarray(table.y_empty)
-    acc = _subset_sum(table, w, j - 1)
-    if j == 1:
-        acc = acc.copy()  # the table's own array
-    low = _subset_sum(table, w & ~(1 << (j - 1)), j - 1)
-    view, _ = _along(acc, w, j - 1)
-    view += low.reshape(view.shape[0], 1, view.shape[2])
-    return acc
 
 
 def _conditional_mean(
@@ -1003,7 +1005,6 @@ def _pair_inner(
 ) -> float:
     """E[y_u y_v] under the discrete Gauss measure on the union subgrid."""
     union = sorted(set(u.indices()) | set(v.indices()))
-    pos = {j: k for k, j in enumerate(union)}
     orders = table.problem.orders
 
     def lift(w: VariableSubset) -> np.ndarray:

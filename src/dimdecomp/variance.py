@@ -9,20 +9,16 @@ component variances.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
 
-from dimdecomp.decomp import ADD, ComponentTable, _expectation
+from dimdecomp.decomp import ADD, ComponentTable, _axis_map, _expectation
 from dimdecomp.subsets import VariableSubset, all_subsets_up_to
 
 #: variance closure must hold this tightly (relative)
 CLOSURE_RTOL = 1e-9
-
-#: clamped negative variances larger than this (times scale^2) get a warning
-CLAMP_WARN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,35 +80,35 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
     """Mean squares of all nonempty components of an ADD table.
 
     Each component variance is its weighted sum of squares on its own
-    subgrid.  The total is cross-checked against direct quadrature of
-    ``(y - y_empty)**2`` on the full grid; disagreement beyond
+    subgrid.  All come from the squared table array (see
+    :func:`~dimdecomp.decomp.build_add`) by N axis maps, each taking axis
+    ``j`` to two entries, the slot and the Gauss sum over the nodes, so
+    entry ``b`` of the ``(2,) * N`` result belongs to the mask with bits
+    ``b``.  One leading-axis slab is squared at a time, so no temporary is
+    table-sized.  The total is cross-checked against direct
+    quadrature of ``(y - y_empty)**2`` on the full grid; disagreement beyond
     ``CLOSURE_RTOL`` means the table is inconsistent and raises.  Pass
     ``check_closure=False`` to get the map anyway (diagnostic callers
     record the residual themselves via
     :func:`variance_closure_residual`).
 
-    Gauss weights are positive, so the mean squares are nonnegative up to
-    roundoff; any tiny negative value is clamped to zero (with a warning
-    when the clamp is larger than ``CLAMP_WARN * scale**2``).
+    Gauss weights are positive, so every entry is a sum of nonnegative
+    terms and no variance can come out negative.
     """
     table._require(ADD)
     N = table.dim
     weights = [r.weights for r in table.problem.rules]
-    sigma2: dict[int, float] = {}
-    for u in all_subsets_up_to(N, N):
-        if u.is_empty:
-            continue
-        val = _expectation(
-            np.asarray(table.grid_values(u)) ** 2, [weights[j] for j in u.indices()]
-        )
-        if val < 0.0:
-            if -val > CLAMP_WARN * table.scale**2:
-                warnings.warn(
-                    f"clamped negative variance {val:.3e} for subset {u.label()}",
-                    stacklevel=2,
-                )
-            val = 0.0
-        sigma2[u.mask] = val
+    # row 0 carries the slot ("j not in u"), row 1 sums the nodes ("j in u")
+    split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
+    T = table._array
+    slabs = []
+    for i in range(len(T)):
+        slab = np.square(T[i : i + 1])
+        for j in range(1, N):
+            slab = _axis_map(split[j], slab, j)
+        slabs.append(slab)
+    by_mask = _axis_map(split[0], np.concatenate(slabs), 0).ravel(order="F")
+    sigma2 = {u.mask: float(by_mask[u.mask]) for u in all_subsets_up_to(N, N) if not u.is_empty}
     total = fsum(sigma2.values())
     vmap = VarianceMap(N, table.y_empty, sigma2, total)
     if check_closure:
@@ -126,10 +122,12 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
 
 def variance_closure_residual(table: ComponentTable, vmap: VarianceMap) -> float:
     """Relative gap between the subset-sum total and direct quadrature of
-    ``(y - y_empty)**2`` on the full grid."""
+    ``(y - y_empty)**2`` on the full grid, taken one leading-axis slab of
+    the grid at a time."""
     table._require(ADD)
     weights = [r.weights for r in table.problem.rules]
-    direct = _expectation((table._full_values - table.y_empty) ** 2, weights)
+    slabs = [_expectation((y - table.y_empty) ** 2, weights[1:]) for y in table._full_values]
+    direct = float(np.dot(weights[0], slabs))
     # floor the denominator at the roundoff scale of the quadratures so a
     # (near-)constant function compares noise against noise instead of
     # dividing by it
@@ -155,8 +153,9 @@ def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
     quadrature on the full grid of target values that :func:`build_add`
     evaluated for the ADD `table` — the inner conditional mean integrates
     over the complement coordinates, the outer expectation over everything.
-    It reads those grid values only, never the components, so it stays an
-    independent route and calls the target no further.  Equals
+    It reads those grid values only, never the table array of components,
+    so it stays a route independent of the build's axis passes, and it
+    calls the target no further.  Equals
     ``sum_{v ⊆ u, v != {}} sigma2_v``; the test-suite pins that identity
     against :func:`variance_components`.
     """
@@ -166,13 +165,10 @@ def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
     if u.is_empty:
         return 0.0
     Y = table._full_values
-    N = table.dim
-    orders = table.problem.orders
     weights = [r.weights for r in table.problem.rules]
     own = set(u.indices())
+    # conditional mean, its integrated axes kept with length 1
     cond = Y
-    for ax in reversed([j for j in range(N) if j not in own]):
-        cond = np.tensordot(cond, weights[ax], axes=([ax], [0]))
-    # broadcast conditional mean back over the full grid and take E[y * cond]
-    shape = tuple(orders[j] if j in own else 1 for j in range(N))
-    return _expectation(Y * cond.reshape(shape), weights) - _expectation(Y, weights) ** 2
+    for ax in reversed([j for j in range(table.dim) if j not in own]):
+        cond = _axis_map(weights[ax][None, :], cond, ax)
+    return _expectation(Y * cond, weights) - _expectation(Y, weights) ** 2

@@ -33,6 +33,7 @@ from dimdecomp import (
     rdd_direct_sums,
     strict_subsets,
     subsets_of_cardinality,
+    variance_components,
 )
 from dimdecomp import decomp
 from dimdecomp.cli import main
@@ -193,6 +194,105 @@ class TestAddBuild:
         )
         with pytest.raises(ValueError, match="finite"):
             build_add(p)
+
+
+# mixed orders catch any mix-up of axes; N=10 has 1023 components
+ARRAY_SHAPES = [(6, (3, 4, 2, 5, 3, 2)), (10, 3)]
+
+
+@pytest.mark.parametrize("dim, quad_order", ARRAY_SHAPES, ids=["N6-mixed", "N10-q3"])
+class TestAddTableArray:
+    """All components are views of one array, and the checks read it."""
+
+    def test_components_are_views_of_one_array(self, dim, quad_order):
+        p = sobol_g_problem(dim, quad_order=quad_order)
+        t = build_add(p)
+        q = p.orders
+        assert t._array.shape == tuple(n + 1 for n in q)
+        assert t._array[q] == t.y_empty
+        for mask in t.masks():
+            u = VariableSubset(mask, dim)
+            grid = t.grid_values(u)
+            assert grid.shape == tuple(q[j] for j in u.indices())
+            assert np.shares_memory(grid, t._array)
+        for c in check_add_structure(t):
+            assert c.passed, (c.name, c.residual)
+
+    def test_mean_shift_is_caught_and_named(self, dim, quad_order):
+        t = build_add(sobol_g_problem(dim, quad_order=quad_order))
+        u = VariableSubset.from_indices([0, 2, 5], dim)
+        t._components[u.mask] += 1e-3
+        checks = {c.name: c for c in check_add_structure(t)}
+        zero_mean = checks["add_zero_mean"]
+        assert not zero_mean.passed
+        assert zero_mean.residual == pytest.approx(1e-3, rel=1e-9)
+        # the shift is the mean along each of the three coordinates alike
+        assert re.fullmatch(r"subset \[1,3,6\], coordinate [136]", zero_mean.detail)
+        assert not checks["add_grid_exactness"].passed
+
+    @pytest.mark.parametrize("first", [1, 0])
+    def test_mean_along_one_coordinate_is_caught_and_named(self, dim, quad_order, first):
+        # a perturbation of y_{first+1, 4} that varies along coordinate 4
+        # only, with zero Gauss mean there: only its mean along the first
+        # coordinate is not zero.  Without coordinate 1 the fault sits in
+        # the slot slab of the table's leading axis; with it, only the sum
+        # over that axis sees it.
+        p = sobol_g_problem(dim, quad_order=quad_order)
+        t = build_add(p)
+        u = VariableSubset.from_indices([first, 3], dim)
+        w = p.rules[3].weights
+        h = np.zeros(len(w))
+        h[0], h[1] = w[1], -w[0]
+        t._components[u.mask] += 1e-3 * h
+        checks = {c.name: c for c in check_add_structure(t)}
+        zero_mean = checks["add_zero_mean"]
+        assert not zero_mean.passed
+        assert zero_mean.residual == pytest.approx(1e-3 * max(w[0], w[1]), rel=1e-9)
+        assert zero_mean.detail == f"subset [{first + 1},4], coordinate {first + 1}"
+        assert not checks["add_grid_exactness"].passed
+
+    def test_a_nan_fails_and_is_named(self, dim, quad_order):
+        t = build_add(sobol_g_problem(dim, quad_order=quad_order))
+        u = VariableSubset.from_indices([1, 3], dim)
+        t._components[u.mask][0, 1] = np.nan
+        checks = {c.name: c for c in check_add_structure(t)}
+        assert not checks["add_zero_mean"].passed
+        assert checks["add_zero_mean"].detail.startswith("subset [2,4], coordinate ")
+        assert not checks["add_grid_exactness"].passed
+
+    def test_off_grid_reads_get_contiguous_components(self, dim, quad_order, monkeypatch):
+        # strided views are copied once per call, never per row block
+        call = decomp._Interpolant.__call__
+        contiguous = []
+
+        def spy(self, vals, coords):
+            contiguous.append(vals.flags.c_contiguous)
+            return call(self, vals, coords)
+
+        monkeypatch.setattr(decomp._Interpolant, "__call__", spy)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", 1)  # one row per block
+        p = sobol_g_problem(dim, quad_order=quad_order)
+        t = build_add(p)
+        X = p.measure.sample(rng(5), 3)
+        t.truncated_sums((1, 2), X)
+        t.component(VariableSubset.from_indices([1, 3], dim), X[:, [1, 3]])
+        assert len(contiguous) > 3 and all(contiguous)
+
+
+def test_variance_and_checks_stay_within_a_few_slabs():
+    # neither a table-sized nor a grid-sized temporary: at most three
+    # leading-axis slabs of the table (161 051 values here) at once
+    p = product_linear_problem(6, quad_order=10)
+    t = build_add(p)
+    slab = math.prod(n + 1 for n in p.orders) // (p.orders[0] + 1)
+    tracemalloc.start()
+    try:
+        variance_components(t)
+        check_add_structure(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * slab * 8
 
 
 class TestFullGrid:

@@ -156,6 +156,26 @@ class TestSubsetSumIdentity:
         assert D == pytest.approx(1.0 / 3.0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        sobol_g_problem(6, quad_order=(3, 4, 2, 5, 3, 2)),
+        product_linear_problem(10, quad_order=3),
+        product_linear_problem(4, quad_order=(2, 7, 1, 4)),
+    ],
+    ids=["sobol_g-N6-mixed", "product_linear-N10-q3", "product_linear-N4-mixed"],
+)
+def test_components_equal_per_subset_sums_of_squares(problem):
+    table = build_add(problem)
+    vmap = variance_components(table)
+    weights = [r.weights for r in problem.rules]
+    nonempty = [u for u in all_subsets_up_to(problem.dim, problem.dim) if not u.is_empty]
+    assert list(vmap.sigma2) == [u.mask for u in nonempty]  # (cardinality, mask) order
+    for u in nonempty:
+        want = _expectation(table.grid_values(u) ** 2, [weights[j] for j in u.indices()])
+        assert vmap.sigma2[u.mask] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_variance_map_requires_complete_cover(plin3_vmap):
     from dimdecomp.variance import VarianceMap
 
