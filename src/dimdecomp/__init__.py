@@ -11,7 +11,7 @@ against the analytic numbers.
 from dimdecomp.decomp import (
     ADD,
     RDD,
-    AnchoredApprox,
+    AnchoredTable,
     CheckResult,
     ComponentTable,
     ProblemSpec,

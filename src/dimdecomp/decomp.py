@@ -2,27 +2,30 @@
 
 A function ``y`` of ``N`` independent inputs splits into ``2**N`` component
 functions, one per subset ``u`` of the variables, ``y(x) = sum_u y_u(x_u)``.
-Two constructions of the split are built here:
+Two constructions, one table type each, follow the operator form ``y_u =
+prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
 
-* **ADD** (:func:`build_add`) defines components by integration against the
-  input product measure.  Every nonempty component has zero mean in each of
-  its own coordinates and distinct components are orthogonal, so variances
-  add across subsets.  All components live in one array with, per axis,
-  the Gauss nodes plus one slot for "integrated out", so the build, the
-  variances and the structure checks are ``N`` axis passes each.  They are
-  evaluated at any point by barycentric interpolation, which reproduces the
-  stored values exactly at the nodes.
-  Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
-  products of cardinal matrices), one for each half of a component's
-  coordinates, so every component costs one GEMM, and a block of rows
-  builds each factor once for all the components that share it.
-* **RDD** (:func:`build_rdd`) replaces every integral with an evaluation at
-  a fixed anchor point ``c``.  Components cost only function calls — no
-  grids — and every nonempty component vanishes as soon as one of its own
-  coordinates equals the matching anchor coordinate.  One kernel makes
-  every anchored evaluation, streaming cache-sized row blocks: per block,
-  the target sees one column-major buffer in which only the columns that
-  change between consecutive subsets are rewritten.
+* **ADD** (:func:`build_add`, a :class:`ComponentTable`) integrates
+  coordinate ``j`` out against the input product measure.  Every nonempty
+  component has zero mean in each of its own coordinates and distinct
+  components are orthogonal, so variances add across subsets.  All
+  components live in one array with, per axis, the Gauss nodes plus one
+  slot for "integrated out", so the build, the variances and the structure
+  checks are ``N`` axis passes each.  They are evaluated at any point by
+  barycentric interpolation, which reproduces the stored values exactly at
+  the nodes.  Interpolation is bilinear in two Khatri-Rao factors
+  (row-wise Kronecker products of cardinal matrices), one for each half of
+  a component's coordinates, so every component costs one GEMM, and a
+  block of rows builds each factor once for all the components that share
+  it.
+* **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
+  ``j`` at an anchor point ``c``.  Components cost only function calls —
+  no grids — and every nonempty component vanishes as soon as one of its
+  own coordinates equals the matching anchor coordinate.  One kernel
+  makes every anchored evaluation, streaming cache-sized row blocks: per
+  block, the target sees one column-major buffer in which only the
+  columns that change between consecutive subsets are rewritten, and one
+  ``I - P_j`` pass per axis turns the values into components.
 
 Truncating either expansion to ``|u| <= S`` gives an S-variate surrogate.
 For the anchored expansion the truncated sum collapses telescopically into
@@ -33,7 +36,7 @@ agree pointwise and the test-suite holds them to that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from math import comb, prod
@@ -92,7 +95,7 @@ TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
 #: pairwise orthogonality loops over all component pairs, so it runs up to here
 MAX_ORTHOGONALITY_DIM = 5
-#: random points at which check_rdd_structure probes an RDD table
+#: random points at which check_rdd_structure probes an anchored table
 RDD_STRUCTURE_POINTS = 100
 
 
@@ -164,62 +167,24 @@ class ProblemSpec:
         return out
 
 
-@dataclass(frozen=True)
-class AnchoredApprox:
-    """S-variate anchored surrogate bound to a problem and reference point.
-
-    Calling an instance evaluates :func:`rdd_direct` at the stored anchor.
-    """
-
-    problem: ProblemSpec
-    order: int
-    anchor: np.ndarray
-
-    def __post_init__(self) -> None:
-        anchor = _check_anchor(self.problem, self.anchor).copy()
-        (order,) = _check_orders((self.order,), self.problem.dim - 1)
-        anchor.setflags(write=False)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "order", order)
-
-    def __call__(self, x) -> np.ndarray | float:
-        return rdd_direct(self.problem, self.order, self.anchor, x)
-
-
 class ComponentTable:
-    """Components of a built decomposition, queried by subset.
+    """Components of an ADD decomposition, queried by subset.
 
-    ADD tables hold component values on tensor subgrids of the Gauss nodes,
-    views of one array (see :func:`build_add`), and evaluate them anywhere
-    by barycentric interpolation (weights computed on first use).  RDD
-    tables hold no values: components are reproduced on demand from
-    anchored evaluations of the target, memoized per row block of a call.
+    Holds component values on tensor subgrids of the Gauss nodes, views of
+    one array (see :func:`build_add`), and evaluates them anywhere by
+    barycentric interpolation (weights computed on first use).  The mean
+    ``y_empty`` is the array's all-slot entry.
 
-    Build through :func:`build_add` / :func:`build_rdd`, not directly.
+    Build through :func:`build_add`, not directly.
     """
 
     def __init__(
-        self,
-        kind: str,
-        problem: ProblemSpec,
-        y_empty: float,
-        *,
-        anchor: np.ndarray | None = None,
-        components: np.ndarray | None = None,
-        full_values: np.ndarray | None = None,
+        self, problem: ProblemSpec, components: np.ndarray, full_values: np.ndarray
     ) -> None:
-        if kind not in (ADD, RDD):
-            raise ValueError(f"kind must be {ADD!r} or {RDD!r}")
-        if kind == RDD and anchor is None:
-            raise ValueError("an RDD table needs an anchor")
-        if kind == ADD and components is None:
-            raise ValueError("an ADD table needs its component array")
-        self.kind = kind
         self.problem = problem
-        self.y_empty = float(y_empty)
-        self.anchor = anchor
+        self.y_empty = float(components[problem.orders])
         self._array = components
-        self._components = _ComponentViews(components) if kind == ADD else {}
+        self._components = _ComponentViews(components)
         self._full_values = full_values
 
     @property
@@ -232,13 +197,11 @@ class ComponentTable:
         return max(1.0, abs(self.y_empty))
 
     def masks(self) -> list[int]:
-        """Masks of stored components (ADD) in (cardinality, mask) order."""
-        stored = range(1, 1 << self.dim) if self.kind == ADD else ()
-        return sorted(stored, key=lambda m: (m.bit_count(), m))
+        """Masks of the nonempty components in (cardinality, mask) order."""
+        return sorted(range(1, 1 << self.dim), key=lambda m: (m.bit_count(), m))
 
     def grid_values(self, u: VariableSubset) -> np.ndarray | float:
-        """ADD component values on the subgrid of `u` (a scalar for ``u = {}``)."""
-        self._require(ADD)
+        """Component values on the subgrid of `u` (a scalar for ``u = {}``)."""
         if u.is_empty:
             return self.y_empty
         return self._components[u.mask]
@@ -246,8 +209,8 @@ class ComponentTable:
     def component(self, u: VariableSubset, x) -> float | np.ndarray:
         """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
 
-        Columns of ``x`` follow ``u.indices()`` in ascending order.  ADD
-        tables interpolate between the Gauss nodes; at a node the result is
+        Columns of ``x`` follow ``u.indices()`` in ascending order.  Values
+        are interpolated between the Gauss nodes; at a node the result is
         the stored grid value, bit for bit.
         """
         if u.dim != self.dim:
@@ -255,14 +218,11 @@ class ComponentTable:
         if u.is_empty:
             return self.y_empty
         X, squeeze = _as_rows(x, u.cardinality)
-        if self.kind == ADD:
-            coords = u.indices()
-            vals = np.ascontiguousarray(self._components[u.mask])  # once, not per block
-            out = np.empty(X.shape[0])
-            for rows in self._row_blocks(X.shape[0], coords):
-                out[rows] = _Interpolant(self, X[rows], coords)(vals, coords)
-        else:
-            out = self._rdd_component_at(u, X)
+        coords = u.indices()
+        vals = np.ascontiguousarray(self._components[u.mask])  # once, not per block
+        out = np.empty(X.shape[0])
+        for rows in self._row_blocks(X.shape[0], coords):
+            out[rows] = _Interpolant(self, X[rows], coords)(vals, coords)
         return float(out[0]) if squeeze else out
 
     def truncated(self, order: int, x) -> float | np.ndarray:
@@ -276,29 +236,19 @@ class ComponentTable:
         mask) order keeps a running sum and copies it at each requested
         cardinality boundary, so every result is bit-for-bit the one a
         separate :meth:`truncated` call gives.  Repeated orders share one
-        array.  ADD tables make the pass once per row block through the
-        bilinear kernel (:class:`_Interpolant`): each component is one GEMM
-        between Khatri-Rao factors that the block builds once and shares.
-        The rows of a block depend on the table alone (see
-        :meth:`_row_blocks`), so the requested orders never change a value;
-        another block size changes values at roundoff level only.
+        array.  The pass runs once per row block through the bilinear
+        kernel (:class:`_Interpolant`): each component is one GEMM between
+        Khatri-Rao factors that the block builds once and shares.  The rows
+        of a block depend on the table alone (see :meth:`_row_blocks`), so
+        the requested orders never change a value; another block size
+        changes values at roundoff level only.
         """
         orders = _check_orders(orders, self.dim)
         X, squeeze = _as_rows(x, self.dim)
-        if self.kind == ADD:
-            sums = self._interpolated_sums(self._components, self.y_empty, orders, X)
-        else:
-            sums = {s: np.empty(X.shape[0]) for s in orders}
-            subsets = all_subsets_up_to(self.dim, max(orders))
-            for rows, parts in _rdd_components(self.problem, self.anchor, X, subsets):
-                _running_sums(parts, sums, rows, len(X[rows]))
+        sums = self._interpolated_sums(self._components, self.y_empty, orders, X)
         return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
 
-    # -- ADD internals ----------------------------------------------------
-
-    def _require(self, kind: str) -> None:
-        if self.kind != kind:
-            raise ValueError(f"operation requires a {kind} table, not {self.kind}")
+    # -- internals --------------------------------------------------------
 
     @cached_property
     def _bary(self) -> list[np.ndarray]:
@@ -353,23 +303,71 @@ class ComponentTable:
         for rows in self._row_blocks(X.shape[0]):
             block = X[rows]
             interp = _Interpolant(self, block, range(self.dim))
-            parts = (
-                (u, interp(dense[u.mask], u.indices()) if u.mask else constant)
-                for u in subsets
-            )
-            _running_sums(parts, sums, rows, len(block))
+            out = np.zeros(len(block))
+            card = 0
+            for u in subsets:  # (cardinality, mask) order: copy out at each boundary
+                if u.cardinality > card:
+                    card = u.cardinality
+                    if card - 1 in sums:
+                        sums[card - 1][rows] = out
+                out += interp(dense[u.mask], u.indices()) if u.mask else constant
+            sums[max(sums)][rows] = out
         return sums
 
-    # -- RDD internals ----------------------------------------------------
 
-    def _rdd_component_at(self, u: VariableSubset, X: np.ndarray) -> np.ndarray:
-        # Recurse over the sub-lattice of u only; columns of X follow
-        # u.indices().
+@dataclass(frozen=True, eq=False)
+class AnchoredTable:
+    """Components of an RDD decomposition at the reference point `anchor`.
+
+    Holds a checked, read-only copy of the anchor and ``y_empty =
+    y(anchor)``, no other values: each query evaluates the target at
+    anchored points, per row block (see :func:`_rdd_components`).  Build
+    through :func:`build_rdd`.
+    """
+
+    problem: ProblemSpec
+    anchor: np.ndarray
+    y_empty: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        c = _check_anchor(self.problem, self.anchor).copy()
+        c.setflags(write=False)
+        object.__setattr__(self, "anchor", c)
+        object.__setattr__(self, "y_empty", float(self.problem.evaluate(c[None, :])[0]))
+
+    @property
+    def dim(self) -> int:
+        return self.problem.dim
+
+    @property
+    def scale(self) -> float:
+        """Magnitude used to normalize structural residuals."""
+        return max(1.0, abs(self.y_empty))
+
+    def component(self, u: VariableSubset, x) -> float | np.ndarray:
+        """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
+
+        Columns of ``x`` follow ``u.indices()`` in ascending order.  Only
+        the ``2**|u|`` subsets of `u` are evaluated.
+        """
+        if u.dim != self.dim:
+            raise ValueError(f"subset dimension {u.dim} != table dimension {self.dim}")
+        if u.is_empty:
+            return self.y_empty
+        X, squeeze = _as_rows(x, u.cardinality)
         lattice = list(strict_subsets(u)) + [u]
         out = np.empty(X.shape[0])
-        for rows, parts in _rdd_components(self.problem, self.anchor, X, lattice, u.indices()):
-            out[rows] = dict(parts)[u]
-        return out
+        for rows, comps in _rdd_components(self.problem, self.anchor, X, lattice, u.indices()):
+            out[rows] = comps[-1]
+        return float(out[0]) if squeeze else out
+
+    def truncated(self, order: int, x) -> float | np.ndarray:
+        """Evaluate the S-variate truncated sum at full points ``x``;
+        ``order = dim`` sums every component."""
+        (order,) = _check_orders((order,), self.dim)
+        X, squeeze = _as_rows(x, self.dim)
+        out = _rdd_truncated(self.problem, self.anchor, X, order)
+        return float(out[0]) if squeeze else out
 
 
 class _ComponentViews(dict):
@@ -439,19 +437,16 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
         V = T.reshape(T.shape[: j + 1] + (-1,))[nodes[:j]]
         np.matmul(problem.rules[j].weights, V[..., :-1, :], out=V[..., -1, :])  # P_j
         V[..., :-1, :] -= V[..., -1:, :]  # I - P_j
-    return ComponentTable(ADD, problem, float(T[q]), components=T, full_values=Y)
+    return ComponentTable(problem, T, Y)
 
 
-def build_rdd(problem: ProblemSpec, anchor) -> ComponentTable:
+def build_rdd(problem: ProblemSpec, anchor) -> AnchoredTable:
     """Build the anchored decomposition at reference point `anchor`.
 
     Nothing is precomputed beyond ``y(anchor)``; components are reproduced
-    from anchored evaluations when queried.
+    from anchored evaluations when queried (see :class:`AnchoredTable`).
     """
-    c = _check_anchor(problem, anchor).copy()
-    c.setflags(write=False)
-    y_c = float(problem.evaluate(c[None, :])[0])
-    return ComponentTable(RDD, problem, y_c, anchor=c)
+    return AnchoredTable(problem, anchor)
 
 
 def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarray:
@@ -529,12 +524,12 @@ def explicit_component(
     *,
     anchor=None,
 ) -> float:
-    """Evaluate one component by its non-recursive alternating-sum form.
+    """Evaluate one component by its alternating-sum form.
 
     For ADD this sums signed conditional means over all ``v ⊆ u`` (each one
     a fresh quadrature over the complementary coordinates); for RDD it sums
     signed anchored evaluations.  Exists as an independent route against the
-    recursive construction — the two must agree to roundoff.
+    tables' axis passes — the two must agree to roundoff.
     """
     if kind not in (ADD, RDD):
         raise ValueError(f"kind must be {ADD!r} or {RDD!r}")
@@ -589,7 +584,6 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     sweeps read one leading-axis slab of the table at a time, so no
     temporary is larger than a few slabs.
     """
-    table._require(ADD)
     N = table.dim
     q = table.problem.orders
     weights = [r.weights for r in table.problem.rules]
@@ -647,8 +641,8 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     return results
 
 
-def check_rdd_structure(table: ComponentTable, *, seed: int = 0) -> list[CheckResult]:
-    """Anchor annihilation and full-sum exactness of an RDD table.
+def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckResult]:
+    """Anchor annihilation and full-sum exactness of an anchored table.
 
     Annihilation: a nonempty component is zero whenever any one of its own
     coordinates sits at the matching anchor coordinate.  Exactness: summing
@@ -658,13 +652,14 @@ def check_rdd_structure(table: ComponentTable, *, seed: int = 0) -> list[CheckRe
 
     For a deterministic target the annihilation residual is exactly 0 by
     construction: with a coordinate pinned at the anchor, each anchored
-    evaluation is bit-equal to its partner without that coordinate, and the
-    Möbius recursion cancels them in the same order.  The check therefore
-    guards the bookkeeping of the recursion (which strict subsets it
-    subtracts), not roundoff; its label names the subset and the pinned
-    coordinate of the worst row.
+    evaluation is bit-equal to its partner without that coordinate, the
+    axis passes before the pinned axis's keep every such pair bit-equal,
+    and the pinned axis's pass subtracts bit-equal partners.  The check
+    therefore guards the bookkeeping of the axis passes (which partner each
+    pass subtracts), not roundoff; its label names the subset and the
+    pinned coordinate of the worst row.
     """
-    table._require(RDD)
+    anchor = table.anchor  # a ComponentTable has none: fails before any evaluation
     n_points = RDD_STRUCTURE_POINTS
     N = table.dim
     rng = np.random.default_rng(seed)
@@ -681,7 +676,7 @@ def check_rdd_structure(table: ComponentTable, *, seed: int = 0) -> list[CheckRe
     )
 
     # each row draws its subset and pinned coordinate; the rows of one
-    # subset then share one component recursion
+    # subset then share one component evaluation
     Z = X.copy()
     drawn = []
     rows_of: dict[tuple[int, ...], list[int]] = {}
@@ -689,7 +684,7 @@ def check_rdd_structure(table: ComponentTable, *, seed: int = 0) -> list[CheckRe
         size = int(rng.integers(1, N + 1))
         coords = tuple(sorted(rng.choice(N, size=size, replace=False).tolist()))
         pin = coords[int(rng.integers(size))]
-        Z[row, pin] = table.anchor[pin]
+        Z[row, pin] = anchor[pin]
         drawn.append((VariableSubset.from_indices(coords, N), pin))
         rows_of.setdefault(coords, []).append(row)
     resid = np.empty(n_points)
@@ -715,11 +710,11 @@ def check_form_equivalence(
 
     Draws `n_pairs` independent (anchor, point) pairs from the input
     measure, anchor first within each pair, and runs each route once on the
-    whole batch with one anchor per row: the Möbius component recursion
-    summed up to ``|u| <= order`` (what ``build_rdd(problem,
-    c).truncated(order, x)`` computes for each pair) against
-    :func:`rdd_direct`.  Relative deviation is measured against
-    ``max(1, |direct value|)``.
+    whole batch with one anchor per row: the components up to ``|u| <=
+    order`` summed by the helper behind :meth:`AnchoredTable.truncated`
+    (so each row gets what ``build_rdd(problem, c).truncated(order, x)``
+    gives for its pair) against :func:`rdd_direct`.  Relative deviation is
+    measured against ``max(1, |direct value|)``.
     """
     if n_pairs < 1:
         raise ValueError(f"form equivalence needs at least 1 pair, got {n_pairs}")
@@ -731,12 +726,7 @@ def check_form_equivalence(
     C = np.array([c for c, _ in pairs])
     X = np.array([x for _, x in pairs])
     direct = rdd_direct(problem, order, C, X)
-    summed = np.zeros(n_pairs)
-    subsets = all_subsets_up_to(problem.dim, order)
-    for rows, parts in _rdd_components(problem, C, X, subsets):
-        acc = summed[rows]
-        for _, y in parts:
-            acc += y
+    summed = _rdd_truncated(problem, C, X, order)
     worst = float(np.max(np.abs(summed - direct) / np.maximum(1.0, np.abs(direct))))
     return CheckResult(
         f"rdd_form_equivalence_S{order}",
@@ -779,24 +769,18 @@ def _check_anchor(problem: ProblemSpec, anchor, rows: int | None = None) -> np.n
     return c
 
 
-def _running_sums(
-    parts: Iterable[tuple[VariableSubset, float | np.ndarray]],
-    sums: dict[int, np.ndarray],
-    rows: slice,
-    m: int,
-) -> None:
-    """Sum `parts` (``(u, y_u)`` in (cardinality, mask) order, from the
-    empty subset up to ``max(sums)``) into ``sums[s][rows]`` for each order
-    ``s``: the running sum is copied out at each cardinality boundary."""
-    out = np.zeros(m)
-    card = 0
-    for u, y in parts:
-        if u.cardinality > card:
-            card = u.cardinality
-            if card - 1 in sums:
-                sums[card - 1][rows] = out
-        out += y
-    sums[max(sums)][rows] = out
+def _rdd_truncated(
+    problem: ProblemSpec, anchor: np.ndarray, X: np.ndarray, order: int
+) -> np.ndarray:
+    """Sum of the anchored components with ``|u| <= order`` at the rows of
+    `X`, in (cardinality, mask) order; `anchor` is one point or one per row."""
+    out = np.zeros(X.shape[0])
+    subsets = all_subsets_up_to(problem.dim, order)
+    for rows, comps in _rdd_components(problem, anchor, X, subsets):
+        acc = out[rows]
+        for y in comps:
+            acc += y
+    return out
 
 
 def _rdd_components(
@@ -805,33 +789,40 @@ def _rdd_components(
     X: np.ndarray,
     subsets: Iterable[VariableSubset],
     coords: Sequence[int] | None = None,
-) -> Iterator[tuple[slice, Iterator[tuple[VariableSubset, np.ndarray]]]]:
-    """Yield ``(rows, parts)`` per row block, `parts` yielding ``(u, y_u)``
-    for each anchored component at those rows, by Möbius recursion.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, comps)`` per row block, row ``k`` of `comps` the
+    anchored component of ``subsets[k]`` at those rows.
 
-    `subsets` must be closed under taking subsets and ordered by
-    (cardinality, mask), so every strict subset of ``u`` comes before it:
-    ``y_u = y(x_u, c_{-u}) - sum_{v < u} y_v``.  `anchor`, `X`, `coords`
-    and the row blocks are as in :func:`_anchored`; a per-row anchor gives
-    each row its own decomposition.
+    The block's anchored values ``y(x_u, c_{-u})`` are copied into `comps`;
+    then pass ``j`` applies ``I - P_j``, ``y_u <- y_u - y_{u - {j}}`` for
+    every ``u`` holding ``j``, ``sum_u |u|`` subtractions in all.
+    `subsets` must be closed under taking subsets; `anchor`, `X`, `coords`
+    and the row blocks are as in :func:`_anchored`, and a per-row anchor
+    gives each row its own decomposition.
     """
     subsets = list(subsets)
-    below = [[v.mask for v in strict_subsets(u)] for u in subsets]
+    passes = _axis_passes(subsets, problem.dim)
     for rows, block in _anchored(problem, anchor, X, subsets, coords):
-        yield rows, _mobius(block, below)
+        comps = np.empty((len(subsets), len(X[rows])))
+        for k, (_, y) in enumerate(block):
+            comps[k] = y
+        for hold, drop in passes:
+            comps[hold] -= comps[drop]
+        yield rows, comps
 
 
-def _mobius(
-    block: Iterable[tuple[VariableSubset, np.ndarray]], below: list[list[int]]
-) -> Iterator[tuple[VariableSubset, np.ndarray]]:
-    """Components of one row block: subtract from each anchored value the
-    components of the strict subsets `below` it (masks, in order)."""
-    comp: dict[int, np.ndarray] = {}
-    for (u, acc), masks in zip(block, below, strict=True):
-        for v in masks:
-            acc = acc - comp[v]
-        comp[u.mask] = acc
-        yield u, acc
+def _axis_passes(
+    subsets: list[VariableSubset], dim: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis ``j`` that some subset holds, ``(hold, drop)``: the
+    positions in `subsets` of every ``u`` holding ``j`` and of its partner
+    ``u - {j}``, which never holds ``j``: a pass reads no entry it writes."""
+    at = {u.mask: k for k, u in enumerate(subsets)}
+    pairs = [
+        [(k, at[u.mask ^ 1 << j]) for k, u in enumerate(subsets) if u.mask >> j & 1]
+        for j in range(dim)
+    ]
+    return [tuple(np.array(p).T) for p in pairs if p]
 
 
 def _anchored(

@@ -57,9 +57,10 @@ class CardinalitySums:
             s = int(s)
             if not 1 <= s <= self.dim:
                 raise ValueError(f"cardinality {s} outside [1, {self.dim}]")
-            if v < 0.0:
-                raise ValueError("variance sums must be nonnegative")
-            clean[s] = float(v)
+            v = float(v)
+            if not 0.0 <= v < math.inf:  # NaN fails too
+                raise ValueError("variance sums must be finite and nonnegative")
+            clean[s] = v
         object.__setattr__(self, "sums", dict(sorted(clean.items())))
 
     def cardinality_sums(self) -> dict[int, float]:

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from dimdecomp.decomp import (
-    ADD,
     ComponentTable,
     ProblemSpec,
     _check_anchor,
@@ -138,7 +137,6 @@ def mc_add_error(
     each estimate is bit-for-bit what a single-order call with the same
     seed gives.  Orders are checked before any draw.
     """
-    table._require(ADD)
     _check_n(n, MIN_SAMPLES, "mc_add_error")
     single = isinstance(order, Integral)
     orders = _check_orders((order,) if single else order, table.dim)
@@ -264,7 +262,6 @@ def optimality_probe(
     With ``amplitude = 0`` the perturbed surrogate *is* the optimum and the
     excess is identically zero.
     """
-    table._require(ADD)
     (order,) = _check_orders((order,), table.dim - 1)
     if n_perturbations < 1:
         raise ValueError("need at least one perturbation")

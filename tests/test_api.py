@@ -10,9 +10,6 @@ import dimdecomp
 # constant, so a parameter added here needs a second caller that sets it.
 DEFAULTED = {
     "CheckResult.__init__(detail)",
-    "ComponentTable.__init__(anchor)",
-    "ComponentTable.__init__(components)",
-    "ComponentTable.__init__(full_values)",
     "ProblemSpec.__init__(quad_order)",
     "check_form_equivalence(n_pairs)",
     "check_form_equivalence(seed)",
@@ -38,11 +35,43 @@ DEFAULTED = {
     "variance_components(check_closure)",
 }
 
+# Every public name the package exports: one removed or added here is an
+# API change made on purpose.
+EXPORTS = {
+    "ADD", "RDD", "GAUSS_MAX_ORDER",
+    # decomp
+    "AnchoredTable", "CheckResult", "ComponentTable", "ProblemSpec", "build_add",
+    "build_rdd", "check_add_structure", "check_form_equivalence",
+    "check_rdd_structure", "explicit_component", "rdd_direct", "rdd_direct_sums",
+    # errors
+    "CardinalitySums", "DecayModel", "DecayPoint", "ErrorBudget", "TwoScaleReport",
+    "add_error", "coeff_b", "contrived_example", "decay_curves", "dim_for_pmin",
+    "error_bounds", "lambert_w0", "pmin_for_N", "rdd_expected_error",
+    # functions
+    "default_marginal", "function_names", "make_function",
+    # mc
+    "McEstimate", "OptimalityReport", "mc_add_error", "mc_expected_rdd_error",
+    "mc_expected_rdd_errors", "mc_rdd_error", "optimality_probe", "worker_seed",
+    # measures
+    "MarginalMeasure", "ProductMeasure", "QuadratureRule",
+    "gauss_exactness_residual", "gauss_rule", "product_rules",
+    # subsets
+    "VariableSubset", "all_subsets_up_to", "count_up_to", "strict_subsets",
+    "subsets_of_cardinality",
+    # variance
+    "VarianceMap", "sobol_D", "sobol_indices", "variance_closure_residual",
+    "variance_components",
+}
+
+
+def _public():
+    for name, obj in vars(dimdecomp).items():
+        if not name.startswith("_") and not isinstance(obj, ModuleType):
+            yield name, obj
+
 
 def _callables():
-    for name, obj in vars(dimdecomp).items():
-        if name.startswith("_") or isinstance(obj, ModuleType):
-            continue
+    for name, obj in _public():
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
                 if attr.startswith("_") and attr != "__init__":
@@ -63,3 +92,7 @@ def test_defaulted_public_parameters_are_pinned():
         if p.default is not inspect.Parameter.empty
     }
     assert got == DEFAULTED
+
+
+def test_exported_names_are_pinned():
+    assert {name for name, _ in _public()} == EXPORTS

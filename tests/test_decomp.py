@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from dimdecomp import (
     ADD,
     RDD,
-    AnchoredApprox,
+    AnchoredTable,
     MarginalMeasure,
     ProblemSpec,
     ProductMeasure,
@@ -29,10 +30,13 @@ from dimdecomp import (
     explicit_component,
     make_function,
     mc_add_error,
+    optimality_probe,
     rdd_direct,
     rdd_direct_sums,
     strict_subsets,
+    sobol_D,
     subsets_of_cardinality,
+    variance_closure_residual,
     variance_components,
 )
 from dimdecomp import decomp
@@ -398,16 +402,12 @@ class TestAddEvaluation:
 
     def test_truncated_sums_equal_one_call_per_order(self, plin3, plin3_table):
         # one pass with a copy at each cardinality boundary, unsorted orders
-        # with repeats, ADD (off and on the grid) and RDD tables alike
+        # with repeats, off and on the grid
         X = rng(8).uniform(-1.0, 1.0, (30, 3))
         nodes = [r.nodes for r in plin3.rules]
         on_grid = np.column_stack([nodes[j][[0, 4, 9]] for j in range(3)])
         orders = (2, 0, 3, 0, 1)
-        for table, pts in (
-            (plin3_table, X),
-            (build_add(plin3), on_grid),
-            (build_rdd(plin3, np.array([0.2, -0.4, 0.6])), X),
-        ):
+        for table, pts in ((plin3_table, X), (build_add(plin3), on_grid)):
             got = table.truncated_sums(orders, pts)
             for s, y in zip(orders, got):
                 assert np.array_equal(y, table.truncated(s, pts))
@@ -667,10 +667,10 @@ class TestRddBuild:
         ],
     )
     def test_annihilation_batched_by_subset(self, make, seed):
-        # the rows of each drawn subset share one recursion; the per-row
-        # route below (one recursion per row, as the check once ran) must
-        # give the same residual and label, bit for bit, from the same
-        # target rows
+        # the rows of each drawn subset share one component evaluation; the
+        # per-row route below (one evaluation per row, as the check once
+        # ran) must give the same residual and label, bit for bit, from the
+        # same target rows
         problem, seen = counted(make())
         N = problem.dim
         anchor = problem.measure.sample(rng(seed))
@@ -698,19 +698,22 @@ class TestRddBuild:
         got = results["rdd_annihilation"]
         assert (got.residual, got.detail) == (worst, label)
         # pinning makes each evaluation equal its partner without the
-        # pinned coordinate, so the recursion cancels to exactly zero; a
-        # wrong pin in either route shows as a nonzero residual
+        # pinned coordinate, so the pinned axis's pass cancels to exactly
+        # zero; a wrong pin in either route shows as a nonzero residual
         assert worst == 0.0
         # the full-sum check adds 100 rows per subset of all N, plus 100
         assert batched_rows == per_row_rows + 100 * 2**N + 100
 
-    def test_annihilation_catches_a_broken_recursion(self, plin3, monkeypatch):
-        # a recursion that forgets to subtract the constant component leaves
-        # y(c) in every univariate component at its own anchor coordinate
-        real = decomp.strict_subsets
-        monkeypatch.setattr(
-            decomp, "strict_subsets", lambda u: (v for v in real(u) if not v.is_empty)
-        )
+    def test_annihilation_catches_a_broken_axis_pass(self, plin3, monkeypatch):
+        # axis passes that never subtract the constant component leave y(c)
+        # in every univariate component at its own anchor coordinate
+        real = decomp._axis_passes
+
+        def broken(subsets, dim):
+            empty = [k for k, u in enumerate(subsets) if u.is_empty]
+            return [(h[~np.isin(d, empty)], d[~np.isin(d, empty)]) for h, d in real(subsets, dim)]
+
+        monkeypatch.setattr(decomp, "_axis_passes", broken)
         t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
         results = {c.name: c for c in check_rdd_structure(t, seed=7)}
         got = results["rdd_annihilation"]
@@ -880,7 +883,7 @@ class TestAnchoredKernel:
 
         def routes():
             return (
-                table.truncated_sums(range(dim + 1), X),
+                [table.truncated(s, X) for s in range(dim + 1)],
                 table.component(u, X[:, [1, 3, 4]]),
                 check_form_equivalence(p, order, n_pairs=m, seed=5).residual,
             )
@@ -1078,6 +1081,19 @@ class TestExplicitComponent:
             recursive = float(t.component(u, x_u))
             assert direct == pytest.approx(recursive, rel=1e-10, abs=1e-12)
 
+    def test_rdd_route_agrees_with_table_on_every_subset(self):
+        # the axis passes against the alternating sum, N = 6 in full
+        p = sobol_g_problem(6)
+        g = rng(23)
+        c = g.uniform(0.0, 1.0, 6)
+        t = build_rdd(p, c)
+        for u in all_subsets_up_to(6, 6):
+            if u.is_empty:
+                continue
+            x_u = g.uniform(0.0, 1.0, u.cardinality)
+            direct = explicit_component(p, u, RDD, x_u, anchor=c)
+            assert abs(direct - float(t.component(u, x_u))) <= 1e-12, u.label()
+
     def test_add_route_budget_counts_without_overflow(self):
         # 16**16 = 2**64 points wrap to 0 in int64 arithmetic and would pass
         # the budget check
@@ -1151,23 +1167,32 @@ class TestFormEquivalence:
                 check_form_equivalence(plin3, 1, n_pairs=n_pairs)
 
 
-class TestAnchoredApprox:
-    def test_callable_and_validated(self, plin3):
+class TestAnchoredTable:
+    def test_read_only_anchor_and_validation(self, plin3):
         c = np.zeros(3)
-        f = AnchoredApprox(plin3, 1, c)
+        t = build_rdd(plin3, c)
+        assert type(t) is AnchoredTable
         x = np.array([0.4, -0.3, 0.1])
-        assert f(x) == pytest.approx(rdd_direct(plin3, 1, np.zeros(3), x))
-        # the surrogate freezes its own copy, not the caller's array
-        assert c.flags.writeable and not f.anchor.flags.writeable
-        for bad in (3, -1, 1.5, True):
+        assert t.truncated(1, x) == pytest.approx(rdd_direct(plin3, 1, np.zeros(3), x))
+        # the table freezes its own copy, not the caller's array
+        assert c.flags.writeable and not t.anchor.flags.writeable
+        c[0] = 0.5
+        assert t.anchor[0] == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.anchor = np.ones(3)
+        for bad in (4, -1, 1.5, True):
             with pytest.raises(ValueError, match="truncation order"):
-                AnchoredApprox(plin3, bad, np.zeros(3))
-        assert type(AnchoredApprox(plin3, np.int64(1), c).order) is int
+                t.truncated(bad, x)
+        assert t.truncated(np.int64(1), x) == t.truncated(1, x)
+        # order dim sums every component: the target itself
+        assert t.truncated(3, x) == pytest.approx(float(plin3.evaluate(x)), rel=1e-14)
         with pytest.raises(ValueError):
-            AnchoredApprox(plin3, 1, BAD_ANCHOR)
+            AnchoredTable(plin3, BAD_ANCHOR)
+        with pytest.raises(ValueError):
+            AnchoredTable(plin3, np.zeros(2))
         p = sobol_g_problem(3)
         with pytest.raises(ValueError, match="support"):
-            AnchoredApprox(p, 1, np.array([2.0, 0.5, 0.5]))
+            AnchoredTable(p, np.array([2.0, 0.5, 0.5]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1185,6 +1210,35 @@ def test_rdd_annihilation_property(mask, data):
     pin = data.draw(st.integers(0, len(coords) - 1))
     x_u[pin] = c[coords[pin]]
     assert abs(float(t.component(u, x_u))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, add, rdd: variance_components(rdd),
+        lambda p, add, rdd: variance_closure_residual(rdd, variance_components(add)),
+        lambda p, add, rdd: sobol_D(rdd, VariableSubset.from_indices([0, 2], 3)),
+        lambda p, add, rdd: check_add_structure(rdd),
+        lambda p, add, rdd: mc_add_error(p, rdd, 1, 1000),
+        lambda p, add, rdd: optimality_probe(p, rdd, 1, 1, n_samples=1000),
+        lambda p, add, rdd: check_rdd_structure(add),
+    ],
+    ids=[
+        "variance_components",
+        "variance_closure_residual",
+        "sobol_D",
+        "check_add_structure",
+        "mc_add_error",
+        "optimality_probe",
+        "check_rdd_structure",
+    ],
+)
+def test_table_of_the_other_decomposition_raises(plin3, plin3_table, call):
+    # the table type carries the decomposition: an entry point given the
+    # other type fails at the first attribute that type lacks
+    rdd = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(AttributeError):
+        call(plin3, plin3_table, rdd)
 
 
 def test_problem_spec_validation():

@@ -106,6 +106,13 @@ class TestCardinalitySums:
         with pytest.raises(ValueError):
             CardinalitySums(0, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_sums(self, bad):
+        # a NaN fails every comparison: a `v < 0` test alone would hand it
+        # on to add_error
+        with pytest.raises(ValueError, match="finite"):
+            CardinalitySums(3, {1: bad, 2: 0.1})
+
 
 class TestErrorsOnProductLinear:
     # exact spectrum for y = prod(1 + x_i): V_s = C(N,s) 3^{-s}

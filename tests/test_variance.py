@@ -184,6 +184,23 @@ def test_variance_map_requires_complete_cover(plin3_vmap):
         VarianceMap(dim=3, y_empty=1.0, sigma2=partial, total=plin3_vmap.total)
 
 
+def test_variance_map_rejects_nan(plin3_vmap):
+    from dimdecomp.variance import VarianceMap
+
+    sigma2 = {**plin3_vmap.sigma2, 3: math.nan}
+    with pytest.raises(ValueError, match="finite"):
+        VarianceMap(dim=3, y_empty=1.0, sigma2=sigma2, total=plin3_vmap.total)
+
+
+def test_nan_in_a_component_raises():
+    # one NaN in y_{1,2} reaches every variance through the axis maps, and
+    # a NaN fails every comparison, so a `v < 0` test alone lets it through
+    table = build_add(product_linear_problem(3, quad_order=4))
+    table.grid_values(VariableSubset.from_indices([0, 1], 3))[1, 2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        variance_components(table)
+
+
 def nested_tensordot_expectation(arr, weights):
     for k in reversed(range(np.ndim(arr))):
         arr = np.tensordot(arr, weights[k], axes=([k], [0]))
