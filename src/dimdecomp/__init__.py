@@ -43,12 +43,11 @@ from dimdecomp.errors import (
 from dimdecomp.functions import default_marginal, function_names, make_function
 from dimdecomp.mc import (
     McEstimate,
-    OptimalityReport,
+    check_optimality_split,
     mc_add_error,
     mc_expected_rdd_error,
     mc_expected_rdd_errors,
     mc_rdd_error,
-    optimality_probe,
     worker_seed,
 )
 from dimdecomp.measures import (

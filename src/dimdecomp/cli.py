@@ -47,7 +47,7 @@ from dimdecomp.functions import default_marginal, function_names, make_function
 from dimdecomp.mc import (  # noqa: F401 - perfbench traces mc_expected_rdd_error here
     MIN_PAIRS,
     MIN_SAMPLES,
-    McEstimate,
+    _mc_gate,
     mc_add_error,
     mc_expected_rdd_error,
     mc_expected_rdd_errors,
@@ -382,18 +382,6 @@ def cmd_errors(cfg: RunConfig) -> int:
     )
     print(f"  wrote {cfg.out_dir / 'errors.csv'}")
     return EXIT_OK
-
-
-def _mc_gate(name: str, est: McEstimate, target: float) -> CheckResult:
-    """A sampled estimate against its analytic target, gated at 3 standard
-    errors (:meth:`McEstimate.within`)."""
-    return CheckResult(
-        name,
-        abs(est.mean - target),
-        3.0 * est.std_error,
-        est.within(target),
-        f"sampled {_fmt(est.mean)} vs analytic {_fmt(target)} at n={est.n}",
-    )
 
 
 def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:

@@ -242,10 +242,30 @@ class ComponentTable:
         of a block depend on the table alone (see :meth:`_row_blocks`), so
         the requested orders never change a value; another block size
         changes values at roundoff level only.
+
+        Off the Gauss nodes the sums interpolate the stored components, so
+        they equal the target's truncated ADD expansion only where Gauss
+        interpolation of the target is exact: a polynomial of degree below
+        ``q_j`` in each coordinate ``j``.
         """
         orders = _check_orders(orders, self.dim)
         X, squeeze = _as_rows(x, self.dim)
-        sums = self._interpolated_sums(self._components, self.y_empty, orders, X)
+        sums = {s: np.empty(X.shape[0]) for s in orders}
+        subsets = list(all_subsets_up_to(self.dim, max(orders)))
+        # C-contiguous once per call, not once per row block
+        dense = {u.mask: np.ascontiguousarray(self._components[u.mask]) for u in subsets[1:]}
+        for rows in self._row_blocks(X.shape[0]):
+            block = X[rows]
+            interp = _Interpolant(self, block, range(self.dim))
+            out = np.zeros(len(block))
+            card = 0
+            for u in subsets:  # (cardinality, mask) order: copy out at each boundary
+                if u.cardinality > card:
+                    card = u.cardinality
+                    if card - 1 in sums:
+                        sums[card - 1][rows] = out
+                out += interp(dense[u.mask], u.indices()) if u.mask else self.y_empty
+            sums[max(sums)][rows] = out
         return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
 
     # -- internals --------------------------------------------------------
@@ -282,37 +302,6 @@ class ComponentTable:
             per_row = sum(accumulate(q[:h], mul)) + sum(accumulate(q[h:], mul)) + prod(q[h:])
         step = max(1, _BLOCK_VALUES // per_row)
         return (slice(start, start + step) for start in range(0, m, step))
-
-    def _interpolated_sums(
-        self,
-        grids: dict[int, np.ndarray],
-        constant: float,
-        orders: tuple[int, ...],
-        X: np.ndarray,
-    ) -> dict[int, np.ndarray]:
-        """Truncated sums, at the full points `X`, of the subgrid arrays
-        `grids` (by subset mask, the table's layout) plus `constant`.
-
-        Serves the table's own components and any same-shaped arrays (the
-        perturbations of :func:`dimdecomp.mc.optimality_probe`) alike, each
-        made C-contiguous once per call rather than once per row block.
-        """
-        sums = {s: np.empty(X.shape[0]) for s in orders}
-        subsets = list(all_subsets_up_to(self.dim, max(orders)))
-        dense = {u.mask: np.ascontiguousarray(grids[u.mask]) for u in subsets if u.mask}
-        for rows in self._row_blocks(X.shape[0]):
-            block = X[rows]
-            interp = _Interpolant(self, block, range(self.dim))
-            out = np.zeros(len(block))
-            card = 0
-            for u in subsets:  # (cardinality, mask) order: copy out at each boundary
-                if u.cardinality > card:
-                    card = u.cardinality
-                    if card - 1 in sums:
-                        sums[card - 1][rows] = out
-                out += interp(dense[u.mask], u.indices()) if u.mask else constant
-            sums[max(sums)][rows] = out
-        return sums
 
 
 @dataclass(frozen=True, eq=False)

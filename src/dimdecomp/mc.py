@@ -12,6 +12,12 @@ samples accumulate in chunks of ``DEFAULT_CHUNK`` rows (read at call time)
 through a count-weighted mean/variance merge.  A non-finite target value
 raises ``ValueError`` at the draw that produced it (see
 :meth:`ProblemSpec.evaluate`).
+
+:func:`check_optimality_split` samples the projection identity behind the
+paper's two claims, that the integration-based surrogate has the least
+error of its order and the anchored one does worse: for any S-variate
+competitor ``r``, ``E[(y - r)**2] = e_add + E[(yhat_S - r)**2]``, here
+with ``r`` the anchored surrogate at a random anchor.
 """
 from __future__ import annotations
 
@@ -23,14 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from dimdecomp.decomp import (
+    CheckResult,
     ComponentTable,
     ProblemSpec,
     _check_anchor,
     rdd_direct,
     rdd_direct_sums,
 )
-from dimdecomp.errors import add_error
-from dimdecomp.subsets import _check_orders, all_subsets_up_to
+from dimdecomp.errors import rdd_expected_error
+from dimdecomp.subsets import _check_orders
 from dimdecomp.variance import variance_components
 
 MIN_SAMPLES = 1_000
@@ -56,6 +63,18 @@ class McEstimate:
     def within(self, target: float) -> bool:
         """True when `target` lies inside mean ± 3 * std_error."""
         return abs(self.mean - target) <= 3.0 * self.std_error
+
+
+def _mc_gate(name: str, est: McEstimate, target: float) -> CheckResult:
+    """A sampled estimate against its analytic target, gated at 3 standard
+    errors (:meth:`McEstimate.within`)."""
+    return CheckResult(
+        name,
+        abs(est.mean - target),
+        3.0 * est.std_error,
+        est.within(target),
+        f"sampled {float(est.mean):.12g} vs analytic {float(target):.12g} at n={est.n}",
+    )
 
 
 class _Accumulator:
@@ -99,17 +118,16 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise ValueError(f"{label} needs at least {minimum} samples, got {n}")
 
 
-def _sampled(
-    n: int, rng: np.random.Generator, seed: int, count: int, values
-) -> list[McEstimate]:
+def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
     """The one sampling loop: means of sampled values over `n` draws, in
     chunks of ``DEFAULT_CHUNK`` rows.
 
-    ``values(rng, m)`` draws a chunk of `m` rows from the caller's
-    generator `rng` and returns (or yields) `count` value arrays, one per
-    accumulator — the squared gaps of the estimators here.  Each estimate
-    is the count-weighted merge of its chunk means and carries `seed`.
+    ``values(rng, m)`` draws a chunk of `m` rows from the one generator
+    ``default_rng(seed)`` of the call and returns (or yields) `count` value
+    arrays, one per accumulator.  Each estimate is the count-weighted merge
+    of its chunk means and carries `seed`.
     """
+    rng = np.random.default_rng(seed)
     accs = [_Accumulator() for _ in range(count)]
     left = int(n)
     while left > 0:
@@ -146,7 +164,7 @@ def mc_add_error(
         y = problem.evaluate(X)
         return ((y - t) ** 2 for t in table.truncated_sums(orders, X))
 
-    ests = _sampled(n, np.random.default_rng(seed), seed, len(orders), squared_gaps)
+    ests = _sampled(n, seed, len(orders), squared_gaps)
     return ests[0] if single else ests
 
 
@@ -166,7 +184,7 @@ def mc_rdd_error(
         X = problem.measure.sample(rng, m)
         return [(problem.evaluate(X) - rdd_direct(problem, order, c, X)) ** 2]
 
-    return _sampled(n, np.random.default_rng(seed), seed, 1, squared_gap)[0]
+    return _sampled(n, seed, 1, squared_gap)[0]
 
 
 def mc_expected_rdd_error(
@@ -208,102 +226,51 @@ def mc_expected_rdd_errors(
         y = problem.evaluate(X)
         return ((y - r) ** 2 for r in rdd_direct_sums(problem, orders, C, X))
 
-    return _sampled(n_pairs, np.random.default_rng(seed), seed, len(orders), squared_gaps)
+    return _sampled(n_pairs, seed, len(orders), squared_gaps)
 
 
-@dataclass(frozen=True)
-class PerturbationProbe:
-    """One perturbed surrogate measured against the unperturbed optimum."""
+def check_optimality_split(
+    table: ComponentTable, orders: Sequence[int], n: int, seed: int
+) -> list[CheckResult]:
+    """Sampled check that the anchored surrogate never beats the
+    integration-based one, two gates per entry of `orders`.
 
-    error: McEstimate  # E[(y - y_perturbed)^2]
-    excess: McEstimate  # E[(y_best - y_perturbed)^2]
-    split_gap: float  # mean of (error - excess) minus the exact e_add
-    split_se: float
-    dominates: bool
-    split_holds: bool
+    With ``yhat`` the truncated sum of the ADD `table` and ``r`` the
+    anchored surrogate at a random anchor C (both of order S), the
+    projection identity ``E[(y - r)**2] = e_add + E[(yhat - r)**2]``
+    splits the anchored error.  Each chunk of :func:`_sampled` draws X and
+    then one anchor C per row, as :func:`mc_expected_rdd_errors` does, and
+    per order streams ``(y - r)**2 - (yhat - r)**2`` and ``(yhat - r)**2``.
+    Gate ``optimality_split_S{S}`` holds the first to the exact ``e_add``,
+    and gate ``rdd_excess_S{S}`` the second to the exact
+    ``e_rdd_expected - e_add``, at least ``(2**(S+1) - 1) * e_add``: the
+    dominance of ADD and the size of the gap at once.  Each pair costs
+    ``1 + count_up_to(N, max(orders))`` target evaluations, and every
+    order's gates are bit-for-bit those of a single-order call.
 
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Evidence that no same-order surrogate beats the integration-based one.
-
-    For every probe, the measured error of the perturbed surrogate must
-    stay above the exact optimum ``e_add`` (within 3 combined standard
-    errors), and the error must split additively as
-    ``E[(y - y_pert)^2] = e_add + E[(y_best - y_pert)^2]`` — orthogonality
-    in sampled form.
+    The sampled identity holds only where Gauss interpolation of the target
+    is exact (a polynomial of degree below ``q_j`` in each coordinate
+    ``j``): off the nodes the interpolated table is not the projection.
     """
+    problem = table.problem
+    orders = _check_orders(orders, problem.dim - 1)
+    _check_n(n, MIN_PAIRS, "check_optimality_split")
+    vmap = variance_components(table)
+    budgets = [rdd_expected_error(s, vmap) for s in orders]
 
-    order: int
-    e_add: float
-    probes: tuple[PerturbationProbe, ...]
-    all_dominate: bool
-    all_split_hold: bool
+    def split_and_excess(rng, m):
+        X = problem.measure.sample(rng, m)
+        C = problem.measure.sample(rng, m)
+        y = problem.evaluate(X)
+        yhats = table.truncated_sums(orders, X)
+        for yhat, r in zip(yhats, rdd_direct_sums(problem, orders, C, X)):
+            excess = (yhat - r) ** 2
+            yield (y - r) ** 2 - excess
+            yield excess
 
-
-def optimality_probe(
-    problem: ProblemSpec,
-    table: ComponentTable,
-    order: int,
-    n_perturbations: int = 20,
-    seed: int = 0,
-    *,
-    n_samples: int = 20_000,
-    amplitude: float = 0.25,
-) -> OptimalityReport:
-    """Probe mean-square optimality of the S-variate truncation.
-
-    Each probe adds independent uniform perturbations (bounded by
-    `amplitude` times the table scale) to every stored component with
-    ``|u| <= S`` — including the constant — and samples both the error of
-    the perturbed surrogate and its excess over the unperturbed one.
-    Probe ``k`` draws from a generator seeded ``worker_seed(seed, k)``:
-    its perturbations first, then the sample chunks of :func:`_sampled`.
-    With ``amplitude = 0`` the perturbed surrogate *is* the optimum and the
-    excess is identically zero.
-    """
-    (order,) = _check_orders((order,), table.dim - 1)
-    if n_perturbations < 1:
-        raise ValueError("need at least one perturbation")
-    _check_n(n_samples, MIN_SAMPLES, "optimality_probe")
-    e_add = add_error(order, variance_components(table))
-    nonempty = [u for u in all_subsets_up_to(table.dim, order) if not u.is_empty]
-    bound = amplitude * table.scale
-    probes = []
-    for k in range(n_perturbations):
-        rng = np.random.default_rng(worker_seed(seed, k))
-        delta0 = float(rng.uniform(-bound, bound)) if bound > 0.0 else 0.0
-        deltas = {
-            u.mask: rng.uniform(-bound, bound, size=np.shape(table.grid_values(u)))
-            for u in nonempty
-        }
-
-        def error_excess_split(rng, m):
-            X = problem.measure.sample(rng, m)
-            y = problem.evaluate(X)
-            y_best = table.truncated(order, X)
-            shift = table._interpolated_sums(deltas, delta0, (order,), X)[order]
-            err = (y - y_best - shift) ** 2
-            exc = shift**2
-            return err, exc, err - exc
-
-        err_est, exc_est, split = _sampled(n_samples, rng, seed, 3, error_excess_split)
-        dominates = err_est.mean >= e_add - 3.0 * err_est.std_error
-        split_holds = abs(split.mean - e_add) <= 3.0 * split.std_error
-        probes.append(
-            PerturbationProbe(
-                error=err_est,
-                excess=exc_est,
-                split_gap=split.mean - e_add,
-                split_se=split.std_error,
-                dominates=dominates,
-                split_holds=split_holds,
-            )
-        )
-    return OptimalityReport(
-        order=order,
-        e_add=e_add,
-        probes=tuple(probes),
-        all_dominate=all(p.dominates for p in probes),
-        all_split_hold=all(p.split_holds for p in probes),
-    )
+    ests = _sampled(n, seed, 2 * len(orders), split_and_excess)
+    checks = []
+    for b, split, excess in zip(budgets, ests[::2], ests[1::2]):
+        checks.append(_mc_gate(f"optimality_split_S{b.order}", split, b.e_add))
+        checks.append(_mc_gate(f"rdd_excess_S{b.order}", excess, b.e_rdd_expected - b.e_add))
+    return checks

@@ -22,6 +22,7 @@ from dimdecomp import (
     build_rdd,
     check_add_structure,
     check_form_equivalence,
+    check_optimality_split,
     check_rdd_structure,
     coeff_b,
     contrived_example,
@@ -29,7 +30,6 @@ from dimdecomp import (
     error_bounds,
     mc_add_error,
     mc_expected_rdd_error,
-    optimality_probe,
     pmin_for_N,
     rdd_expected_error,
     variance_components,
@@ -251,20 +251,12 @@ def test_c10_two_scale_stress_case(criterion):
         assert rep.inversion is True
 
 
-def test_c11_optimality_probes(criterion, plin4, plin4_table):
-    with criterion("c11_optimality_probes"):
-        for order in (1, 2):
-            rep = optimality_probe(
-                plin4,
-                plin4_table,
-                order,
-                n_perturbations=50,
-                seed=42 + order,
-                n_samples=20_000,
-            )
-            assert len(rep.probes) == 50
-            assert rep.all_dominate, order
-            assert rep.all_split_hold, order
+def test_c11_optimality_split(criterion, plin4_table):
+    with criterion("c11_optimality_split"):
+        checks = check_optimality_split(plin4_table, (0, 1, 2, 3), 100_000, 42)
+        assert len(checks) == 8
+        failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
+        assert not failed, failed
 
 
 def test_c12_vanishing_top_order_error(criterion):

@@ -24,10 +24,6 @@ DEFAULTED = {
     "mc_expected_rdd_error(seed)",
     "mc_rdd_error(n)",
     "mc_rdd_error(seed)",
-    "optimality_probe(n_perturbations)",
-    "optimality_probe(seed)",
-    "optimality_probe(n_samples)",
-    "optimality_probe(amplitude)",
     "MarginalMeasure.sample(size)",
     "MarginalMeasure.__init__(lo)",
     "MarginalMeasure.__init__(hi)",
@@ -50,8 +46,8 @@ EXPORTS = {
     # functions
     "default_marginal", "function_names", "make_function",
     # mc
-    "McEstimate", "OptimalityReport", "mc_add_error", "mc_expected_rdd_error",
-    "mc_expected_rdd_errors", "mc_rdd_error", "optimality_probe", "worker_seed",
+    "McEstimate", "check_optimality_split", "mc_add_error", "mc_expected_rdd_error",
+    "mc_expected_rdd_errors", "mc_rdd_error", "worker_seed",
     # measures
     "MarginalMeasure", "ProductMeasure", "QuadratureRule",
     "gauss_exactness_residual", "gauss_rule", "product_rules",

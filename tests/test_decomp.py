@@ -25,12 +25,12 @@ from dimdecomp import (
     build_rdd,
     check_add_structure,
     check_form_equivalence,
+    check_optimality_split,
     check_rdd_structure,
     count_up_to,
     explicit_component,
     make_function,
     mc_add_error,
-    optimality_probe,
     rdd_direct,
     rdd_direct_sums,
     strict_subsets,
@@ -41,6 +41,7 @@ from dimdecomp import (
 )
 from dimdecomp import decomp
 from dimdecomp.cli import main
+from dimdecomp.mc import MIN_PAIRS
 from tests.conftest import (
     counted,
     ishigami_problem,
@@ -1220,7 +1221,7 @@ def test_rdd_annihilation_property(mask, data):
         lambda p, add, rdd: sobol_D(rdd, VariableSubset.from_indices([0, 2], 3)),
         lambda p, add, rdd: check_add_structure(rdd),
         lambda p, add, rdd: mc_add_error(p, rdd, 1, 1000),
-        lambda p, add, rdd: optimality_probe(p, rdd, 1, 1, n_samples=1000),
+        lambda p, add, rdd: check_optimality_split(rdd, (1,), MIN_PAIRS, 0),
         lambda p, add, rdd: check_rdd_structure(add),
     ],
     ids=[
@@ -1229,7 +1230,7 @@ def test_rdd_annihilation_property(mask, data):
         "sobol_D",
         "check_add_structure",
         "mc_add_error",
-        "optimality_probe",
+        "check_optimality_split",
         "check_rdd_structure",
     ],
 )

@@ -1,26 +1,38 @@
 from __future__ import annotations
 
+from functools import cache, reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimdecomp import (
     McEstimate,
     ProblemSpec,
     ProductMeasure,
+    add_error,
     build_add,
     build_rdd,
     check_form_equivalence,
+    check_optimality_split,
     mc_add_error,
     mc_expected_rdd_error,
     mc_expected_rdd_errors,
     mc_rdd_error,
-    optimality_probe,
     rdd_direct,
+    rdd_direct_sums,
+    variance_components,
     worker_seed,
 )
 from dimdecomp import count_up_to, mc
-from dimdecomp.mc import DEFAULT_CHUNK
-from tests.conftest import counted, product_linear_problem, sobol_g_problem
+from dimdecomp.mc import DEFAULT_CHUNK, MIN_PAIRS
+from tests.conftest import (
+    counted,
+    ishigami_problem,
+    product_linear_problem,
+    sobol_g_problem,
+)
 
 
 class TestMcEstimate:
@@ -215,7 +227,7 @@ class TestExpectedRddOrders:
                 C = p.measure.sample(rng, m)
                 return [(p.evaluate(X) - rdd_direct(p, s, C, X)) ** 2]
 
-            return mc._sampled(10_000, np.random.default_rng(21), 21, 1, squared_gap)[0]
+            return mc._sampled(10_000, 21, 1, squared_gap)[0]
 
         assert got == [per_order(s) for s in orders]
 
@@ -247,45 +259,92 @@ class TestExpectedRddOrders:
                 mc_expected_rdd_error(plin3, bad, 10_000)
 
 
-class TestOptimalityProbe:
-    def test_zero_amplitude_recovers_the_optimum(self, plin3, plin3_table):
-        rep = optimality_probe(
-            plin3, plin3_table, 1, n_perturbations=3, seed=0, n_samples=5000,
-            amplitude=0.0,
-        )
-        assert rep.all_dominate
-        assert rep.all_split_hold
-        for probe in rep.probes:
-            assert probe.excess.mean == 0.0
-            assert probe.error.within(rep.e_add)
+class TestOptimalitySplit:
+    def test_first_order_passes_against_e_add(self, plin3_table, monkeypatch):
+        targets = {}
+        gate = mc._mc_gate
 
-    def test_perturbed_surrogates_never_win(self, plin3, plin3_table):
-        rep = optimality_probe(
-            plin3, plin3_table, 1, n_perturbations=5, seed=1, n_samples=5000,
-        )
-        assert rep.order == 1
-        assert rep.e_add == pytest.approx(10.0 / 27.0, rel=1e-10)
-        assert rep.all_dominate
-        assert rep.all_split_hold
-        for probe in rep.probes:
-            assert probe.excess.mean > 0.0
-            # measured error should exceed the optimum by about the excess
-            assert probe.error.mean > rep.e_add
+        def recorded(name, est, target):
+            targets[name] = target
+            return gate(name, est, target)
 
-    def test_validation(self, plin3, plin3_table):
+        monkeypatch.setattr(mc, "_mc_gate", recorded)
+        checks = check_optimality_split(plin3_table, (1,), 20_000, 3)
+        assert [c.name for c in checks] == ["optimality_split_S1", "rdd_excess_S1"]
+        assert all(c.passed for c in checks)
+        assert targets["optimality_split_S1"] == pytest.approx(10.0 / 27.0, rel=1e-10)
+        # e_rdd - e_add = b_1(2) V_2 + b_1(3) V_3, with V_2 = 3/9 and V_3 = 1/27
+        assert targets["rdd_excess_S1"] == pytest.approx(3 * 3 / 9 + 7 / 27, rel=1e-10)
+
+    def test_multi_order_matches_single_order_calls(self, plin3_table):
+        multi = check_optimality_split(plin3_table, (2, 0, 1), MIN_PAIRS, 5)
+        singles = [
+            c for s in (2, 0, 1) for c in check_optimality_split(plin3_table, (s,), MIN_PAIRS, 5)
+        ]
+        assert multi == singles
+
+    def test_same_seed_same_result(self, plin3_table):
+        first = check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 9)
+        assert check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 9) == first
+        assert check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 10) != first
+
+    def test_evaluations_per_call_are_pinned(self):
+        dim, n = 4, 12_000
+        p, seen = counted(product_linear_problem(dim, 4))
+        table = build_add(p)
+        seen.clear()
+        check_optimality_split(table, (1, 2, 0), n, 4)
+        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 2))
+
+    def test_validation_before_any_draw(self, plin3_table, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(ProductMeasure, "sample", no_draw)
         for bad, msg in (
-            (3, r"outside \[0, 2\]"), (-1, "outside"), (1.5, "integer"), (True, "integer")
+            ((3,), r"outside \[0, 2\]"), ((0, -1), "outside"), ((1.5,), "integer"),
+            ((True,), "integer"),
         ):
             with pytest.raises(ValueError, match=msg):
-                optimality_probe(plin3, plin3_table, bad, n_samples=2000)
-        with pytest.raises(ValueError, match="perturbation"):
-            optimality_probe(plin3, plin3_table, 1, n_perturbations=0)
+                check_optimality_split(plin3_table, bad, MIN_PAIRS, 0)
+        with pytest.raises(ValueError, match="at least"):
+            check_optimality_split(plin3_table, (1,), MIN_PAIRS - 1, 0)
 
-    def test_probe_seeds_are_independent(self, plin3, plin3_table):
-        rep = optimality_probe(
-            plin3, plin3_table, 1, n_perturbations=2, seed=0, n_samples=2000,
-        )
-        assert rep.probes[0].error.mean != rep.probes[1].error.mean
+
+GRID_PROBLEMS = {"ishigami": ishigami_problem, "sobol_g": lambda: sobol_g_problem(4, 6)}
+
+
+@cache
+def _on_grid(name):
+    """(problem, full node grid, product weights, target, ADD truncated sums
+    at every anchored order, e_add per order, total variance)."""
+    problem = GRID_PROBLEMS[name]()
+    table = build_add(problem)
+    rules = problem.rules
+    X = np.stack(np.meshgrid(*(r.nodes for r in rules), indexing="ij"), -1)
+    X = X.reshape(-1, problem.dim)
+    w = reduce(np.multiply.outer, [r.weights for r in rules]).reshape(-1)
+    orders = tuple(range(problem.dim))
+    vmap = variance_components(table)
+    e_add = [add_error(s, vmap) for s in orders]
+    return problem, X, w, problem.evaluate(X), table.truncated_sums(orders, X), e_add, vmap.total
+
+
+@pytest.mark.parametrize("name", sorted(GRID_PROBLEMS))
+@settings(max_examples=25, deadline=None)
+@given(unit=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_split_identity_is_exact_on_the_grid(name, unit):
+    # under the Gauss grid measure the ADD table is the projection onto
+    # S-variate functions, so for any anchor the anchored surrogate's error
+    # splits as e_add plus its distance to the ADD surrogate, to roundoff,
+    # whatever the target (sobol_g is kinked)
+    problem, X, w, y, yhats, e_add, total = _on_grid(name)
+    m = problem.measure.marginals
+    anchor = [mj.lo + u * (mj.hi - mj.lo) for mj, u in zip(m, unit[: problem.dim])]
+    anchored = rdd_direct_sums(problem, range(problem.dim), anchor, X)
+    for s, (yhat, r) in enumerate(zip(yhats, anchored)):
+        split = np.dot(w, (y - r) ** 2) - np.dot(w, (yhat - r) ** 2)
+        assert abs(split - e_add[s]) <= 1e-12 * total, s
 
 
 class TestNonFiniteTarget:
