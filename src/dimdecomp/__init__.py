@@ -9,8 +9,6 @@ sensitivity indices, and Monte Carlo estimators that close the loop
 against the analytic numbers.
 """
 from dimdecomp.decomp import (
-    ADD,
-    RDD,
     AnchoredTable,
     CheckResult,
     ComponentTable,
@@ -48,7 +46,6 @@ from dimdecomp.mc import (
     mc_expected_rdd_error,
     mc_expected_rdd_errors,
     mc_rdd_error,
-    worker_seed,
 )
 from dimdecomp.measures import (
     GAUSS_MAX_ORDER,

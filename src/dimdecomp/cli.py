@@ -90,7 +90,6 @@ class Figure1Config:
     n_max: int = 100
     right_dim: int = 20
     rates: tuple[float, ...] = (5.0, 50.0)
-    scale: float = 1.0
 
 
 @dataclass
@@ -154,8 +153,12 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 
 def _parse_marginal(data, where: str) -> MarginalMeasure:
     _reject_unknown(data, {"kind", "lo", "hi"}, where)
+    lo, hi = (
+        None if data.get(key) is None else _number(data[key], f"{where}.{key}")
+        for key in ("lo", "hi")
+    )
     try:
-        return MarginalMeasure(data["kind"], data.get("lo"), data.get("hi"))
+        return MarginalMeasure(data["kind"], lo, hi)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
@@ -245,15 +248,13 @@ def parse_config(data: dict) -> RunConfig:
             if not isinstance(fig["rates"], list):
                 raise ConfigError(f"figure1.rates must be a list, got {fig['rates']!r}")
             given["rates"] = tuple(_number(r, "figure1.rates") for r in fig["rates"])
-        if "scale" in fig:
-            given["scale"] = _number(fig["scale"], "figure1.scale")
         f1 = Figure1Config(**given)
         if f1.n_min < 3:
             raise ConfigError("figure1.n_min must be at least 3 (no threshold exists below)")
         if f1.n_max < f1.n_min:
             raise ConfigError("figure1.n_max must be >= n_min")
-        if f1.right_dim < 2 or any(r <= 1.0 for r in f1.rates) or f1.scale <= 0.0:
-            raise ConfigError("figure1 needs right_dim >= 2, rates > 1 and scale > 0")
+        if f1.right_dim < 2 or any(r <= 1.0 for r in f1.rates):
+            raise ConfigError("figure1 needs right_dim >= 2 and rates > 1")
         cfg.figure1 = f1
     return cfg
 
@@ -465,7 +466,7 @@ def cmd_verify(cfg: RunConfig, *, corrupt_table: bool = False) -> int:
             )
         )
 
-    add_ests = mc_add_error(problem, table, orders, cfg.n_samples, cfg.seed)
+    add_ests = mc_add_error(table, orders, cfg.n_samples, cfg.seed)
     rdd_ests = mc_expected_rdd_errors(
         problem, orders, max(cfg.n_samples, MIN_PAIRS), cfg.seed + 1
     )
@@ -502,7 +503,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
     _write_csv(cfg.out_dir / "figure1_left.csv", ["dim", "p_min"], left_rows)
     right_rows = []
     for rate in f1.rates:
-        model = DecayModel(f1.right_dim, rate, f1.scale)
+        model = DecayModel(f1.right_dim, rate)
         for point in decay_curves(model):
             right_rows.append(
                 [rate, point.order, point.e_add_normalized, point.e_rdd_normalized]

@@ -59,9 +59,6 @@ from dimdecomp.subsets import (
     subsets_of_cardinality,
 )
 
-ADD = "ADD"
-RDD = "RDD"
-
 #: points of one full tensor grid (build_add) or conditional-mean grid:
 #: 32 MiB of float64 target values
 DEFAULT_MAX_GRID_POINTS = 4_000_000
@@ -195,10 +192,6 @@ class ComponentTable:
     def scale(self) -> float:
         """Magnitude used to normalize structural residuals."""
         return max(1.0, abs(self.y_empty))
-
-    def masks(self) -> list[int]:
-        """Masks of the nonempty components in (cardinality, mask) order."""
-        return sorted(range(1, 1 << self.dim), key=lambda m: (m.bit_count(), m))
 
     def grid_values(self, u: VariableSubset) -> np.ndarray | float:
         """Component values on the subgrid of `u` (a scalar for ``u = {}``)."""
@@ -505,23 +498,16 @@ def rdd_direct_sums(
     return [float(sums[S][0]) if squeeze else sums[S] for S in orders]
 
 
-def explicit_component(
-    problem: ProblemSpec,
-    u: VariableSubset,
-    kind: str,
-    x_u,
-    *,
-    anchor=None,
-) -> float:
+def explicit_component(problem: ProblemSpec, u: VariableSubset, x_u, *, anchor=None) -> float:
     """Evaluate one component by its alternating-sum form.
 
-    For ADD this sums signed conditional means over all ``v ⊆ u`` (each one
-    a fresh quadrature over the complementary coordinates); for RDD it sums
-    signed anchored evaluations.  Exists as an independent route against the
-    tables' axis passes — the two must agree to roundoff.
+    Without an `anchor` this is the ADD component: it sums signed
+    conditional means over all ``v ⊆ u`` (each one a fresh quadrature over
+    the complementary coordinates).  With one it is the RDD component at
+    that anchor: it sums signed anchored evaluations.  Exists as an
+    independent route against the tables' axis passes — the two must agree
+    to roundoff.
     """
-    if kind not in (ADD, RDD):
-        raise ValueError(f"kind must be {ADD!r} or {RDD!r}")
     if u.dim != problem.dim:
         raise ValueError(f"subset dimension {u.dim} != problem dimension {problem.dim}")
     pt = np.asarray(x_u, dtype=float).reshape(-1)
@@ -529,7 +515,7 @@ def explicit_component(
         raise ValueError(f"x_u must have shape ({u.cardinality},)")
     coords = u.indices()
     lattice = list(strict_subsets(u)) + [u]
-    if kind == RDD:
+    if anchor is not None:
         c = _check_anchor(problem, anchor)
         ((_, block),) = _anchored(problem, c, pt[None, :], lattice, coords)
         terms = [float(y[0]) for _, y in block]

@@ -66,10 +66,6 @@ class CardinalitySums:
     def cardinality_sums(self) -> dict[int, float]:
         return dict(self.sums)
 
-    @property
-    def total(self) -> float:
-        return fsum(self.sums.values())
-
 
 @dataclass(frozen=True)
 class ErrorBudget:

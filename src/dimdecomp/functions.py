@@ -8,7 +8,7 @@ and ``poly``.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -75,11 +75,13 @@ def ishigami(dim: int = 3, a: float = 7.0, b: float = 0.1) -> Callable:
 def poly(dim: int, terms) -> Callable:
     """Sparse multivariate polynomial ``y = sum_t c_t * prod_i x_i**e_ti``.
 
-    `terms` is a sequence of mappings with keys ``coeff`` (float) and
-    ``exponents`` (length-`dim` list of nonnegative ints).
+    `terms` is a sequence of mappings with exactly the keys ``coeff``
+    (float) and ``exponents`` (length-`dim` list of nonnegative ints).
     """
     parsed = []
     for t in terms:
+        if not isinstance(t, Mapping) or set(t) != {"coeff", "exponents"}:
+            raise ValueError(f"a poly term needs exactly the keys coeff and exponents, got {t!r}")
         c = float(t["coeff"])
         e = np.asarray(t["exponents"], dtype=int)
         if e.shape != (dim,):

@@ -106,13 +106,6 @@ class _Accumulator:
         return McEstimate(self.mean, sqrt(max(var, 0.0) / self.n), self.n, seed)
 
 
-def worker_seed(base_seed: int, worker_index: int) -> int:
-    """Seed of independent stream `worker_index`: ``base_seed + worker_index``."""
-    if worker_index < 0:
-        raise ValueError("worker index must be nonnegative")
-    return int(base_seed) + int(worker_index)
-
-
 def _check_n(n: int, minimum: int, label: str) -> None:
     if n < minimum:
         raise ValueError(f"{label} needs at least {minimum} samples, got {n}")
@@ -139,7 +132,6 @@ def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
 
 
 def mc_add_error(
-    problem: ProblemSpec,
     table: ComponentTable,
     order: int | Sequence[int],
     n: int = 100_000,
@@ -147,17 +139,19 @@ def mc_add_error(
 ) -> McEstimate | list[McEstimate]:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
-    `table` is an ADD table of `problem`; the surrogate is interpolated at
-    the sampled (off-grid) points.  `order` is one truncation order, which
-    returns one estimate, or a sequence of them, which returns one estimate
-    per entry.  All orders share every draw, the target values and one pass
-    over the components (see :meth:`ComponentTable.truncated_sums`), and
-    each estimate is bit-for-bit what a single-order call with the same
-    seed gives.  Orders are checked before any draw.
+    Points and target values come from ``table.problem``, and the
+    surrogate is the ADD `table` interpolated at the sampled (off-grid)
+    points.  `order` is one truncation order, which returns one estimate,
+    or a sequence of them, which returns one estimate per entry.  All
+    orders share every draw, the target values and one pass over the
+    components (see :meth:`ComponentTable.truncated_sums`), and each
+    estimate is bit-for-bit what a single-order call with the same seed
+    gives.  Orders are checked before any draw.
     """
     _check_n(n, MIN_SAMPLES, "mc_add_error")
     single = isinstance(order, Integral)
     orders = _check_orders((order,) if single else order, table.dim)
+    problem = table.problem
 
     def squared_gaps(rng, m):
         X = problem.measure.sample(rng, m)

@@ -12,8 +12,7 @@ machinery downstream quantitative rather than approximate.
 
 Sampling uses :func:`numpy.random.default_rng` (PCG64).  Results are
 deterministic for a fixed seed and call sequence within this package
-version; estimators that need several independent streams seed stream
-``k`` with ``base_seed + k``.
+version.
 """
 from __future__ import annotations
 
@@ -28,8 +27,6 @@ GAUSS_MAX_ORDER = 64
 _UNIFORM = "uniform"
 _NORMAL = "standard_normal"
 _KINDS = (_UNIFORM, _NORMAL)
-
-_NORMAL_CONST = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -55,25 +52,19 @@ class MarginalMeasure:
                 raise ValueError("uniform bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi}]")
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
         else:
             if self.lo is not None or self.hi is not None:
                 raise ValueError("standard_normal takes no bounds")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "MarginalMeasure":
-        return cls(_UNIFORM, float(lo), float(hi))
+        return cls(_UNIFORM, lo, hi)
 
     @classmethod
     def standard_normal(cls) -> "MarginalMeasure":
         return cls(_NORMAL)
-
-    def density(self, x) -> np.ndarray:
-        """Probability density evaluated at `x` (vectorized)."""
-        arr = np.asarray(x, dtype=float)
-        if self.kind == _UNIFORM:
-            inside = (arr >= self.lo) & (arr <= self.hi)
-            return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return _NORMAL_CONST * np.exp(-0.5 * arr * arr)
 
     def moment(self, k: int) -> float:
         """Exact raw moment ``E[X**k]``."""
@@ -123,14 +114,6 @@ class ProductMeasure:
     @property
     def dim(self) -> int:
         return len(self.marginals)
-
-    def density(self, x) -> np.ndarray:
-        """Joint density at points of shape ``(dim,)`` or ``(m, dim)``."""
-        arr = _check_points(x, self.dim)
-        out = np.ones(arr.shape[:-1], dtype=float)
-        for j, marg in enumerate(self.marginals):
-            out *= marg.density(arr[..., j])
-        return out
 
     def contains(self, x) -> np.ndarray:
         arr = _check_points(x, self.dim)

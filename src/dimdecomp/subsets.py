@@ -68,34 +68,6 @@ class VariableSubset:
         """1-based display form, e.g. ``[1,3]``; the empty set prints ``[]``."""
         return "[" + ",".join(str(i + 1) for i in self.indices()) + "]"
 
-    def complement(self) -> "VariableSubset":
-        return VariableSubset(self.mask ^ ((1 << self.dim) - 1), self.dim)
-
-    def union(self, other: "VariableSubset") -> "VariableSubset":
-        self._check_compatible(other)
-        return VariableSubset(self.mask | other.mask, self.dim)
-
-    def intersection(self, other: "VariableSubset") -> "VariableSubset":
-        self._check_compatible(other)
-        return VariableSubset(self.mask & other.mask, self.dim)
-
-    def issubset(self, other: "VariableSubset") -> bool:
-        self._check_compatible(other)
-        return self.mask & ~other.mask == 0
-
-    def _check_compatible(self, other: "VariableSubset") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __len__(self) -> int:
-        return self.cardinality
-
-    def __str__(self) -> str:
-        return self.label()
-
 
 def subsets_of_cardinality(dim: int, size: int) -> Iterator[VariableSubset]:
     """All subsets of a given cardinality, in increasing mask order.

@@ -53,13 +53,6 @@ class VarianceMap:
         if not all(0.0 <= v < inf for v in self.sigma2.values()):  # NaN fails too
             raise ValueError("component variances must be finite and nonnegative")
 
-    def by_subset(self, u: VariableSubset) -> float:
-        if u.dim != self.dim:
-            raise ValueError(f"subset dimension {u.dim} != map dimension {self.dim}")
-        if u.is_empty:
-            raise ValueError("the empty subset carries no variance")
-        return self.sigma2[u.mask]
-
     @property
     def degenerate(self) -> bool:
         """True when the total variance is below roundoff relative to the

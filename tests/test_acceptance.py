@@ -33,7 +33,6 @@ from dimdecomp import (
     pmin_for_N,
     rdd_expected_error,
     variance_components,
-    worker_seed,
 )
 from dimdecomp.cli import main
 from tests.conftest import (
@@ -85,28 +84,23 @@ def test_c03_expected_error_vs_sampling(criterion, plin_vmaps):
                     problem,
                     order,
                     n_pairs=1_000_000,
-                    seed=worker_seed(1000, 10 * dim + order),
+                    seed=1000 + 10 * dim + order,
                 )
                 assert est.within(analytic), (dim, order, analytic, est)
         assert time.perf_counter() - t0 <= 300.0
 
 
-def test_c04_integration_error_sampling(criterion, plin3, plin3_table, plin3_vmap, plin4, plin4_table, plin4_vmap):
+def test_c04_integration_error_sampling(criterion, plin3_table, plin3_vmap, plin4_table, plin4_vmap):
     with criterion("c04_integration_error_sampling"):
         pinned = add_error(1, plin3_vmap)
         assert pinned == pytest.approx(10.0 / 27.0, rel=1e-12)
-        est = mc_add_error(plin3, plin3_table, 1, n=1_000_000, seed=42)
+        est = mc_add_error(plin3_table, 1, n=1_000_000, seed=42)
         assert est.within(pinned)
-        for problem, table, vmap in (
-            (plin3, plin3_table, plin3_vmap),
-            (plin4, plin4_table, plin4_vmap),
-        ):
-            for order in range(problem.dim):
+        for table, vmap in ((plin3_table, plin3_vmap), (plin4_table, plin4_vmap)):
+            for order in range(table.dim):
                 analytic = add_error(order, vmap)
-                est = mc_add_error(
-                    problem, table, order, n=200_000, seed=worker_seed(2000, order)
-                )
-                assert est.within(analytic), (problem.dim, order, analytic, est)
+                est = mc_add_error(table, order, n=200_000, seed=2000 + order)
+                assert est.within(analytic), (table.dim, order, analytic, est)
 
 
 def _battery_problems():
@@ -167,7 +161,7 @@ def test_c06_subset_sum_identity(criterion):
                     summed = math.fsum(
                         vmap.sigma2[v.mask]
                         for v in all_subsets_up_to(dim, dim)
-                        if not v.is_empty and v.issubset(u)
+                        if not v.is_empty and v.mask & ~u.mask == 0
                     )
                     assert direct == pytest.approx(summed, rel=1e-8, abs=1e-12), (
                         factory.__name__,
@@ -224,7 +218,7 @@ def test_c09_decay_curve_shapes(criterion, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(
             '{"out": "%s", "figure1": {"n_min": 3, "n_max": 20, "right_dim": 20, '
-            '"rates": [5, 50], "scale": 1.0}}' % (tmp_path / "out")
+            '"rates": [5, 50]}}' % (tmp_path / "out")
         )
         assert main(["figure1", "--config", str(cfg)]) == 0
         path = tmp_path / "out" / "figure1_right.csv"

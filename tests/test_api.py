@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+from functools import cached_property
 from types import ModuleType
 
 import dimdecomp
@@ -34,7 +35,7 @@ DEFAULTED = {
 # Every public name the package exports: one removed or added here is an
 # API change made on purpose.
 EXPORTS = {
-    "ADD", "RDD", "GAUSS_MAX_ORDER",
+    "GAUSS_MAX_ORDER",
     # decomp
     "AnchoredTable", "CheckResult", "ComponentTable", "ProblemSpec", "build_add",
     "build_rdd", "check_add_structure", "check_form_equivalence",
@@ -47,7 +48,7 @@ EXPORTS = {
     "default_marginal", "function_names", "make_function",
     # mc
     "McEstimate", "check_optimality_split", "mc_add_error", "mc_expected_rdd_error",
-    "mc_expected_rdd_errors", "mc_rdd_error", "worker_seed",
+    "mc_expected_rdd_errors", "mc_rdd_error",
     # measures
     "MarginalMeasure", "ProductMeasure", "QuadratureRule",
     "gauss_exactness_residual", "gauss_rule", "product_rules",
@@ -57,6 +58,33 @@ EXPORTS = {
     # variance
     "VarianceMap", "sobol_D", "sobol_indices", "variance_closure_residual",
     "variance_components",
+}
+
+# Every public method and property of the exported classes: one spelling
+# per operation, so a second spelling added here is an API change too.
+MEMBERS = {
+    # decomp
+    "AnchoredTable.component", "AnchoredTable.dim", "AnchoredTable.scale",
+    "AnchoredTable.truncated",
+    "ComponentTable.component", "ComponentTable.dim", "ComponentTable.grid_values",
+    "ComponentTable.scale", "ComponentTable.truncated", "ComponentTable.truncated_sums",
+    "ProblemSpec.dim", "ProblemSpec.evaluate", "ProblemSpec.orders", "ProblemSpec.rules",
+    # errors
+    "CardinalitySums.cardinality_sums", "DecayModel.total_variance",
+    # mc
+    "McEstimate.within",
+    # measures
+    "MarginalMeasure.contains", "MarginalMeasure.moment", "MarginalMeasure.sample",
+    "MarginalMeasure.standard_normal", "MarginalMeasure.uniform",
+    "ProductMeasure.contains", "ProductMeasure.dim", "ProductMeasure.iid",
+    "ProductMeasure.sample",
+    "QuadratureRule.order",
+    # subsets
+    "VariableSubset.cardinality", "VariableSubset.empty", "VariableSubset.from_indices",
+    "VariableSubset.full", "VariableSubset.indices", "VariableSubset.is_empty",
+    "VariableSubset.label",
+    # variance
+    "VarianceMap.cardinality_sums", "VarianceMap.degenerate",
 }
 
 
@@ -92,3 +120,16 @@ def test_defaulted_public_parameters_are_pinned():
 
 def test_exported_names_are_pinned():
     assert {name for name, _ in _public()} == EXPORTS
+
+
+def test_public_members_are_pinned():
+    kinds = (staticmethod, classmethod, property, cached_property)
+    got = {
+        f"{name}.{attr}"
+        for name, obj in _public()
+        if inspect.isclass(obj)
+        for attr, member in vars(obj).items()
+        if not attr.startswith("_")
+        and (isinstance(member, kinds) or inspect.isfunction(member))
+    }
+    assert got == MEMBERS

@@ -305,7 +305,34 @@ class TestConfigHandling:
             # a string is no list of rates, not the rates (5.0, 5.0)
             ({"figure1": {"rates": "55"}}, "figure1.rates must be a list"),
             ({"figure1": {"rates": ["5", 50]}}, "figure1.rates must be a number"),
-            ({"figure1": {"scale": "2"}}, "figure1.scale must be a number"),
+            # a figure1 scale changed no output: both error columns are
+            # normalized by the total variance
+            ({"figure1": {"scale": 1.0}}, "unknown figure1 key(s): scale"),
+            # bounds went to the Gauss rule as strings: a TypeError traceback
+            (
+                {"marginals": {"kind": "uniform", "lo": "0", "hi": 1}},
+                "marginal.lo must be a number",
+            ),
+            # and as booleans were read as uniform(0, 1)
+            (
+                {"marginals": [{"kind": "uniform", "lo": False, "hi": True}]},
+                "marginal.lo must be a number",
+            ),
+            # a poly term without exponents ended in a KeyError traceback
+            (
+                {"function": {"name": "poly", "terms": [{"coeff": 1.0}]}},
+                "bad function spec: a poly term needs exactly the keys coeff and exponents",
+            ),
+            # and one with an extra key was read without it
+            (
+                {
+                    "function": {
+                        "name": "poly",
+                        "terms": [{"coeff": 1.0, "exponents": [1, 0, 0], "power": 2}],
+                    }
+                },
+                "bad function spec: a poly term needs exactly the keys coeff and exponents",
+            ),
         ],
     )
     def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):

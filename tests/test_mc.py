@@ -23,7 +23,6 @@ from dimdecomp import (
     rdd_direct,
     rdd_direct_sums,
     variance_components,
-    worker_seed,
 )
 from dimdecomp import count_up_to, mc
 from dimdecomp.mc import DEFAULT_CHUNK, MIN_PAIRS
@@ -31,6 +30,7 @@ from tests.conftest import (
     counted,
     ishigami_problem,
     product_linear_problem,
+    retargeted,
     sobol_g_problem,
 )
 
@@ -48,42 +48,37 @@ class TestMcEstimate:
             McEstimate(mean=0.0, std_error=0.0, n=0, seed=0)
 
 
-def test_worker_seed_is_offset():
-    assert worker_seed(42, 0) == 42
-    assert worker_seed(42, 7) == 49
-
-
 class TestAddErrorSampling:
-    def test_deterministic(self, plin3, plin3_table):
-        a = mc_add_error(plin3, plin3_table, 1, n=2000, seed=11)
-        b = mc_add_error(plin3, plin3_table, 1, n=2000, seed=11)
-        c = mc_add_error(plin3, plin3_table, 1, n=2000, seed=12)
+    def test_deterministic(self, plin3_table):
+        a = mc_add_error(plin3_table, 1, n=2000, seed=11)
+        b = mc_add_error(plin3_table, 1, n=2000, seed=11)
+        c = mc_add_error(plin3_table, 1, n=2000, seed=12)
         assert a == b
         assert a.mean != c.mean
 
-    def test_pinned_value_gate(self, plin3, plin3_table):
-        est = mc_add_error(plin3, plin3_table, 1, n=100_000, seed=42)
+    def test_pinned_value_gate(self, plin3_table):
+        est = mc_add_error(plin3_table, 1, n=100_000, seed=42)
         assert est.within(10.0 / 27.0)
         assert est.std_error < 0.01
 
-    def test_full_order_error_vanishes(self, plin3, plin3_table):
-        est = mc_add_error(plin3, plin3_table, 3, n=2000, seed=0)
+    def test_full_order_error_vanishes(self, plin3_table):
+        est = mc_add_error(plin3_table, 3, n=2000, seed=0)
         assert abs(est.mean) <= 1e-25
 
-    def test_sample_count_floor(self, plin3, plin3_table):
+    def test_sample_count_floor(self, plin3_table):
         with pytest.raises(ValueError, match="at least"):
-            mc_add_error(plin3, plin3_table, 1, n=999)
+            mc_add_error(plin3_table, 1, n=999)
 
-    def test_chunked_run_covers_requested_n(self, plin3, plin3_table, monkeypatch):
+    def test_chunked_run_covers_requested_n(self, plin3_table, monkeypatch):
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
-        est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=1)
+        est = mc_add_error(plin3_table, 1, n=5000, seed=1)
         assert est.n == 5000
 
     def test_chunk_merge_equals_one_pass_statistics(self, plin3, plin3_table, monkeypatch):
         # the count-weighted merge of 1024-row chunks gives the mean and
         # standard error of all 5000 squared gaps taken at once
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
-        est = mc_add_error(plin3, plin3_table, 1, n=5000, seed=3)
+        est = mc_add_error(plin3_table, 1, n=5000, seed=3)
         rng = np.random.default_rng(3)
         gaps = []
         for m in [1024] * 4 + [904]:
@@ -112,19 +107,19 @@ class TestAddErrorOrders:
     )
     @pytest.mark.parametrize("n,chunk", [(2000, DEFAULT_CHUNK), (5000, 1024)])
     def test_equals_one_call_per_order(
-        self, plin3, plin3_table, sobol5, name, orders, n, chunk, monkeypatch
+        self, plin3_table, sobol5, name, orders, n, chunk, monkeypatch
     ):
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
-        problem, table = (plin3, plin3_table) if name == "plin3" else sobol5
-        got = mc_add_error(problem, table, orders, n, seed=13)
-        want = [mc_add_error(problem, table, s, n, seed=13) for s in orders]
+        table = plin3_table if name == "plin3" else sobol5[1]
+        got = mc_add_error(table, orders, n, seed=13)
+        want = [mc_add_error(table, s, n, seed=13) for s in orders]
         assert got == want
 
     def test_one_target_row_per_sample_for_all_orders(self, sobol5, monkeypatch):
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
         problem, table = sobol5
         p, seen = counted(problem)
-        mc_add_error(p, table, range(5), n=5000, seed=1)
+        mc_add_error(retargeted(table, p), range(5), n=5000, seed=1)
         assert [len(b) for b in seen] == [1024] * 4 + [904]
 
     def test_orders_checked_before_any_work(self, plin3, plin3_table, monkeypatch):
@@ -136,7 +131,7 @@ class TestAddErrorOrders:
         monkeypatch.setattr(ProductMeasure, "sample", no_draw)
         for bad in ((), [], 4, -1, (1, 7), 1.5, (1, 2.0), "1", None, True):
             with pytest.raises(ValueError):
-                mc_add_error(p, plin3_table, bad, n=1000)
+                mc_add_error(retargeted(plin3_table, p), bad, n=1000)
         for bad in (3, -1, 1.0):
             with pytest.raises(ValueError):
                 mc_rdd_error(p, bad, np.zeros(3), n=1000)
@@ -144,10 +139,10 @@ class TestAddErrorOrders:
                 mc_expected_rdd_error(p, bad, n_pairs=10_000)
         assert seen == []
         monkeypatch.undo()
-        one = mc_add_error(plin3, plin3_table, 1, n=1000)
-        assert mc_add_error(plin3, plin3_table, np.int64(1), n=1000) == one
-        assert mc_add_error(plin3, plin3_table, np.arange(1, 3), n=1000) == [
-            one, mc_add_error(plin3, plin3_table, 2, n=1000)
+        one = mc_add_error(plin3_table, 1, n=1000)
+        assert mc_add_error(plin3_table, np.int64(1), n=1000) == one
+        assert mc_add_error(plin3_table, np.arange(1, 3), n=1000) == [
+            one, mc_add_error(plin3_table, 2, n=1000)
         ]
 
 
@@ -360,7 +355,7 @@ class TestNonFiniteTarget:
 
     def test_sampled_estimators(self, nan_problem, plin3_table):
         with pytest.raises(ValueError, match="finite"):
-            mc_add_error(nan_problem, plin3_table, 1, 2_000, seed=1)
+            mc_add_error(retargeted(plin3_table, nan_problem), 1, 2_000, seed=1)
         with pytest.raises(ValueError, match="finite"):
             mc_expected_rdd_error(nan_problem, 1, 10_000, seed=1)
         with pytest.raises(ValueError, match="finite"):

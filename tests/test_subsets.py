@@ -39,20 +39,6 @@ class TestVariableSubset:
         with pytest.raises(ValueError):
             VariableSubset.from_indices([3], 3)
 
-    def test_complement_examples(self):
-        assert VariableSubset.empty(4).complement() == VariableSubset.full(4)
-        u = VariableSubset.from_indices([0, 2], 4)
-        assert u.complement().indices() == (1, 3)
-
-    def test_set_relations(self):
-        u = VariableSubset.from_indices([0, 1], 4)
-        v = VariableSubset.from_indices([0], 4)
-        assert v.issubset(u) and not u.issubset(v)
-        assert u.union(v) == u
-        assert u.intersection(v) == v
-        with pytest.raises(ValueError):
-            u.union(VariableSubset.from_indices([0], 5))
-
 
 class TestEnumeration:
     def test_small_counts(self):
@@ -121,28 +107,12 @@ class TestStrictSubsets:
         u = VariableSubset.from_indices([0, 2, 3, 5, 6], 8)
         subs = list(strict_subsets(u))
         assert len(subs) == 2**5 - 1
-        assert all(v.issubset(u) and v != u for v in subs)
+        assert all(v.mask & ~u.mask == 0 and v != u for v in subs)
 
     def test_ordering(self):
         u = VariableSubset.from_indices([1, 2, 4], 6)
         keys = [(v.cardinality, v.mask) for v in strict_subsets(u)]
         assert keys == sorted(keys)
-
-
-@given(st.integers(1, 16), st.data())
-def test_complement_is_involution(dim, data):
-    mask = data.draw(st.integers(0, (1 << dim) - 1))
-    u = VariableSubset(mask, dim)
-    assert u.complement().complement() == u
-    assert u.complement().cardinality == dim - u.cardinality
-
-
-@given(st.integers(1, 10), st.data())
-def test_union_of_subset_and_complement_is_full(dim, data):
-    mask = data.draw(st.integers(0, (1 << dim) - 1))
-    u = VariableSubset(mask, dim)
-    assert u.union(u.complement()) == VariableSubset.full(dim)
-    assert u.intersection(u.complement()).is_empty
 
 
 def test_enumeration_matches_itertools_reference():
