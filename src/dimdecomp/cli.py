@@ -21,7 +21,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,8 @@ from dimdecomp.mc import (  # noqa: F401 - perfbench traces mc_expected_rdd_erro
 from dimdecomp.measures import (
     MarginalMeasure,
     ProductMeasure,
+    _check_integer,
+    _check_real,
     gauss_exactness_residual,
 )
 from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
@@ -125,18 +126,21 @@ class RunConfig:
 
 
 def _integer(value, where: str) -> int:
-    """A config integer: ``bool`` and non-integer numbers are rejected,
-    not truncated."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    """A config integer, checked by the library's one integer check:
+    ``bool`` and non-integer numbers are rejected, not truncated."""
+    try:
+        return _check_integer(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _number(value, where: str) -> float:
-    """A config number: ``bool`` and strings are rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    """A config number, checked by the library's one number check:
+    ``bool`` and strings are rejected, not converted."""
+    try:
+        return _check_real(value, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _section(value, where: str) -> dict:

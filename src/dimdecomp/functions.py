@@ -12,7 +12,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from dimdecomp.measures import MarginalMeasure
+from dimdecomp.measures import MarginalMeasure, _check_integer, _check_real
 
 
 def _batch(x, dim: int) -> np.ndarray:
@@ -22,11 +22,22 @@ def _batch(x, dim: int) -> np.ndarray:
     return arr
 
 
+def _vector(values, dim: int, check: Callable, what: str) -> np.ndarray:
+    """`values` as an array of `dim` entries, each through `check`
+    (:func:`~dimdecomp.measures._check_real` or ``_check_integer``), so
+    bools and numeric strings raise ``ValueError`` instead of converting."""
+    try:
+        items = list(values)
+    except TypeError:
+        raise ValueError(f"{what} vector must be a sequence, got {values!r}") from None
+    if len(items) != dim:
+        raise ValueError(f"{what} vector must have length {dim}")
+    return np.array([check(v, what) for v in items])
+
+
 def product_linear(dim: int, a=None) -> Callable:
     """``y = prod_i (1 + a_i * x_i)``; defaults to ``a_i = 1``."""
-    coeff = np.ones(dim) if a is None else np.asarray(a, dtype=float)
-    if coeff.shape != (dim,):
-        raise ValueError(f"coefficient vector must have length {dim}")
+    coeff = np.ones(dim) if a is None else _vector(a, dim, _check_real, "coefficient")
 
     def fn(x):
         arr = _batch(x, dim)
@@ -43,10 +54,10 @@ def sobol_g(dim: int, a=None) -> Callable:
     converges at a fixed algebraic rate here, not spectrally.
     """
     coeff = (
-        np.arange(dim, dtype=float) if a is None else np.asarray(a, dtype=float)
+        np.arange(dim, dtype=float)
+        if a is None
+        else _vector(a, dim, _check_real, "coefficient")
     )
-    if coeff.shape != (dim,):
-        raise ValueError(f"coefficient vector must have length {dim}")
     if np.any(coeff < 0):
         raise ValueError("coefficients must be nonnegative")
 
@@ -61,8 +72,8 @@ def ishigami(dim: int = 3, a: float = 7.0, b: float = 0.1) -> Callable:
     """``y = sin(x1) + a sin^2(x2) + b x3^4 sin(x1)``; requires dim == 3."""
     if dim != 3:
         raise ValueError("ishigami is defined for exactly 3 variables")
-    a = float(a)
-    b = float(b)
+    a = _check_real(a, "ishigami a")
+    b = _check_real(b, "ishigami b")
 
     def fn(x):
         arr = _batch(x, 3)
@@ -76,16 +87,15 @@ def poly(dim: int, terms) -> Callable:
     """Sparse multivariate polynomial ``y = sum_t c_t * prod_i x_i**e_ti``.
 
     `terms` is a sequence of mappings with exactly the keys ``coeff``
-    (float) and ``exponents`` (length-`dim` list of nonnegative ints).
+    (a number) and ``exponents`` (length-`dim` list of nonnegative ints);
+    bools, strings and non-integer exponents raise ``ValueError``.
     """
     parsed = []
     for t in terms:
         if not isinstance(t, Mapping) or set(t) != {"coeff", "exponents"}:
             raise ValueError(f"a poly term needs exactly the keys coeff and exponents, got {t!r}")
-        c = float(t["coeff"])
-        e = np.asarray(t["exponents"], dtype=int)
-        if e.shape != (dim,):
-            raise ValueError(f"exponent vector must have length {dim}")
+        c = _check_real(t["coeff"], "poly coeff")
+        e = _vector(t["exponents"], dim, _check_integer, "exponent")
         if np.any(e < 0):
             raise ValueError("exponents must be nonnegative")
         parsed.append((c, e))

@@ -17,7 +17,7 @@ version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable
 
 import numpy as np
@@ -47,7 +47,7 @@ class MarginalMeasure:
         if self.kind == _UNIFORM:
             if self.lo is None or self.hi is None:
                 raise ValueError("uniform marginal needs both lo and hi")
-            lo, hi = float(self.lo), float(self.hi)
+            lo, hi = _check_real(self.lo, "uniform lo"), _check_real(self.hi, "uniform hi")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError("uniform bounds must be finite")
             if not lo < hi:
@@ -126,11 +126,12 @@ class ProductMeasure:
         """Draw one point ``(dim,)`` or a batch ``(size, dim)``.
 
         Columns are filled marginal-by-marginal in coordinate order, so a
-        batch of draws is reproducible from the seed alone.
+        batch of draws is reproducible from the seed alone.  A batch is
+        column-major: each column is one contiguous draw.
         """
         if size is None:
             return np.array([m.sample(rng) for m in self.marginals], dtype=float)
-        out = np.empty((int(size), self.dim), dtype=float)
+        out = np.empty((int(size), self.dim), order="F")
         for j, marg in enumerate(self.marginals):
             out[:, j] = marg.sample(rng, size=size)
         return out
@@ -235,14 +236,31 @@ def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:
         orders = (orders,) * dim
     if len(orders) != dim:
         raise ValueError(f"got {len(orders)} orders for dimension {dim}")
+    orders = tuple(_check_integer(n, "quadrature order") for n in orders)
     for n in orders:
-        if isinstance(n, bool) or not isinstance(n, Integral):
-            raise ValueError(f"quadrature order must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("quadrature orders must be at least 1")
         if n > GAUSS_MAX_ORDER:
             raise ValueError(f"quadrature order {n} exceeds the cap {GAUSS_MAX_ORDER}")
-    return tuple(int(n) for n in orders)
+    return orders
+
+
+def _check_real(value, what: str) -> float:
+    """`value` as a float.  Any real number passes, numpy scalars
+    included; ``bool`` and strings raise ``ValueError`` rather than being
+    converted, so ``False`` is no 0.0 and ``"1"`` no 1.0."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_integer(value, what: str) -> int:
+    """`value` as an int.  Numpy integers pass; ``bool``, strings and
+    non-integer numbers raise ``ValueError`` rather than being converted
+    or truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_points(x, dim: int) -> np.ndarray:

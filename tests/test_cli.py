@@ -333,6 +333,11 @@ class TestConfigHandling:
                 },
                 "bad function spec: a poly term needs exactly the keys coeff and exponents",
             ),
+            # function parameters ran converted: a = (1, 1, 1)
+            (
+                {"function": {"name": "product_linear", "a": [True, "1", 1]}},
+                "bad function spec: coefficient must be a number, got True",
+            ),
         ],
     )
     def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):

@@ -29,6 +29,7 @@ from dimdecomp import (
     explicit_component,
     make_function,
     mc_add_error,
+    mc_expected_rdd_errors,
     rdd_direct,
     rdd_direct_sums,
     strict_subsets,
@@ -1279,3 +1280,35 @@ def test_output_shape_contract(plin3, plin3_table):
         rdd_direct(p, 1, np.zeros(3), X)
     with pytest.raises(ValueError, match=match):
         build_add(p)
+
+
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
+    # the batch contract of ProblemSpec on every path; at 8 rows per grid
+    # call, q = (5, 3, 4) gives 2 trailing blocks per chunk and a ragged
+    # last chunk of one
+    if chunk is not None:
+        monkeypatch.setattr(decomp, "_EVAL_CHUNK", chunk)
+    problem = product_linear_problem(3, quad_order=(5, 3, 4))
+    rows = []
+
+    def function(x):
+        assert not x.flags.writeable
+        assert all(x[:, j].flags.c_contiguous for j in range(x.shape[-1]))
+        rows.append(len(x))
+        return problem.function(x)
+
+    p = ProblemSpec(function, problem.measure, problem.quad_order)
+    table = build_add(p)
+    assert sum(rows) == 60
+    X = rng(8).uniform(-1.0, 1.0, (50, 3))
+    c = np.array([0.25, -0.5, 0.75])
+    rdd_direct_sums(p, [1, 2], c, X)
+    rdd_direct_sums(p, [1, 2], X[::-1], X)
+    mc_add_error(table, [1, 2], 1000, 3)
+    mc_expected_rdd_errors(p, [1, 2], MIN_PAIRS, 4)
+    check_rdd_structure(build_rdd(p, c), seed=5)
+    check_optimality_split(table, [1], MIN_PAIRS, 6)
+    u = VariableSubset.from_indices([0, 2], 3)
+    explicit_component(p, u, [0.1, 0.2])
+    explicit_component(p, u, [0.1, 0.2], anchor=c)

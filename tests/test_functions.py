@@ -29,6 +29,13 @@ def test_product_linear_values_and_shapes():
         fn(np.zeros((4, 3)))
 
 
+@pytest.mark.parametrize("a", [[True, 1.0, 1.0], ["1", 1.0, 1.0], "111", 1.0, [1.0, 1.0]])
+def test_product_linear_coefficients_are_validated_not_converted(a):
+    # [True, "1", 1] once ran as a = (1, 1, 1)
+    with pytest.raises(ValueError, match="coefficient"):
+        make_function("product_linear", 3, a=a)
+
+
 def test_sobol_g_values():
     fn = make_function("sobol_g", 2, a=[0.0, 3.0])
     # at x = 0.5 each factor is a_i / (1 + a_i)
@@ -39,6 +46,12 @@ def test_sobol_g_values():
         make_function("sobol_g", 2, a=[-1.0, 0.0])
 
 
+@pytest.mark.parametrize("a", [[False, 1.0], ["0", 1.0], [np.bool_(True), 1.0]])
+def test_sobol_g_coefficients_are_validated_not_converted(a):
+    with pytest.raises(ValueError, match="coefficient must be a number"):
+        make_function("sobol_g", 2, a=a)
+
+
 def test_ishigami_values():
     fn = make_function("ishigami", 3)
     assert fn(np.array([math.pi / 2, 0.0, 0.0])) == pytest.approx(1.0)
@@ -47,6 +60,29 @@ def test_ishigami_values():
     assert fn(np.array([math.pi / 2, math.pi / 2, 2.0])) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         make_function("ishigami", 4)
+
+
+@pytest.mark.parametrize("params", [{"a": True}, {"b": "0.1"}, {"a": "7", "b": 0.1}])
+def test_ishigami_parameters_are_validated_not_converted(params):
+    # a = true, b = "0.1" once ran as a = 1.0, b = 0.1
+    with pytest.raises(ValueError, match="ishigami [ab] must be a number"):
+        make_function("ishigami", 3, **params)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"coeff": True, "exponents": [1, 0]},
+        {"coeff": "2.0", "exponents": [1, 0]},
+        {"coeff": 1.0, "exponents": [True, 0]},
+        {"coeff": 1.0, "exponents": ["1", 0]},
+        {"coeff": 1.0, "exponents": [1.5, 0]},
+        {"coeff": 1.0, "exponents": 1},
+    ],
+)
+def test_poly_terms_are_validated_not_converted(term):
+    with pytest.raises(ValueError, match="poly coeff|exponent"):
+        make_function("poly", 2, terms=[term])
 
 
 def test_poly_values():

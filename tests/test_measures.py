@@ -41,6 +41,14 @@ class TestMarginalValidation:
         with pytest.raises(ValueError):
             MarginalMeasure("beta")
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(False, True), ("0", "1"), (0.0, "1"), (np.bool_(False), 1.0)]
+    )
+    def test_bounds_are_validated_not_converted(self, lo, hi):
+        # bools and numeric strings once built uniform(0, 1)
+        with pytest.raises(ValueError, match="uniform (lo|hi) must be a number"):
+            MarginalMeasure("uniform", lo, hi)
+
     def test_bounds_are_stored_as_the_validated_floats(self):
         marg = MarginalMeasure("uniform", 0, np.int64(2))
         assert (marg.lo, marg.hi) == (0.0, 2.0)
@@ -197,6 +205,15 @@ class TestSampling:
         # a single draw is the first row of a size-1 batch
         c = m.sample(np.random.default_rng(42))
         np.testing.assert_array_equal(c, m.sample(np.random.default_rng(42), 1)[0])
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_batch_is_column_major_and_drawn_column_by_column(self, seed):
+        m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL, UNIFORMS[2]))
+        rng = np.random.default_rng(seed)
+        want = np.column_stack([marg.sample(rng, 257) for marg in m.marginals])
+        got = m.sample(np.random.default_rng(seed), 257)
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, want)
 
     def test_samples_in_support(self):
         m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
