@@ -94,6 +94,8 @@ TOL_FORM_EQUIVALENCE = 1e-10
 MAX_ORTHOGONALITY_DIM = 5
 #: random points at which check_rdd_structure probes an anchored table
 RDD_STRUCTURE_POINTS = 100
+#: (anchor, point) pairs at which check_form_equivalence compares the routes
+FORM_EQUIVALENCE_PAIRS = 100
 
 
 @dataclass(frozen=True)
@@ -682,21 +684,19 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
     return results
 
 
-def check_form_equivalence(
-    problem: ProblemSpec, order: int, *, n_pairs: int = 100, seed: int = 0
-) -> CheckResult:
+def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -> CheckResult:
     """Truncated component-sum route vs direct collapsed route, pointwise.
 
-    Draws `n_pairs` independent (anchor, point) pairs from the input
-    measure, anchor first within each pair, and runs each route once on the
-    whole batch with one anchor per row: the components up to ``|u| <=
-    order`` summed by the helper behind :meth:`AnchoredTable.truncated`
-    (so each row gets what ``build_rdd(problem, c).truncated(order, x)``
-    gives for its pair) against :func:`rdd_direct`.  Relative deviation is
-    measured against ``max(1, |direct value|)``.
+    Draws ``FORM_EQUIVALENCE_PAIRS`` independent (anchor, point) pairs from
+    the input measure, anchor first within each pair, and runs each route
+    once on the whole batch with one anchor per row: the components up to
+    ``|u| <= order`` summed by the helper behind
+    :meth:`AnchoredTable.truncated` (so each row gets what
+    ``build_rdd(problem, c).truncated(order, x)`` gives for its pair)
+    against :func:`rdd_direct`.  Relative deviation is measured against
+    ``max(1, |direct value|)``.
     """
-    if n_pairs < 1:
-        raise ValueError(f"form equivalence needs at least 1 pair, got {n_pairs}")
+    n_pairs = FORM_EQUIVALENCE_PAIRS
     rng = np.random.default_rng(seed)
     pairs = [
         (problem.measure.sample(rng), problem.measure.sample(rng))

@@ -167,25 +167,23 @@ def error_bounds(order: int, dim: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Variance profile ``V_s = C * C(N, s) * p**-s`` (equality case of a
-    per-subset geometric bound ``sigma2_u <= C p**-|u|``)."""
+    """Variance profile ``V_s = C(N, s) * p**-s`` (equality case of a
+    per-subset geometric bound ``sigma2_u <= C p**-|u|``, taken at
+    ``C = 1``: the constant cancels from every normalized error)."""
 
     dim: int
     rate: float
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if not self.rate > 1.0:
             raise ValueError("decay rate must exceed 1")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
 
     @property
     def total_variance(self) -> float:
-        """``C * ((1 + 1/p)**N - 1)``, computed in the log domain."""
-        return self.scale * math.expm1(self.dim * math.log1p(1.0 / self.rate))
+        """``(1 + 1/p)**N - 1``, computed in the log domain."""
+        return math.expm1(self.dim * math.log1p(1.0 / self.rate))
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,13 @@ class DecayPoint:
     e_rdd_normalized: float
 
 
-def _decay_term(coeff: int, dim: int, s: int, rate: float, scale: float) -> float:
-    """``scale * coeff * C(dim, s) * rate**-s`` without overflow."""
+def _decay_term(coeff: int, dim: int, s: int, rate: float) -> float:
+    """``coeff * C(dim, s) * rate**-s`` without overflow."""
     big = coeff * comb(dim, s)
     try:
-        return scale * float(big) / rate**s
+        return float(big) / rate**s
     except OverflowError:
-        return scale * math.exp(
-            math.log(big) - s * math.log(rate)
-        )
+        return math.exp(math.log(big) - s * math.log(rate))
 
 
 def _amplification_rows(dim: int) -> Iterator[list[int]]:
@@ -247,14 +243,14 @@ def decay_curves(model: DecayModel) -> list[DecayPoint]:
     terms are computed once, so every float equals the one a term-by-term
     :func:`coeff_b` sweep gives.
     """
-    N, rate, scale = model.dim, model.rate, model.scale
-    shed = [_decay_term(1, N, s, rate, scale) for s in range(N + 1)]
+    N, rate = model.dim, model.rate
+    shed = [_decay_term(1, N, s, rate) for s in range(N + 1)]
     out = []
     total = model.total_variance
     for order, coeffs in enumerate(_amplification_rows(N)):
         e_add = fsum(shed[order + 1 :])
         e_rdd = fsum(
-            _decay_term(c, N, s, rate, scale) for s, c in enumerate(coeffs, order + 1)
+            _decay_term(c, N, s, rate) for s, c in enumerate(coeffs, order + 1)
         )
         out.append(
             DecayPoint(
@@ -397,18 +393,20 @@ class TwoScaleReport:
     inversion: bool
 
 
-def contrived_example(
-    dim: int = 100, univariate_share: float = 0.999
-) -> TwoScaleReport:
-    """Build the two-scale stress case (default: 100 variables, 99.9% / 0.1%).
+#: variables of the two-scale stress case, the paper's N
+CONTRIVED_DIM = 100
+#: share of the variance in the univariate terms; the rest is the top interaction
+CONTRIVED_UNIVARIATE_SHARE = 0.999
+
+
+def contrived_example() -> TwoScaleReport:
+    """Build the two-scale stress case: ``CONTRIVED_DIM`` variables,
+    ``CONTRIVED_UNIVARIATE_SHARE`` of the variance univariate.
 
     Exercises the real budget machinery on per-cardinality sums, so it runs
     at dimensions far past subset enumeration.
     """
-    if not 0.0 < univariate_share < 1.0:
-        raise ValueError("univariate share must lie in (0, 1)")
-    if dim < 3:
-        raise ValueError("the stress case needs at least 3 variables")
+    dim, univariate_share = CONTRIVED_DIM, CONTRIVED_UNIVARIATE_SHARE
     top = 1.0 - univariate_share
     sums = CardinalitySums(dim, {1: univariate_share, dim: top})
     b1 = rdd_expected_error(1, sums)

@@ -16,6 +16,7 @@ version.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable
@@ -48,8 +49,6 @@ class MarginalMeasure:
             if self.lo is None or self.hi is None:
                 raise ValueError("uniform marginal needs both lo and hi")
             lo, hi = _check_real(self.lo, "uniform lo"), _check_real(self.hi, "uniform hi")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError("uniform bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"uniform bounds must satisfy lo < hi, got [{lo}, {hi}]")
             object.__setattr__(self, "lo", lo)
@@ -246,12 +245,16 @@ def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:
 
 
 def _check_real(value, what: str) -> float:
-    """`value` as a float.  Any real number passes, numpy scalars
-    included; ``bool`` and strings raise ``ValueError`` rather than being
-    converted, so ``False`` is no 0.0 and ``"1"`` no 1.0."""
+    """`value` as a finite float.  Any finite real number passes, numpy
+    scalars included; ``bool`` and strings raise ``ValueError`` rather than
+    being converted, so ``False`` is no 0.0 and ``"1"`` no 1.0, and so do
+    NaN and ±inf."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {out!r}")
+    return out
 
 
 def _check_integer(value, what: str) -> int:

@@ -136,12 +136,10 @@ def test_c05_structure_battery(criterion):
         for dim in range(2, 9):
             problem = product_linear_problem(dim)
             for order in range(min(3, dim - 1) + 1):
-                res = check_form_equivalence(
-                    problem, order, n_pairs=100, seed=100 * dim + order
-                )
+                res = check_form_equivalence(problem, order, seed=100 * dim + order)
                 assert res.tolerance == 1e-10
                 assert res.passed, (dim, order, res.residual)
-        res = check_form_equivalence(sobol_g_problem(3), 1, n_pairs=100, seed=77)
+        res = check_form_equivalence(sobol_g_problem(3), 1, seed=77)
         assert res.passed
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 from functools import cached_property
 from types import ModuleType
 
 import dimdecomp
+from dimdecomp import cli
 
 # Every defaulted parameter of the package's public functions, methods and
 # constructors.  A value that only one caller ever sets belongs in a module
@@ -12,13 +14,9 @@ import dimdecomp
 DEFAULTED = {
     "CheckResult.__init__(detail)",
     "ProblemSpec.__init__(quad_order)",
-    "check_form_equivalence(n_pairs)",
     "check_form_equivalence(seed)",
     "check_rdd_structure(seed)",
     "explicit_component(anchor)",
-    "DecayModel.__init__(scale)",
-    "contrived_example(dim)",
-    "contrived_example(univariate_share)",
     "mc_add_error(n)",
     "mc_add_error(seed)",
     "mc_expected_rdd_error(n_pairs)",
@@ -88,6 +86,20 @@ MEMBERS = {
 }
 
 
+# Every flag of each CLI subcommand: a subcommand takes the flags of the
+# config keys it reads, so a flag added here is an API change too.
+FLAGS = {
+    "decompose": {"--config", "--out", "--quad-order"},
+    "errors": {"--config", "--out", "--quad-order", "--truncation-orders"},
+    "verify": {
+        "--config", "--out", "--seed", "--n-samples", "--quad-order",
+        "--truncation-orders",
+    },
+    "figure1": {"--config", "--out"},
+    "contrived": {"--config", "--out"},
+}
+
+
 def _public():
     for name, obj in vars(dimdecomp).items():
         if not name.startswith("_") and not isinstance(obj, ModuleType):
@@ -133,3 +145,14 @@ def test_public_members_are_pinned():
         and (isinstance(member, kinds) or inspect.isfunction(member))
     }
     assert got == MEMBERS
+
+
+def test_cli_flags_are_pinned():
+    (sub,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == FLAGS

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from dimdecomp import cli
 from dimdecomp.cli import RunConfig, _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
+from test_api import FLAGS
 
 
 def write_config(tmp_path: Path, data: dict) -> str:
@@ -191,12 +193,22 @@ class TestVerify:
         main(["verify", "--config", cfg])
         assert [targets[f"mc_gate_add_S{b.order}"] for b in budgets] == [1.5, 2.5, 3.5]
 
-    def test_fault_injection_is_caught_and_named(self, tmp_path, capsys):
+    def test_fault_injection_is_caught_and_named(self, tmp_path, capsys, monkeypatch):
+        build = cli.build_add
+
+        def corrupted(problem):
+            # break the first univariate component's zero mean, in place,
+            # so every check that reads the table array sees it
+            table = build(problem)
+            table._components[1] += 1e-3 * table.scale
+            return table
+
+        monkeypatch.setattr(cli, "build_add", corrupted)
         cfg = write_config(
             tmp_path,
             {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 20000, "seed": 42}},
         )
-        assert main(["verify", "--config", cfg, "--corrupt-table"]) == 2
+        assert main(["verify", "--config", cfg]) == 2
         report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
         assert report["passed"] is False
         failed = [c for c in report["checks"] if not c["passed"]]
@@ -338,6 +350,15 @@ class TestConfigHandling:
                 {"function": {"name": "product_linear", "a": [True, "1", 1]}},
                 "bad function spec: coefficient must be a number, got True",
             ),
+            # figure1 wrote figure1_left.csv, then died in a ZeroDivisionError
+            ({"figure1": {"rates": [math.inf]}}, "figure1.rates must be finite, got inf"),
+            # and exited 1 only after that file, on "decay rate must exceed 1"
+            ({"figure1": {"rates": [math.nan]}}, "figure1.rates must be finite, got nan"),
+            # failed at the first grid evaluation, naming no parameter
+            (
+                {"function": {"name": "product_linear", "a": [math.nan, 1, 1]}},
+                "bad function spec: coefficient must be finite, got nan",
+            ),
         ],
     )
     def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):
@@ -374,7 +395,7 @@ class TestConfigHandling:
     )
     def test_flags_are_validated_like_file_keys(self, tmp_path, capsys, flags, extra, message):
         cfg = write_config(tmp_path, {**BASE, **extra, "out": str(tmp_path / "out")})
-        assert main(["decompose", "--config", cfg, *flags]) == 1
+        assert main(["verify", "--config", cfg, *flags]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -386,6 +407,23 @@ class TestConfigHandling:
         args = _build_parser().parse_args(["verify", "--n-samples", "3000"])
         got = load_config(args.config, args)
         assert (got.seed, got.n_samples) == (RunConfig().seed, 3000)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command, taken in FLAGS.items()
+            for flag in sorted(FLAGS["verify"] - taken)
+        ],
+    )
+    def test_subcommands_reject_flags_they_do_not_read(
+        self, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        # `contrived --seed 5` once exited 0 and ignored the seed
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--out", str(tmp_path / "out"), flag, "1"]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_cli_flag(self, capsys):
         assert main(["decompose", "--bogus"]) == 1

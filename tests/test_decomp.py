@@ -886,8 +886,10 @@ class TestAnchoredKernel:
             return (
                 [table.truncated(s, X) for s in range(dim + 1)],
                 table.component(u, X[:, [1, 3, 4]]),
-                check_form_equivalence(p, order, n_pairs=m, seed=5).residual,
+                check_form_equivalence(p, order, seed=5).residual,
             )
+
+        monkeypatch.setattr(decomp, "FORM_EQUIVALENCE_PAIRS", m)
 
         whole = routes()
         monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
@@ -1134,10 +1136,12 @@ def reference_form_residual(problem, order, n_pairs, seed):
 
 class TestFormEquivalence:
     @pytest.mark.parametrize("dim,order", [(4, 0), (4, 2), (6, 3)])
-    def test_routes_agree(self, dim, order):
+    def test_routes_agree(self, monkeypatch, dim, order):
+        monkeypatch.setattr(decomp, "FORM_EQUIVALENCE_PAIRS", 20)
         p = product_linear_problem(dim)
-        res = check_form_equivalence(p, order, n_pairs=20, seed=dim * 10 + order)
+        res = check_form_equivalence(p, order, seed=dim * 10 + order)
         assert res.passed, res
+        assert res.detail == "20 anchor/point pairs"
 
     @pytest.mark.parametrize(
         "make,orders",
@@ -1147,23 +1151,20 @@ class TestFormEquivalence:
             (ishigami_problem, (1, 2)),
         ],
     )
-    def test_batch_equals_pair_by_pair_reference(self, make, orders):
+    def test_batch_equals_pair_by_pair_reference(self, monkeypatch, make, orders):
+        monkeypatch.setattr(decomp, "FORM_EQUIVALENCE_PAIRS", 50)
         p = make()
         for order in orders:
-            res = check_form_equivalence(p, order, n_pairs=50, seed=order + 3)
+            res = check_form_equivalence(p, order, seed=order + 3)
             assert res.residual == reference_form_residual(p, order, 50, order + 3)
             assert res.passed, res
 
     @pytest.mark.parametrize("dim,order", [(3, 0), (5, 2), (6, 3)])
-    def test_one_target_call_per_subset_and_route(self, dim, order):
+    def test_one_target_call_per_subset_and_route(self, monkeypatch, dim, order):
+        monkeypatch.setattr(decomp, "FORM_EQUIVALENCE_PAIRS", 17)
         p, seen = counted(product_linear_problem(dim))
-        check_form_equivalence(p, order, n_pairs=17, seed=1)
+        check_form_equivalence(p, order, seed=1)
         assert [b.shape for b in seen] == [(17, dim)] * (2 * count_up_to(dim, order))
-
-    def test_needs_a_pair(self, plin3):
-        for n_pairs in (0, -1):
-            with pytest.raises(ValueError, match="at least 1 pair"):
-                check_form_equivalence(plin3, 1, n_pairs=n_pairs)
 
 
 class TestAnchoredTable:

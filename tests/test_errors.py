@@ -202,22 +202,20 @@ def test_zero_order_budget_doubles_any_spectrum(dim, values):
 
 class TestDecayModel:
     def test_total_variance_closed_form(self):
-        m = DecayModel(dim=4, rate=3.0, scale=2.0)
-        # sum_s C(4,s) 3^-s * 2 = 2 ((4/3)^4 - 1)
-        assert m.total_variance == pytest.approx(2.0 * ((4.0 / 3.0) ** 4 - 1.0), rel=1e-12)
+        m = DecayModel(dim=4, rate=3.0)
+        # sum_s C(4,s) 3^-s = (4/3)^4 - 1
+        assert m.total_variance == pytest.approx((4.0 / 3.0) ** 4 - 1.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DecayModel(dim=3, rate=1.0, scale=1.0)
+            DecayModel(dim=3, rate=1.0)
         with pytest.raises(ValueError):
-            DecayModel(dim=3, rate=2.0, scale=0.0)
-        with pytest.raises(ValueError):
-            DecayModel(dim=0, rate=2.0, scale=1.0)
+            DecayModel(dim=0, rate=2.0)
 
     def test_slow_decay_inverts_and_fast_decay_does_not(self):
         # N=20: p=5 sits below the threshold rate (~21.52), p=50 above it
-        slow = decay_curves(DecayModel(dim=20, rate=5.0, scale=1.0))
-        fast = decay_curves(DecayModel(dim=20, rate=50.0, scale=1.0))
+        slow = decay_curves(DecayModel(dim=20, rate=5.0))
+        fast = decay_curves(DecayModel(dim=20, rate=50.0))
         assert [pt.order for pt in slow] == list(range(20))
         for pts in (slow, fast):
             adds = [pt.e_add_normalized for pt in pts]
@@ -228,21 +226,21 @@ class TestDecayModel:
         assert all(a > b for a, b in zip(frdd, frdd[1:]))
 
     def test_normalization_consistency(self):
-        pts = decay_curves(DecayModel(dim=6, rate=4.0, scale=3.0))
+        pts = decay_curves(DecayModel(dim=6, rate=4.0))
         for pt in pts:
             assert pt.e_add_normalized == pytest.approx(pt.e_add / pt.sigma2_total)
         # S=0 sheds everything: e_add equals the total variance
         assert pts[0].e_add == pytest.approx(pts[0].sigma2_total, rel=1e-12)
 
     def test_large_dimension_stays_finite(self):
-        pts = decay_curves(DecayModel(dim=120, rate=3.0, scale=1.0))
+        pts = decay_curves(DecayModel(dim=120, rate=3.0))
         assert all(math.isfinite(p.e_rdd_normalized) for p in pts)
         assert pts[-1].e_rdd_normalized > 0.0
 
     def test_term_overflow_falls_back_to_logs(self):
         # coefficient and rate**s both overflow float, the quotient does not:
         # 10**400 * C(350, 350) / 10**350 == 1e50 exactly
-        got = _decay_term(10**400, 350, 350, 10.0, 1.0)
+        got = _decay_term(10**400, 350, 350, 10.0)
         assert got == pytest.approx(1e50, rel=1e-9)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 17, 120])
@@ -256,22 +254,22 @@ class TestDecayModel:
         # the figure1 sweep at the paper's N = 100, float for float
         dim = 100
         for rate in (5.0, 50.0):
-            model = DecayModel(dim=dim, rate=rate, scale=1.0)
+            model = DecayModel(dim=dim, rate=rate)
             pts = decay_curves(model)
             assert [pt.order for pt in pts] == list(range(dim))
             for pt in pts:
                 S = pt.order
                 missing = range(S + 1, dim + 1)
-                e_add = math.fsum(_decay_term(1, dim, s, rate, 1.0) for s in missing)
+                e_add = math.fsum(_decay_term(1, dim, s, rate) for s in missing)
                 e_rdd = math.fsum(
-                    _decay_term(1 + coeff_b(S, s), dim, s, rate, 1.0) for s in missing
+                    _decay_term(1 + coeff_b(S, s), dim, s, rate) for s in missing
                 )
                 assert (pt.e_add, pt.e_rdd) == (e_add, e_rdd)
                 assert pt.e_rdd_normalized == e_rdd / model.total_variance
 
     def test_matches_product_linear_spectrum(self, plin4_vmap):
-        # rate 3, scale 1 reproduces the product-linear variance layout
-        pts = decay_curves(DecayModel(dim=4, rate=3.0, scale=1.0))
+        # rate 3 reproduces the product-linear variance layout
+        pts = decay_curves(DecayModel(dim=4, rate=3.0))
         for pt in pts:
             assert pt.e_add == pytest.approx(add_error(pt.order, plin4_vmap), rel=1e-10)
 
@@ -356,12 +354,6 @@ class TestContrived:
         assert rep.e_add_order2 == pytest.approx(0.001, rel=1e-9)
         assert rep.e_add_order1 == pytest.approx(0.001, rel=1e-9)
         assert rep.e_add_order1 < rep.e_rdd_order1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            contrived_example(univariate_share=1.5)
-        with pytest.raises(ValueError):
-            contrived_example(dim=2)
 
 
 def test_vanishing_tail_for_fast_decay():

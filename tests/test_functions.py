@@ -70,6 +70,21 @@ def test_ishigami_parameters_are_validated_not_converted(params):
 
 
 @pytest.mark.parametrize(
+    "name,params",
+    [
+        ("product_linear", {"a": [math.nan, 1.0, 1.0]}),
+        ("sobol_g", {"a": [1.0, math.inf, 1.0]}),
+        ("ishigami", {"b": math.inf}),
+        ("poly", {"terms": [{"coeff": -math.inf, "exponents": [1, 0, 0]}]}),
+    ],
+)
+def test_non_finite_parameters_are_rejected(name, params):
+    # a = (nan, 1, 1) once failed only at the first grid evaluation
+    with pytest.raises(ValueError, match="must be finite"):
+        make_function(name, 3, **params)
+
+
+@pytest.mark.parametrize(
     "term",
     [
         {"coeff": True, "exponents": [1, 0]},

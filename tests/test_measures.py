@@ -30,8 +30,10 @@ class TestMarginalValidation:
             MarginalMeasure.uniform(1.0, 1.0)
         with pytest.raises(ValueError):
             MarginalMeasure.uniform(2.0, -2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="uniform hi must be finite, got inf"):
             MarginalMeasure.uniform(0.0, math.inf)
+        with pytest.raises(ValueError, match="uniform lo must be finite, got nan"):
+            MarginalMeasure.uniform(math.nan, 1.0)
 
     def test_normal_takes_no_bounds(self):
         with pytest.raises(ValueError):
