@@ -7,13 +7,17 @@ decay-sweep tables) and ``contrived`` (the two-scale stress case).
 
 Runs are configured by a JSON file (see README for the schema) plus the
 command-line flags of the keys a subcommand reads, which are written over
-the file's keys and validated with them; unknown keys and flags are
-rejected rather than ignored.
+the file's keys and validated with them.  :func:`parse_config` builds the
+function and its :class:`ProblemSpec` once for every subcommand, so a bad
+key fails each of them alike, before any file is written.  Unknown keys
+and flags are rejected rather than ignored, and a flag has one spelling:
+a prefix such as ``--trunc`` is an unknown flag.
 All numeric output is printed with 12 significant digits, and every
 subcommand is deterministic for a fixed config — seeds live in the config.
 
 Exit codes: 0 success, 1 configuration or validation problem, 2 a
-verification check failed.
+verification check failed (a failed report, or a self-check such as
+variance closure raising ``ArithmeticError``, printed as one line).
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +65,7 @@ from dimdecomp.measures import (
 )
 from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
 from dimdecomp.variance import (
+    CLOSURE_RTOL,
     sobol_D,
     sobol_indices,
     variance_closure_residual,
@@ -96,34 +101,15 @@ class Figure1Config:
 
 @dataclass
 class RunConfig:
-    function_name: str = "product_linear"
-    function_params: dict = field(default_factory=dict)
-    dim: int = 3
-    marginals: tuple[MarginalMeasure, ...] | None = None
-    quad_order: int | tuple[int, ...] = 10
-    truncation_orders: tuple[int, ...] | None = None
-    n_samples: int = DEFAULT_N_SAMPLES
-    seed: int = DEFAULT_SEED
-    out_dir: Path = Path("out")
-    figure1: Figure1Config = field(default_factory=Figure1Config)
+    """A validated run: the problem every subcommand reads, built once."""
 
-    def measure(self) -> ProductMeasure:
-        margs = self.marginals
-        if margs is None:
-            margs = (default_marginal(self.function_name),) * self.dim
-        return ProductMeasure(margs)
-
-    def problem(self) -> ProblemSpec:
-        try:
-            fn = make_function(self.function_name, self.dim, **self.function_params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad function spec: {exc}") from exc
-        return ProblemSpec(fn, self.measure(), self.quad_order)
-
-    def orders_to_run(self) -> tuple[int, ...]:
-        if self.truncation_orders is None:
-            return tuple(range(self.dim))
-        return self.truncation_orders
+    function_name: str
+    problem: ProblemSpec
+    orders: tuple[int, ...]
+    n_samples: int
+    seed: int
+    out_dir: Path
+    figure1: Figure1Config
 
 
 def _section(value, where: str) -> dict:
@@ -151,7 +137,9 @@ def _parse_marginal(data, where: str) -> MarginalMeasure:
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a raw config mapping into a :class:`RunConfig`."""
+    """Validate a raw config mapping into a :class:`RunConfig`, building
+    its function and :class:`ProblemSpec`, so every subcommand rejects
+    the same configs."""
     _reject_unknown(
         data,
         {
@@ -166,64 +154,62 @@ def parse_config(data: dict) -> RunConfig:
         },
         "config",
     )
-    cfg = RunConfig()
-    if "dim" in data:
-        cfg.dim = _check_integer(data["dim"], "dim")
-        if cfg.dim < 1:
-            raise ConfigError("dim must be at least 1")
+    dim = _check_integer(data.get("dim", 3), "dim")
+    if dim < 1:
+        raise ConfigError("dim must be at least 1")
+    name, params = "product_linear", {}
     if "function" in data:
-        fn = dict(_section(data["function"], "function"))
-        if "name" not in fn:
+        params = dict(_section(data["function"], "function"))
+        if "name" not in params:
             raise ConfigError("function section needs a name")
-        cfg.function_name = str(fn.pop("name"))
-        if cfg.function_name not in function_names():
-            raise ConfigError(
-                f"unknown function {cfg.function_name!r}; choose from {function_names()}"
-            )
-        cfg.function_params = fn
+        name = str(params.pop("name"))
+        if name not in function_names():
+            raise ConfigError(f"unknown function {name!r}; choose from {function_names()}")
+    marginals = (default_marginal(name),) * dim
     if "marginals" in data:
         raw = data["marginals"]
         if isinstance(raw, dict):
-            cfg.marginals = (_parse_marginal(raw, "marginal"),) * cfg.dim
+            marginals = (_parse_marginal(raw, "marginal"),) * dim
         elif isinstance(raw, list):
-            if len(raw) not in (1, cfg.dim):
+            if len(raw) not in (1, dim):
                 raise ConfigError(
-                    f"marginals list must have 1 or dim={cfg.dim} entries, got {len(raw)}"
+                    f"marginals list must have 1 or dim={dim} entries, got {len(raw)}"
                 )
             parsed = tuple(_parse_marginal(m, "marginal") for m in raw)
-            cfg.marginals = parsed * cfg.dim if len(parsed) == 1 else parsed
+            marginals = parsed * dim if len(parsed) == 1 else parsed
         else:
             raise ConfigError("marginals must be an object or a list of objects")
-    if "quad_order" in data:
-        raw = data["quad_order"]
-        cfg.quad_order = (
-            tuple(_check_integer(n, "quad_order") for n in raw)
-            if isinstance(raw, list)
-            else _check_integer(raw, "quad_order")
-        )
+    raw = data.get("quad_order", 10)
+    quad_order = (
+        tuple(_check_integer(n, "quad_order") for n in raw)
+        if isinstance(raw, list)
+        else _check_integer(raw, "quad_order")
+    )
+    orders = tuple(range(dim))
     if "truncation_orders" in data:
         raw = data["truncation_orders"]
         if not isinstance(raw, list):
             raise ConfigError("truncation_orders must be a nonempty list")
         try:
-            cfg.truncation_orders = _check_orders(raw, cfg.dim - 1)
+            orders = _check_orders(raw, dim - 1)
         except ValueError as exc:
             raise ConfigError(
-                f"truncation_orders must be integers in [0, {cfg.dim - 1}]: {exc}"
+                f"truncation_orders must be integers in [0, {dim - 1}]: {exc}"
             ) from exc
+    n_samples, seed = DEFAULT_N_SAMPLES, DEFAULT_SEED
     if "mc" in data:
         mc = data["mc"]
         _reject_unknown(mc, {"n_samples", "seed"}, "mc")
-        cfg.n_samples = _check_integer(mc.get("n_samples", cfg.n_samples), "mc.n_samples")
-        cfg.seed = _check_integer(mc.get("seed", cfg.seed), "mc.seed")
-        if cfg.n_samples < MIN_SAMPLES:
+        n_samples = _check_integer(mc.get("n_samples", n_samples), "mc.n_samples")
+        seed = _check_integer(mc.get("seed", seed), "mc.seed")
+        if n_samples < MIN_SAMPLES:
             raise ConfigError(f"mc.n_samples must be at least {MIN_SAMPLES}")
-        if cfg.seed < 0:
+        if seed < 0:
             raise ConfigError("mc.seed must be nonnegative")
-    if "out" in data:
-        if not isinstance(data["out"], str) or not data["out"]:
-            raise ConfigError(f"out must be a nonempty string, got {data['out']!r}")
-        cfg.out_dir = Path(data["out"])
+    out = data.get("out", "out")
+    if not isinstance(out, str) or not out:
+        raise ConfigError(f"out must be a nonempty string, got {out!r}")
+    f1 = Figure1Config()
     if "figure1" in data:
         fig = data["figure1"]
         _reject_unknown(fig, {f.name for f in fields(Figure1Config)}, "figure1")
@@ -242,8 +228,12 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError("figure1.n_max must be >= n_min")
         if f1.right_dim < 2 or any(r <= 1.0 for r in f1.rates):
             raise ConfigError("figure1 needs right_dim >= 2 and rates > 1")
-        cfg.figure1 = f1
-    return cfg
+    try:
+        fn = make_function(name, dim, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad function spec: {exc}") from exc
+    problem = ProblemSpec(fn, ProductMeasure(marginals), quad_order)
+    return RunConfig(name, problem, orders, n_samples, seed, Path(out), f1)
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> RunConfig:
@@ -301,13 +291,13 @@ def _print_checks(checks: list[CheckResult]) -> None:
 
 
 def cmd_decompose(cfg: RunConfig) -> int:
-    problem = cfg.problem()
+    problem, dim, q = cfg.problem, cfg.problem.dim, cfg.problem.quad_order
     table = build_add(problem)
     vmap = variance_components(table)
     constant = vmap.degenerate
     indices = None if constant else sobol_indices(vmap)
     rows = []
-    for u in all_subsets_up_to(cfg.dim, cfg.dim):
+    for u in all_subsets_up_to(dim, dim):
         if u.is_empty:
             continue
         idx_cell = "" if constant else indices[u.mask]
@@ -319,8 +309,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
         "command": "decompose",
         "version": __version__,
         "function": cfg.function_name,
-        "dim": cfg.dim,
-        "quad_order": cfg.quad_order if isinstance(cfg.quad_order, int) else list(cfg.quad_order),
+        "dim": dim,
+        "quad_order": q if isinstance(q, int) else list(q),
         "mean": table.y_empty,
         "total_variance": vmap.total,
         "closure_residual": variance_closure_residual(table, vmap),
@@ -330,12 +320,12 @@ def cmd_decompose(cfg: RunConfig) -> int:
     }
     out.mkdir(parents=True, exist_ok=True)
     (out / "properties.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(f"decompose: {cfg.function_name}, dim {cfg.dim}")
+    print(f"decompose: {cfg.function_name}, dim {dim}")
     print(f"  mean {_fmt(table.y_empty)}, total variance {_fmt(vmap.total)}")
     if constant:
         print("  constant function: sensitivity indices are undefined, left blank")
     else:
-        first = {u.label(): indices[u.mask] for u in all_subsets_up_to(cfg.dim, 1) if not u.is_empty}
+        first = {u.label(): indices[u.mask] for u in all_subsets_up_to(dim, 1) if not u.is_empty}
         pretty = ", ".join(f"{k}={_fmt(v)}" for k, v in first.items())
         print(f"  first-order indices: {pretty}")
     _print_checks(checks)
@@ -344,14 +334,12 @@ def cmd_decompose(cfg: RunConfig) -> int:
 
 
 def cmd_errors(cfg: RunConfig) -> int:
-    orders = cfg.orders_to_run()
-    problem = cfg.problem()
-    table = build_add(problem)
+    table = build_add(cfg.problem)
     vmap = variance_components(table)
     rows = []
-    print(f"errors: {cfg.function_name}, dim {cfg.dim}, total variance {_fmt(vmap.total)}")
+    print(f"errors: {cfg.function_name}, dim {cfg.problem.dim}, total variance {_fmt(vmap.total)}")
     print(f"  {'S':>3} {'e_add':>16} {'e_rdd_expected':>16} {'lower':>16} {'upper':>16} {'ratio':>12}")
-    for s in orders:
+    for s in cfg.orders:
         budget = rdd_expected_error(s, vmap)
         ratio = budget.e_rdd_expected / budget.e_add if budget.e_add > 0.0 else float("nan")
         ratio_cell = "" if budget.e_add <= 0.0 else ratio
@@ -373,8 +361,7 @@ def cmd_errors(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    problem = cfg.problem()
-    orders = cfg.orders_to_run()
+    problem, dim, orders = cfg.problem, cfg.problem.dim, cfg.orders
     checks: list[CheckResult] = []
 
     rules = problem.rules
@@ -390,8 +377,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         CheckResult("quadrature_exactness", exact_resid, 1e-12, exact_resid <= 1e-12)
     )
 
-    n_enum = sum(1 for _ in all_subsets_up_to(cfg.dim, cfg.dim))
-    count_gap = abs(n_enum - count_up_to(cfg.dim, cfg.dim))
+    n_enum = sum(1 for _ in all_subsets_up_to(dim, dim))
+    count_gap = abs(n_enum - count_up_to(dim, dim))
     checks.append(
         CheckResult("subset_enumeration_count", float(count_gap), 0.0, count_gap == 0)
     )
@@ -401,13 +388,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     vmap = variance_components(table, check_closure=False)
     closure = variance_closure_residual(table, vmap)
-    checks.append(CheckResult("variance_closure", closure, 1e-9, closure <= 1e-9))
+    checks.append(
+        CheckResult("variance_closure", closure, CLOSURE_RTOL, closure <= CLOSURE_RTOL)
+    )
 
-    if cfg.dim <= 5:
+    if dim <= 5:
         worst = 0.0
         worst_label = ""
         denom = max(vmap.total, 1e-300)
-        for u in all_subsets_up_to(cfg.dim, cfg.dim):
+        for u in all_subsets_up_to(dim, dim):
             if u.is_empty:
                 continue
             direct = sobol_D(table, u)
@@ -426,7 +415,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     rdd_table = build_rdd(problem, anchor)
     checks.extend(check_rdd_structure(rdd_table, seed=cfg.seed))
 
-    for s in range(min(3, cfg.dim - 1) + 1):
+    for s in range(min(3, dim - 1) + 1):
         checks.append(check_form_equivalence(problem, s, seed=cfg.seed + s))
 
     slack = 1e-12
@@ -462,7 +451,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "command": "verify",
         "version": __version__,
         "function": cfg.function_name,
-        "dim": cfg.dim,
+        "dim": dim,
         "seed": cfg.seed,
         "n_samples": cfg.n_samples,
         "checks": [asdict(c) for c in checks],
@@ -470,7 +459,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    print(f"verify: {cfg.function_name}, dim {cfg.dim}, seed {cfg.seed}")
+    print(f"verify: {cfg.function_name}, dim {dim}, seed {cfg.seed}")
     _print_checks(checks)
     print(f"  report: {cfg.out_dir / 'verify_report.json'}")
     print(f"  {'all checks passed' if passed else 'CHECKS FAILED'}")
@@ -573,11 +562,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="dimdecomp",
         description="Dimensional decompositions and truncation-error budgets.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"dimdecomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         for flag in ("--config", "--out", *flags):
             p.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -602,6 +592,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:  # the library's failed self-checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECKS_FAILED
 
 
 if __name__ == "__main__":

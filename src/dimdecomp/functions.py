@@ -12,14 +12,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from dimdecomp.measures import MarginalMeasure, _check_integer, _check_real
-
-
-def _batch(x, dim: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[-1] != dim:
-        raise ValueError(f"points have last axis {arr.shape[-1]}, expected {dim}")
-    return arr
+from dimdecomp.measures import MarginalMeasure, _check_integer, _check_points, _check_real
 
 
 def _vector(values, dim: int, check: Callable, what: str) -> np.ndarray:
@@ -40,7 +33,7 @@ def product_linear(dim: int, a=None) -> Callable:
     coeff = np.ones(dim) if a is None else _vector(a, dim, _check_real, "coefficient")
 
     def fn(x):
-        arr = _batch(x, dim)
+        arr = _check_points(x, dim)
         return np.prod(1.0 + coeff * arr, axis=-1)
 
     return fn
@@ -62,7 +55,7 @@ def sobol_g(dim: int, a=None) -> Callable:
         raise ValueError("coefficients must be nonnegative")
 
     def fn(x):
-        arr = _batch(x, dim)
+        arr = _check_points(x, dim)
         return np.prod((np.abs(4.0 * arr - 2.0) + coeff) / (1.0 + coeff), axis=-1)
 
     return fn
@@ -76,7 +69,7 @@ def ishigami(dim: int = 3, a: float = 7.0, b: float = 0.1) -> Callable:
     b = _check_real(b, "ishigami b")
 
     def fn(x):
-        arr = _batch(x, 3)
+        arr = _check_points(x, 3)
         s1 = np.sin(arr[..., 0])
         return s1 + a * np.sin(arr[..., 1]) ** 2 + b * arr[..., 2] ** 4 * s1
 
@@ -103,7 +96,7 @@ def poly(dim: int, terms) -> Callable:
         raise ValueError("poly needs at least one term")
 
     def fn(x):
-        arr = _batch(x, dim)
+        arr = _check_points(x, dim)
         out = np.zeros(arr.shape[:-1], dtype=float)
         for c, e in parsed:
             out += c * np.prod(arr**e, axis=-1)

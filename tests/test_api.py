@@ -86,8 +86,9 @@ MEMBERS = {
 }
 
 
-# Every flag of each CLI subcommand: a subcommand takes the flags of the
-# config keys it reads, so a flag added here is an API change too.
+# Every accepted spelling of each CLI subcommand's flags: a subcommand takes
+# the flags of the config keys it reads, and no parser accepts a prefix, so
+# a flag added here is an API change too.
 FLAGS = {
     "decompose": {"--config", "--out", "--quad-order"},
     "errors": {"--config", "--out", "--quad-order", "--truncation-orders"},
@@ -148,9 +149,9 @@ def test_public_members_are_pinned():
 
 
 def test_cli_flags_are_pinned():
-    (sub,) = [
-        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert not any(p.allow_abbrev for p in (parser, *sub.choices.values()))
     got = {
         name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
         for name, p in sub.choices.items()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dimdecomp import cli
-from dimdecomp.cli import RunConfig, _build_parser, load_config, main
+from dimdecomp.cli import _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
 from test_api import FLAGS
@@ -217,6 +217,12 @@ class TestVerify:
             for c in failed
         )
         assert "CHECKS FAILED" in capsys.readouterr().out
+        # the other subcommands stop at the closure self-check, with no traceback
+        for command in ("decompose", "errors"):
+            assert main([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: variance closure violated")
+            assert err.count("\n") == 1
 
 
 class TestFigure1:
@@ -359,15 +365,25 @@ class TestConfigHandling:
                 {"function": {"name": "product_linear", "a": [math.nan, 1, 1]}},
                 "bad function spec: coefficient must be finite, got nan",
             ),
+            # figure1 and contrived never built the function: both exited 0
+            (
+                {"function": {"name": "product_linear", "a": [1, 1]}},
+                "bad function spec: coefficient vector must have length 3",
+            ),
+            # nor the ProblemSpec that checks the quadrature orders
+            ({"quad_order": [4, 4]}, "got 2 orders for dimension 3"),
+            ({"quad_order": 65}, "quadrature order 65 exceeds the cap 64"),
         ],
     )
     def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):
+        # the config is shared, so every subcommand rejects it alike
         cfg = write_config(tmp_path, {**BASE, **extra, "out": str(tmp_path / "out")})
-        assert main(["decompose", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        for command in FLAGS:
+            assert main([command, "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}")
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", [None, [1], "", 5, {"dir": "x"}, True])
     def test_out_must_be_a_nonempty_string(self, tmp_path, capsys, monkeypatch, out):
@@ -403,10 +419,10 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {**BASE, "mc": {"n_samples": 2000, "seed": 5}})
         args = _build_parser().parse_args(["verify", "--config", cfg, "--seed", "8"])
         got = load_config(args.config, args)
-        assert (got.seed, got.n_samples, got.dim) == (8, 2000, 3)
+        assert (got.seed, got.n_samples, got.problem.dim) == (8, 2000, 3)
         args = _build_parser().parse_args(["verify", "--n-samples", "3000"])
         got = load_config(args.config, args)
-        assert (got.seed, got.n_samples) == (RunConfig().seed, 3000)
+        assert (got.seed, got.n_samples) == (cli.DEFAULT_SEED, 3000)
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -414,7 +430,9 @@ class TestConfigHandling:
             (command, flag)
             for command, taken in FLAGS.items()
             for flag in sorted(FLAGS["verify"] - taken)
-        ],
+        ]
+        # a prefix once ran as its flag: `errors --trunc 1` as --truncation-orders 1
+        + [("errors", "--trunc"), ("verify", "--n")],
     )
     def test_subcommands_reject_flags_they_do_not_read(
         self, tmp_path, capsys, monkeypatch, command, flag
