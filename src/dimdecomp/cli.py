@@ -48,7 +48,7 @@ from dimdecomp.errors import (
     rdd_expected_error,
 )
 from dimdecomp.functions import default_marginal, function_names, make_function
-from dimdecomp.mc import (  # noqa: F401 - perfbench traces mc_expected_rdd_error here
+from dimdecomp.mc import (  # noqa: F401 - a trace target, see test_trace_targets_resolve
     MIN_PAIRS,
     MIN_SAMPLES,
     _mc_gate,
@@ -232,7 +232,10 @@ def parse_config(data: dict) -> RunConfig:
         fn = make_function(name, dim, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc
-    problem = ProblemSpec(fn, ProductMeasure(marginals), quad_order)
+    try:  # of the keys, ProblemSpec checks only the quadrature orders
+        problem = ProblemSpec(fn, ProductMeasure(marginals), quad_order)
+    except ValueError as exc:
+        raise ConfigError(f"quad_order: {exc}") from exc
     return RunConfig(name, problem, orders, n_samples, seed, Path(out), f1)
 
 
@@ -438,7 +441,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
         )
 
-    add_ests = mc_add_error(table, orders, cfg.n_samples, cfg.seed)
+    add_ests = mc_add_error(problem, orders, cfg.n_samples, cfg.seed)
     rdd_ests = mc_expected_rdd_errors(
         problem, orders, max(cfg.n_samples, MIN_PAIRS), cfg.seed + 1
     )

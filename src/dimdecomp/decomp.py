@@ -13,11 +13,11 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   slot for "integrated out", so the build, the variances and the structure
   checks are ``N`` axis passes each.  They are evaluated at any point by
   barycentric interpolation, which reproduces the stored values exactly at
-  the nodes.  Interpolation is bilinear in two Khatri-Rao factors
-  (row-wise Kronecker products of cardinal matrices), one for each half of
-  a component's coordinates, so every component costs one GEMM, and a
-  block of rows builds each factor once for all the components that share
-  it.
+  the nodes; off them it gives the ADD of the target's Gauss interpolant.
+  Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
+  products of cardinal matrices), one for each half of a component's
+  coordinates, so every component costs one GEMM, and a block of rows
+  builds each factor once for all the components that share it.
 * **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
   ``j`` at an anchor point ``c``.  Components cost only function calls —
   no grids — and every nonempty component vanishes as soon as one of its
@@ -178,6 +178,12 @@ class ComponentTable:
     barycentric interpolation (weights computed on first use).  The mean
     ``y_empty`` is the array's all-slot entry.
 
+    Off the nodes, :meth:`component` and :meth:`truncated` give the ADD of
+    the Gauss interpolant of the target, a polynomial of degree below
+    ``q_j`` in each coordinate ``j``.  That is the target's own ADD only
+    where the interpolant is exact; the sampled estimators of
+    :mod:`dimdecomp.mc` therefore never read it.
+
     Build through :func:`build_add`, not directly.
     """
 
@@ -225,47 +231,31 @@ class ComponentTable:
         return float(out[0]) if squeeze else out
 
     def truncated(self, order: int, x) -> float | np.ndarray:
-        """Evaluate the S-variate truncated sum at full points ``x``."""
-        return self.truncated_sums((order,), x)[0]
+        """Evaluate the S-variate truncated sum at full points ``x``.
 
-    def truncated_sums(self, orders: Sequence[int], x) -> list[float | np.ndarray]:
-        """The truncated sums at several orders, one per entry of `orders`.
-
-        One pass over the components up to ``max(orders)`` in (cardinality,
-        mask) order keeps a running sum and copies it at each requested
-        cardinality boundary, so every result is bit-for-bit the one a
-        separate :meth:`truncated` call gives.  Repeated orders share one
-        array.  The pass runs once per row block through the bilinear
-        kernel (:class:`_Interpolant`): each component is one GEMM between
+        Sums the components with ``|u| <= order`` in (cardinality, mask)
+        order, once per row block through the bilinear kernel
+        (:class:`_Interpolant`): each component is one GEMM between
         Khatri-Rao factors that the block builds once and shares.  The rows
         of a block depend on the table alone (see :meth:`_row_blocks`), so
-        the requested orders never change a value; another block size
+        the order asked for never changes a row's value; another block size
         changes values at roundoff level only.
-
-        Off the Gauss nodes the sums interpolate the stored components, so
-        they equal the target's truncated ADD expansion only where Gauss
-        interpolation of the target is exact: a polynomial of degree below
-        ``q_j`` in each coordinate ``j``.
         """
-        orders = _check_orders(orders, self.dim)
+        (order,) = _check_orders((order,), self.dim)
         X, squeeze = _as_rows(x, self.dim)
-        sums = {s: np.empty(X.shape[0]) for s in orders}
-        subsets = list(all_subsets_up_to(self.dim, max(orders)))
         # C-contiguous once per call, not once per row block
-        dense = {u.mask: np.ascontiguousarray(self._components[u.mask]) for u in subsets[1:]}
+        dense = [
+            (u.indices(), np.ascontiguousarray(self._components[u.mask]))
+            for u in all_subsets_up_to(self.dim, order)
+            if u.mask
+        ]
+        out = np.full(X.shape[0], self.y_empty)
         for rows in self._row_blocks(X.shape[0]):
-            block = X[rows]
-            interp = _Interpolant(self, block, range(self.dim))
-            out = np.zeros(len(block))
-            card = 0
-            for u in subsets:  # (cardinality, mask) order: copy out at each boundary
-                if u.cardinality > card:
-                    card = u.cardinality
-                    if card - 1 in sums:
-                        sums[card - 1][rows] = out
-                out += interp(dense[u.mask], u.indices()) if u.mask else self.y_empty
-            sums[max(sums)][rows] = out
-        return [float(sums[s][0]) if squeeze else sums[s] for s in orders]
+            interp = _Interpolant(self, X[rows], range(self.dim))
+            acc = out[rows]
+            for coords, vals in dense:
+                acc += interp(vals, coords)
+        return float(out[0]) if squeeze else out
 
     # -- internals --------------------------------------------------------
 
@@ -280,11 +270,11 @@ class ComponentTable:
         The budget covers the Khatri-Rao factors a block holds and its
         largest GEMM output.  For the one component of `coords` that is its
         head and tail factors, each with its prefixes, and its output.  For
-        truncated sums (`coords` None) a row may hold the factor of every
+        a truncated sum (`coords` None) a row may hold the factor of every
         subset of at most ``ceil(N/2)`` coordinates, ``sum_k e_k(q)``
         values, and an output of at most the ``floor(N/2)`` largest ``q_j``
         multiplied.  Rows per block (never less than one) thus depend on the
-        table and the component alone, not on the orders asked for.
+        table and the component alone, not on the order asked for.
         """
         q = self.problem.orders
         if coords is None:
@@ -475,10 +465,9 @@ def rdd_direct_sums(
 ) -> list[float | np.ndarray]:
     """The anchored surrogates at several orders, one per entry of `orders`.
 
-    The anchored twin of :meth:`ComponentTable.truncated_sums`: one pass of
-    :func:`_anchored` over the ``sum_{k<=S_max} C(N, k)`` subsets of the
-    largest order, from cardinality ``S_max`` down to 0 (mask order
-    inside), serves every order.  Each order adds only its own subsets,
+    One pass of :func:`_anchored` over the ``sum_{k<=S_max} C(N, k)``
+    subsets of the largest order, from cardinality ``S_max`` down to 0
+    (mask order inside), serves every order.  Each order adds only its own subsets,
     with its own collapsed weights (see :func:`rdd_direct`), in the same
     sequence as a single-order pass, so every result is bit-for-bit what
     :func:`rdd_direct` gives for that order.  Repeated orders share one

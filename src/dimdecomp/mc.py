@@ -2,7 +2,7 @@
 
 Every estimator here targets a quantity the analytic modules compute
 exactly, so each one doubles as an end-to-end check of the whole stack:
-sample the squared gap between target and surrogate, and the mean must
+sample a product of gaps between target and surrogate, and the mean must
 land within sampling noise of the closed-form budget.
 
 Sampling draws from the problem's product measure via
@@ -13,11 +13,13 @@ through a count-weighted mean/variance merge.  A non-finite target value
 raises ``ValueError`` at the draw that produced it (see
 :meth:`ProblemSpec.evaluate`).
 
-:func:`check_optimality_split` samples the projection identity behind the
-paper's two claims, that the integration-based surrogate has the least
-error of its order and the anchored one does worse: for any S-variate
-competitor ``r``, ``E[(y - r)**2] = e_add + E[(yhat_S - r)**2]``, here
-with ``r`` the anchored surrogate at a random anchor.
+The anchor-averaged estimators share one draw body, :func:`_anchor_averaged`,
+built on the anchor average of the operator form, ``yhat_S(X) = E_C[r(X;
+C)]`` with ``r`` the S-variate anchored surrogate (Kuo, Sloan, Wasilkowski
+& Wozniakowski, *Math. Comp.* 2010).  With independent anchors and ``r_i =
+r(X; C_i)``, ``E[(y - r0)**2] = e_rdd_expected``, ``E[(y - r1) * (y - r2)]
+= e_add`` and ``E[(r1 - r0) * (r2 - r0)] = e_rdd_expected - e_add``, so
+none of them builds a grid or interpolates a table.
 """
 from __future__ import annotations
 
@@ -131,34 +133,54 @@ def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
     return [acc.result(seed) for acc in accs]
 
 
+def _anchor_averaged(
+    problem: ProblemSpec, orders: tuple[int, ...], n: int, seed: int, k: int, *statistics
+) -> list[McEstimate]:
+    """The one draw body of the anchor-averaged estimators, run by :func:`_sampled`.
+
+    Each chunk draws its points X, evaluates ``y(X)`` once, then draws `k`
+    anchor batches in turn, each just before its anchored pass ``r_i =
+    rdd_direct_sums(problem, orders, C_i, X)``, so a chunk holds X and one
+    anchor batch.  Per order, each of `statistics` maps ``(y, r_1, ...,
+    r_k)`` to one value array; estimates come order by order, in the order
+    of `statistics`.  A point costs ``1 + k * count_up_to(N, max(orders))``
+    target rows, and each order's estimates are bit-for-bit those of a
+    single-order call with the same seed.
+    """
+
+    def values(rng, m):
+        X = problem.measure.sample(rng, m)
+        y = problem.evaluate(X)
+        passes = [
+            rdd_direct_sums(problem, orders, problem.measure.sample(rng, m), X)
+            for _ in range(k)
+        ]
+        for r in zip(*passes):
+            for statistic in statistics:
+                yield statistic(y, *r)
+
+    return _sampled(n, seed, len(orders) * len(statistics), values)
+
+
 def mc_add_error(
-    table: ComponentTable,
+    problem: ProblemSpec,
     order: int | Sequence[int],
     n: int = 100_000,
     seed: int = 0,
 ) -> McEstimate | list[McEstimate]:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
-    Points and target values come from ``table.problem``, and the
-    surrogate is the ADD `table` interpolated at the sampled (off-grid)
-    points.  `order` is one truncation order, which returns one estimate,
-    or a sequence of them, which returns one estimate per entry.  All
-    orders share every draw, the target values and one pass over the
-    components (see :meth:`ComponentTable.truncated_sums`), and each
-    estimate is bit-for-bit what a single-order call with the same seed
-    gives.  Orders are checked before any draw.
+    Samples ``(y - r1) * (y - r2)``, ``r_i`` the anchored surrogate at an
+    independent random anchor (see :func:`_anchor_averaged`): given X its
+    mean is ``(y - yhat_S)**2``, so the estimate is unbiased for ``e_add``.
+    `order` is one order in ``[0, dim - 1]``, which returns one estimate,
+    or a sequence of them, which returns one estimate per entry.  Orders
+    are checked before any draw.
     """
     _check_n(n, MIN_SAMPLES, "mc_add_error")
     single = isinstance(order, Integral)
-    orders = _check_orders((order,) if single else order, table.dim)
-    problem = table.problem
-
-    def squared_gaps(rng, m):
-        X = problem.measure.sample(rng, m)
-        y = problem.evaluate(X)
-        return ((y - t) ** 2 for t in table.truncated_sums(orders, X))
-
-    ests = _sampled(n, seed, len(orders), squared_gaps)
+    orders = _check_orders((order,) if single else order, problem.dim - 1)
+    ests = _anchor_averaged(problem, orders, n, seed, 2, lambda y, r1, r2: (y - r1) * (y - r2))
     return ests[0] if single else ests
 
 
@@ -204,23 +226,15 @@ def mc_expected_rdd_errors(
     """:func:`mc_expected_rdd_error` at several orders, one estimate per
     entry of `orders`.
 
-    All orders share every draw of X and C, the target values and one
-    anchored pass over the ``|u| <= max(orders)`` subsets (see
-    :func:`rdd_direct_sums`), so each pair costs
-    ``1 + count_up_to(N, max(orders))`` target evaluations, and each
-    estimate is bit-for-bit what a single-order call with the same seed
-    gives.  Orders are checked before any draw.
+    The one-anchor case of :func:`_anchor_averaged`: every chunk draws X,
+    then one anchor per row, and samples ``(y - r)**2``.  All orders share
+    the draws, the target values and one anchored pass, so each pair costs
+    ``1 + count_up_to(N, max(orders))`` target evaluations.  Orders are
+    checked before any draw.
     """
     _check_n(n_pairs, MIN_PAIRS, "mc_expected_rdd_error")
     orders = _check_orders(orders, problem.dim - 1)
-
-    def squared_gaps(rng, m):
-        X = problem.measure.sample(rng, m)
-        C = problem.measure.sample(rng, m)
-        y = problem.evaluate(X)
-        return ((y - r) ** 2 for r in rdd_direct_sums(problem, orders, C, X))
-
-    return _sampled(n_pairs, seed, len(orders), squared_gaps)
+    return _anchor_averaged(problem, orders, n_pairs, seed, 1, lambda y, r: (y - r) ** 2)
 
 
 def check_optimality_split(
@@ -229,40 +243,27 @@ def check_optimality_split(
     """Sampled check that the anchored surrogate never beats the
     integration-based one, two gates per entry of `orders`.
 
-    With ``yhat`` the truncated sum of the ADD `table` and ``r`` the
-    anchored surrogate at a random anchor C (both of order S), the
-    projection identity ``E[(y - r)**2] = e_add + E[(yhat - r)**2]``
-    splits the anchored error.  Each chunk of :func:`_sampled` draws X and
-    then one anchor C per row, as :func:`mc_expected_rdd_errors` does, and
-    per order streams ``(y - r)**2 - (yhat - r)**2`` and ``(yhat - r)**2``.
-    Gate ``optimality_split_S{S}`` holds the first to the exact ``e_add``,
-    and gate ``rdd_excess_S{S}`` the second to the exact
-    ``e_rdd_expected - e_add``, at least ``(2**(S+1) - 1) * e_add``: the
-    dominance of ADD and the size of the gap at once.  Each pair costs
-    ``1 + count_up_to(N, max(orders))`` target evaluations, and every
-    order's gates are bit-for-bit those of a single-order call.
-
-    The sampled identity holds only where Gauss interpolation of the target
-    is exact (a polynomial of degree below ``q_j`` in each coordinate
-    ``j``): off the nodes the interpolated table is not the projection.
+    With ``r0`` the anchored surrogate of order S at a random anchor, the
+    projection identity ``E[(y - r0)**2] = e_add + E[(yhat_S - r0)**2]``
+    splits the anchored error, and two more anchors sample the second term
+    as ``(r1 - r0) * (r2 - r0)`` (see :func:`_anchor_averaged`).  Gate
+    ``optimality_split_S{S}`` holds ``(y - r0)**2`` minus that product to
+    the exact ``e_add``, and gate ``rdd_excess_S{S}`` the product to the
+    exact ``e_rdd_expected - e_add``, at least ``(2**(S+1) - 1) * e_add``:
+    the dominance of ADD and the size of the gap at once.  The ADD `table`
+    supplies only these budgets.  A point costs ``1 + 3 * count_up_to(N,
+    max(orders))`` target evaluations.
     """
     problem = table.problem
     orders = _check_orders(orders, problem.dim - 1)
     _check_n(n, MIN_PAIRS, "check_optimality_split")
     vmap = variance_components(table)
     budgets = [rdd_expected_error(s, vmap) for s in orders]
-
-    def split_and_excess(rng, m):
-        X = problem.measure.sample(rng, m)
-        C = problem.measure.sample(rng, m)
-        y = problem.evaluate(X)
-        yhats = table.truncated_sums(orders, X)
-        for yhat, r in zip(yhats, rdd_direct_sums(problem, orders, C, X)):
-            excess = (yhat - r) ** 2
-            yield (y - r) ** 2 - excess
-            yield excess
-
-    ests = _sampled(n, seed, 2 * len(orders), split_and_excess)
+    ests = _anchor_averaged(
+        problem, orders, n, seed, 3,
+        lambda y, r0, r1, r2: (y - r0) ** 2 - (r1 - r0) * (r2 - r0),
+        lambda y, r0, r1, r2: (r1 - r0) * (r2 - r0),
+    )
     checks = []
     for b, split, excess in zip(budgets, ests[::2], ests[1::2]):
         checks.append(_mc_gate(f"optimality_split_S{b.order}", split, b.e_add))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dimdecomp import (
-    ComponentTable,
     MarginalMeasure,
     ProblemSpec,
     ProductMeasure,
@@ -79,12 +78,6 @@ def counted(problem: ProblemSpec):
         return problem.function(x)
 
     return ProblemSpec(function, problem.measure, problem.quad_order), seen
-
-
-def retargeted(table: ComponentTable, problem: ProblemSpec) -> ComponentTable:
-    """`table`'s components as an ADD table of `problem`, for a target that
-    :func:`build_add` would reject or whose calls a test counts."""
-    return ComponentTable(problem, table._array, table._full_values)
 
 
 @pytest.fixture(scope="session")

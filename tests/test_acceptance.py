@@ -90,17 +90,17 @@ def test_c03_expected_error_vs_sampling(criterion, plin_vmaps):
         assert time.perf_counter() - t0 <= 300.0
 
 
-def test_c04_integration_error_sampling(criterion, plin3_table, plin3_vmap, plin4_table, plin4_vmap):
+def test_c04_integration_error_sampling(criterion, plin3, plin3_vmap, plin4, plin4_vmap):
     with criterion("c04_integration_error_sampling"):
         pinned = add_error(1, plin3_vmap)
         assert pinned == pytest.approx(10.0 / 27.0, rel=1e-12)
-        est = mc_add_error(plin3_table, 1, n=1_000_000, seed=42)
+        est = mc_add_error(plin3, 1, n=1_000_000, seed=42)
         assert est.within(pinned)
-        for table, vmap in ((plin3_table, plin3_vmap), (plin4_table, plin4_vmap)):
-            for order in range(table.dim):
+        for problem, vmap in ((plin3, plin3_vmap), (plin4, plin4_vmap)):
+            for order in range(problem.dim):
                 analytic = add_error(order, vmap)
-                est = mc_add_error(table, order, n=200_000, seed=2000 + order)
-                assert est.within(analytic), (table.dim, order, analytic, est)
+                est = mc_add_error(problem, order, n=200_000, seed=2000 + order)
+                assert est.within(analytic), (problem.dim, order, analytic, est)
 
 
 def _battery_problems():

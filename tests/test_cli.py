@@ -370,9 +370,21 @@ class TestConfigHandling:
                 {"function": {"name": "product_linear", "a": [1, 1]}},
                 "bad function spec: coefficient vector must have length 3",
             ),
-            # nor the ProblemSpec that checks the quadrature orders
-            ({"quad_order": [4, 4]}, "got 2 orders for dimension 3"),
-            ({"quad_order": 65}, "quadrature order 65 exceeds the cap 64"),
+            # nor the ProblemSpec that checks the quadrature orders; the
+            # explicit ids keep these two cases' test ids stable
+            pytest.param(
+                {"quad_order": [4, 4]},
+                "quad_order: got 2 orders for dimension 3",
+                id="extra18-got 2 orders for dimension 3",
+            ),
+            pytest.param(
+                {"quad_order": 65},
+                "quad_order: quadrature order 65 exceeds the cap 64",
+                id="extra19-quadrature order 65 exceeds the cap 64",
+            ),
+            ({"quad_order": [4, 4, 4, 4]}, "quad_order: got 4 orders for dimension 3"),
+            ({"quad_order": [4, 65, 4]}, "quad_order: quadrature order 65 exceeds the cap 64"),
+            ({"quad_order": 0}, "quad_order: quadrature orders must be at least 1"),
         ],
     )
     def test_malformed_sections_are_one_line_errors(self, tmp_path, capsys, extra, message):

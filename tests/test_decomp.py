@@ -46,7 +46,6 @@ from tests.conftest import (
     ishigami_problem,
     poly_problem,
     product_linear_problem,
-    retargeted,
     sobol_g_problem,
 )
 
@@ -279,7 +278,7 @@ class TestAddTableArray:
         p = sobol_g_problem(dim, quad_order=quad_order)
         t = build_add(p)
         X = p.measure.sample(rng(5), 3)
-        t.truncated_sums((1, 2), X)
+        t.truncated(2, X)
         t.component(VariableSubset.from_indices([1, 3], dim), X[:, [1, 3]])
         assert len(contiguous) > 3 and all(contiguous)
 
@@ -398,23 +397,25 @@ class TestAddEvaluation:
             plin3_table.truncated(-1, np.zeros(3))
         with pytest.raises(ValueError, match="integer"):
             plin3_table.truncated(1.5, np.zeros(3))
-        with pytest.raises(ValueError, match="at least one"):
-            plin3_table.truncated_sums((), np.zeros(3))
+        with pytest.raises(ValueError, match="integer"):
+            plin3_table.truncated((1,), np.zeros(3))
 
-    def test_truncated_sums_equal_one_call_per_order(self, plin3, plin3_table):
-        # one pass with a copy at each cardinality boundary, unsorted orders
-        # with repeats, off and on the grid
+    def test_truncated_adds_each_cardinality(self, plin3_table):
+        # off the grid, each order adds the components of its own
+        # cardinality to the sum one order below (to roundoff), and a single
+        # point gives a float
         X = rng(8).uniform(-1.0, 1.0, (30, 3))
-        nodes = [r.nodes for r in plin3.rules]
-        on_grid = np.column_stack([nodes[j][[0, 4, 9]] for j in range(3)])
-        orders = (2, 0, 3, 0, 1)
-        for table, pts in ((plin3_table, X), (build_add(plin3), on_grid)):
-            got = table.truncated_sums(orders, pts)
-            for s, y in zip(orders, got):
-                assert np.array_equal(y, table.truncated(s, pts))
-            assert table.truncated_sums(orders, pts[0]) == [
-                table.truncated(s, pts[0]) for s in orders
-            ]
+        below = np.full(len(X), plin3_table.y_empty)
+        assert np.array_equal(plin3_table.truncated(0, X), below)
+        for s in range(1, 4):
+            got = plin3_table.truncated(s, X)
+            own = [u for u in all_subsets_up_to(3, s) if u.cardinality == s]
+            step = sum(plin3_table.component(u, X[:, list(u.indices())]) for u in own)
+            assert_agrees(got, below + step, plin3_table)
+            point = plin3_table.truncated(s, X[0])
+            assert isinstance(point, float)
+            assert point == pytest.approx(got[0], rel=1e-13)
+            below = got
 
 
 def unblocked_fold(vals, mats):
@@ -496,15 +497,14 @@ class TestInterpolationBlocks:
         if budget is not None:
             monkeypatch.setattr(decomp, "_BLOCK_VALUES", budget)
         want = reference_sums(table, mats, 5)
-        for order, got in enumerate(table.truncated_sums(range(1, 6), X), start=1):
-            assert_agrees(got, want[order], table)
+        for order in range(1, 6):
+            assert_agrees(table.truncated(order, X), want[order], table)
 
     # 836 values per row (see above): a budget of 41 800 values makes
     # 50-row blocks with a ragged last one, a budget of 1 one-row blocks;
-    # the blocks do not depend on the orders asked for, so every sum is
-    # bit-for-bit its own truncated call
+    # the blocks do not depend on the order asked for
     @pytest.mark.parametrize("budget,m,rows", [(41_800, 2503, 50), (1, 37, 1)])
-    def test_truncated_sums_in_row_blocks(self, setup, budget, m, rows, monkeypatch):
+    def test_truncated_in_row_blocks(self, setup, budget, m, rows, monkeypatch):
         table, X, mats = setup
         X, mats = X[:m], [L[:m] for L in mats]
         monkeypatch.setattr(decomp, "_BLOCK_VALUES", budget)
@@ -516,13 +516,11 @@ class TestInterpolationBlocks:
             return kernel(nodes, bw, t)
 
         monkeypatch.setattr(decomp, "_cardinal_matrix", recorded)
-        orders = (2, 0, 5, 0, 1)
-        got = table.truncated_sums(orders, X)
-        assert max(seen) == rows
         want = reference_sums(table, mats, 5)
-        for order, sums in zip(orders, got):
-            assert_agrees(sums, want[order], table)
-            assert np.array_equal(sums, table.truncated(order, X))
+        for order in (2, 5, 1):
+            seen.clear()
+            assert_agrees(table.truncated(order, X), want[order], table)
+            assert max(seen) == rows
 
     def test_ragged_orders(self, monkeypatch):
         # q = (3, 5, 2, 4): heads and tails of unequal lengths; a row holds
@@ -542,7 +540,7 @@ class TestInterpolationBlocks:
             return out
 
         monkeypatch.setattr(decomp._Interpolant, "__call__", recorded)
-        got = table.truncated_sums(range(5), X)
+        got = [table.truncated(s, X) for s in range(5)]
         assert 0 < max(held) <= 735 - 7 * 20
         for order, want in enumerate(reference_sums(table, mats, 4)):
             assert_agrees(got[order], want, table)
@@ -567,19 +565,24 @@ class TestInterpolationBlocks:
         p = product_linear_problem(6, quad_order=10)
         table = build_add(p)
         X = rng(12).uniform(-1.0, 1.0, (2000, 6))
-        got = table.truncated_sums(range(6), X)
+        got = [table.truncated(s, X) for s in range(6)]
         want = reference_sums(table, cardinal_matrices(p, X), 5, rows=200)
         for order in range(6):
             assert_agrees(got[order], want[order], table)
 
-    def test_add_error_cardinal_matrices_stay_small(self):
-        # one whole-chunk set of cardinal matrices is 5 x (100 000, 6)
-        # float64 values, 23 MiB, and put the peak at 39 MiB
+    def test_add_error_cardinal_matrices_stay_small(self, monkeypatch):
+        # the sampled ADD error interpolates no table, so it builds no
+        # cardinal matrix (a whole-chunk set of them is 5 x (100 000, 6)
+        # float64 values, 23 MiB); its chunk of points, one anchor batch
+        # at a time and the anchored sums stay below 24 MiB
+        def no_matrix(*args):
+            raise AssertionError("mc_add_error interpolated the table")
+
+        monkeypatch.setattr(decomp, "_cardinal_matrix", no_matrix)
         p = product_linear_problem(5, quad_order=6)
-        table = build_add(p)
         tracemalloc.start()
         try:
-            mc_add_error(table, range(5), 100_000, seed=3)
+            mc_add_error(p, range(5), 100_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1270,13 +1273,13 @@ def test_problem_spec_quadrature_orders():
             ProblemSpec(f, m, bad)
 
 
-def test_output_shape_contract(plin3, plin3_table):
+def test_output_shape_contract(plin3):
     # an (m, 1) output would broadcast against (m,) arrays downstream
     p = ProblemSpec(lambda x: plin3.function(x)[..., None], plin3.measure, 3)
     X = rng(7).uniform(-1.0, 1.0, (20, 3))
     match = r"returned shape \(\d+, 1\) .* expected \(\d+,\)"
     with pytest.raises(ValueError, match=match):
-        mc_add_error(retargeted(plin3_table, p), 1, 1000)
+        mc_add_error(p, 1, 1000)
     with pytest.raises(ValueError, match=match):
         rdd_direct(p, 1, np.zeros(3), X)
     with pytest.raises(ValueError, match=match):
@@ -1306,7 +1309,7 @@ def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
     c = np.array([0.25, -0.5, 0.75])
     rdd_direct_sums(p, [1, 2], c, X)
     rdd_direct_sums(p, [1, 2], X[::-1], X)
-    mc_add_error(table, [1, 2], 1000, 3)
+    mc_add_error(p, [1, 2], 1000, 3)
     mc_expected_rdd_errors(p, [1, 2], MIN_PAIRS, 4)
     check_rdd_structure(build_rdd(p, c), seed=5)
     check_optimality_split(table, [1], MIN_PAIRS, 6)

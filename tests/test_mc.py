@@ -30,7 +30,6 @@ from tests.conftest import (
     counted,
     ishigami_problem,
     product_linear_problem,
-    retargeted,
     sobol_g_problem,
 )
 
@@ -49,41 +48,49 @@ class TestMcEstimate:
 
 
 class TestAddErrorSampling:
-    def test_deterministic(self, plin3_table):
-        a = mc_add_error(plin3_table, 1, n=2000, seed=11)
-        b = mc_add_error(plin3_table, 1, n=2000, seed=11)
-        c = mc_add_error(plin3_table, 1, n=2000, seed=12)
+    def test_deterministic(self, plin3):
+        a = mc_add_error(plin3, 1, n=2000, seed=11)
+        b = mc_add_error(plin3, 1, n=2000, seed=11)
+        c = mc_add_error(plin3, 1, n=2000, seed=12)
         assert a == b
         assert a.mean != c.mean
 
-    def test_pinned_value_gate(self, plin3_table):
-        est = mc_add_error(plin3_table, 1, n=100_000, seed=42)
+    def test_pinned_value_gate(self, plin3):
+        est = mc_add_error(plin3, 1, n=100_000, seed=42)
         assert est.within(10.0 / 27.0)
         assert est.std_error < 0.01
 
-    def test_full_order_error_vanishes(self, plin3_table):
-        est = mc_add_error(plin3_table, 3, n=2000, seed=0)
+    def test_full_order_error_vanishes(self):
+        # at the top order N - 1 both anchored surrogates reproduce a target
+        # without an N-way interaction, here y = (1 + x_1)(1 + x_2) in N = 3
+        p = product_linear_problem(3)
+        p = ProblemSpec(lambda x: (1.0 + x[..., 0]) * (1.0 + x[..., 1]), p.measure)
+        est = mc_add_error(p, 2, n=2000, seed=0)
         assert abs(est.mean) <= 1e-25
 
-    def test_sample_count_floor(self, plin3_table):
+    def test_sample_count_floor(self, plin3):
         with pytest.raises(ValueError, match="at least"):
-            mc_add_error(plin3_table, 1, n=999)
+            mc_add_error(plin3, 1, n=999)
 
-    def test_chunked_run_covers_requested_n(self, plin3_table, monkeypatch):
+    def test_chunked_run_covers_requested_n(self, plin3, monkeypatch):
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
-        est = mc_add_error(plin3_table, 1, n=5000, seed=1)
+        est = mc_add_error(plin3, 1, n=5000, seed=1)
         assert est.n == 5000
 
-    def test_chunk_merge_equals_one_pass_statistics(self, plin3, plin3_table, monkeypatch):
+    def test_chunk_merge_equals_one_pass_statistics(self, plin3, monkeypatch):
         # the count-weighted merge of 1024-row chunks gives the mean and
-        # standard error of all 5000 squared gaps taken at once
+        # standard error of all 5000 products taken at once; each chunk
+        # draws X, then the anchors C1 and C2
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
-        est = mc_add_error(plin3_table, 1, n=5000, seed=3)
+        est = mc_add_error(plin3, 1, n=5000, seed=3)
         rng = np.random.default_rng(3)
         gaps = []
         for m in [1024] * 4 + [904]:
             X = plin3.measure.sample(rng, m)
-            gaps.append((plin3.evaluate(X) - plin3_table.truncated(1, X)) ** 2)
+            y = plin3.evaluate(X)
+            r1 = rdd_direct(plin3, 1, plin3.measure.sample(rng, m), X)
+            r2 = rdd_direct(plin3, 1, plin3.measure.sample(rng, m), X)
+            gaps.append((y - r1) * (y - r2))
         g = np.concatenate(gaps)
         assert est.mean == pytest.approx(float(np.mean(g)), rel=1e-12)
         assert est.std_error == pytest.approx(float(np.std(g, ddof=1)) / g.size**0.5, rel=1e-9)
@@ -91,47 +98,51 @@ class TestAddErrorSampling:
 
 @pytest.fixture(scope="module")
 def sobol5():
-    p = sobol_g_problem(5, quad_order=6)
-    return p, build_add(p)
+    return sobol_g_problem(5, quad_order=6)
 
 
 class TestAddErrorOrders:
     @pytest.mark.parametrize(
         "name,orders",
         [
-            ("plin3", range(4)),  # every order of a 3-variable table
-            ("plin3", (3, 0, 3)),
+            ("plin3", range(3)),  # every order of a 3-variable problem
+            ("plin3", (2, 0, 2)),
             ("sobol5", range(5)),
             ("sobol5", (3, 0, 3)),
         ],
     )
     @pytest.mark.parametrize("n,chunk", [(2000, DEFAULT_CHUNK), (5000, 1024)])
-    def test_equals_one_call_per_order(
-        self, plin3_table, sobol5, name, orders, n, chunk, monkeypatch
-    ):
+    def test_equals_one_call_per_order(self, plin3, sobol5, name, orders, n, chunk, monkeypatch):
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
-        table = plin3_table if name == "plin3" else sobol5[1]
-        got = mc_add_error(table, orders, n, seed=13)
-        want = [mc_add_error(table, s, n, seed=13) for s in orders]
+        problem = plin3 if name == "plin3" else sobol5
+        got = mc_add_error(problem, orders, n, seed=13)
+        want = [mc_add_error(problem, s, n, seed=13) for s in orders]
         assert got == want
 
     def test_one_target_row_per_sample_for_all_orders(self, sobol5, monkeypatch):
+        # y(X) once per sample, shared by every order and both anchors, plus
+        # count_up_to(N, S_max) anchored rows per anchor: each call of a
+        # 1024-row chunk (one anchored block) sees all of its rows
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
-        problem, table = sobol5
-        p, seen = counted(problem)
-        mc_add_error(retargeted(table, p), range(5), n=5000, seed=1)
-        assert [len(b) for b in seen] == [1024] * 4 + [904]
+        p, seen = counted(sobol5)
+        mc_add_error(p, (2, 4, 0), n=5000, seed=1)
+        per_sample = 1 + 2 * count_up_to(5, 4)
+        assert sum(len(b) for b in seen) == 5000 * per_sample
+        assert [len(b) for b in seen] == [1024] * 4 * per_sample + [904] * per_sample
+        seen.clear()
+        mc_add_error(p, 1, n=5000, seed=1)
+        assert sum(len(b) for b in seen) == 5000 * (1 + 2 * count_up_to(5, 1))
 
-    def test_orders_checked_before_any_work(self, plin3, plin3_table, monkeypatch):
+    def test_orders_checked_before_any_work(self, plin3, monkeypatch):
         p, seen = counted(plin3)
 
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled before the orders were checked")
 
         monkeypatch.setattr(ProductMeasure, "sample", no_draw)
-        for bad in ((), [], 4, -1, (1, 7), 1.5, (1, 2.0), "1", None, True):
+        for bad in ((), [], 3, 4, -1, (1, 7), 1.5, (1, 2.0), "1", None, True):
             with pytest.raises(ValueError):
-                mc_add_error(retargeted(plin3_table, p), bad, n=1000)
+                mc_add_error(p, bad, n=1000)
         for bad in (3, -1, 1.0):
             with pytest.raises(ValueError):
                 mc_rdd_error(p, bad, np.zeros(3), n=1000)
@@ -139,11 +150,33 @@ class TestAddErrorOrders:
                 mc_expected_rdd_error(p, bad, n_pairs=10_000)
         assert seen == []
         monkeypatch.undo()
-        one = mc_add_error(plin3_table, 1, n=1000)
-        assert mc_add_error(plin3_table, np.int64(1), n=1000) == one
-        assert mc_add_error(plin3_table, np.arange(1, 3), n=1000) == [
-            one, mc_add_error(plin3_table, 2, n=1000)
+        one = mc_add_error(plin3, 1, n=1000)
+        assert mc_add_error(plin3, np.int64(1), n=1000) == one
+        assert mc_add_error(plin3, np.arange(1, 3), n=1000) == [
+            one, mc_add_error(plin3, 2, n=1000)
         ]
+
+
+# Problems, sample sizes and seeds of the gridless ADD gate, fixed before
+# its first run: product_linear is exact at any q; sobol_g is kinked, so
+# its budgets need q = 32 (at q = 8 they are off and the gate says so).
+# For ishigami e_add(2) is at roundoff level, where no 3-sigma band holds.
+ADD_GATES = [
+    *[(f"product_linear N={N}", product_linear_problem(N), range(N), 50_000, 7000 + N)
+      for N in range(2, 7)],
+    ("sobol_g N=4 q=32", sobol_g_problem(4, quad_order=32), range(4), 20_000, 7100),
+    ("ishigami", ishigami_problem(), range(2), 50_000, 7200),
+]
+
+
+@pytest.mark.parametrize(
+    "problem,orders,n,seed", [g[1:] for g in ADD_GATES], ids=[g[0] for g in ADD_GATES]
+)
+def test_add_error_gate_against_exact_budget(problem, orders, n, seed):
+    vmap = variance_components(build_add(problem))
+    ests = mc_add_error(problem, orders, n, seed)
+    for s, est in zip(orders, ests):
+        assert est.within(add_error(s, vmap)), (s, est, add_error(s, vmap))
 
 
 class TestRddErrorSampling:
@@ -238,6 +271,26 @@ class TestExpectedRddOrders:
         mc_expected_rdd_error(p, 3, n, 4)
         assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 3))
 
+    def test_seeded_estimates_are_pinned(self):
+        # one draw body for every anchor-averaged estimator left these bit
+        # for bit as they were: X then C per chunk, (y - r)**2 per order
+        pinned = {
+            product_linear_problem: [
+                ("0x1.5f27d1af2f8f7p+0", "0x1.df2b5bb686efap-4"),
+                ("0x1.a1eb2deb681bap+2", "0x1.b640c63eafa23p-3"),
+                ("0x1.f9c01b4bcefa4p+2", "0x1.aa7979cfa088dp-2"),
+            ],
+            sobol_g_problem: [
+                ("0x1.530a0037c2107p-12", "0x1.0ba2de31b25d6p-16"),
+                ("0x1.0f38e1f2f51acp+0", "0x1.0af124d96e5e9p-6"),
+                ("0x1.cdd8f1abe5e66p-3", "0x1.7e8b5a638dbe1p-8"),
+            ],
+        }
+        for make, want in pinned.items():
+            dim = 5 if make is product_linear_problem else 4
+            ests = mc_expected_rdd_errors(make(dim), (3, 0, 1), 10_000, 21)
+            assert [(e.mean.hex(), e.std_error.hex()) for e in ests] == want
+
     def test_orders_checked_before_any_draw(self, plin3, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled before the orders were checked")
@@ -289,7 +342,7 @@ class TestOptimalitySplit:
         table = build_add(p)
         seen.clear()
         check_optimality_split(table, (1, 2, 0), n, 4)
-        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 2))
+        assert sum(len(b) for b in seen) == n * (1 + 3 * count_up_to(dim, 2))
 
     def test_validation_before_any_draw(self, plin3_table, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -322,7 +375,8 @@ def _on_grid(name):
     orders = tuple(range(problem.dim))
     vmap = variance_components(table)
     e_add = [add_error(s, vmap) for s in orders]
-    return problem, X, w, problem.evaluate(X), table.truncated_sums(orders, X), e_add, vmap.total
+    yhats = [table.truncated(s, X) for s in orders]
+    return problem, X, w, problem.evaluate(X), yhats, e_add, vmap.total
 
 
 @pytest.mark.parametrize("name", sorted(GRID_PROBLEMS))
@@ -353,9 +407,9 @@ class TestNonFiniteTarget:
 
         return ProblemSpec(function, plin3.measure, plin3.quad_order)
 
-    def test_sampled_estimators(self, nan_problem, plin3_table):
+    def test_sampled_estimators(self, nan_problem):
         with pytest.raises(ValueError, match="finite"):
-            mc_add_error(retargeted(plin3_table, nan_problem), 1, 2_000, seed=1)
+            mc_add_error(nan_problem, 1, 2_000, seed=1)
         with pytest.raises(ValueError, match="finite"):
             mc_expected_rdd_error(nan_problem, 1, 10_000, seed=1)
         with pytest.raises(ValueError, match="finite"):
