@@ -17,7 +17,7 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
   products of cardinal matrices), one for each half of a component's
   coordinates, so every component costs one GEMM, and a block of rows
-  builds each factor once for all the components that share it.
+  builds one cardinal matrix per coordinate for all its components.
 * **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
   ``j`` at an anchor point ``c``.  Components cost only function calls —
   no grids — and every nonempty component vanishes as soon as one of its
@@ -67,12 +67,11 @@ MAX_TABLE_VALUES = 1 << 24
 # rows per call of the target on the tensor grid; bounds the point buffer
 # and function-temporary arrays of grid evaluation
 _EVAL_CHUNK = 65_536
-# values held per row block by off-grid ADD evaluation: the block's
-# Khatri-Rao factors and its largest GEMM output together (32 MiB); rows per
-# block depend on the table (or the one component asked for), never on the
-# truncation orders.  On a 2-core machine (one BLAS thread) truncated sums
-# at N=6, q=10 took 2.3, 1.3 and 1.1 s per 20k rows at 2**20, 2**22 and
-# 2**23 values, and 0.34-0.37 s per 100k rows at N=5, q=6 for all three
+# off-grid ADD evaluation takes _BLOCK_VALUES // count rows per block (2**22
+# values, 32 MiB), the per-row count fixed by the table (or the one
+# component asked for), never by the truncation order; a GEMM may round a
+# row differently for another row count, so changing the budget moves values
+# at roundoff level (see ComponentTable._row_blocks)
 _BLOCK_VALUES = 1 << 22
 # values per row block of the anchored kernel: the block's evaluation
 # buffer of (rows, dim) float64 is 512 KiB, and its copies of the points and
@@ -175,7 +174,9 @@ class ComponentTable:
 
     Holds component values on tensor subgrids of the Gauss nodes, views of
     one array (see :func:`build_add`), and evaluates them anywhere by
-    barycentric interpolation (weights computed on first use).  The mean
+    barycentric interpolation (weights computed on first use).  Each row
+    block of such a query builds one cardinal matrix per coordinate,
+    shared by the block's components, and caches nothing else.  The mean
     ``y_empty`` is the array's all-slot entry.
 
     Off the nodes, :meth:`component` and :meth:`truncated` give the ADD of
@@ -193,7 +194,6 @@ class ComponentTable:
         self.problem = problem
         self.y_empty = float(components[problem.orders])
         self._array = components
-        self._components = _ComponentViews(components)
         self._full_values = full_values
 
     @property
@@ -206,10 +206,14 @@ class ComponentTable:
         return max(1.0, abs(self.y_empty))
 
     def grid_values(self, u: VariableSubset) -> np.ndarray | float:
-        """Component values on the subgrid of `u` (a scalar for ``u = {}``)."""
+        """Component values on the subgrid of `u` (a scalar for ``u = {}``):
+        a view of the table array, so writing it writes the table."""
+        if u.dim != self.dim:
+            raise ValueError(f"subset dimension {u.dim} != table dimension {self.dim}")
         if u.is_empty:
             return self.y_empty
-        return self._components[u.mask]
+        idx = (slice(n - 1) if u.mask >> j & 1 else n - 1 for j, n in enumerate(self._array.shape))
+        return self._array[tuple(idx)]
 
     def component(self, u: VariableSubset, x) -> float | np.ndarray:
         """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
@@ -218,43 +222,43 @@ class ComponentTable:
         are interpolated between the Gauss nodes; at a node the result is
         the stored grid value, bit for bit.
         """
-        if u.dim != self.dim:
-            raise ValueError(f"subset dimension {u.dim} != table dimension {self.dim}")
+        vals = self.grid_values(u)
         if u.is_empty:
-            return self.y_empty
+            return vals
         X, squeeze = _as_rows(x, u.cardinality)
         coords = u.indices()
-        vals = np.ascontiguousarray(self._components[u.mask])  # once, not per block
+        vals = np.ascontiguousarray(vals)  # once, not per block
         out = np.empty(X.shape[0])
         for rows in self._row_blocks(X.shape[0], coords):
-            out[rows] = _Interpolant(self, X[rows], coords)(vals, coords)
+            out[rows] = _bilinear(vals, self._cardinals(X[rows], coords))
         return float(out[0]) if squeeze else out
 
     def truncated(self, order: int, x) -> float | np.ndarray:
         """Evaluate the S-variate truncated sum at full points ``x``.
 
         Sums the components with ``|u| <= order`` in (cardinality, mask)
-        order, once per row block through the bilinear kernel
-        (:class:`_Interpolant`): each component is one GEMM between
-        Khatri-Rao factors that the block builds once and shares.  The rows
-        of a block depend on the table alone (see :meth:`_row_blocks`), so
-        the order asked for never changes a row's value; another block size
-        changes values at roundoff level only.
+        order, once per row block: the block builds one cardinal matrix per
+        coordinate, and each component takes its own and is one GEMM of
+        the bilinear kernel (:func:`_bilinear`).  The rows of a block
+        depend on the table alone (see :meth:`_row_blocks`), so the order
+        asked for never changes a row's value; another block size changes
+        values at roundoff level only.
         """
         (order,) = _check_orders((order,), self.dim)
         X, squeeze = _as_rows(x, self.dim)
         # C-contiguous once per call, not once per row block
         dense = [
-            (u.indices(), np.ascontiguousarray(self._components[u.mask]))
+            (u.indices(), np.ascontiguousarray(self.grid_values(u)))
             for u in all_subsets_up_to(self.dim, order)
             if u.mask
         ]
         out = np.full(X.shape[0], self.y_empty)
-        for rows in self._row_blocks(X.shape[0]):
-            interp = _Interpolant(self, X[rows], range(self.dim))
+        # order 0 is the mean alone: no block builds a cardinal matrix
+        for rows in self._row_blocks(X.shape[0]) if order else ():
+            mats = self._cardinals(X[rows], range(self.dim))
             acc = out[rows]
             for coords, vals in dense:
-                acc += interp(vals, coords)
+                acc += _bilinear(vals, [mats[j] for j in coords])
         return float(out[0]) if squeeze else out
 
     # -- internals --------------------------------------------------------
@@ -264,17 +268,28 @@ class ComponentTable:
         """Barycentric weights of each coordinate's Gauss nodes."""
         return [_bary_weights(r.nodes) for r in self.problem.rules]
 
-    def _row_blocks(self, m: int, coords: Sequence[int] | None = None) -> Iterator[slice]:
-        """Row blocks of off-grid evaluation, sized by ``_BLOCK_VALUES``.
+    def _cardinals(self, X: np.ndarray, coords: Iterable[int]) -> list[np.ndarray]:
+        """One ``(q_j, m)`` cardinal matrix per column of `X`, column ``k``
+        holding coordinate ``coords[k]``."""
+        rules = self.problem.rules
+        return [
+            _cardinal_matrix(rules[j].nodes, self._bary[j], X[:, k]) for k, j in enumerate(coords)
+        ]
 
-        The budget covers the Khatri-Rao factors a block holds and its
-        largest GEMM output.  For the one component of `coords` that is its
-        head and tail factors, each with its prefixes, and its output.  For
-        a truncated sum (`coords` None) a row may hold the factor of every
-        subset of at most ``ceil(N/2)`` coordinates, ``sum_k e_k(q)``
-        values, and an output of at most the ``floor(N/2)`` largest ``q_j``
-        multiplied.  Rows per block (never less than one) thus depend on the
-        table and the component alone, not on the order asked for.
+    def _row_blocks(self, m: int, coords: Sequence[int] | None = None) -> Iterator[slice]:
+        """Row blocks of off-grid evaluation: ``_BLOCK_VALUES`` over a
+        per-row count that depends on the table (and the component) alone.
+
+        For the one component of `coords` the count is its head and tail
+        factors with their prefixes, plus its GEMM output.  For a truncated
+        sum (`coords` None) it is ``sum_k e_k(q)`` over ``k <= ceil(N/2)``
+        (the elementary symmetric polynomials of the ``q_j``) plus the
+        product of the ``floor(N/2)`` largest ``q_j``.  A block holds far
+        less: its ``sum_j q_j`` cardinal values per row and one component's
+        factors and output at a time.  The count stays a bound on the table
+        only, never on the order asked for, so that no value moves: a GEMM
+        may round a row differently for another number of rows.  Rows per
+        block are never less than one.
         """
         q = self.problem.orders
         if coords is None:
@@ -346,19 +361,6 @@ class AnchoredTable:
         X, squeeze = _as_rows(x, self.dim)
         out = _rdd_truncated(self.problem, self.anchor, X, order)
         return float(out[0]) if squeeze else out
-
-
-class _ComponentViews(dict):
-    """ADD components by subset mask: views of the one table array (see
-    :func:`build_add`), made on first use; writing one writes the table."""
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-    def __missing__(self, mask: int) -> np.ndarray:
-        idx = (slice(n - 1) if mask >> j & 1 else n - 1 for j, n in enumerate(self.array.shape))
-        view = self[mask] = self.array[tuple(idx)]
-        return view
 
 
 # -- builders --------------------------------------------------------------
@@ -531,13 +533,20 @@ def explicit_component(problem: ProblemSpec, u: VariableSubset, x_u, *, anchor=N
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified property: worst residual against its tolerance."""
+    """One verified property: worst residual against its tolerance.
+
+    `passed` is derived, ``residual <= tolerance`` (False for a NaN
+    residual), so a verdict never contradicts its own numbers.
+    """
 
     name: str
     residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
 
 
 def check_add_structure(table: ComponentTable) -> list[CheckResult]:
@@ -574,24 +583,21 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
             u = VariableSubset.from_indices([c for c in range(N) if at[c] < q[c]], N)
             worst, worst_label = r, f"subset {u.label()}, coordinate {j + 1}"
     tol = TOL_ZERO_MEAN * scale
-    results.append(
-        CheckResult("add_zero_mean", worst, tol, worst <= tol, worst_label)
-    )
+    results.append(CheckResult("add_zero_mean", worst, tol, worst_label))
 
     if N <= MAX_ORTHOGONALITY_DIM:
         worst = 0.0
         worst_label = ""
-        subsets = [u for u in all_subsets_up_to(N, N) if not u.is_empty]
-        for a in range(len(subsets)):
-            for b in range(a + 1, len(subsets)):
-                u, v = subsets[a], subsets[b]
-                r = abs(_pair_inner(table, u, v, weights))
+        # each component's grid values are sliced once, not once per pair
+        grids = [(u, table.grid_values(u)) for u in all_subsets_up_to(N, N) if not u.is_empty]
+        for a in range(len(grids)):
+            for b in range(a + 1, len(grids)):
+                (u, U), (v, V) = grids[a], grids[b]
+                r = abs(_pair_inner(u, U, v, V, q, weights))
                 if r > worst:
                     worst, worst_label = r, f"pair {u.label()} x {v.label()}"
         tol = TOL_ORTHOGONALITY * scale**2
-        results.append(
-            CheckResult("add_orthogonality", worst, tol, worst <= tol, worst_label)
-        )
+        results.append(CheckResult("add_orthogonality", worst, tol, worst_label))
 
     Y = table._full_values
     r = 0.0
@@ -605,9 +611,7 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
         np.subtract(recon, Y[i : i + 1], out=recon)
         r = np.maximum(r, np.abs(recon, out=recon).max())  # keeps a NaN
     r = float(r) / max(1.0, float(Y.max()), -float(Y.min()))
-    results.append(
-        CheckResult("add_grid_exactness", r, TOL_EXACTNESS, r <= TOL_EXACTNESS, "")
-    )
+    results.append(CheckResult("add_grid_exactness", r, TOL_EXACTNESS))
     return results
 
 
@@ -641,9 +645,7 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
     y = table.problem.evaluate(X)
     denom = np.maximum(1.0, np.abs(y))
     r = float(np.max(np.abs(full - y) / denom))
-    results.append(
-        CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS, r <= TOL_EXACTNESS, "")
-    )
+    results.append(CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS))
 
     # each row draws its subset and pinned coordinate; the rows of one
     # subset then share one component evaluation
@@ -667,9 +669,7 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
         if r > worst:
             worst, worst_label = float(r), f"subset {u.label()}, pinned coordinate {pin + 1}"
     tol = TOL_ANNIHILATION * scale
-    results.append(
-        CheckResult("rdd_annihilation", worst, tol, worst <= tol, worst_label)
-    )
+    results.append(CheckResult("rdd_annihilation", worst, tol, worst_label))
     return results
 
 
@@ -700,7 +700,6 @@ def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -
         f"rdd_form_equivalence_S{order}",
         worst,
         TOL_FORM_EQUIVALENCE,
-        worst <= TOL_FORM_EQUIVALENCE,
         f"{n_pairs} anchor/point pairs",
     )
 
@@ -955,21 +954,22 @@ def _conditional_mean(
 
 
 def _pair_inner(
-    table: ComponentTable,
     u: VariableSubset,
+    U: np.ndarray,
     v: VariableSubset,
+    V: np.ndarray,
+    orders: tuple[int, ...],
     weights: list[np.ndarray],
 ) -> float:
-    """E[y_u y_v] under the discrete Gauss measure on the union subgrid."""
+    """E[y_u y_v] under the discrete Gauss measure on the union subgrid,
+    from the grid values `U` of `u` and `V` of `v`."""
     union = sorted(set(u.indices()) | set(v.indices()))
-    orders = table.problem.orders
 
-    def lift(w: VariableSubset) -> np.ndarray:
+    def lift(w: VariableSubset, W: np.ndarray) -> np.ndarray:
         own = set(w.indices())
-        shape = tuple(orders[j] if j in own else 1 for j in union)
-        return np.asarray(table.grid_values(w)).reshape(shape)
+        return W.reshape(tuple(orders[j] if j in own else 1 for j in union))
 
-    return _expectation(lift(u) * lift(v), [weights[j] for j in union])
+    return _expectation(lift(u, U) * lift(v, V), [weights[j] for j in union])
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
@@ -998,52 +998,31 @@ def _cardinal_matrix(nodes: np.ndarray, bw: np.ndarray, t: np.ndarray) -> np.nda
     return L
 
 
-class _Interpolant:
-    """Off-grid evaluation of subgrid arrays at one block of rows.
+def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of ``(q_j, m)`` matrices, built left to
+    right: the ``(prod q_j, m)`` matrix whose column ``r`` is the Kronecker
+    product of the matrices' columns ``r``."""
+    K = mats[0]
+    for L in mats[1:]:
+        K = (K[:, None, :] * L[None, :, :]).reshape(-1, K.shape[1])
+    return K
 
-    For a subset with ascending coordinates ``u``, let the head be its first
-    ``h = ceil(|u|/2)`` coordinates and the tail the rest, and let ``K_v``
-    be the row-wise Kronecker (Khatri-Rao) product of the cardinal matrices
-    of the coordinates in ``v``, in ascending order.  Barycentric
-    interpolation of a subgrid array ``V`` is then bilinear,
 
-    ``y_u(X) = rowsum((K_head(X) @ V.reshape(q^h, -1)) * K_tail(X))``,
+def _bilinear(vals: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Interpolate `vals`, a C-contiguous array over the subgrid of ``k``
+    ascending coordinates, at the points of their cardinal matrices `mats`.
 
-    one GEMM per component.  Each factor is built once per block from its
-    prefix, ``K_{v+j} = K_v (.) L_j``, and shared by every component whose
-    head or tail it is.  Factors are stored transposed, ``(prod q_j, m)``,
-    so that building one multiplies contiguous runs of rows.  Column ``k``
-    of `X` holds coordinate ``coords[k]``.  A GEMM may round a row
-    differently for another number of rows, so callers size row blocks by
-    the table or the component alone (``ComponentTable._row_blocks``).
+    With ``K_head`` and ``K_tail`` the Khatri-Rao products of the first
+    ``h = ceil(k/2)`` matrices and of the rest, barycentric interpolation
+    is bilinear, ``rowsum((K_head^T @ vals.reshape(q^h, -1)) * K_tail^T)``:
+    one GEMM, then the tail contraction (``k = 1`` is a matrix-vector
+    product).  The head factor is freed before the tail is built.  A GEMM
+    may round a row differently for another number of rows, so callers
+    size row blocks by the table or the component alone
+    (``ComponentTable._row_blocks``).
     """
-
-    def __init__(self, table: ComponentTable, X: np.ndarray, coords: Iterable[int]) -> None:
-        self._table = table
-        self._X = X
-        self._col = {j: k for k, j in enumerate(coords)}
-        self._factors: dict[tuple[int, ...], np.ndarray] = {}
-
-    def factor(self, coords: tuple[int, ...]) -> np.ndarray:
-        """``K_v`` for the ascending coordinates `coords`, transposed."""
-        K = self._factors.get(coords)
-        if K is None:
-            if len(coords) == 1:
-                (j,) = coords
-                t = self._X[:, self._col[j]]
-                K = _cardinal_matrix(self._table.problem.rules[j].nodes, self._table._bary[j], t)
-            else:
-                A = self.factor(coords[:-1])
-                L = self.factor(coords[-1:])
-                K = (A[:, None, :] * L[None, :, :]).reshape(-1, A.shape[1])
-            self._factors[coords] = K
-        return K
-
-    def __call__(self, vals: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
-        """Interpolate `vals`, an array over the subgrid of `coords`."""
-        h = (len(coords) + 1) // 2
-        head = self.factor(coords[:h])
-        if h == len(coords):
-            return vals @ head
-        out = vals.reshape(len(head), -1).T @ head
-        return np.einsum("tm,tm->m", out, self.factor(coords[h:]))
+    h = (len(mats) + 1) // 2
+    if h == len(mats):
+        return vals @ _khatri_rao(mats)
+    out = vals.reshape(prod(vals.shape[:h]), -1).T @ _khatri_rao(mats[:h])
+    return np.einsum("tm,tm->m", out, _khatri_rao(mats[h:]))

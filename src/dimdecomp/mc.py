@@ -39,6 +39,7 @@ from dimdecomp.decomp import (
     rdd_direct_sums,
 )
 from dimdecomp.errors import rdd_expected_error
+from dimdecomp.measures import _check_integer
 from dimdecomp.subsets import _check_orders
 from dimdecomp.variance import variance_components
 
@@ -74,7 +75,6 @@ def _mc_gate(name: str, est: McEstimate, target: float) -> CheckResult:
         name,
         abs(est.mean - target),
         3.0 * est.std_error,
-        est.within(target),
         f"sampled {float(est.mean):.12g} vs analytic {float(target):.12g} at n={est.n}",
     )
 
@@ -108,9 +108,15 @@ class _Accumulator:
         return McEstimate(self.mean, sqrt(max(var, 0.0) / self.n), self.n, seed)
 
 
-def _check_n(n: int, minimum: int, label: str) -> None:
+def _check_draws(n, seed, minimum: int, label: str, name: str) -> tuple[int, int]:
+    """The sample count (the caller's parameter `name`) and the seed as
+    ints, checked before any draw: numpy integers pass, while ``bool``,
+    strings and non-integers raise ``ValueError`` naming the parameter
+    instead of being truncated; a count below `minimum` raises too."""
+    n = _check_integer(n, name)
     if n < minimum:
         raise ValueError(f"{label} needs at least {minimum} samples, got {n}")
+    return n, _check_integer(seed, "seed")
 
 
 def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
@@ -124,7 +130,7 @@ def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
     """
     rng = np.random.default_rng(seed)
     accs = [_Accumulator() for _ in range(count)]
-    left = int(n)
+    left = n
     while left > 0:
         m = min(DEFAULT_CHUNK, left)
         for acc, v in zip(accs, values(rng, m), strict=True):
@@ -174,10 +180,10 @@ def mc_add_error(
     independent random anchor (see :func:`_anchor_averaged`): given X its
     mean is ``(y - yhat_S)**2``, so the estimate is unbiased for ``e_add``.
     `order` is one order in ``[0, dim - 1]``, which returns one estimate,
-    or a sequence of them, which returns one estimate per entry.  Orders
-    are checked before any draw.
+    or a sequence of them, which returns one estimate per entry.  Orders,
+    `n` and `seed` are checked before any draw.
     """
-    _check_n(n, MIN_SAMPLES, "mc_add_error")
+    n, seed = _check_draws(n, seed, MIN_SAMPLES, "mc_add_error", "n")
     single = isinstance(order, Integral)
     orders = _check_orders((order,) if single else order, problem.dim - 1)
     ests = _anchor_averaged(problem, orders, n, seed, 2, lambda y, r1, r2: (y - r1) * (y - r2))
@@ -192,7 +198,7 @@ def mc_rdd_error(
     seed: int = 0,
 ) -> McEstimate:
     """Sampled mean-square error of the anchored surrogate at a fixed anchor."""
-    _check_n(n, MIN_SAMPLES, "mc_rdd_error")
+    n, seed = _check_draws(n, seed, MIN_SAMPLES, "mc_rdd_error", "n")
     _check_orders((order,), problem.dim - 1)
     c = _check_anchor(problem, anchor)
 
@@ -229,10 +235,10 @@ def mc_expected_rdd_errors(
     The one-anchor case of :func:`_anchor_averaged`: every chunk draws X,
     then one anchor per row, and samples ``(y - r)**2``.  All orders share
     the draws, the target values and one anchored pass, so each pair costs
-    ``1 + count_up_to(N, max(orders))`` target evaluations.  Orders are
-    checked before any draw.
+    ``1 + count_up_to(N, max(orders))`` target evaluations.  Orders,
+    `n_pairs` and `seed` are checked before any draw.
     """
-    _check_n(n_pairs, MIN_PAIRS, "mc_expected_rdd_error")
+    n_pairs, seed = _check_draws(n_pairs, seed, MIN_PAIRS, "mc_expected_rdd_error", "n_pairs")
     orders = _check_orders(orders, problem.dim - 1)
     return _anchor_averaged(problem, orders, n_pairs, seed, 1, lambda y, r: (y - r) ** 2)
 
@@ -256,7 +262,7 @@ def check_optimality_split(
     """
     problem = table.problem
     orders = _check_orders(orders, problem.dim - 1)
-    _check_n(n, MIN_PAIRS, "check_optimality_split")
+    n, seed = _check_draws(n, seed, MIN_PAIRS, "check_optimality_split", "n")
     vmap = variance_components(table)
     budgets = [rdd_expected_error(s, vmap) for s in orders]
     ests = _anchor_averaged(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import inspect
 from functools import cached_property
@@ -161,14 +162,20 @@ def test_cli_flags_are_pinned():
     assert got == FLAGS
 
 
-def test_trace_targets_resolve():
-    # the benchmark's traced run reports a span whose target no longer
-    # resolves as null and "missing", so renaming or removing a traced name
-    # is a change to the benchmark; perfbench/tracing.py is read as it is
+def _tracing() -> ModuleType:
+    """perfbench/tracing.py, read as it is."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_targets_resolve():
+    # the benchmark's traced run reports a span whose target no longer
+    # resolves as null and "missing", so renaming or removing a traced name
+    # is a change to the benchmark
+    tracing = _tracing()
     assert tracing.PLAN
     missing = [
         f"{module}:{attr}"
@@ -176,3 +183,29 @@ def test_trace_targets_resolve():
         if tracing._owner(module, attr) is None
     ]
     assert missing == []
+
+
+def test_every_import_is_used():
+    # a module imports only names it reads; a name the benchmark traces at
+    # its import site (a PLAN target) is read through the module instead
+    traced = {(module, attr) for module, attr, *_ in _tracing().PLAN}
+    unused = []
+    for path in sorted(Path(dimdecomp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"dimdecomp.{path.stem}"
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{module}:{name}"
+            for name in sorted(imported - used)
+            if (module, name) not in traced
+        ]
+    assert unused == []

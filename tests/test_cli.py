@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dimdecomp import cli
+from dimdecomp import VariableSubset, cli
 from dimdecomp.cli import _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
@@ -150,6 +150,47 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all checks passed" in out
 
+    def test_every_verdict_follows_its_numbers(self, tmp_path, monkeypatch):
+        # the default run: an entry passes exactly when its residual is
+        # within its tolerance
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify"]) == 0
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        assert len(report["checks"]) > 10
+        for c in report["checks"]:
+            assert c["passed"] == (c["residual"] <= c["tolerance"]), c["name"]
+
+    def test_error_bounds_report_the_relative_gap(self, tmp_path, monkeypatch):
+        # a budget 1.5e-12 below its lower bound, relatively, misses the
+        # 1e-12 slack; its residual must then exceed its tolerance (it used
+        # to print an absolute 2.22e-12 against 2.96e-12 and still fail)
+        def below(order, vmap):
+            budget = rdd_expected_error(order, vmap)
+            if order != 1:
+                return budget
+            return dataclasses.replace(budget, e_rdd_expected=budget.lower * (1.0 - 1.5e-12))
+
+        monkeypatch.setattr(cli, "rdd_expected_error", below)
+        cfg = write_config(
+            tmp_path,
+            {
+                **BASE,
+                "quad_order": 4,
+                "out": str(tmp_path / "out"),
+                "mc": {"n_samples": 1000, "seed": 7},
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        bound = checks.pop("error_bounds_S1")
+        assert not bound["passed"]
+        assert bound["residual"] > bound["tolerance"] == 1e-12
+        assert bound["residual"] == pytest.approx(1.5e-12, rel=1e-3)
+        for s in (0, 2):
+            assert checks[f"error_bounds_S{s}"]["residual"] == 0.0
+            assert checks[f"error_bounds_S{s}"]["passed"]
+
     def test_one_anchored_sweep_for_all_orders(self, tmp_path, monkeypatch):
         # one call for every order, sized by the estimator's own pair floor
         calls = []
@@ -200,7 +241,7 @@ class TestVerify:
             # break the first univariate component's zero mean, in place,
             # so every check that reads the table array sees it
             table = build(problem)
-            table._components[1] += 1e-3 * table.scale
+            table.grid_values(VariableSubset(1, table.dim))[...] += 1e-3 * table.scale
             return table
 
         monkeypatch.setattr(cli, "build_add", corrupted)

@@ -225,7 +225,7 @@ class TestAddTableArray:
     def test_mean_shift_is_caught_and_named(self, dim, quad_order):
         t = build_add(sobol_g_problem(dim, quad_order=quad_order))
         u = VariableSubset.from_indices([0, 2, 5], dim)
-        t._components[u.mask] += 1e-3
+        t.grid_values(u)[...] += 1e-3
         checks = {c.name: c for c in check_add_structure(t)}
         zero_mean = checks["add_zero_mean"]
         assert not zero_mean.passed
@@ -247,7 +247,7 @@ class TestAddTableArray:
         w = p.rules[3].weights
         h = np.zeros(len(w))
         h[0], h[1] = w[1], -w[0]
-        t._components[u.mask] += 1e-3 * h
+        t.grid_values(u)[...] += 1e-3 * h
         checks = {c.name: c for c in check_add_structure(t)}
         zero_mean = checks["add_zero_mean"]
         assert not zero_mean.passed
@@ -258,7 +258,7 @@ class TestAddTableArray:
     def test_a_nan_fails_and_is_named(self, dim, quad_order):
         t = build_add(sobol_g_problem(dim, quad_order=quad_order))
         u = VariableSubset.from_indices([1, 3], dim)
-        t._components[u.mask][0, 1] = np.nan
+        t.grid_values(u)[0, 1] = np.nan
         checks = {c.name: c for c in check_add_structure(t)}
         assert not checks["add_zero_mean"].passed
         assert checks["add_zero_mean"].detail.startswith("subset [2,4], coordinate ")
@@ -266,14 +266,14 @@ class TestAddTableArray:
 
     def test_off_grid_reads_get_contiguous_components(self, dim, quad_order, monkeypatch):
         # strided views are copied once per call, never per row block
-        call = decomp._Interpolant.__call__
+        call = decomp._bilinear
         contiguous = []
 
-        def spy(self, vals, coords):
+        def spy(vals, mats):
             contiguous.append(vals.flags.c_contiguous)
-            return call(self, vals, coords)
+            return call(vals, mats)
 
-        monkeypatch.setattr(decomp._Interpolant, "__call__", spy)
+        monkeypatch.setattr(decomp, "_bilinear", spy)
         monkeypatch.setattr(decomp, "_BLOCK_VALUES", 1)  # one row per block
         p = sobol_g_problem(dim, quad_order=quad_order)
         t = build_add(p)
@@ -390,6 +390,27 @@ class TestAddEvaluation:
                 want += on_grid(u)
             assert np.array_equal(table.truncated(order, X), want)
 
+    def test_queries_call_no_target(self):
+        # the table answers from its stored values alone
+        p, seen = counted(product_linear_problem(3, quad_order=5))
+        table = build_add(p)
+        seen.clear()
+        X = rng(2).uniform(-1.0, 1.0, (40, 3))
+        for order in range(4):
+            table.truncated(order, X)
+            table.truncated(order, X[0])
+        for u in all_subsets_up_to(3, 3):
+            table.component(u, X[:, list(u.indices())])
+        assert seen == []
+
+    def test_subset_of_another_dimension_is_rejected(self, plin3_table):
+        # its mask bits would otherwise select a component of this table
+        for u in (VariableSubset.from_indices([0], 2), VariableSubset.from_indices([0, 3], 4)):
+            with pytest.raises(ValueError, match="subset dimension"):
+                plin3_table.grid_values(u)
+            with pytest.raises(ValueError, match="subset dimension"):
+                plin3_table.component(u, np.zeros(u.cardinality))
+
     def test_order_out_of_range(self, plin3_table):
         with pytest.raises(ValueError):
             plin3_table.truncated(4, np.zeros(3))
@@ -461,15 +482,14 @@ def reference_sums(table, mats, top, rows=None):
 class TestInterpolationBlocks:
     # GEMMs round a row differently for other numbers of rows, so the
     # bilinear kernel agrees with the einsum reference to roundoff only.
-    # q = 4 at N = 5.  Truncated sums: a row of a block holds at most
-    # 20 + 160 + 640 factor values plus a 16-value GEMM output, 836
-    # values.  One component of k coordinates holds its head and tail
-    # factors with their prefixes and its output: 5, 12, 28, 56 and 120
-    # values for k = 1..5.  The default budget takes all 2503 rows in one
-    # block; a budget of 1000 makes one-row blocks for truncated sums and
-    # blocks of 200, 83, 35, 17 and 8 rows for components, each with a
-    # ragged last block; a budget of 1 one-row blocks (checked on the
-    # first 37 rows)
+    # q = 4 at N = 5.  Truncated sums count 20 + 160 + 640 factor values
+    # plus a 16-value GEMM output per row, 836 values.  One component of k
+    # coordinates counts its head and tail factors with their prefixes and
+    # its output: 5, 12, 28, 56 and 120 values for k = 1..5.  The default
+    # budget takes all 2503 rows in one block; a budget of 1000 makes
+    # one-row blocks for truncated sums and blocks of 200, 83, 35, 17 and
+    # 8 rows for components, each with a ragged last block; a budget of 1
+    # one-row blocks (checked on the first 37 rows)
     @pytest.fixture(scope="class")
     def setup(self):
         p = sobol_g_problem(5, quad_order=4)
@@ -523,25 +543,27 @@ class TestInterpolationBlocks:
             assert max(seen) == rows
 
     def test_ragged_orders(self, monkeypatch):
-        # q = (3, 5, 2, 4): heads and tails of unequal lengths; a row holds
-        # e_1 + e_2 = 14 + 71 factor values plus a 5 * 4 output, 105 values,
-        # so a budget of 735 makes 7-row blocks that the cache must fit
+        # q = (3, 5, 2, 4): heads and tails of unequal lengths; the per-row
+        # count is e_1 + e_2 = 14 + 71 factor values plus a 5 * 4 output,
+        # 105 values, so a budget of 735 makes 7-row blocks.  A block holds
+        # its 14 cardinal values per row and one component's factors at a
+        # time, so with the call's output, its component copies and the
+        # cardinal matrices' temporaries the peak stays below three budgets;
+        # one 300-row block would take several times that
         p = sobol_g_problem(4, quad_order=(3, 5, 2, 4))
         table = build_add(p)
         X = rng(9).uniform(0.0, 1.0, (300, 4))
         mats = cardinal_matrices(p, X)
         monkeypatch.setattr(decomp, "_BLOCK_VALUES", 735)
-        held = []
-        call = decomp._Interpolant.__call__
-
-        def recorded(self, vals, coords):
-            out = call(self, vals, coords)
-            held.append(sum(K.size for K in self._factors.values()))
-            return out
-
-        monkeypatch.setattr(decomp._Interpolant, "__call__", recorded)
-        got = [table.truncated(s, X) for s in range(5)]
-        assert 0 < max(held) <= 735 - 7 * 20
+        got = []
+        for s in range(5):
+            tracemalloc.start()
+            try:
+                got.append(table.truncated(s, X))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (3 * 735 + len(X) + table._array.size), s
         for order, want in enumerate(reference_sums(table, mats, 4)):
             assert_agrees(got[order], want, table)
         for u in all_subsets_up_to(4, 4):
@@ -1099,6 +1121,23 @@ class TestExplicitComponent:
             x_u = g.uniform(0.0, 1.0, u.cardinality)
             direct = explicit_component(p, u, x_u, anchor=c)
             assert abs(direct - float(t.component(u, x_u))) <= 1e-12, u.label()
+
+    @pytest.mark.parametrize("coords", [(0,), (1, 3), (0, 2, 3), (0, 1, 2, 3)])
+    def test_target_rows_match_the_closed_forms(self, coords):
+        # ADD: one conditional mean on the complement grid of each v ⊆ u,
+        # sum_{v⊆u} prod_{j∉v} q_j rows; RDD: one anchored row per v ⊆ u
+        p, seen = counted(poly_problem(4, quad_order=(2, 3, 4, 5)))
+        u = VariableSubset.from_indices(coords, 4)
+        x_u = [0.1 * (k + 1) for k in range(u.cardinality)]
+        explicit_component(p, u, x_u)
+        lattice = [*strict_subsets(u), u]
+        want = sum(
+            math.prod(q for j, q in enumerate(p.orders) if j not in v.indices()) for v in lattice
+        )
+        assert sum(map(len, seen)) == want
+        seen.clear()
+        explicit_component(p, u, x_u, anchor=np.zeros(4))
+        assert sum(map(len, seen)) == 2 ** u.cardinality
 
     def test_add_route_budget_counts_without_overflow(self):
         # 16**16 = 2**64 points wrap to 0 in int64 arithmetic and would pass

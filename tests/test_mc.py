@@ -362,6 +362,37 @@ class TestOptimalitySplit:
 GRID_PROBLEMS = {"ishigami": ishigami_problem, "sobol_g": lambda: sobol_g_problem(4, 6)}
 
 
+@pytest.mark.parametrize("bad", [1500.7, True, "2000"], ids=["float", "bool", "str"])
+def test_counts_and_seeds_are_integers(plin3, plin3_table, monkeypatch, bad):
+    # a float count used to be truncated (1500.7 ran 1 500 samples), a
+    # string count ended in a TypeError and a float seed in numpy's; each
+    # is a ValueError naming the parameter, raised before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before the count and seed were checked")
+
+    calls = [
+        ("n", lambda n, seed: mc_add_error(plin3, 1, n, seed)),
+        ("n", lambda n, seed: mc_rdd_error(plin3, 1, np.zeros(3), n, seed)),
+        ("n_pairs", lambda n, seed: mc_expected_rdd_error(plin3, 1, n, seed)),
+        ("n_pairs", lambda n, seed: mc_expected_rdd_errors(plin3, [1], n, seed)),
+        ("n", lambda n, seed: check_optimality_split(plin3_table, [1], n, seed)),
+    ]
+    monkeypatch.setattr(ProductMeasure, "sample", no_draw)
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(bad, 0)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            call(MIN_PAIRS, bad)
+
+
+def test_numpy_integer_counts_and_seeds_pass(plin3):
+    est = mc_add_error(plin3, 1, np.int64(2000), np.int64(11))
+    assert est == mc_add_error(plin3, 1, 2000, 11)
+    assert (type(est.n), type(est.seed)) == (int, int)
+    pairs = mc_expected_rdd_error(plin3, 1, np.int64(MIN_PAIRS), np.int64(3))
+    assert pairs == mc_expected_rdd_error(plin3, 1, MIN_PAIRS, 3)
+
+
 @cache
 def _on_grid(name):
     """(problem, full node grid, product weights, target, ADD truncated sums
