@@ -44,7 +44,6 @@ from dimdecomp.mc import (
     check_optimality_split,
     mc_add_error,
     mc_expected_rdd_error,
-    mc_expected_rdd_errors,
     mc_rdd_error,
 )
 from dimdecomp.measures import (

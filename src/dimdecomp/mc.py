@@ -16,32 +16,25 @@ raises ``ValueError`` at the draw that produced it (see
 The anchor-averaged estimators share one draw body, :func:`_anchor_averaged`,
 built on the anchor average of the operator form, ``yhat_S(X) = E_C[r(X;
 C)]`` with ``r`` the S-variate anchored surrogate (Kuo, Sloan, Wasilkowski
-& Wozniakowski, *Math. Comp.* 2010).  With independent anchors and ``r_i =
-r(X; C_i)``, ``E[(y - r0)**2] = e_rdd_expected``, ``E[(y - r1) * (y - r2)]
-= e_add`` and ``E[(r1 - r0) * (r2 - r0)] = e_rdd_expected - e_add``, so
-none of them builds a grid or interpolates a table.
+& Wozniakowski, *Math. Comp.* 2010).  Given X, the surrogates ``r_i = r(X;
+C_i)`` at independent anchors are i.i.d. with mean ``yhat_S(X)``, so
+``E[(y - r1) * (y - r2)] = e_add``, ``E[((y - r1)**2 + (y - r2)**2) / 2]
+= e_rdd_expected`` and ``E[(r1 - r2)**2 / 2] = e_rdd_expected - e_add``:
+two anchors price all three budgets, and no estimator builds a grid or
+interpolates a table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from dimdecomp.decomp import (
-    CheckResult,
-    ComponentTable,
-    ProblemSpec,
-    _check_anchor,
-    rdd_direct,
-    rdd_direct_sums,
-)
-from dimdecomp.errors import rdd_expected_error
+from dimdecomp.decomp import CheckResult, ProblemSpec, _check_anchor, rdd_direct, rdd_direct_sums
+from dimdecomp.errors import ErrorBudget
 from dimdecomp.measures import _check_integer
 from dimdecomp.subsets import _check_orders
-from dimdecomp.variance import variance_components
 
 MIN_SAMPLES = 1_000
 MIN_PAIRS = 10_000
@@ -68,11 +61,11 @@ class McEstimate:
         return abs(self.mean - target) <= 3.0 * self.std_error
 
 
-def _mc_gate(name: str, est: McEstimate, target: float) -> CheckResult:
+def _mc_gate(kind: str, order: int, est: McEstimate, target: float) -> CheckResult:
     """A sampled estimate against its analytic target, gated at 3 standard
-    errors (:meth:`McEstimate.within`)."""
+    errors (:meth:`McEstimate.within`), named ``mc_gate_{kind}_S{order}``."""
     return CheckResult(
-        name,
+        f"mc_gate_{kind}_S{order}",
         abs(est.mean - target),
         3.0 * est.std_error,
         f"sampled {float(est.mean):.12g} vs analytic {float(target):.12g} at n={est.n}",
@@ -168,26 +161,28 @@ def _anchor_averaged(
     return _sampled(n, seed, len(orders) * len(statistics), values)
 
 
+def _cross(y, r1, r2):
+    """``(y - r1) * (y - r2)``: given X its mean is ``(y - yhat_S)**2``."""
+    return (y - r1) * (y - r2)
+
+
 def mc_add_error(
     problem: ProblemSpec,
-    order: int | Sequence[int],
+    order: int,
     n: int = 100_000,
     seed: int = 0,
-) -> McEstimate | list[McEstimate]:
+) -> McEstimate:
     """Sampled mean-square error of the S-variate integration-based surrogate.
 
     Samples ``(y - r1) * (y - r2)``, ``r_i`` the anchored surrogate at an
     independent random anchor (see :func:`_anchor_averaged`): given X its
     mean is ``(y - yhat_S)**2``, so the estimate is unbiased for ``e_add``.
-    `order` is one order in ``[0, dim - 1]``, which returns one estimate,
-    or a sequence of them, which returns one estimate per entry.  Orders,
-    `n` and `seed` are checked before any draw.
+    A point costs ``1 + 2 * count_up_to(N, S)`` target evaluations.  The
+    one integer `order`, `n` and `seed` are checked before any draw.
     """
     n, seed = _check_draws(n, seed, MIN_SAMPLES, "mc_add_error", "n")
-    single = isinstance(order, Integral)
-    orders = _check_orders((order,) if single else order, problem.dim - 1)
-    ests = _anchor_averaged(problem, orders, n, seed, 2, lambda y, r1, r2: (y - r1) * (y - r2))
-    return ests[0] if single else ests
+    orders = _check_orders((order,), problem.dim - 1)
+    return _anchor_averaged(problem, orders, n, seed, 2, _cross)[0]
 
 
 def mc_rdd_error(
@@ -217,61 +212,56 @@ def mc_expected_rdd_error(
 ) -> McEstimate:
     """Anchored-surrogate error averaged over random anchors.
 
-    Each pair draws a point X and an anchor C independently from the input
-    measure (in that order within every chunk) and samples
-    ``(y(X) - yhat_S(X; C))**2`` — the double expectation the exact budget
-    ``sum_{s>S} (1 + b_S(s)) V_s`` predicts.  The single-order case of
-    :func:`mc_expected_rdd_errors`.
-    """
-    return mc_expected_rdd_errors(problem, (order,), n_pairs, seed)[0]
-
-
-def mc_expected_rdd_errors(
-    problem: ProblemSpec, orders: Sequence[int], n_pairs: int, seed: int
-) -> list[McEstimate]:
-    """:func:`mc_expected_rdd_error` at several orders, one estimate per
-    entry of `orders`.
-
-    The one-anchor case of :func:`_anchor_averaged`: every chunk draws X,
-    then one anchor per row, and samples ``(y - r)**2``.  All orders share
-    the draws, the target values and one anchored pass, so each pair costs
-    ``1 + count_up_to(N, max(orders))`` target evaluations.  Orders,
-    `n_pairs` and `seed` are checked before any draw.
+    The one-anchor case of :func:`_anchor_averaged`: each pair draws a
+    point X and an anchor C independently from the input measure (in that
+    order within every chunk) and samples ``(y(X) - yhat_S(X; C))**2`` —
+    the double expectation the exact budget ``sum_{s>S} (1 + b_S(s)) V_s``
+    predicts.  A pair costs ``1 + count_up_to(N, S)`` target evaluations.
+    The one integer `order`, `n_pairs` and `seed` are checked before any
+    draw.
     """
     n_pairs, seed = _check_draws(n_pairs, seed, MIN_PAIRS, "mc_expected_rdd_error", "n_pairs")
-    orders = _check_orders(orders, problem.dim - 1)
-    return _anchor_averaged(problem, orders, n_pairs, seed, 1, lambda y, r: (y - r) ** 2)
+    orders = _check_orders((order,), problem.dim - 1)
+    return _anchor_averaged(problem, orders, n_pairs, seed, 1, lambda y, r: (y - r) ** 2)[0]
 
 
 def check_optimality_split(
-    table: ComponentTable, orders: Sequence[int], n: int, seed: int
+    problem: ProblemSpec, budgets: Sequence[ErrorBudget], n: int, seed: int
 ) -> list[CheckResult]:
-    """Sampled check that the anchored surrogate never beats the
-    integration-based one, two gates per entry of `orders`.
+    """The sampled gates of the exact `budgets`, three per budget, from one
+    two-anchor draw.
 
-    With ``r0`` the anchored surrogate of order S at a random anchor, the
-    projection identity ``E[(y - r0)**2] = e_add + E[(yhat_S - r0)**2]``
-    splits the anchored error, and two more anchors sample the second term
-    as ``(r1 - r0) * (r2 - r0)`` (see :func:`_anchor_averaged`).  Gate
-    ``optimality_split_S{S}`` holds ``(y - r0)**2`` minus that product to
-    the exact ``e_add``, and gate ``rdd_excess_S{S}`` the product to the
-    exact ``e_rdd_expected - e_add``, at least ``(2**(S+1) - 1) * e_add``:
-    the dominance of ADD and the size of the gap at once.  The ADD `table`
-    supplies only these budgets.  A point costs ``1 + 3 * count_up_to(N,
-    max(orders))`` target evaluations.
+    With ``r1``, ``r2`` the anchored surrogates of order S at two
+    independent anchors (see :func:`_anchor_averaged`), gate
+    ``mc_gate_add_S{S}`` holds the mean of ``(y - r1) * (y - r2)`` to
+    ``e_add``, ``mc_gate_rdd_S{S}`` that of ``((y - r1)**2 + (y - r2)**2) /
+    2`` to ``e_rdd_expected``, and ``mc_gate_excess_S{S}`` that of ``(r1 -
+    r2)**2 / 2`` to ``e_rdd_expected - e_add``, at least ``(2**(S+1) - 1) *
+    e_add``: the least error of ADD and the size of the gap at once.  Per
+    sample the rdd value is the add value plus the excess one.  Each add
+    gate is bit-for-bit :func:`mc_add_error` at its order with the same `n`
+    and `seed`.  The budgets supply only the targets, so no grid is needed;
+    they must be a nonempty sequence of :class:`ErrorBudget` of orders in
+    ``[0, dim - 1]`` and of the problem's dimension, checked with `n` and
+    `seed` before any draw.  A point costs ``1 + 2 * count_up_to(N,
+    S_max)`` target evaluations.
     """
-    problem = table.problem
-    orders = _check_orders(orders, problem.dim - 1)
+    if not isinstance(budgets, Sequence) or not all(isinstance(b, ErrorBudget) for b in budgets):
+        raise ValueError(f"budgets must be a sequence of ErrorBudget, got {budgets!r}")
+    orders = _check_orders([b.order for b in budgets], problem.dim - 1)
+    for b in budgets:
+        if max(b.per_cardinality, default=0) != problem.dim:
+            raise ValueError(f"budget of order {b.order} is not of dimension {problem.dim}")
     n, seed = _check_draws(n, seed, MIN_PAIRS, "check_optimality_split", "n")
-    vmap = variance_components(table)
-    budgets = [rdd_expected_error(s, vmap) for s in orders]
     ests = _anchor_averaged(
-        problem, orders, n, seed, 3,
-        lambda y, r0, r1, r2: (y - r0) ** 2 - (r1 - r0) * (r2 - r0),
-        lambda y, r0, r1, r2: (r1 - r0) * (r2 - r0),
+        problem, orders, n, seed, 2,
+        _cross,
+        lambda y, r1, r2: ((y - r1) ** 2 + (y - r2) ** 2) / 2,
+        lambda y, r1, r2: (r1 - r2) ** 2 / 2,
     )
     checks = []
-    for b, split, excess in zip(budgets, ests[::2], ests[1::2]):
-        checks.append(_mc_gate(f"optimality_split_S{b.order}", split, b.e_add))
-        checks.append(_mc_gate(f"rdd_excess_S{b.order}", excess, b.e_rdd_expected - b.e_add))
+    for b, add, rdd, excess in zip(budgets, ests[::3], ests[1::3], ests[2::3]):
+        checks.append(_mc_gate("add", b.order, add, b.e_add))
+        checks.append(_mc_gate("rdd", b.order, rdd, b.e_rdd_expected))
+        checks.append(_mc_gate("excess", b.order, excess, b.e_rdd_expected - b.e_add))
     return checks

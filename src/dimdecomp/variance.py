@@ -140,10 +140,12 @@ def sobol_indices(vmap: VarianceMap) -> dict[int, float]:
 def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
     """Subset-sum variance of `u` via the cross-covariance identity.
 
-    Evaluates ``E[ y(X) * E[y | X_u] ] - (E[y])**2`` by nested tensor
-    quadrature on the full grid of target values that :func:`build_add`
-    evaluated for the ADD `table` — the inner conditional mean integrates
-    over the complement coordinates, the outer expectation over everything.
+    Evaluates ``E[ z(X) * E[z | X_u] ]`` with ``z = y - E[y]``, which is
+    ``E[ y(X) * E[y | X_u] ] - (E[y])**2`` without its cancellation at a
+    large mean, by nested tensor quadrature on the full grid of target
+    values that :func:`build_add` evaluated for the ADD `table` (``E[y]``
+    its own Gauss mean) — the inner conditional mean integrates over the
+    complement coordinates, the outer expectation over everything.
     It reads those grid values only, never the table array of components,
     so it stays a route independent of the build's axis passes, and it
     calls the target no further.  Equals
@@ -154,11 +156,11 @@ def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
         raise ValueError(f"subset dimension {u.dim} != table dimension {table.dim}")
     if u.is_empty:
         return 0.0
-    Y = table._full_values
     weights = [r.weights for r in table.problem.rules]
+    Y = table._full_values - _expectation(table._full_values, weights)
     own = set(u.indices())
     # conditional mean, its integrated axes kept with length 1
     cond = Y
     for ax in reversed([j for j in range(table.dim) if j not in own]):
         cond = _axis_map(weights[ax][None, :], cond, ax)
-    return _expectation(Y * cond, weights) - _expectation(Y, weights) ** 2
+    return _expectation(Y * cond, weights)

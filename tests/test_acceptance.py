@@ -243,10 +243,11 @@ def test_c10_two_scale_stress_case(criterion):
         assert rep.inversion is True
 
 
-def test_c11_optimality_split(criterion, plin4_table):
+def test_c11_optimality_split(criterion, plin4, plin4_vmap):
     with criterion("c11_optimality_split"):
-        checks = check_optimality_split(plin4_table, (0, 1, 2, 3), 100_000, 42)
-        assert len(checks) == 8
+        budgets = [rdd_expected_error(s, plin4_vmap) for s in range(4)]
+        checks = check_optimality_split(plin4, budgets, 100_000, 42)
+        assert len(checks) == 12
         failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
         assert not failed, failed
 

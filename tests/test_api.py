@@ -49,7 +49,7 @@ EXPORTS = {
     "default_marginal", "function_names", "make_function",
     # mc
     "McEstimate", "check_optimality_split", "mc_add_error", "mc_expected_rdd_error",
-    "mc_expected_rdd_errors", "mc_rdd_error",
+    "mc_rdd_error",
     # measures
     "MarginalMeasure", "ProductMeasure", "QuadratureRule",
     "gauss_exactness_residual", "gauss_rule", "product_rules",

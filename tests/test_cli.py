@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from dimdecomp import VariableSubset, cli
+from dimdecomp import VariableSubset, cli, count_up_to, mc
 from dimdecomp.cli import _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
-from dimdecomp.mc import MIN_PAIRS, mc_expected_rdd_errors
+from dimdecomp.mc import check_optimality_split
 from test_api import FLAGS
 
 
@@ -177,7 +177,7 @@ class TestVerify:
                 **BASE,
                 "quad_order": 4,
                 "out": str(tmp_path / "out"),
-                "mc": {"n_samples": 1000, "seed": 7},
+                "mc": {"n_samples": 10_000, "seed": 7},
             },
         )
         assert main(["verify", "--config", cfg]) == 2
@@ -192,47 +192,123 @@ class TestVerify:
             assert checks[f"error_bounds_S{s}"]["passed"]
 
     def test_one_anchored_sweep_for_all_orders(self, tmp_path, monkeypatch):
-        # one call for every order, sized by the estimator's own pair floor
+        # one sampled check for every order, at the config's count and seed,
+        # given the budgets verify computed
         calls = []
 
-        def recorded(problem, orders, n_pairs, seed):
-            calls.append((tuple(orders), n_pairs, seed))
-            return mc_expected_rdd_errors(problem, orders, n_pairs, seed)
+        def recorded(problem, budgets, n, seed):
+            calls.append(([b.order for b in budgets], n, seed))
+            return check_optimality_split(problem, budgets, n, seed)
 
-        monkeypatch.setattr(cli, "mc_expected_rdd_errors", recorded)
+        monkeypatch.setattr(cli, "check_optimality_split", recorded)
         cfg = write_config(
             tmp_path,
-            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 1000, "seed": 7}},
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000, "seed": 7}},
         )
         assert main(["verify", "--config", cfg]) == 0
-        assert calls == [((0, 1, 2), MIN_PAIRS, 8)]
-        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
-        gates = [c["name"] for c in report["checks"] if c["name"].startswith("mc_gate_")]
-        assert gates == [f"mc_gate_{kind}_S{s}" for s in range(3) for kind in ("add", "rdd")]
+        assert calls == [([0, 1, 2], 10_000, 7)]
 
     def test_add_gates_target_the_error_budget(self, tmp_path, monkeypatch):
         # each mc_gate_add_S{s} compares with the budget's e_add, shifted
         # here so that no other sum of the same variances can match it
         budgets, targets = [], {}
-        gate = cli._mc_gate
+        gate = mc._mc_gate
 
         def shifted(order, vmap):
             budget = rdd_expected_error(order, vmap)
             budgets.append(dataclasses.replace(budget, e_add=1.5 + order))
             return budgets[-1]
 
-        def recorded(name, est, target):
-            targets[name] = target
-            return gate(name, est, target)
+        def recorded(kind, order, est, target):
+            targets[f"mc_gate_{kind}_S{order}"] = target
+            return gate(kind, order, est, target)
 
         monkeypatch.setattr(cli, "rdd_expected_error", shifted)
-        monkeypatch.setattr(cli, "_mc_gate", recorded)
+        monkeypatch.setattr(mc, "_mc_gate", recorded)
         cfg = write_config(
             tmp_path,
-            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 1000, "seed": 7}},
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000, "seed": 7}},
         )
         main(["verify", "--config", cfg])
         assert [targets[f"mc_gate_add_S{b.order}"] for b in budgets] == [1.5, 2.5, 3.5]
+
+    def test_sampled_records_are_the_mc_gates(self, tmp_path):
+        # the benchmark tolerates a 3-sigma miss only under the mc_gate_
+        # prefix, so every sampled record carries it: three per order
+        cfg = write_config(
+            tmp_path,
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000, "seed": 7}},
+        )
+        main(["verify", "--config", cfg, "--truncation-orders", "2", "0"])
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        sampled = [c["name"] for c in report["checks"] if c["detail"].startswith("sampled")]
+        gates = [c["name"] for c in report["checks"] if c["name"].startswith("mc_gate_")]
+        assert sampled == gates
+        assert gates == [f"mc_gate_{kind}_S{s}" for s in (2, 0) for kind in ("add", "rdd", "excess")]
+
+    def test_one_sampling_loop(self, tmp_path, monkeypatch):
+        # every sampled gate comes from one loop over n points, each costing
+        # y(X) and two anchored passes of the largest order
+        rows, loops = [0], []
+        make, sampled = cli.make_function, mc._sampled
+
+        def counted_make(*args, **kwargs):
+            fn = make(*args, **kwargs)
+
+            def counted(x):
+                rows[0] += len(x)
+                return fn(x)
+
+            return counted
+
+        def spied(*args):
+            before = rows[0]
+            out = sampled(*args)
+            loops.append(rows[0] - before)
+            return out
+
+        monkeypatch.setattr(cli, "make_function", counted_make)
+        monkeypatch.setattr(mc, "_sampled", spied)
+        n = 10_000
+        cfg = write_config(
+            tmp_path, {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": n, "seed": 7}}
+        )
+        assert main(["verify", "--config", cfg]) == 0
+        assert loops == [n * (1 + 2 * count_up_to(3, 2))]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # a mean of 1000 over variances near 1e-6: E[y E[y|X_u]] - E[y]**2
+            # cancelled to a 7.4e-5 residual
+            {
+                "function": {
+                    "name": "poly",
+                    "terms": [
+                        {"coeff": 1000.0, "exponents": [0, 0, 0]},
+                        {"coeff": 0.001, "exponents": [1, 0, 0]},
+                        {"coeff": 0.002, "exponents": [1, 1, 0]},
+                        {"coeff": 0.001, "exponents": [0, 1, 1]},
+                    ],
+                },
+                "quad_order": 4,
+            },
+            # a constant: its roundoff was divided by a 1e-300 floor, 3.6e15
+            {"function": {"name": "poly", "terms": [{"coeff": 3.0, "exponents": [0, 0]}]}, "dim": 2},
+        ],
+        ids=["mean-dominated", "constant"],
+    )
+    def test_subset_sum_identity_holds_at_roundoff(self, tmp_path, extra):
+        cfg = write_config(
+            tmp_path,
+            {**BASE, **extra, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000}},
+        )
+        main(["verify", "--config", cfg])
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        identity = checks["subset_sum_variance_identity"]
+        assert identity["passed"], identity
+        assert identity["residual"] <= 1e-10
 
     def test_fault_injection_is_caught_and_named(self, tmp_path, capsys, monkeypatch):
         build = cli.build_add
@@ -354,8 +430,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            # verify needs mc_add_error's floor; no subcommand gets past parsing
-            ({"mc": {"n_samples": 500}}, "mc.n_samples must be at least 1000"),
+            # verify's sampled check needs its floor; no subcommand gets past parsing
+            ({"mc": {"n_samples": 9_999}}, "mc.n_samples must be at least 10000"),
             ({"mc": {"seed": -1}}, "mc.seed must be nonnegative"),
             ({"mc": 5}, "mc must be an object"),
             ({"function": "sobol_g"}, "function must be an object"),
@@ -458,7 +534,7 @@ class TestConfigHandling:
             (["--truncation-orders", "9"], {}, "truncation order 9 outside [0, 2]"),
             (["--truncation-orders", "1", "3"], {}, "truncation order 3 outside [0, 2]"),
             (["--seed", "-1"], {}, "mc.seed must be nonnegative"),
-            (["--n-samples", "500"], {}, "mc.n_samples must be at least 1000"),
+            (["--n-samples", "9999"], {}, "mc.n_samples must be at least 10000"),
             (["--seed", "3"], {"mc": 5}, "mc must be an object"),
         ],
     )
@@ -469,13 +545,13 @@ class TestConfigHandling:
         assert not (tmp_path / "out").exists()
 
     def test_flags_merge_into_file_sections(self, tmp_path):
-        cfg = write_config(tmp_path, {**BASE, "mc": {"n_samples": 2000, "seed": 5}})
+        cfg = write_config(tmp_path, {**BASE, "mc": {"n_samples": 20_000, "seed": 5}})
         args = _build_parser().parse_args(["verify", "--config", cfg, "--seed", "8"])
         got = load_config(args.config, args)
-        assert (got.seed, got.n_samples, got.problem.dim) == (8, 2000, 3)
-        args = _build_parser().parse_args(["verify", "--n-samples", "3000"])
+        assert (got.seed, got.n_samples, got.problem.dim) == (8, 20_000, 3)
+        args = _build_parser().parse_args(["verify", "--n-samples", "30000"])
         got = load_config(args.config, args)
-        assert (got.seed, got.n_samples) == (cli.DEFAULT_SEED, 3000)
+        assert (got.seed, got.n_samples) == (cli.DEFAULT_SEED, 30_000)
 
     @pytest.mark.parametrize(
         "command,flag",

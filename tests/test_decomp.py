@@ -29,9 +29,10 @@ from dimdecomp import (
     explicit_component,
     make_function,
     mc_add_error,
-    mc_expected_rdd_errors,
+    mc_expected_rdd_error,
     rdd_direct,
     rdd_direct_sums,
+    rdd_expected_error,
     strict_subsets,
     sobol_D,
     subsets_of_cardinality,
@@ -593,18 +594,20 @@ class TestInterpolationBlocks:
             assert_agrees(got[order], want[order], table)
 
     def test_add_error_cardinal_matrices_stay_small(self, monkeypatch):
-        # the sampled ADD error interpolates no table, so it builds no
-        # cardinal matrix (a whole-chunk set of them is 5 x (100 000, 6)
-        # float64 values, 23 MiB); its chunk of points, one anchor batch
-        # at a time and the anchored sums stay below 24 MiB
+        # the sampled gates interpolate no table, so they build no cardinal
+        # matrix (a whole-chunk set of them is 5 x (100 000, 6) float64
+        # values, 23 MiB); their chunk of points, one anchor batch at a time
+        # and the anchored sums stay below 24 MiB
         def no_matrix(*args):
-            raise AssertionError("mc_add_error interpolated the table")
+            raise AssertionError("the sampled gates interpolated the table")
 
         monkeypatch.setattr(decomp, "_cardinal_matrix", no_matrix)
         p = product_linear_problem(5, quad_order=6)
+        vmap = variance_components(build_add(p))
+        budgets = [rdd_expected_error(s, vmap) for s in range(5)]
         tracemalloc.start()
         try:
-            mc_add_error(p, range(5), 100_000, seed=3)
+            check_optimality_split(p, budgets, 100_000, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -621,7 +624,7 @@ class TestInterpolationBlocks:
                     "function": {"name": "product_linear"},
                     "dim": 6,
                     "quad_order": 10,
-                    "mc": {"n_samples": 2000},
+                    "mc": {"n_samples": 10_000},
                 }
             )
         )
@@ -1262,7 +1265,9 @@ def test_rdd_annihilation_property(mask, data):
         lambda p, add, rdd: sobol_D(rdd, VariableSubset.from_indices([0, 2], 3)),
         lambda p, add, rdd: check_add_structure(rdd),
         lambda p, add, rdd: mc_add_error(rdd, 1, 1000),
-        lambda p, add, rdd: check_optimality_split(rdd, (1,), MIN_PAIRS, 0),
+        lambda p, add, rdd: check_optimality_split(
+            rdd, [rdd_expected_error(1, variance_components(add))], MIN_PAIRS, 0
+        ),
         lambda p, add, rdd: check_rdd_structure(add),
     ],
     ids=[
@@ -1348,10 +1353,10 @@ def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
     c = np.array([0.25, -0.5, 0.75])
     rdd_direct_sums(p, [1, 2], c, X)
     rdd_direct_sums(p, [1, 2], X[::-1], X)
-    mc_add_error(p, [1, 2], 1000, 3)
-    mc_expected_rdd_errors(p, [1, 2], MIN_PAIRS, 4)
+    mc_add_error(p, 2, 1000, 3)
+    mc_expected_rdd_error(p, 2, MIN_PAIRS, 4)
     check_rdd_structure(build_rdd(p, c), seed=5)
-    check_optimality_split(table, [1], MIN_PAIRS, 6)
+    check_optimality_split(p, [rdd_expected_error(1, variance_components(table))], MIN_PAIRS, 6)
     u = VariableSubset.from_indices([0, 2], 3)
     explicit_component(p, u, [0.1, 0.2])
     explicit_component(p, u, [0.1, 0.2], anchor=c)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 from functools import cache, reduce
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimdecomp import (
+    CardinalitySums,
     McEstimate,
     ProblemSpec,
     ProductMeasure,
@@ -18,10 +21,10 @@ from dimdecomp import (
     check_optimality_split,
     mc_add_error,
     mc_expected_rdd_error,
-    mc_expected_rdd_errors,
     mc_rdd_error,
     rdd_direct,
     rdd_direct_sums,
+    rdd_expected_error,
     variance_components,
 )
 from dimdecomp import count_up_to, mc
@@ -32,6 +35,12 @@ from tests.conftest import (
     product_linear_problem,
     sobol_g_problem,
 )
+
+
+def budgets_of(dim, orders, sums=None):
+    """Exact budgets of `orders` from per-cardinality variance sums (none:
+    all zero), with no grid."""
+    return [rdd_expected_error(s, CardinalitySums(dim, sums or {})) for s in orders]
 
 
 class TestMcEstimate:
@@ -113,9 +122,11 @@ class TestAddErrorOrders:
     )
     @pytest.mark.parametrize("n,chunk", [(2000, DEFAULT_CHUNK), (5000, 1024)])
     def test_equals_one_call_per_order(self, plin3, sobol5, name, orders, n, chunk, monkeypatch):
+        # the two-anchor draw at several orders, on which the sampled check
+        # builds its add gates, gives each order's estimate bit for bit
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
         problem = plin3 if name == "plin3" else sobol5
-        got = mc_add_error(problem, orders, n, seed=13)
+        got = mc._anchor_averaged(problem, tuple(orders), n, 13, 2, mc._cross)
         want = [mc_add_error(problem, s, n, seed=13) for s in orders]
         assert got == want
 
@@ -125,10 +136,10 @@ class TestAddErrorOrders:
         # 1024-row chunk (one anchored block) sees all of its rows
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 1024)
         p, seen = counted(sobol5)
-        mc_add_error(p, (2, 4, 0), n=5000, seed=1)
+        check_optimality_split(p, budgets_of(5, (2, 4, 0)), MIN_PAIRS, 1)
         per_sample = 1 + 2 * count_up_to(5, 4)
-        assert sum(len(b) for b in seen) == 5000 * per_sample
-        assert [len(b) for b in seen] == [1024] * 4 * per_sample + [904] * per_sample
+        assert sum(len(b) for b in seen) == MIN_PAIRS * per_sample
+        assert [len(b) for b in seen] == [1024] * 9 * per_sample + [784] * per_sample
         seen.clear()
         mc_add_error(p, 1, n=5000, seed=1)
         assert sum(len(b) for b in seen) == 5000 * (1 + 2 * count_up_to(5, 1))
@@ -140,7 +151,8 @@ class TestAddErrorOrders:
             raise AssertionError("sampled before the orders were checked")
 
         monkeypatch.setattr(ProductMeasure, "sample", no_draw)
-        for bad in ((), [], 3, 4, -1, (1, 7), 1.5, (1, 2.0), "1", None, True):
+        # one integer order: a sequence of orders is no order
+        for bad in ((), [], 3, 4, -1, (1,), (1, 2), np.arange(1, 3), 1.5, "1", None, True):
             with pytest.raises(ValueError):
                 mc_add_error(p, bad, n=1000)
         for bad in (3, -1, 1.0):
@@ -150,11 +162,7 @@ class TestAddErrorOrders:
                 mc_expected_rdd_error(p, bad, n_pairs=10_000)
         assert seen == []
         monkeypatch.undo()
-        one = mc_add_error(plin3, 1, n=1000)
-        assert mc_add_error(plin3, np.int64(1), n=1000) == one
-        assert mc_add_error(plin3, np.arange(1, 3), n=1000) == [
-            one, mc_add_error(plin3, 2, n=1000)
-        ]
+        assert mc_add_error(plin3, np.int64(1), n=1000) == mc_add_error(plin3, 1, n=1000)
 
 
 # Problems, sample sizes and seeds of the gridless ADD gate, fixed before
@@ -173,10 +181,13 @@ ADD_GATES = [
     "problem,orders,n,seed", [g[1:] for g in ADD_GATES], ids=[g[0] for g in ADD_GATES]
 )
 def test_add_error_gate_against_exact_budget(problem, orders, n, seed):
+    # the add gates of the sampled check, each mc_add_error(problem, S, n, seed)
     vmap = variance_components(build_add(problem))
-    ests = mc_add_error(problem, orders, n, seed)
-    for s, est in zip(orders, ests):
-        assert est.within(add_error(s, vmap)), (s, est, add_error(s, vmap))
+    checks = check_optimality_split(problem, [rdd_expected_error(s, vmap) for s in orders], n, seed)
+    gates = [c for c in checks if c.name.startswith("mc_gate_add_")]
+    assert [c.name for c in gates] == [f"mc_gate_add_S{s}" for s in orders]
+    for c in gates:
+        assert c.passed, c
 
 
 class TestRddErrorSampling:
@@ -242,11 +253,11 @@ class TestExpectedRddOrders:
     )
     @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 4096])
     def test_equals_one_call_per_order(self, make, dim, orders, chunk, monkeypatch):
+        # each order's estimate is its own draw of X then C per chunk, in
+        # mean, std_error, n and seed, bit for bit
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
         p = make(dim)
-        got = mc_expected_rdd_errors(p, orders, 10_000, 21)
-        want = [mc_expected_rdd_error(p, s, 10_000, 21) for s in orders]
-        assert got == want  # mean, std_error, n and seed, bit for bit
+        got = [mc_expected_rdd_error(p, s, 10_000, 21) for s in orders]
 
         def per_order(s):
             # one order per pass: draw X then C, gap against rdd_direct
@@ -260,16 +271,15 @@ class TestExpectedRddOrders:
         assert got == [per_order(s) for s in orders]
 
     def test_one_draw_and_one_anchored_pass_for_all_orders(self, monkeypatch):
-        # per pair: one target row for y(X) and count_up_to(N, S_max) anchored
-        # rows, whatever the number of orders
+        # per pair: one target row for y(X) and count_up_to(N, S) anchored
+        # rows, at every order
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", 4096)
         dim, n = 5, 10_000
         p, seen = counted(product_linear_problem(dim))
-        mc_expected_rdd_errors(p, (1, 3, 0, 2), n, 4)
-        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 3))
-        seen.clear()
-        mc_expected_rdd_error(p, 3, n, 4)
-        assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, 3))
+        for s in (1, 3, 0, 2):
+            seen.clear()
+            mc_expected_rdd_error(p, s, n, 4)
+            assert sum(len(b) for b in seen) == n * (1 + count_up_to(dim, s))
 
     def test_seeded_estimates_are_pinned(self):
         # one draw body for every anchor-averaged estimator left these bit
@@ -288,7 +298,7 @@ class TestExpectedRddOrders:
         }
         for make, want in pinned.items():
             dim = 5 if make is product_linear_problem else 4
-            ests = mc_expected_rdd_errors(make(dim), (3, 0, 1), 10_000, 21)
+            ests = [mc_expected_rdd_error(make(dim), s, 10_000, 21) for s in (3, 0, 1)]
             assert [(e.mean.hex(), e.std_error.hex()) for e in ests] == want
 
     def test_orders_checked_before_any_draw(self, plin3, monkeypatch):
@@ -296,74 +306,101 @@ class TestExpectedRddOrders:
             raise AssertionError("sampled before the orders were checked")
 
         monkeypatch.setattr(ProductMeasure, "sample", no_draw)
-        for bad in ((), 1, (0, 3), (-1,), (1.5,), (True,)):
+        # one integer order, never a sequence
+        for bad in ((), 3, -1, 1.5, True, None, (1,), [0, 1], (0, 3)):
             with pytest.raises(ValueError):
-                mc_expected_rdd_errors(plin3, bad, 10_000, 0)
+                mc_expected_rdd_error(plin3, bad, 10_000, 0)
         with pytest.raises(ValueError, match="at least"):
-            mc_expected_rdd_errors(plin3, (0, 1), 9_999, 0)
-        # the single-order estimator takes one integer order, never a sequence
-        for bad in ((1,), [0, 1]):
-            with pytest.raises(ValueError):
-                mc_expected_rdd_error(plin3, bad, 10_000)
+            mc_expected_rdd_error(plin3, 1, 9_999, 0)
 
 
 class TestOptimalitySplit:
-    def test_first_order_passes_against_e_add(self, plin3_table, monkeypatch):
-        targets = {}
+    def test_first_order_passes_against_e_add(self, plin3, plin3_vmap, monkeypatch):
+        targets, ests = {}, {}
         gate = mc._mc_gate
 
-        def recorded(name, est, target):
-            targets[name] = target
-            return gate(name, est, target)
+        def recorded(kind, order, est, target):
+            targets[kind], ests[kind] = target, est
+            return gate(kind, order, est, target)
 
         monkeypatch.setattr(mc, "_mc_gate", recorded)
-        checks = check_optimality_split(plin3_table, (1,), 20_000, 3)
-        assert [c.name for c in checks] == ["optimality_split_S1", "rdd_excess_S1"]
+        checks = check_optimality_split(plin3, [rdd_expected_error(1, plin3_vmap)], 20_000, 3)
+        assert [c.name for c in checks] == ["mc_gate_add_S1", "mc_gate_rdd_S1", "mc_gate_excess_S1"]
         assert all(c.passed for c in checks)
-        assert targets["optimality_split_S1"] == pytest.approx(10.0 / 27.0, rel=1e-10)
+        assert targets["add"] == pytest.approx(10.0 / 27.0, rel=1e-10)
+        assert targets["rdd"] == pytest.approx(44.0 / 27.0, rel=1e-10)
         # e_rdd - e_add = b_1(2) V_2 + b_1(3) V_3, with V_2 = 3/9 and V_3 = 1/27
-        assert targets["rdd_excess_S1"] == pytest.approx(3 * 3 / 9 + 7 / 27, rel=1e-10)
+        assert targets["excess"] == pytest.approx(3 * 3 / 9 + 7 / 27, rel=1e-10)
+        # per sample (a**2 + b**2) / 2 = a * b + (a - b)**2 / 2
+        assert ests["rdd"].mean == pytest.approx(ests["add"].mean + ests["excess"].mean, rel=1e-12)
+        assert ests["add"] == mc_add_error(plin3, 1, 20_000, 3)
 
-    def test_multi_order_matches_single_order_calls(self, plin3_table):
-        multi = check_optimality_split(plin3_table, (2, 0, 1), MIN_PAIRS, 5)
-        singles = [
-            c for s in (2, 0, 1) for c in check_optimality_split(plin3_table, (s,), MIN_PAIRS, 5)
-        ]
+    def test_multi_order_matches_single_order_calls(self, plin3, plin3_vmap):
+        budgets = [rdd_expected_error(s, plin3_vmap) for s in (2, 0, 1)]
+        multi = check_optimality_split(plin3, budgets, MIN_PAIRS, 5)
+        singles = [c for b in budgets for c in check_optimality_split(plin3, [b], MIN_PAIRS, 5)]
         assert multi == singles
 
-    def test_same_seed_same_result(self, plin3_table):
-        first = check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 9)
-        assert check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 9) == first
-        assert check_optimality_split(plin3_table, (0, 1), MIN_PAIRS, 10) != first
+    def test_same_seed_same_result(self, plin3, plin3_vmap):
+        budgets = [rdd_expected_error(s, plin3_vmap) for s in (0, 1)]
+        first = check_optimality_split(plin3, budgets, MIN_PAIRS, 9)
+        assert check_optimality_split(plin3, budgets, MIN_PAIRS, 9) == first
+        assert check_optimality_split(plin3, budgets, MIN_PAIRS, 10) != first
 
     def test_evaluations_per_call_are_pinned(self):
+        # two anchored passes of the largest order per point, and no grid
         dim, n = 4, 12_000
         p, seen = counted(product_linear_problem(dim, 4))
-        table = build_add(p)
-        seen.clear()
-        check_optimality_split(table, (1, 2, 0), n, 4)
-        assert sum(len(b) for b in seen) == n * (1 + 3 * count_up_to(dim, 2))
+        check_optimality_split(p, budgets_of(dim, (1, 2, 0)), n, 4)
+        assert sum(len(b) for b in seen) == n * (1 + 2 * count_up_to(dim, 2))
 
-    def test_validation_before_any_draw(self, plin3_table, monkeypatch):
+    def test_validation_before_any_draw(self, plin3, plin3_vmap, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled before the arguments were checked")
 
         monkeypatch.setattr(ProductMeasure, "sample", no_draw)
+        one = rdd_expected_error(1, plin3_vmap)
+
+        def at(order):
+            return dataclasses.replace(one, order=order)
+
         for bad, msg in (
-            ((3,), r"outside \[0, 2\]"), ((0, -1), "outside"), ((1.5,), "integer"),
-            ((True,), "integer"),
+            ([at(3)], r"outside \[0, 2\]"), ([at(0), at(-1)], "outside"), ([at(1.5)], "integer"),
+            ([at(True)], "integer"), ([], "at least one"), ((), "at least one"),
+            (one, "sequence of ErrorBudget"), ((1,), "sequence of ErrorBudget"),
+            (iter([one]), "sequence of ErrorBudget"), ([one, None], "sequence of ErrorBudget"),
+            (budgets_of(4, (1,)), "dimension 3"), ([one, *budgets_of(2, (0,))], "dimension 3"),
         ):
             with pytest.raises(ValueError, match=msg):
-                check_optimality_split(plin3_table, bad, MIN_PAIRS, 0)
+                check_optimality_split(plin3, bad, MIN_PAIRS, 0)
         with pytest.raises(ValueError, match="at least"):
-            check_optimality_split(plin3_table, (1,), MIN_PAIRS - 1, 0)
+            check_optimality_split(plin3, [one], MIN_PAIRS - 1, 0)
+
+    def test_budgets_need_no_grid(self, plin3, plin3_vmap, monkeypatch):
+        # product_linear with a = 1 on U(-1, 1)^3 has V_s = e_s(a**2 / 3);
+        # budgets from those sums give the table's estimates bit for bit
+        # and its targets to 1e-12
+        def gated(budgets):
+            seen = []
+            monkeypatch.setattr(
+                mc, "_mc_gate", lambda kind, order, est, target: seen.append((est, target))
+            )
+            check_optimality_split(plin3, budgets, MIN_PAIRS, 17)
+            return seen
+
+        sums = {s: math.comb(3, s) / 3.0**s for s in (1, 2, 3)}  # e_s(1/3, 1/3, 1/3)
+        free = gated(budgets_of(3, range(3), sums))
+        table = gated([rdd_expected_error(s, plin3_vmap) for s in range(3)])
+        assert [est for est, _ in free] == [est for est, _ in table]
+        for (_, got), (_, want) in zip(free, table):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 GRID_PROBLEMS = {"ishigami": ishigami_problem, "sobol_g": lambda: sobol_g_problem(4, 6)}
 
 
 @pytest.mark.parametrize("bad", [1500.7, True, "2000"], ids=["float", "bool", "str"])
-def test_counts_and_seeds_are_integers(plin3, plin3_table, monkeypatch, bad):
+def test_counts_and_seeds_are_integers(plin3, monkeypatch, bad):
     # a float count used to be truncated (1500.7 ran 1 500 samples), a
     # string count ended in a TypeError and a float seed in numpy's; each
     # is a ValueError naming the parameter, raised before any draw
@@ -374,8 +411,7 @@ def test_counts_and_seeds_are_integers(plin3, plin3_table, monkeypatch, bad):
         ("n", lambda n, seed: mc_add_error(plin3, 1, n, seed)),
         ("n", lambda n, seed: mc_rdd_error(plin3, 1, np.zeros(3), n, seed)),
         ("n_pairs", lambda n, seed: mc_expected_rdd_error(plin3, 1, n, seed)),
-        ("n_pairs", lambda n, seed: mc_expected_rdd_errors(plin3, [1], n, seed)),
-        ("n", lambda n, seed: check_optimality_split(plin3_table, [1], n, seed)),
+        ("n", lambda n, seed: check_optimality_split(plin3, budgets_of(3, [1]), n, seed)),
     ]
     monkeypatch.setattr(ProductMeasure, "sample", no_draw)
     for name, call in calls:
