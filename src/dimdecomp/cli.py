@@ -32,6 +32,7 @@ import numpy as np
 
 from dimdecomp import __version__
 from dimdecomp.decomp import (
+    MAX_ORTHOGONALITY_DIM,
     CheckResult,
     ProblemSpec,
     build_add,
@@ -64,6 +65,7 @@ from dimdecomp.measures import (
 from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
 from dimdecomp.variance import (
     CLOSURE_RTOL,
+    _variance_floor,
     sobol_D,
     sobol_indices,
     variance_closure_residual,
@@ -194,6 +196,9 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(
                 f"truncation_orders must be integers in [0, {dim - 1}]: {exc}"
             ) from exc
+        for s in orders:
+            if orders.count(s) > 1:
+                raise ConfigError(f"truncation_orders lists order {s} more than once")
     n_samples, seed = DEFAULT_N_SAMPLES, DEFAULT_SEED
     if "mc" in data:
         mc = data["mc"]
@@ -342,15 +347,12 @@ def cmd_errors(cfg: RunConfig) -> int:
     print(f"  {'S':>3} {'e_add':>16} {'e_rdd_expected':>16} {'lower':>16} {'upper':>16} {'ratio':>12}")
     for s in cfg.orders:
         budget = rdd_expected_error(s, vmap)
-        ratio = budget.e_rdd_expected / budget.e_add if budget.e_add > 0.0 else float("nan")
-        ratio_cell = "" if budget.e_add <= 0.0 else ratio
-        rows.append(
-            [s, budget.e_add, budget.e_rdd_expected, budget.lower, budget.upper, ratio_cell]
-        )
+        # undefined (blank, printed n/a) when no variance lies above s
+        ratio = _fmt(budget.e_rdd_expected / budget.e_add) if budget.e_add > 0.0 else ""
+        rows.append([s, budget.e_add, budget.e_rdd_expected, budget.lower, budget.upper, ratio])
         print(
             f"  {s:>3} {_fmt(budget.e_add):>16} {_fmt(budget.e_rdd_expected):>16}"
-            f" {_fmt(budget.lower):>16} {_fmt(budget.upper):>16}"
-            f" {(_fmt(ratio) if budget.e_add > 0 else 'n/a'):>12}"
+            f" {_fmt(budget.lower):>16} {_fmt(budget.upper):>16} {ratio or 'n/a':>12}"
         )
     _write_csv(
         cfg.out_dir / "errors.csv",
@@ -385,10 +387,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     closure = variance_closure_residual(table, vmap)
     checks.append(CheckResult("variance_closure", closure, CLOSURE_RTOL))
 
-    if dim <= 5:
+    if dim <= MAX_ORTHOGONALITY_DIM:
         worst = 0.0
         worst_label = ""
-        denom = max(vmap.total, table.scale**2 * 1e-14)
+        denom = max(vmap.total, _variance_floor(table.y_empty))
         for u in all_subsets_up_to(dim, dim):
             if u.is_empty:
                 continue
@@ -559,17 +561,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, args)
-        if args.command == "decompose":
-            return cmd_decompose(cfg)
-        if args.command == "errors":
-            return cmd_errors(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "figure1":
-            return cmd_figure1(cfg)
-        if args.command == "contrived":
-            return cmd_contrived(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+        # looked up at call time, so a patched cmd_<name> is the one that runs
+        return globals()[f"cmd_{args.command}"](cfg)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

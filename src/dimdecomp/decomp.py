@@ -89,7 +89,8 @@ TOL_ORTHOGONALITY = 1e-10
 TOL_EXACTNESS = 1e-10
 TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
-#: pairwise orthogonality loops over all component pairs, so it runs up to here
+#: the O(4**N) loops over pairs of subsets (ADD orthogonality, verify's
+#: subset-sum identity) run up to here
 MAX_ORTHOGONALITY_DIM = 5
 #: random points at which check_rdd_structure probes an anchored table
 RDD_STRUCTURE_POINTS = 100
@@ -348,9 +349,11 @@ class AnchoredTable:
         if u.is_empty:
             return self.y_empty
         X, squeeze = _as_rows(x, u.cardinality)
+        Z = np.tile(self.anchor, (X.shape[0], 1))
+        Z[:, u.indices()] = X
         lattice = list(strict_subsets(u)) + [u]
         out = np.empty(X.shape[0])
-        for rows, comps in _rdd_components(self.problem, self.anchor, X, lattice, u.indices()):
+        for rows, comps in _rdd_components(self.problem, self.anchor, Z, lattice):
             out[rows] = comps[-1]
         return float(out[0]) if squeeze else out
 
@@ -510,14 +513,15 @@ def explicit_component(problem: ProblemSpec, u: VariableSubset, x_u, *, anchor=N
     pt = np.asarray(x_u, dtype=float).reshape(-1)
     if pt.shape != (u.cardinality,):
         raise ValueError(f"x_u must have shape ({u.cardinality},)")
-    coords = u.indices()
     lattice = list(strict_subsets(u)) + [u]
     if anchor is not None:
         c = _check_anchor(problem, anchor)
-        ((_, block),) = _anchored(problem, c, pt[None, :], lattice, coords)
+        z = np.tile(c, (1, 1))
+        z[:, u.indices()] = pt
+        ((_, block),) = _anchored(problem, c, z, lattice)
         terms = [float(y[0]) for _, y in block]
     else:
-        value_at = dict(zip(coords, pt))
+        value_at = dict(zip(u.indices(), pt))
         terms = [
             _conditional_mean(problem, v.indices(), [value_at[j] for j in v.indices()])
             for v in lattice
@@ -755,7 +759,6 @@ def _rdd_components(
     anchor: np.ndarray,
     X: np.ndarray,
     subsets: Iterable[VariableSubset],
-    coords: Sequence[int] | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, comps)`` per row block, row ``k`` of `comps` the
     anchored component of ``subsets[k]`` at those rows.
@@ -763,13 +766,13 @@ def _rdd_components(
     The block's anchored values ``y(x_u, c_{-u})`` are copied into `comps`;
     then pass ``j`` applies ``I - P_j``, ``y_u <- y_u - y_{u - {j}}`` for
     every ``u`` holding ``j``, ``sum_u |u|`` subtractions in all.
-    `subsets` must be closed under taking subsets; `anchor`, `X`, `coords`
-    and the row blocks are as in :func:`_anchored`, and a per-row anchor
+    `subsets` must be closed under taking subsets; `anchor`, `X` and the
+    row blocks are as in :func:`_anchored`, and a per-row anchor
     gives each row its own decomposition.
     """
     subsets = list(subsets)
     passes = _axis_passes(subsets, problem.dim)
-    for rows, block in _anchored(problem, anchor, X, subsets, coords):
+    for rows, block in _anchored(problem, anchor, X, subsets):
         comps = np.empty((len(subsets), len(X[rows])))
         for k, (_, y) in enumerate(block):
             comps[k] = y
@@ -797,29 +800,26 @@ def _anchored(
     anchor: np.ndarray,
     X: np.ndarray,
     subsets: Iterable[VariableSubset],
-    coords: Sequence[int] | None = None,
 ) -> Iterator[tuple[slice, Iterator[tuple[VariableSubset, np.ndarray]]]]:
     """Yield ``(rows, block)`` per row block of `X`; `block` yields
     ``(u, y(x_u, c_{-u}))`` at those rows for each subset ``u``, in order.
 
-    The one anchored kernel.  `anchor` is a checked ``(dim,)`` point or one
-    anchor per row of `X`; column ``k`` of `X` holds coordinate
-    ``coords[k]`` (all coordinates in order by default).  A block has at
-    most ``_ANCHOR_BLOCK_VALUES // dim`` rows (at least one), so the
-    buffers it writes and the target reads stay in cache; the batch as a
-    whole is never copied.  Every block sees the same subsets in the same
-    order, and each row gets the values a single batch would give it.
-    Which columns change between consecutive subsets is worked out once:
-    a block restores only the columns that leave and writes only those
-    that enter.
+    The one anchored kernel.  `X` holds full ``(m, dim)`` points, and
+    `anchor` is a checked ``(dim,)`` point or one anchor per row of `X`.
+    A block has at most ``_ANCHOR_BLOCK_VALUES // dim`` rows (at least
+    one), so the buffers it writes and the target reads stay in cache; the
+    batch as a whole is never copied.  Every block sees the same subsets in
+    the same order, and each row gets the values a single batch would give
+    it.  Which columns change between consecutive subsets is worked out
+    once: a block restores only the columns that leave and writes only
+    those that enter.
     """
     N = problem.dim
-    col = {j: k for k, j in enumerate(range(N) if coords is None else coords)}
-    steps = []  # (u, columns to restore, (column, column of X) to write)
+    steps = []  # (u, columns to restore, columns to write)
     free: set[int] = set()
     for u in subsets:
         own = set(u.indices())
-        steps.append((u, free - own, [(j, col[j]) for j in own - free]))
+        steps.append((u, free - own, own - free))
         free = own
     per_row = anchor.ndim == 2
     step = max(1, _ANCHOR_BLOCK_VALUES // N)
@@ -833,7 +833,7 @@ def _anchored_block(
     problem: ProblemSpec,
     anchor: np.ndarray,
     X: np.ndarray,
-    steps: list[tuple[VariableSubset, set[int], list[tuple[int, int]]]],
+    steps: list[tuple[VariableSubset, set[int], set[int]]],
 ) -> Iterator[tuple[VariableSubset, np.ndarray]]:
     """One row block of :func:`_anchored`.
 
@@ -849,8 +849,8 @@ def _anchored_block(
     for u, leave, enter in steps:
         for j in leave:
             Z[:, j] = C[..., j]
-        for j, k in enter:
-            Z[:, j] = X[:, k]
+        for j in enter:
+            Z[:, j] = X[:, j]
         y = problem.evaluate(Z)
         if np.may_share_memory(y, Z):
             y = y.copy()  # the target returned a view of its input
@@ -929,7 +929,8 @@ def _conditional_mean(
     coords: tuple[int, ...],
     values: Iterable[float],
 ) -> float:
-    """Quadrature of y over the coordinates not in `coords`, others fixed."""
+    """Quadrature of y over the coordinates not in `coords`, others fixed,
+    on a grid of its own (not the table's) integrated by :func:`_expectation`."""
     N = problem.dim
     rest = [j for j in range(N) if j not in set(coords)]
     orders = problem.orders
@@ -942,15 +943,11 @@ def _conditional_mean(
     pts = np.empty((total, N), order="F")
     for j, val in zip(coords, values):
         pts[:, j] = val
-    wprod = np.ones(total)
-    if rest:
-        shape = [orders[j] for j in rest]
-        flat = np.arange(total)
-        multi = np.unravel_index(flat, shape)
-        for k, j in enumerate(rest):
-            pts[:, j] = problem.rules[j].nodes[multi[k]]
-            wprod *= problem.rules[j].weights[multi[k]]
-    return float(np.dot(problem.evaluate(pts), wprod))
+    shape = [orders[j] for j in rest]
+    for j, i in zip(rest, np.indices(shape).reshape(len(rest), total)):
+        pts[:, j] = problem.rules[j].nodes[i]
+    vals = problem.evaluate(pts).reshape(shape)
+    return _expectation(vals, [problem.rules[j].weights for j in rest])
 
 
 def _pair_inner(

@@ -144,13 +144,12 @@ def rdd_expected_error(order: int, v: VarianceLike) -> ErrorBudget:
         per[s] = (sums.get(s, 0.0), 1 + coeff_b(order, s))
     e_add = fsum(vs for vs, _ in per.values())
     e_rdd = fsum(vs * coeff for vs, coeff in per.values())
-    lo, hi = error_bounds(order, dim)
     return ErrorBudget(
         order=order,
         e_add=e_add,
         e_rdd_expected=e_rdd,
-        lower=lo * e_add,
-        upper=hi * e_add,
+        lower=per[order + 1][1] * e_add,  # the pinch of error_bounds
+        upper=per[dim][1] * e_add,
         per_cardinality=per,
     )
 

@@ -241,14 +241,16 @@ def check_optimality_split(
     sample the rdd value is the add value plus the excess one.  Each add
     gate is bit-for-bit :func:`mc_add_error` at its order with the same `n`
     and `seed`.  The budgets supply only the targets, so no grid is needed;
-    they must be a nonempty sequence of :class:`ErrorBudget` of orders in
-    ``[0, dim - 1]`` and of the problem's dimension, checked with `n` and
-    `seed` before any draw.  A point costs ``1 + 2 * count_up_to(N,
-    S_max)`` target evaluations.
+    they must be a nonempty sequence of :class:`ErrorBudget` of distinct
+    orders in ``[0, dim - 1]`` and of the problem's dimension, checked
+    with `n` and `seed` before any draw.  A point costs ``1 + 2 *
+    count_up_to(N, S_max)`` target evaluations.
     """
     if not isinstance(budgets, Sequence) or not all(isinstance(b, ErrorBudget) for b in budgets):
         raise ValueError(f"budgets must be a sequence of ErrorBudget, got {budgets!r}")
     orders = _check_orders([b.order for b in budgets], problem.dim - 1)
+    if len(set(orders)) < len(orders):
+        raise ValueError(f"budget orders must be distinct, got {list(orders)}")
     for b in budgets:
         if max(b.per_cardinality, default=0) != problem.dim:
             raise ValueError(f"budget of order {b.order} is not of dimension {problem.dim}")

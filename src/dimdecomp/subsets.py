@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from numbers import Integral
 from typing import Iterable, Iterator
+
+from dimdecomp.measures import _check_integer
 
 DEFAULT_SUBSET_CAP = 24
 
@@ -129,9 +130,7 @@ def _check_orders(orders: Iterable[int], dim: int) -> tuple[int, ...]:
     if not orders:
         raise ValueError("need at least one truncation order")
     for s in orders:
-        if isinstance(s, bool) or not isinstance(s, Integral):
-            raise ValueError(f"truncation order must be an integer, got {s!r}")
-        if not 0 <= s <= dim:
+        if not 0 <= _check_integer(s, "truncation order") <= dim:
             raise ValueError(f"truncation order {s} outside [0, {dim}]")
     return tuple(int(s) for s in orders)
 

@@ -59,7 +59,7 @@ class VarianceMap:
         output scale — i.e. the function is numerically constant.  An exactly
         constant input still leaves ~1e-32 of noise in the squared
         components, so comparing against literal zero is useless."""
-        return self.total <= 1e-14 * max(1.0, abs(self.y_empty)) ** 2
+        return self.total <= _variance_floor(self.y_empty)
 
     def cardinality_sums(self) -> dict[int, float]:
         """Total variance per cardinality: ``s -> sum_{|u|=s} sigma2_u``."""
@@ -119,11 +119,16 @@ def variance_closure_residual(table: ComponentTable, vmap: VarianceMap) -> float
     weights = [r.weights for r in table.problem.rules]
     slabs = [_expectation((y - table.y_empty) ** 2, weights[1:]) for y in table._full_values]
     direct = float(np.dot(weights[0], slabs))
-    # floor the denominator at the roundoff scale of the quadratures so a
-    # (near-)constant function compares noise against noise instead of
-    # dividing by it
-    denom = max(direct, vmap.total, table.scale**2 * 1e-14)
+    # floored so a (near-)constant function compares noise against noise
+    # instead of dividing by it
+    denom = max(direct, vmap.total, _variance_floor(table.y_empty))
     return abs(vmap.total - direct) / denom
+
+
+def _variance_floor(mean: float) -> float:
+    """Roundoff scale of a variance quadrature for a target of this mean:
+    a variance at or below it is noise, and it floors relative residuals."""
+    return 1e-14 * max(1.0, abs(mean)) ** 2
 
 
 def sobol_indices(vmap: VarianceMap) -> dict[int, float]:

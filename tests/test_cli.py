@@ -15,6 +15,7 @@ from dimdecomp.cli import _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import check_optimality_split
 from test_api import FLAGS
+from test_variance import closure_broken_table
 
 
 def write_config(tmp_path: Path, data: dict) -> str:
@@ -34,6 +35,15 @@ BASE = {
     "marginals": {"kind": "uniform", "lo": -1.0, "hi": 1.0},
     "quad_order": 10,
 }
+
+
+@pytest.fixture(autouse=True)
+def unique_check_names(tmp_path):
+    """Every verify_report.json a test writes names each check once."""
+    yield
+    for path in tmp_path.rglob("verify_report.json"):
+        names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+        assert len(names) == len(set(names)), f"{path}: {names}"
 
 
 class TestDecompose:
@@ -132,6 +142,23 @@ class TestErrors:
         )
         assert main(["errors", "--config", cfg]) == 1
         assert "truncation_orders must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, flags",
+        [([1, 1, 0], []), (None, ["--truncation-orders", "1", "1", "0"])],
+        ids=["file", "flag"],
+    )
+    def test_repeated_order_is_a_config_error(self, tmp_path, capsys, key, flags):
+        # a repeated order once wrote its errors.csv row and report records twice
+        data = {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000}}
+        if key is not None:
+            data["truncation_orders"] = key
+        cfg = write_config(tmp_path, data)
+        for command in ("errors", "verify"):
+            assert main([command, "--config", cfg, *flags]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: truncation_orders lists order 1 more than once\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -340,6 +367,33 @@ class TestVerify:
             err = capsys.readouterr().err
             assert err.startswith("error: variance closure violated")
             assert err.count("\n") == 1
+
+
+class TestClosureSelfCheck:
+    @pytest.fixture
+    def cfg(self, tmp_path, monkeypatch):
+        # every subcommand's ADD table fails variance closure by 2.142e-2
+        monkeypatch.setattr(cli, "build_add", closure_broken_table)
+        return write_config(
+            tmp_path,
+            {**BASE, "quad_order": 4, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000}},
+        )
+
+    @pytest.mark.parametrize("command", ["decompose", "errors"])
+    def test_stops_with_one_line(self, cfg, tmp_path, capsys, command):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: variance closure violated")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_reports_the_failed_record(self, cfg, tmp_path):
+        assert main(["verify", "--config", cfg]) == 2
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        (closure,) = [c for c in report["checks"] if c["name"] == "variance_closure"]
+        assert not closure["passed"]
+        assert closure["residual"] == pytest.approx(2.142e-2, rel=1e-3)
+        assert report["passed"] is False
 
 
 class TestFigure1:
@@ -592,6 +646,16 @@ class TestConfigHandling:
         monkeypatch.chdir(tmp_path)
         assert main(["errors"]) == 0
         assert (tmp_path / "out" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_main_runs_the_command_patched_on_the_module(tmp_path, monkeypatch, command):
+    # the benchmark traces each subcommand by patching cli.cmd_<name>, so
+    # main must look the function up when it runs, not at import
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg: calls.append(cfg) or 7)
+    assert main([command, "--out", str(tmp_path / "out")]) == 7
+    assert [cfg.out_dir for cfg in calls] == [tmp_path / "out"]
 
 
 def test_module_entry_point_version():

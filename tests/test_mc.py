@@ -370,6 +370,7 @@ class TestOptimalitySplit:
             (one, "sequence of ErrorBudget"), ((1,), "sequence of ErrorBudget"),
             (iter([one]), "sequence of ErrorBudget"), ([one, None], "sequence of ErrorBudget"),
             (budgets_of(4, (1,)), "dimension 3"), ([one, *budgets_of(2, (0,))], "dimension 3"),
+            ([one, at(0), one], r"distinct, got \[1, 0, 1\]"),
         ):
             with pytest.raises(ValueError, match=msg):
                 check_optimality_split(plin3, bad, MIN_PAIRS, 0)

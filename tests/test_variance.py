@@ -18,6 +18,7 @@ from dimdecomp import (
     variance_components,
 )
 from dimdecomp.decomp import _expectation
+from dimdecomp.variance import CLOSURE_RTOL
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
 
@@ -109,6 +110,28 @@ class TestClosure:
             total=plin3_vmap.total + 0.5,
         )
         assert variance_closure_residual(plin3_table, wrong) > 1e-3
+
+
+def closure_broken_table(problem):
+    """The ADD table of `problem` with one entry of ``y_{12}`` raised by
+    0.5 through the writable grid view: the split no longer matches direct
+    quadrature (relative residual 2.142e-2 on product_linear, N = 3, q = 4)."""
+    table = build_add(problem)
+    table.grid_values(VariableSubset(0b011, problem.dim))[0, 0] += 0.5
+    return table
+
+
+class TestClosureSelfCheck:
+    def test_raises_naming_the_residual(self):
+        table = closure_broken_table(product_linear_problem(3, 4))
+        with pytest.raises(ArithmeticError, match=r"relative residual 2\.142e-02"):
+            variance_components(table)
+
+    def test_unchecked_map_is_returned_with_its_residual(self):
+        table = closure_broken_table(product_linear_problem(3, 4))
+        vmap = variance_components(table, check_closure=False)
+        assert vmap.dim == 3
+        assert variance_closure_residual(table, vmap) > CLOSURE_RTOL
 
 
 class TestSubsetSumIdentity:
