@@ -223,7 +223,12 @@ def parse_config(data: dict) -> RunConfig:
         if "rates" in fig:
             if not isinstance(fig["rates"], list):
                 raise ConfigError(f"figure1.rates must be a list, got {fig['rates']!r}")
-            given["rates"] = tuple(_check_real(r, "figure1.rates") for r in fig["rates"])
+            rates = given["rates"] = tuple(_check_real(r, "figure1.rates") for r in fig["rates"])
+            if not rates:
+                raise ConfigError("figure1.rates must list at least one rate")
+            for r in rates:
+                if rates.count(r) > 1:
+                    raise ConfigError(f"figure1.rates lists rate {_fmt(r)} more than once")
         f1 = Figure1Config(**given)
         if f1.n_min < 3:
             raise ConfigError("figure1.n_min must be at least 3 (no threshold exists below)")

@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb, fsum
-from operator import mul
 from typing import Iterator, Mapping, Protocol, runtime_checkable
 
+from dimdecomp.measures import _check_integer, _check_real
 from dimdecomp.subsets import _check_orders
 
 
@@ -50,7 +50,7 @@ class CardinalitySums:
     sums: Mapping[int, float]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
+        if _check_integer(self.dim, "dimension") < 1:
             raise ValueError("dimension must be at least 1")
         clean = {}
         for s, v in self.sums.items():
@@ -174,10 +174,12 @@ class DecayModel:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
+        if _check_integer(self.dim, "dimension") < 1:
             raise ValueError("dimension must be at least 1")
-        if not self.rate > 1.0:
+        if not _check_real(self.rate, "decay rate") > 1.0:
             raise ValueError("decay rate must exceed 1")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "rate", float(self.rate))
 
     @property
     def total_variance(self) -> float:
@@ -197,11 +199,13 @@ class DecayPoint:
     e_rdd_normalized: float
 
 
-def _decay_term(coeff: int, dim: int, s: int, rate: float) -> float:
-    """``coeff * C(dim, s) * rate**-s`` without overflow."""
-    big = coeff * comb(dim, s)
+def _decay_term(coeff: int, dim: int, s: int, rate: float, binom=None, power=None) -> float:
+    """``coeff * C(dim, s) * rate**-s`` without overflow.  A sweep passes
+    ``binom = C(dim, s)`` and ``power = rate**s`` from rows it builds once;
+    left ``None``, each is computed here (so an overflowing power raises)."""
+    big = coeff * (comb(dim, s) if binom is None else binom)
     try:
-        return float(big) / rate**s
+        return float(big) / (rate**s if power is None else power)
     except OverflowError:
         return math.exp(math.log(big) - s * math.log(rate))
 
@@ -210,25 +214,24 @@ def _amplification_rows(dim: int) -> Iterator[list[int]]:
     """Yield ``[1 + b_S(s) for s = S+1 .. dim]`` for ``S = 0 .. dim - 1``,
     as exact integers.
 
-    With ``m = s - S >= 1`` no binomial of :func:`coeff_b` needs a reflected
-    argument, so one Pascal triangle ``P`` (rows ``0 .. dim``) and the
-    squares ``Q[m][k] = C(m + k - 1, k)**2 = P[m + k - 1][k]**2`` make every
-    entry one integer dot product,
-    ``b_S(s) = sum_{k<=S} Q[s - S][k] * P[s][S - k]``.  Order ``S`` reads
-    ``Q[m][:S + 1]`` for ``m <= dim - S`` only, so ``Q`` gains column ``S``
-    as order ``S`` starts and drops the rows no later order reads: at most
-    about ``dim**2 / 4`` squares are held at once, not ``dim**2 / 2``.
+    Row 0 is all 2s; row ``S + 1`` starts at ``2**(S+2)`` and follows from
+    row ``S`` by a three-term recurrence in ``B = 1 + b`` (proved by a
+    creative-telescoping certificate in the README): for ``m = s - S >= 1``,
+    ``m B_{S+1}(s+2) = (s+S+2) B_{S+1}(s+1) - 2(s+1) B_S(s) + 2m B_S(s+1)``.
+    Four products and one exact division per entry, two rows alive at once;
+    a nonzero remainder raises ``ArithmeticError``.
     """
-    P = [[1]]
-    for _ in range(dim):
-        row = P[-1]
-        P.append([1, *map(sum, zip(row, row[1:])), 1])
-    Q = [[] for _ in range(dim + 1)]
-    for S in range(dim):
-        del Q[dim - S + 1 :]
-        for m in range(1, dim - S + 1):
-            Q[m].append(P[m + S - 1][S] ** 2)
-        yield [1 + sum(map(mul, Q[s - S], P[s][S::-1])) for s in range(S + 1, dim + 1)]
+    row = [2] * dim
+    yield row
+    for S in range(dim - 1):
+        nxt = [2 ** (S + 2)]
+        for m in range(1, dim - 1 - S):  # B_{S+1}(s+2) at s = S + m
+            t = (2 * S + m + 2) * nxt[-1] - 2 * (S + m + 1) * row[m - 1] + 2 * m * row[m]
+            q, r = divmod(t, m)
+            if r:  # pragma: no cover - the recurrence is an identity
+                raise ArithmeticError(f"recurrence inexact at S={S + 1}, s={S + m + 2}")
+            nxt.append(q)
+        yield (row := nxt)
 
 
 def decay_curves(model: DecayModel) -> list[DecayPoint]:
@@ -238,18 +241,27 @@ def decay_curves(model: DecayModel) -> list[DecayPoint]:
     strictly decreasing.  The anchored budget multiplies each shed term by
     its amplification factor and can *rise* with S when the decay is slow —
     the crossover this table is built to expose.  The factors come from one
-    exact table per call (:func:`_amplification_rows`) and the unamplified
-    terms are computed once, so every float equals the one a term-by-term
-    :func:`coeff_b` sweep gives.
+    exact table per call (:func:`_amplification_rows`, O(N²) integer
+    steps); ``C(N, s)`` and ``rate**s`` are built once per ``s`` and the
+    unamplified terms once per sweep, so every float equals the one a
+    term-by-term :func:`coeff_b` sweep gives.
     """
     N, rate = model.dim, model.rate
-    shed = [_decay_term(1, N, s, rate) for s in range(N + 1)]
+    binoms = [comb(N, s) for s in range(N + 1)]
+    powers = []
+    for s in range(N + 1):  # None where rate**s overflows: _decay_term takes logs
+        try:
+            powers.append(rate**s)
+        except OverflowError:
+            powers.append(None)
+    shed = [_decay_term(1, N, s, rate, binoms[s], powers[s]) for s in range(N + 1)]
     out = []
     total = model.total_variance
     for order, coeffs in enumerate(_amplification_rows(N)):
         e_add = fsum(shed[order + 1 :])
         e_rdd = fsum(
-            _decay_term(c, N, s, rate) for s, c in enumerate(coeffs, order + 1)
+            _decay_term(c, N, s, rate, binoms[s], powers[s])
+            for s, c in enumerate(coeffs, order + 1)
         )
         out.append(
             DecayPoint(

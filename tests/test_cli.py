@@ -421,6 +421,25 @@ class TestFigure1:
         fast = [float(r["e_rdd_normalized"]) for r in right if r["rate"] == "50"]
         assert all(a > b for a, b in zip(fast, fast[1:]))
 
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            # [] printed "rates " and wrote a header-only figure1_right.csv
+            ([], "figure1.rates must list at least one rate"),
+            # [5, 5] wrote every sweep twice
+            ([5, 5], "figure1.rates lists rate 5 more than once"),
+            ([5, 50, 5.0], "figure1.rates lists rate 5 more than once"),
+        ],
+    )
+    def test_rates_empty_or_repeated_are_a_config_error(self, tmp_path, capsys, rates, message):
+        cfg = write_config(
+            tmp_path,
+            {"out": str(tmp_path / "out"), "figure1": {"right_dim": 20, "rates": rates}},
+        )
+        assert main(["figure1", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestContrived:
     def test_pinned_report(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -90,6 +91,74 @@ class TestCoefficient:
         assert coeff_b(order, s + 1) >= coeff_b(order, s) >= 1
 
 
+def binom0(n: int, k: int) -> int:
+    # C(n, k), zero below k = 0
+    return comb(n, k) if k >= 0 else 0
+
+
+class TestRecurrenceCertificate:
+    """The telescoping certificate behind ``_amplification_rows``.
+
+    With ``F_{s,S}(k) = C(s, k) C(s-k-1, S-k)**2`` (``coeff_b``'s sum with
+    ``k <-> S - k``), the recurrence's summand ``t_k`` equals
+    ``G_{k+1} - G_k`` for ``0 <= k <= S + 1``, and ``G_0 = G_{S+2} = 0``.
+    """
+
+    @staticmethod
+    def F(s, S, k):
+        return comb(s, k) * binom0(s - k - 1, S - k) ** 2
+
+    @staticmethod
+    def P(s, S, k):
+        return k * k - 2 * S * k - 2 * k + 2 * S * s + 4 * S - s * s - 2 * s + 1
+
+    def t(self, s, S, k):
+        F = self.F
+        return (
+            2 * (s + 1) * F(s, S, k)
+            + 2 * (S - s) * F(s + 1, S, k)
+            - (s + S + 2) * F(s + 1, S + 1, k)
+            + (s - S) * F(s + 2, S + 1, k)
+        )
+
+    def G(self, s, S, k):
+        # R(k) F(k) with the double pole of R at k = S + 1 cancelled
+        num = -self.P(s, S, k) * binom0(s + 1, k - 1) * binom0(s - k, S + 1 - k) ** 2
+        return Fraction(num, s - S)
+
+    def R(self, s, S, k):
+        num = -k * (s + 1) * (s - k) ** 2 * self.P(s, S, k)
+        return Fraction(num, (s - S) * (S + 1 - k) ** 2 * (s + 1 - k) * (s + 2 - k))
+
+    def check(self, s, S, k):
+        assert self.t(s, S, k) == self.G(s, S, k + 1) - self.G(s, S, k)
+        if k <= S:  # where R has no pole, G is the certificate R F
+            assert self.G(s, S, k) == self.R(s, S, k) * self.F(s, S, k)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 2000), st.data())
+    def test_summand_telescopes(self, s, data):
+        S = data.draw(st.integers(0, s - 1))
+        # a random term, and the two terms next to the pole at k = S + 1
+        for k in {data.draw(st.integers(0, S + 1)), S, S + 1}:
+            self.check(s, S, k)
+        assert self.G(s, S, 0) == self.G(s, S, S + 2) == 0
+
+    def test_summand_telescopes_at_every_small_term(self):
+        for s in range(1, 25):
+            for S in range(s):
+                for k in range(S + 2):
+                    self.check(s, S, k)
+                assert self.G(s, S, 0) == self.G(s, S, S + 2) == 0
+
+    def test_summands_sum_to_coeff_b(self):
+        # so sum_k t_k is the recurrence moved to one side, and the
+        # telescoping above makes it 0
+        for s in range(1, 30):
+            for S in range(s):
+                assert sum(self.F(s, S, k) for k in range(S + 2)) == coeff_b(S, s)
+
+
 class TestCardinalitySums:
     def test_round_trip_and_total(self):
         cs = CardinalitySums(5, {1: 0.5, 3: 0.25})
@@ -105,6 +174,22 @@ class TestCardinalitySums:
             CardinalitySums(3, {1: -1.0})
         with pytest.raises(ValueError):
             CardinalitySums(0, {})
+
+    @pytest.mark.parametrize(
+        "dim, message",
+        [
+            # 2.5 once gave a budget over cardinalities {1, 2} without a word
+            (2.5, "dimension must be an integer, got 2.5"),
+            # and True was read as dimension 1
+            (True, "dimension must be an integer, got True"),
+            ("3", "dimension must be an integer, got '3'"),
+            (0, "dimension must be at least 1"),
+        ],
+    )
+    def test_dimension_is_a_positive_integer(self, dim, message):
+        with pytest.raises(ValueError) as info:
+            CardinalitySums(dim, {1: 1.0})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_sums(self, bad):
@@ -212,6 +297,32 @@ class TestDecayModel:
         with pytest.raises(ValueError):
             DecayModel(dim=0, rate=2.0)
 
+    @pytest.mark.parametrize(
+        "dim, rate, message",
+        [
+            # an infinite rate ended in a ZeroDivisionError inside decay_curves
+            (20, math.inf, "decay rate must be finite, got inf"),
+            (20, math.nan, "decay rate must be finite, got nan"),
+            # a float dimension raised a TypeError from range, a string
+            # rate one from >
+            (2.5, 5.0, "dimension must be an integer, got 2.5"),
+            (True, 5.0, "dimension must be an integer, got True"),
+            (20, "5", "decay rate must be a number, got '5'"),
+            (20, True, "decay rate must be a number, got True"),
+            (0, 5.0, "dimension must be at least 1"),
+            (20, 1.0, "decay rate must exceed 1"),
+        ],
+    )
+    def test_construction_names_the_bad_parameter(self, dim, rate, message):
+        with pytest.raises(ValueError) as info:
+            DecayModel(dim=dim, rate=rate)
+        assert str(info.value) == message
+
+    def test_numpy_parameters_are_stored_as_python_numbers(self):
+        m = DecayModel(dim=np.int64(4), rate=np.float32(3.0))
+        assert (type(m.dim), type(m.rate)) == (int, float)
+        assert decay_curves(m) == decay_curves(DecayModel(dim=4, rate=3.0))
+
     def test_slow_decay_inverts_and_fast_decay_does_not(self):
         # N=20: p=5 sits below the threshold rate (~21.52), p=50 above it
         slow = decay_curves(DecayModel(dim=20, rate=5.0))
@@ -243,7 +354,7 @@ class TestDecayModel:
         got = _decay_term(10**400, 350, 350, 10.0)
         assert got == pytest.approx(1e50, rel=1e-9)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 120])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 17, 120, 200])
     def test_amplification_table_is_one_plus_coeff_b(self, dim):
         table = list(_amplification_rows(dim))
         assert len(table) == dim
@@ -266,6 +377,22 @@ class TestDecayModel:
                 )
                 assert (pt.e_add, pt.e_rdd) == (e_add, e_rdd)
                 assert pt.e_rdd_normalized == e_rdd / model.total_variance
+
+    def test_large_sweep_equals_term_by_term_coefficients(self):
+        # at N = 400, float for float; at rate 50, rate**s overflows a float
+        # from s = 182 on, so every order's sum takes terms through the
+        # log-domain fallback (no (1 + b_S(s)) C(N, s) overflows at N = 400)
+        dim = 400
+        with pytest.raises(OverflowError):
+            50.0**dim
+        sweeps = {rate: decay_curves(DecayModel(dim=dim, rate=rate)) for rate in (5.0, 50.0)}
+        for S in (0, 1, 2, 199, 398, 399):
+            missing = range(S + 1, dim + 1)
+            coeffs = [1 + coeff_b(S, s) for s in missing]
+            for rate, pts in sweeps.items():
+                e_add = math.fsum(_decay_term(1, dim, s, rate) for s in missing)
+                e_rdd = math.fsum(_decay_term(c, dim, s, rate) for s, c in zip(missing, coeffs))
+                assert (pts[S].e_add, pts[S].e_rdd) == (e_add, e_rdd)
 
     def test_matches_product_linear_spectrum(self, plin4_vmap):
         # rate 3 reproduces the product-linear variance layout
