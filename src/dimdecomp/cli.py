@@ -65,6 +65,7 @@ from dimdecomp.measures import (
 from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
 from dimdecomp.variance import (
     CLOSURE_RTOL,
+    _checked_closure,
     _variance_floor,
     sobol_D,
     sobol_indices,
@@ -304,7 +305,8 @@ def _print_checks(checks: list[CheckResult]) -> None:
 def cmd_decompose(cfg: RunConfig) -> int:
     problem, dim, q = cfg.problem, cfg.problem.dim, cfg.problem.quad_order
     table = build_add(problem)
-    vmap = variance_components(table)
+    vmap = variance_components(table, check_closure=False)
+    closure = _checked_closure(variance_closure_residual(table, vmap))
     constant = vmap.degenerate
     indices = None if constant else sobol_indices(vmap)
     rows = []
@@ -324,7 +326,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         "quad_order": q if isinstance(q, int) else list(q),
         "mean": table.y_empty,
         "total_variance": vmap.total,
-        "closure_residual": variance_closure_residual(table, vmap),
+        "closure_residual": closure,
         "constant_function": constant,
         "checks": [asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
@@ -456,17 +458,22 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_figure1(cfg: RunConfig) -> int:
     f1 = cfg.figure1
+    right_rows = []
+    for rate in f1.rates:
+        try:
+            points = decay_curves(DecayModel(f1.right_dim, rate))
+        except ValueError as exc:  # before any file is written
+            raise ConfigError(
+                f"figure1.right_dim {f1.right_dim} at rate {_fmt(rate)}: {exc}"
+            ) from None
+        for point in points:
+            right_rows.append(
+                [rate, point.order, point.e_add_normalized, point.e_rdd_normalized]
+            )
     left_rows = []
     for dim in range(f1.n_min, f1.n_max + 1):
         left_rows.append([dim, pmin_for_N(dim)])
     _write_csv(cfg.out_dir / "figure1_left.csv", ["dim", "p_min"], left_rows)
-    right_rows = []
-    for rate in f1.rates:
-        model = DecayModel(f1.right_dim, rate)
-        for point in decay_curves(model):
-            right_rows.append(
-                [rate, point.order, point.e_add_normalized, point.e_rdd_normalized]
-            )
     _write_csv(
         cfg.out_dir / "figure1_right.csv",
         ["rate", "order", "e_add_normalized", "e_rdd_normalized"],

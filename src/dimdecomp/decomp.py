@@ -73,14 +73,19 @@ _EVAL_CHUNK = 65_536
 # row differently for another row count, so changing the budget moves values
 # at roundoff level (see ComponentTable._row_blocks)
 _BLOCK_VALUES = 1 << 22
-# values per row block of the anchored kernel: the block's evaluation
-# buffer of (rows, dim) float64 is 512 KiB, and its copies of the points and
-# per-row anchors are no larger, so the columns the target reads and the
-# kernel rewrites stay in cache.  On a 2-core machine (one BLAS thread) a
-# pass of the rdd_mc benchmark took 0.41-0.58, 0.32-0.40, 0.33-0.41 and
-# 0.42-0.46 s at 2**15, 2**16, 2**17 and 2**18 values (0.69 s with whole
-# batches); smaller blocks pay more per-call overhead, larger ones spill
+# rows per block of the anchored kernel (see _anchor_block_rows).  The value
+# budget holds a block's (rows, dim) float64 evaluation buffer to 512 KiB,
+# so the columns the kernel rewrites and the target reads stay near cache;
+# the row floor holds while it costs at most _ANCHOR_FLOOR_COST times the
+# budget (dim <= 39), because the target's cost per value steps down between
+# 4 096 and 4 200 rows (product_linear and sobol_g).  bench/anchor_blocks.py
+# swept fixed block sizes (BENCH_30.json; 2 cores, one BLAS thread): 5 000
+# rows ran 29-63% faster than the budget's 3 276 at N = 20 and 20-28% faster
+# than its 2 048 at N = 32; at N = 50 and 100 no size from 655 to 16 384
+# rows stood out of the spread of repeats, so the budget keeps them small
 _ANCHOR_BLOCK_VALUES = 1 << 16
+_ANCHOR_BLOCK_ROWS = 5_000
+_ANCHOR_FLOOR_COST = 3
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -441,9 +446,9 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
     ``sum_{k=0..S} (-1)**k C(N-S+k-1, k) sum_{|u|=S-k} y(x_u, c_-u)``.
 
     The ``sum_{k<=S} C(N, k)`` anchored evaluations per point run through
-    :func:`_anchored` in row blocks of at most ``_ANCHOR_BLOCK_VALUES //
-    N`` rows; each row gets the value a single batch would give it, so the
-    block size never changes a result.  This is the single-order case of
+    :func:`_anchored` in the row blocks of :func:`_anchor_block_rows`; each
+    row gets the value a single batch would give it, so the block size
+    never changes a result.  This is the single-order case of
     :func:`rdd_direct_sums`.
 
     Parameters
@@ -490,11 +495,20 @@ def rdd_direct_sums(
         for s in range(top + 1)
     ]
     subsets = chain.from_iterable(subsets_of_cardinality(N, s) for s in range(top, -1, -1))
+    # one block-sized array holds each product w * y; a weight of ±1 adds
+    # or subtracts y itself, which IEEE arithmetic rounds the same way
+    scratch = np.empty(_anchor_block_rows(X.shape[0], N))
     for rows, block in _anchored(problem, C, X, subsets):
         accs = [[(sums[S][rows], w) for S, w in t] for t in terms]
+        wy = scratch[: rows.stop - rows.start]
         for u, y in block:
             for acc, w in accs[u.cardinality]:
-                acc += w * y
+                if w == 1:
+                    acc += y
+                elif w == -1:
+                    acc -= y
+                else:
+                    acc += np.multiply(w, y, out=wy)
     return [float(sums[S][0]) if squeeze else sums[S] for S in orders]
 
 
@@ -806,13 +820,13 @@ def _anchored(
 
     The one anchored kernel.  `X` holds full ``(m, dim)`` points, and
     `anchor` is a checked ``(dim,)`` point or one anchor per row of `X`.
-    A block has at most ``_ANCHOR_BLOCK_VALUES // dim`` rows (at least
-    one), so the buffers it writes and the target reads stay in cache; the
-    batch as a whole is never copied.  Every block sees the same subsets in
-    the same order, and each row gets the values a single batch would give
-    it.  Which columns change between consecutive subsets is worked out
-    once: a block restores only the columns that leave and writes only
-    those that enter.
+    Blocks have the rows :func:`_anchor_block_rows` gives, so the buffers
+    they write and the target reads stay near cache while each target call
+    sees enough rows; the batch as a whole is never copied.  Every block
+    sees the same subsets in the same order, and each row gets the values
+    a single batch would give it.  Which columns change between
+    consecutive subsets is worked out once: a block restores only the
+    columns that leave and writes only those that enter.
     """
     N = problem.dim
     steps = []  # (u, columns to restore, columns to write)
@@ -822,11 +836,29 @@ def _anchored(
         steps.append((u, free - own, own - free))
         free = own
     per_row = anchor.ndim == 2
-    step = max(1, _ANCHOR_BLOCK_VALUES // N)
-    for start in range(0, X.shape[0], step):
-        rows = slice(start, start + step)
+    m = X.shape[0]
+    step = _anchor_block_rows(m, N)
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
         block_anchor = anchor[rows] if per_row else anchor
         yield rows, _anchored_block(problem, block_anchor, X[rows], steps)
+
+
+def _anchor_block_rows(m: int, dim: int) -> int:
+    """Rows per block of :func:`_anchored` for a batch of `m` rows.
+
+    The cap is ``_ANCHOR_BLOCK_VALUES // dim`` rows, raised to
+    ``_ANCHOR_BLOCK_ROWS`` wherever that costs at most
+    ``_ANCHOR_FLOOR_COST`` times the value budget (``dim <= 39``), and at
+    least one.  The batch splits into ``ceil(m / cap)`` blocks of
+    ``ceil(m / blocks)`` rows, so no call gets a short ragged tail: only
+    the last block is shorter, by fewer rows than there are blocks.
+    """
+    cap = _ANCHOR_BLOCK_VALUES // dim
+    if _ANCHOR_BLOCK_ROWS * dim <= _ANCHOR_FLOOR_COST * _ANCHOR_BLOCK_VALUES:
+        cap = max(cap, _ANCHOR_BLOCK_ROWS)
+    blocks = max(1, -(-m // max(cap, 1)))
+    return max(1, -(-m // blocks))
 
 
 def _anchored_block(
@@ -837,20 +869,23 @@ def _anchored_block(
 ) -> Iterator[tuple[VariableSubset, np.ndarray]]:
     """One row block of :func:`_anchored`.
 
-    The block's points and per-row anchors are copied to Fortran order
-    once, so each column written is a contiguous copy.  One Fortran-ordered
-    ``(rows, dim)`` buffer starts at the anchor and is rewritten column by
-    column as `steps` say; the target sees a read-only view of it.
+    Each column written is a contiguous copy: the block's points and
+    per-row anchors are read in place when their columns are contiguous
+    already (a block of a column-major batch, such as sampled points), and
+    copied to Fortran order once otherwise.  One Fortran-ordered ``(rows,
+    dim)`` buffer starts at the anchor and is rewritten column by column as
+    `steps` say, through column views taken once per block; the target
+    sees a read-only view of it.
     """
-    X = np.asfortranarray(X)
-    C = np.asfortranarray(anchor)
+    X, C = (A if A.strides[0] == A.itemsize else np.asfortranarray(A) for A in (X, anchor))
     Z = np.empty((X.shape[0], problem.dim), order="F")
     Z[:] = C
+    z, x, c = ([A[..., j] for j in range(problem.dim)] for A in (Z, X, C))
     for u, leave, enter in steps:
         for j in leave:
-            Z[:, j] = C[..., j]
+            np.copyto(z[j], c[j])
         for j in enter:
-            Z[:, j] = X[:, j]
+            np.copyto(z[j], x[j])
         y = problem.evaluate(Z)
         if np.may_share_memory(y, Z):
             y = y.copy()  # the target returned a view of its input

@@ -189,7 +189,9 @@ class DecayModel:
 
 @dataclass(frozen=True)
 class DecayPoint:
-    """One truncation order of a decay-model error sweep."""
+    """One truncation order of a decay-model error sweep; `e_rdd` is
+    ``inf`` where the anchored budget passes the float range while its
+    normalized share does not (see :func:`decay_curves`)."""
 
     order: int
     e_add: float
@@ -245,6 +247,12 @@ def decay_curves(model: DecayModel) -> list[DecayPoint]:
     steps); ``C(N, s)`` and ``rate**s`` are built once per ``s`` and the
     unamplified terms once per sweep, so every float equals the one a
     term-by-term :func:`coeff_b` sweep gives.
+
+    Where an anchored budget passes the float range (slow decay at large
+    N, say N = 500 at rate 1.5), its ``e_rdd`` is ``inf`` and its share of
+    the total variance is summed from log-domain terms (relative error
+    about ``|log term| * 2**-52``); a sweep whose shares or total variance
+    pass the float range too raises ``ValueError``.
     """
     N, rate = model.dim, model.rate
     binoms = [comb(N, s) for s in range(N + 1)]
@@ -254,25 +262,37 @@ def decay_curves(model: DecayModel) -> list[DecayPoint]:
             powers.append(rate**s)
         except OverflowError:
             powers.append(None)
-    shed = [_decay_term(1, N, s, rate, binoms[s], powers[s]) for s in range(N + 1)]
     out = []
-    total = model.total_variance
-    for order, coeffs in enumerate(_amplification_rows(N)):
-        e_add = fsum(shed[order + 1 :])
-        e_rdd = fsum(
-            _decay_term(c, N, s, rate, binoms[s], powers[s])
-            for s, c in enumerate(coeffs, order + 1)
-        )
-        out.append(
-            DecayPoint(
-                order=order,
-                e_add=e_add,
-                e_rdd=e_rdd,
-                sigma2_total=total,
-                e_add_normalized=e_add / total,
-                e_rdd_normalized=e_rdd / total,
+    try:
+        shed = [_decay_term(1, N, s, rate, binoms[s], powers[s]) for s in range(N + 1)]
+        total = model.total_variance
+        for order, coeffs in enumerate(_amplification_rows(N)):
+            e_add = fsum(shed[order + 1 :])
+            terms = list(enumerate(coeffs, order + 1))
+            try:
+                e_rdd = fsum(_decay_term(c, N, s, rate, binoms[s], powers[s]) for s, c in terms)
+                e_rdd_normalized = e_rdd / total
+            except OverflowError:
+                e_rdd = math.inf
+                log_total = math.log(total)
+                e_rdd_normalized = fsum(
+                    math.exp(math.log(c * binoms[s]) - s * math.log(rate) - log_total)
+                    for s, c in terms
+                )
+            out.append(
+                DecayPoint(
+                    order=order,
+                    e_add=e_add,
+                    e_rdd=e_rdd,
+                    sigma2_total=total,
+                    e_add_normalized=e_add / total,
+                    e_rdd_normalized=e_rdd_normalized,
+                )
             )
-        )
+    except OverflowError:
+        raise ValueError(
+            f"the decay sweep at dimension {N}, rate {rate!r} passes the float range"
+        ) from None
     return out
 
 

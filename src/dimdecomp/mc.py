@@ -91,7 +91,8 @@ class _Accumulator:
         m = float(np.mean(b))
         delta = m - self.mean
         self.mean += delta * n2 / n
-        self.m2 += float(np.sum((b - m) ** 2)) + delta * delta * n1 * n2 / n
+        dev = b - m
+        self.m2 += float(np.sum(np.square(dev, out=dev))) + delta * delta * n1 * n2 / n
         self.n = n
 
     def result(self, seed: int) -> McEstimate:
@@ -133,18 +134,26 @@ def _sampled(n: int, seed: int, count: int, values) -> list[McEstimate]:
 
 
 def _anchor_averaged(
-    problem: ProblemSpec, orders: tuple[int, ...], n: int, seed: int, k: int, *statistics
+    problem: ProblemSpec,
+    orders: tuple[int, ...],
+    n: int,
+    seed: int,
+    k: int,
+    statistics,
+    per_order: int = 1,
 ) -> list[McEstimate]:
     """The one draw body of the anchor-averaged estimators, run by :func:`_sampled`.
 
     Each chunk draws its points X, evaluates ``y(X)`` once, then draws `k`
     anchor batches in turn, each just before its anchored pass ``r_i =
     rdd_direct_sums(problem, orders, C_i, X)``, so a chunk holds X and one
-    anchor batch.  Per order, each of `statistics` maps ``(y, r_1, ...,
-    r_k)`` to one value array; estimates come order by order, in the order
-    of `statistics`.  A point costs ``1 + k * count_up_to(N, max(orders))``
-    target rows, and each order's estimates are bit-for-bit those of a
-    single-order call with the same seed.
+    anchor batch.  Per order, ``statistics(y, r_1, ..., r_k)`` yields
+    `per_order` value arrays, each taken up before the next is formed, so
+    it may reuse its own arrays in place but never `y` or the ``r_i``;
+    estimates come order by order, in the order yielded.  A point costs
+    ``1 + k * count_up_to(N, max(orders))`` target rows, and each order's
+    estimates are bit-for-bit those of a single-order call with the same
+    seed.
     """
 
     def values(rng, m):
@@ -155,15 +164,38 @@ def _anchor_averaged(
             for _ in range(k)
         ]
         for r in zip(*passes):
-            for statistic in statistics:
-                yield statistic(y, *r)
+            yield from statistics(y, *r)
 
-    return _sampled(n, seed, len(orders) * len(statistics), values)
+    return _sampled(n, seed, len(orders) * per_order, values)
 
 
 def _cross(y, r1, r2):
     """``(y - r1) * (y - r2)``: given X its mean is ``(y - yhat_S)**2``."""
-    return (y - r1) * (y - r2)
+    yield (y - r1) * (y - r2)
+
+
+def _squared_gap(y, r):
+    """``(y - r)**2``, squared in place."""
+    gap = y - r
+    yield np.square(gap, out=gap)
+
+
+def _split(y, r1, r2):
+    """The three statistics of :func:`check_optimality_split` from ``y -
+    r1``, ``y - r2`` and ``r1 - r2``, each formed once: ``(y - r1) * (y -
+    r2)``, then ``((y - r1)**2 + (y - r2)**2) / 2`` and ``(r1 - r2)**2 / 2``
+    in place, the same operations in the same order as the written-out
+    forms."""
+    a, b = y - r1, y - r2
+    yield a * b
+    np.square(a, out=a)
+    a += np.square(b, out=b)
+    a /= 2
+    yield a
+    d = r1 - r2
+    np.square(d, out=d)
+    d /= 2
+    yield d
 
 
 def mc_add_error(
@@ -222,7 +254,7 @@ def mc_expected_rdd_error(
     """
     n_pairs, seed = _check_draws(n_pairs, seed, MIN_PAIRS, "mc_expected_rdd_error", "n_pairs")
     orders = _check_orders((order,), problem.dim - 1)
-    return _anchor_averaged(problem, orders, n_pairs, seed, 1, lambda y, r: (y - r) ** 2)[0]
+    return _anchor_averaged(problem, orders, n_pairs, seed, 1, _squared_gap)[0]
 
 
 def check_optimality_split(
@@ -255,12 +287,7 @@ def check_optimality_split(
         if max(b.per_cardinality, default=0) != problem.dim:
             raise ValueError(f"budget of order {b.order} is not of dimension {problem.dim}")
     n, seed = _check_draws(n, seed, MIN_PAIRS, "check_optimality_split", "n")
-    ests = _anchor_averaged(
-        problem, orders, n, seed, 2,
-        _cross,
-        lambda y, r1, r2: ((y - r1) ** 2 + (y - r2) ** 2) / 2,
-        lambda y, r1, r2: (r1 - r2) ** 2 / 2,
-    )
+    ests = _anchor_averaged(problem, orders, n, seed, 2, _split, 3)
     checks = []
     for b, add, rdd, excess in zip(budgets, ests[::3], ests[1::3], ests[2::3]):
         checks.append(_mc_gate("add", b.order, add, b.e_add))

@@ -104,12 +104,15 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
     total = fsum(sigma2.values())
     vmap = VarianceMap(N, table.y_empty, sigma2, total)
     if check_closure:
-        resid = variance_closure_residual(table, vmap)
-        if not resid <= CLOSURE_RTOL:  # a NaN residual violates it too
-            raise ArithmeticError(
-                f"variance closure violated: relative residual {resid:.3e}"
-            )
+        _checked_closure(variance_closure_residual(table, vmap))
     return vmap
+
+
+def _checked_closure(resid: float) -> float:
+    """`resid`, or ``ArithmeticError`` when it exceeds ``CLOSURE_RTOL``."""
+    if not resid <= CLOSURE_RTOL:  # a NaN residual violates it too
+        raise ArithmeticError(f"variance closure violated: relative residual {resid:.3e}")
+    return resid
 
 
 def variance_closure_residual(table: ComponentTable, vmap: VarianceMap) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dimdecomp import VariableSubset, cli, count_up_to, mc
+from dimdecomp import VariableSubset, cli, count_up_to, mc, variance
 from dimdecomp.cli import _build_parser, load_config, main
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import check_optimality_split
@@ -369,6 +369,23 @@ class TestVerify:
             assert err.count("\n") == 1
 
 
+def test_decompose_computes_the_closure_residual_once(tmp_path, monkeypatch):
+    # variance_components and the report each computed it
+    real, calls = variance.variance_closure_residual, []
+
+    def counted(table, vmap):
+        calls.append(real(table, vmap))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "variance_closure_residual", counted)
+    monkeypatch.setattr(variance, "variance_closure_residual", counted)
+    cfg = write_config(tmp_path, {**BASE, "out": str(tmp_path / "out")})
+    assert main(["decompose", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "properties.json").read_text())
+    assert len(calls) == 1
+    assert report["closure_residual"] == calls[0]
+
+
 class TestClosureSelfCheck:
     @pytest.fixture
     def cfg(self, tmp_path, monkeypatch):
@@ -438,6 +455,32 @@ class TestFigure1:
         )
         assert main(["figure1", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+    def test_sweep_past_the_float_range_writes_finite_shares(self, tmp_path):
+        # right_dim 500 at rate 1.5 exited 2 on "intermediate overflow in
+        # fsum": its anchored budgets reach 1e314, their shares 1e204
+        cfg = write_config(
+            tmp_path,
+            {"out": str(tmp_path / "out"), "figure1": {"n_max": 10, "right_dim": 500, "rates": [1.5]}},
+        )
+        assert main(["figure1", "--config", cfg]) == 0
+        right = read_csv(tmp_path / "out" / "figure1_right.csv")
+        assert [r["order"] for r in right] == [str(S) for S in range(500)]
+        shares = [float(r[k]) for r in right for k in ("e_add_normalized", "e_rdd_normalized")]
+        assert all(math.isfinite(v) for v in shares)
+
+    def test_shares_past_the_float_range_are_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"out": str(tmp_path / "out"), "figure1": {"right_dim": 1000, "rates": [1.5]}},
+        )
+        assert main(["figure1", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: figure1.right_dim 1000 at rate 1.5: "
+            "the decay sweep at dimension 1000, rate 1.5 passes the float range\n"
+        )
         assert not (tmp_path / "out").exists()
 
 

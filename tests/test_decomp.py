@@ -898,6 +898,51 @@ class TestAnchoredKernel:
         rdd_direct(p, order, C[0], X)
         assert [b.shape for b in seen] == want
 
+    @pytest.mark.parametrize(
+        "dim,order,blocks",
+        [
+            (5, 2, {1: [1], 7: [7], 20_000: [10_000] * 2}),
+            (20, 2, {1: [1], 7: [7], 20_000: [5_000] * 4}),
+            (100, 1, {1: [1], 7: [7], 20_000: [646] * 30 + [620]}),
+        ],
+    )
+    def test_block_rows_are_pinned(self, dim, order, blocks):
+        # 2**16 values per block, raised to 5 000 rows where that costs at
+        # most three times the budget (N <= 39); a batch of m rows splits
+        # into ceil(m / cap) blocks of ceil(m / blocks) rows, every subset
+        # of a block in one call: m * count_up_to(N, S) rows in all
+        base = product_linear_problem(dim)
+        rows = []
+
+        def function(x):
+            rows.append(len(x))
+            return base.function(x)
+
+        p = ProblemSpec(function, base.measure, base.quad_order)
+        per_point = count_up_to(dim, order)
+        g = rng(dim)
+        for m, want in blocks.items():
+            X = g.uniform(-1.0, 1.0, (m, dim))
+            C = g.uniform(-1.0, 1.0, (m, dim))
+            rows.clear()
+            rdd_direct(p, order, C, X)
+            assert rows == [r for r in want for _ in range(per_point)]
+            assert sum(rows) == m * per_point
+
+    def test_several_blocks_bitwise_equal_to_refilled_reference(self):
+        # N = 20, 20 000 rows: four blocks against one C-ordered batch; the
+        # blocks of a column-major batch are read in place, others copied
+        dim, order, m = 20, 2, 20_000
+        p = product_linear_problem(dim)
+        g = rng(33)
+        X = g.uniform(-1.0, 1.0, (m, dim))
+        C = g.uniform(-1.0, 1.0, (m, dim))
+        for anchor in (C[0], C):
+            want = reference_rdd_direct(p, order, anchor, X)
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                got = rdd_direct(p, order, layout(anchor), layout(X))
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("block_rows", [7, 1])
     def test_ragged_row_blocks_change_no_value(self, monkeypatch, block_rows):
         # 50 rows fit one block by default; 7-row blocks leave a ragged last

@@ -394,6 +394,29 @@ class TestDecayModel:
                 e_rdd = math.fsum(_decay_term(c, dim, s, rate) for s, c in zip(missing, coeffs))
                 assert (pts[S].e_add, pts[S].e_rdd) == (e_add, e_rdd)
 
+    def test_budget_past_the_float_range_keeps_a_finite_share(self):
+        # N = 500 at rate 1.5 raised "intermediate overflow in fsum": the
+        # budgets of orders 180..281 pass 1.8e308, their shares peak near
+        # 1e204; each share matches exact rational arithmetic
+        model = DecayModel(dim=500, rate=1.5)
+        pts = decay_curves(model)
+        past = [pt.order for pt in pts if pt.e_rdd == math.inf]
+        assert past == list(range(180, 282))
+        assert all(math.isfinite(pt.e_rdd_normalized) for pt in pts)
+        total = (1 + Fraction(2, 3)) ** 500 - 1
+        for S in (179, 180, 230, 281, 282):
+            exact = sum(
+                (1 + coeff_b(S, s)) * comb(500, s) * Fraction(2, 3) ** s
+                for s in range(S + 1, 501)
+            )
+            assert pts[S].e_rdd_normalized == pytest.approx(float(exact / total), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, rate", [(1000, 1.5), (2000, 1.0001)])
+    def test_share_past_the_float_range_raises(self, dim, rate):
+        # (2000, 1.0001) overflowed in the total variance, with an OverflowError
+        with pytest.raises(ValueError, match=f"dimension {dim}, rate {rate!r} passes the float range"):
+            decay_curves(DecayModel(dim=dim, rate=rate))
+
     def test_matches_product_linear_spectrum(self, plin4_vmap):
         # rate 3 reproduces the product-linear variance layout
         pts = decay_curves(DecayModel(dim=4, rate=3.0))
