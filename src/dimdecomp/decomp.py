@@ -11,13 +11,9 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   components are orthogonal, so variances add across subsets.  All
   components live in one array with, per axis, the Gauss nodes plus one
   slot for "integrated out", so the build, the variances and the structure
-  checks are ``N`` axis passes each.  They are evaluated at any point by
-  barycentric interpolation, which reproduces the stored values exactly at
-  the nodes; off them it gives the ADD of the target's Gauss interpolant.
-  Interpolation is bilinear in two Khatri-Rao factors (row-wise Kronecker
-  products of cardinal matrices), one for each half of a component's
-  coordinates, so every component costs one GEMM, and a block of rows
-  builds one cardinal matrix per coordinate for all its components.
+  checks are ``N`` axis passes each.  The table answers on its own grid:
+  under the Gauss grid measure (the nodes with their product weights) its
+  values are the target's exact ADD; it holds no values off the nodes.
 * **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
   ``j`` at an anchor point ``c``.  Components cost only function calls —
   no grids — and every nonempty component vanishes as soon as one of its
@@ -38,9 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from math import comb, prod
-from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,12 +62,6 @@ MAX_TABLE_VALUES = 1 << 24
 # rows per call of the target on the tensor grid; bounds the point buffer
 # and function-temporary arrays of grid evaluation
 _EVAL_CHUNK = 65_536
-# off-grid ADD evaluation takes _BLOCK_VALUES // count rows per block (2**22
-# values, 32 MiB), the per-row count fixed by the table (or the one
-# component asked for), never by the truncation order; a GEMM may round a
-# row differently for another row count, so changing the budget moves values
-# at roundoff level (see ComponentTable._row_blocks)
-_BLOCK_VALUES = 1 << 22
 # rows per block of the anchored kernel (see _anchor_block_rows).  The value
 # budget holds a block's (rows, dim) float64 evaluation buffer to 512 KiB,
 # so the columns the kernel rewrites and the target reads stay near cache;
@@ -179,17 +168,13 @@ class ComponentTable:
     """Components of an ADD decomposition, queried by subset.
 
     Holds component values on tensor subgrids of the Gauss nodes, views of
-    one array (see :func:`build_add`), and evaluates them anywhere by
-    barycentric interpolation (weights computed on first use).  Each row
-    block of such a query builds one cardinal matrix per coordinate,
-    shared by the block's components, and caches nothing else.  The mean
-    ``y_empty`` is the array's all-slot entry.
-
-    Off the nodes, :meth:`component` and :meth:`truncated` give the ADD of
-    the Gauss interpolant of the target, a polynomial of degree below
-    ``q_j`` in each coordinate ``j``.  That is the target's own ADD only
-    where the interpolant is exact; the sampled estimators of
-    :mod:`dimdecomp.mc` therefore never read it.
+    one array (see :func:`build_add`); the mean ``y_empty`` is the array's
+    all-slot entry.  Every query reads the grid alone and calls no target:
+    :meth:`grid_values` gives one component on its subgrid, and
+    :meth:`truncated` the S-variate sum on the full grid.  These are the
+    target's own ADD under the Gauss grid measure, whatever the target;
+    the sampled estimators of :mod:`dimdecomp.mc` need values off the nodes
+    and therefore never read the table.
 
     Build through :func:`build_add`, not directly.
     """
@@ -221,97 +206,23 @@ class ComponentTable:
         idx = (slice(n - 1) if u.mask >> j & 1 else n - 1 for j, n in enumerate(self._array.shape))
         return self._array[tuple(idx)]
 
-    def component(self, u: VariableSubset, x) -> float | np.ndarray:
-        """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
+    def truncated(self, order: int) -> np.ndarray:
+        """The S-variate truncated sum on the full tensor grid, an array of
+        shape ``problem.orders`` in C order like the grid values.
 
-        Columns of ``x`` follow ``u.indices()`` in ascending order.  Values
-        are interpolated between the Gauss nodes; at a node the result is
-        the stored grid value, bit for bit.
-        """
-        vals = self.grid_values(u)
-        if u.is_empty:
-            return vals
-        X, squeeze = _as_rows(x, u.cardinality)
-        coords = u.indices()
-        vals = np.ascontiguousarray(vals)  # once, not per block
-        out = np.empty(X.shape[0])
-        for rows in self._row_blocks(X.shape[0], coords):
-            out[rows] = _bilinear(vals, self._cardinals(X[rows], coords))
-        return float(out[0]) if squeeze else out
-
-    def truncated(self, order: int, x) -> float | np.ndarray:
-        """Evaluate the S-variate truncated sum at full points ``x``.
-
-        Sums the components with ``|u| <= order`` in (cardinality, mask)
-        order, once per row block: the block builds one cardinal matrix per
-        coordinate, and each component takes its own and is one GEMM of
-        the bilinear kernel (:func:`_bilinear`).  The rows of a block
-        depend on the table alone (see :meth:`_row_blocks`), so the order
-        asked for never changes a row's value; another block size changes
-        values at roundoff level only.
+        ``y_empty`` plus each component with ``|u| <= order``, broadcast
+        over the axes it lacks, added in (cardinality, mask) order.  Under
+        the Gauss grid measure this is the target's own ADD surrogate, and
+        ``order = dim`` gives back the target values to roundoff.
         """
         (order,) = _check_orders((order,), self.dim)
-        X, squeeze = _as_rows(x, self.dim)
-        # C-contiguous once per call, not once per row block
-        dense = [
-            (u.indices(), np.ascontiguousarray(self.grid_values(u)))
-            for u in all_subsets_up_to(self.dim, order)
-            if u.mask
-        ]
-        out = np.full(X.shape[0], self.y_empty)
-        # order 0 is the mean alone: no block builds a cardinal matrix
-        for rows in self._row_blocks(X.shape[0]) if order else ():
-            mats = self._cardinals(X[rows], range(self.dim))
-            acc = out[rows]
-            for coords, vals in dense:
-                acc += _bilinear(vals, [mats[j] for j in coords])
-        return float(out[0]) if squeeze else out
-
-    # -- internals --------------------------------------------------------
-
-    @cached_property
-    def _bary(self) -> list[np.ndarray]:
-        """Barycentric weights of each coordinate's Gauss nodes."""
-        return [_bary_weights(r.nodes) for r in self.problem.rules]
-
-    def _cardinals(self, X: np.ndarray, coords: Iterable[int]) -> list[np.ndarray]:
-        """One ``(q_j, m)`` cardinal matrix per column of `X`, column ``k``
-        holding coordinate ``coords[k]``."""
-        rules = self.problem.rules
-        return [
-            _cardinal_matrix(rules[j].nodes, self._bary[j], X[:, k]) for k, j in enumerate(coords)
-        ]
-
-    def _row_blocks(self, m: int, coords: Sequence[int] | None = None) -> Iterator[slice]:
-        """Row blocks of off-grid evaluation: ``_BLOCK_VALUES`` over a
-        per-row count that depends on the table (and the component) alone.
-
-        For the one component of `coords` the count is its head and tail
-        factors with their prefixes, plus its GEMM output.  For a truncated
-        sum (`coords` None) it is ``sum_k e_k(q)`` over ``k <= ceil(N/2)``
-        (the elementary symmetric polynomials of the ``q_j``) plus the
-        product of the ``floor(N/2)`` largest ``q_j``.  A block holds far
-        less: its ``sum_j q_j`` cardinal values per row and one component's
-        factors and output at a time.  The count stays a bound on the table
-        only, never on the order asked for, so that no value moves: a GEMM
-        may round a row differently for another number of rows.  Rows per
-        block are never less than one.
-        """
         q = self.problem.orders
-        if coords is None:
-            q = sorted(q)
-            N = len(q)
-            e = [1] + [0] * N  # elementary symmetric polynomials of the q_j
-            for qj in q:
-                for k in range(N, 0, -1):
-                    e[k] += qj * e[k - 1]
-            per_row = sum(e[1 : (N + 1) // 2 + 1]) + prod(q[N - N // 2 :])
-        else:
-            q = [q[j] for j in coords]
-            h = (len(q) + 1) // 2
-            per_row = sum(accumulate(q[:h], mul)) + sum(accumulate(q[h:], mul)) + prod(q[h:])
-        step = max(1, _BLOCK_VALUES // per_row)
-        return (slice(start, start + step) for start in range(0, m, step))
+        out = np.full(q, self.y_empty)
+        for u in all_subsets_up_to(self.dim, order):
+            if u.mask:
+                own = [n if u.mask >> j & 1 else 1 for j, n in enumerate(q)]
+                out += self.grid_values(u).reshape(own)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,8 +318,7 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
     Returns
     -------
     ComponentTable
-        An ADD table holding all ``2**dim`` components, evaluable at any
-        point by barycentric interpolation.
+        An ADD table holding all ``2**dim`` components on the Gauss grid.
     """
     q = problem.orders
     table_values = prod(n + 1 for n in q)
@@ -1002,59 +912,3 @@ def _pair_inner(
         return W.reshape(tuple(orders[j] if j in own else 1 for j in union))
 
     return _expectation(lift(u, U) * lift(v, V), [weights[j] for j in union])
-
-
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the node set, normalized to unit max."""
-    n = len(nodes)
-    w = np.empty(n)
-    for i in range(n):
-        diff = nodes[i] - np.delete(nodes, i)
-        w[i] = 1.0 / np.prod(diff)
-    return w / np.max(np.abs(w))
-
-
-def _cardinal_matrix(nodes: np.ndarray, bw: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Lagrange cardinal values ``L_i(t_r)`` as an (n, m) matrix, one row
-    per node, so each row is contiguous over the points."""
-    diff = t[None, :] - nodes[:, None]
-    tol = 1e-14 * max(1.0, float(np.max(np.abs(nodes))))
-    hit = np.abs(diff) < tol
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bw[:, None] / diff
-        L = ratio / np.sum(ratio, axis=0)
-    cols = np.nonzero(np.any(hit, axis=0))[0]
-    if cols.size:
-        L[:, cols] = 0.0
-        L[np.argmax(hit[:, cols], axis=0), cols] = 1.0
-    return L
-
-
-def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-wise Kronecker product of ``(q_j, m)`` matrices, built left to
-    right: the ``(prod q_j, m)`` matrix whose column ``r`` is the Kronecker
-    product of the matrices' columns ``r``."""
-    K = mats[0]
-    for L in mats[1:]:
-        K = (K[:, None, :] * L[None, :, :]).reshape(-1, K.shape[1])
-    return K
-
-
-def _bilinear(vals: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Interpolate `vals`, a C-contiguous array over the subgrid of ``k``
-    ascending coordinates, at the points of their cardinal matrices `mats`.
-
-    With ``K_head`` and ``K_tail`` the Khatri-Rao products of the first
-    ``h = ceil(k/2)`` matrices and of the rest, barycentric interpolation
-    is bilinear, ``rowsum((K_head^T @ vals.reshape(q^h, -1)) * K_tail^T)``:
-    one GEMM, then the tail contraction (``k = 1`` is a matrix-vector
-    product).  The head factor is freed before the tail is built.  A GEMM
-    may round a row differently for another number of rows, so callers
-    size row blocks by the table or the component alone
-    (``ComponentTable._row_blocks``).
-    """
-    h = (len(mats) + 1) // 2
-    if h == len(mats):
-        return vals @ _khatri_rao(mats)
-    out = vals.reshape(prod(vals.shape[:h]), -1).T @ _khatri_rao(mats[:h])
-    return np.einsum("tm,tm->m", out, _khatri_rao(mats[h:]))

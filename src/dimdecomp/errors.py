@@ -52,9 +52,11 @@ class CardinalitySums:
     def __post_init__(self) -> None:
         if _check_integer(self.dim, "dimension") < 1:
             raise ValueError("dimension must be at least 1")
+        if not isinstance(self.sums, Mapping):
+            raise ValueError(f"variance sums must be a mapping, got {type(self.sums).__name__}")
         clean = {}
         for s, v in self.sums.items():
-            s = int(s)
+            s = _check_integer(s, "cardinality")
             if not 1 <= s <= self.dim:
                 raise ValueError(f"cardinality {s} outside [1, {self.dim}]")
             v = float(v)
@@ -183,8 +185,15 @@ class DecayModel:
 
     @property
     def total_variance(self) -> float:
-        """``(1 + 1/p)**N - 1``, computed in the log domain."""
-        return math.expm1(self.dim * math.log1p(1.0 / self.rate))
+        """``(1 + 1/p)**N - 1``, computed in the log domain; ``ValueError``
+        where it passes the float range."""
+        try:
+            return math.expm1(self.dim * math.log1p(1.0 / self.rate))
+        except OverflowError:
+            raise ValueError(
+                f"the total variance of the decay model at dimension {self.dim}, "
+                f"rate {self.rate!r} passes the float range"
+            ) from None
 
 
 @dataclass(frozen=True)

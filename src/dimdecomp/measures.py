@@ -268,7 +268,9 @@ def _check_integer(value, what: str) -> int:
 
 def _check_points(x, dim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0 and dim == 1:
+    if arr.ndim == 0:
+        if dim != 1:
+            raise ValueError(f"points have no last axis, expected {dim}")
         arr = arr.reshape(1)
     if arr.shape[-1] != dim:
         raise ValueError(f"points have last axis {arr.shape[-1]}, expected {dim}")

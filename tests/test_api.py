@@ -67,8 +67,8 @@ MEMBERS = {
     # decomp
     "AnchoredTable.component", "AnchoredTable.dim", "AnchoredTable.scale",
     "AnchoredTable.truncated",
-    "ComponentTable.component", "ComponentTable.dim", "ComponentTable.grid_values",
-    "ComponentTable.scale", "ComponentTable.truncated",
+    "ComponentTable.dim", "ComponentTable.grid_values", "ComponentTable.scale",
+    "ComponentTable.truncated",
     "ProblemSpec.dim", "ProblemSpec.evaluate", "ProblemSpec.orders", "ProblemSpec.rules",
     # errors
     "CardinalitySums.cardinality_sums", "DecayModel.total_variance",

@@ -191,6 +191,22 @@ class TestCardinalitySums:
             CardinalitySums(dim, {1: 1.0})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "sums, message",
+        [
+            # int() once read these keys as cardinalities 1, 1 and 2
+            ({1.5: 0.2}, "cardinality must be an integer, got 1.5"),
+            ({True: 0.2}, "cardinality must be an integer, got True"),
+            ({"2": 0.2}, "cardinality must be an integer, got '2'"),
+            # a list raised an AttributeError on .items()
+            ([0.2, 0.1], "variance sums must be a mapping, got list"),
+        ],
+    )
+    def test_cardinalities_are_integer_keys_of_a_mapping(self, sums, message):
+        with pytest.raises(ValueError) as info:
+            CardinalitySums(3, sums)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_sums(self, bad):
         # a NaN fails every comparison: a `v < 0` test alone would hand it
@@ -290,6 +306,15 @@ class TestDecayModel:
         m = DecayModel(dim=4, rate=3.0)
         # sum_s C(4,s) 3^-s = (4/3)^4 - 1
         assert m.total_variance == pytest.approx((4.0 / 3.0) ** 4 - 1.0, rel=1e-12)
+
+    def test_total_variance_past_the_float_range_raises(self):
+        # (1 + 1/p)**N near 2**2000 raised a bare OverflowError
+        with pytest.raises(ValueError) as info:
+            DecayModel(dim=2000, rate=1.0001).total_variance
+        assert str(info.value) == (
+            "the total variance of the decay model at dimension 2000, rate 1.0001 "
+            "passes the float range"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -443,7 +443,7 @@ def _on_grid(name):
     orders = tuple(range(problem.dim))
     vmap = variance_components(table)
     e_add = [add_error(s, vmap) for s in orders]
-    yhats = [table.truncated(s, X) for s in orders]
+    yhats = [table.truncated(s).reshape(-1) for s in orders]
     return problem, X, w, problem.evaluate(X), yhats, e_add, vmap.total
 
 

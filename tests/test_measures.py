@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dimdecomp import ProblemSpec, measures
+from dimdecomp import ProblemSpec, make_function, measures
 from dimdecomp.measures import (
     GAUSS_MAX_ORDER,
     MarginalMeasure,
@@ -155,6 +155,18 @@ class TestProductMeasure:
             m.contains(np.array([[0.25, 0.0], [0.25, -40.0], [1.5, 0.0]])),
             [True, True, False],
         )
+
+    def test_points_need_a_last_axis(self):
+        # a scalar for three coordinates raised IndexError: tuple index out
+        # of range; one coordinate takes it as a point
+        m = ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), 3)
+        for check in (m.contains, make_function("product_linear", 3)):
+            with pytest.raises(ValueError) as info:
+                check(5.0)
+            assert str(info.value) == "points have no last axis, expected 3"
+        assert ProductMeasure((NORMAL,)).contains(5.0)
+        with pytest.raises(ValueError, match="points have last axis 2, expected 3"):
+            m.contains(np.zeros((4, 2)))
 
     def test_needs_at_least_one_marginal(self):
         with pytest.raises(ValueError):
