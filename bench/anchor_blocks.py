@@ -38,8 +38,10 @@ ROWS = 1_500_000
 REPEATS = 7
 
 
-def _timed_problem(N: int):
-    fn = make_function("product_linear", N, a=np.linspace(0.5, 1.0, N))
+def timed_problem(N: int, name: str = "product_linear", quad_order: int = 10):
+    """A problem on the target `name` with ``a = linspace(0.5, 1, N)``, and
+    a one-item list that accumulates the seconds spent in the target."""
+    fn = make_function(name, N, a=np.linspace(0.5, 1.0, N))
     spent = [0.0]
 
     def timed(x):
@@ -48,11 +50,12 @@ def _timed_problem(N: int):
         spent[0] += time.perf_counter() - t
         return y
 
-    return ProblemSpec(timed, ProductMeasure.iid(default_marginal("product_linear"), N)), spent
+    measure = ProductMeasure.iid(default_marginal(name), N)
+    return ProblemSpec(timed, measure, quad_order), spent
 
 
 def sweep(N: int, S: int) -> dict:
-    problem, spent = _timed_problem(N)
+    problem, spent = timed_problem(N)
     per_point = count_up_to(N, S)
     rng = np.random.default_rng(N * 100 + S)
     best = {R: (float("inf"), float("inf")) for R in BLOCK_ROWS}
@@ -61,7 +64,7 @@ def sweep(N: int, S: int) -> dict:
             m = R * ceil(ROWS / per_point / R)
             X = problem.measure.sample(rng, m)
             C = problem.measure.sample(rng, m)
-            decomp._ANCHOR_BLOCK_VALUES, decomp._ANCHOR_BLOCK_ROWS = R * N, 0
+            decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = R * N, 0
             spent[0] = 0.0
             t = time.perf_counter()
             decomp.rdd_direct(problem, S, C, X)

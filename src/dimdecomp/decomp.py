@@ -59,22 +59,21 @@ from dimdecomp.subsets import (
 DEFAULT_MAX_GRID_POINTS = 4_000_000
 #: an ADD table stores prod(q_j + 1) values; this caps it at 128 MiB of float64
 MAX_TABLE_VALUES = 1 << 24
-# rows per call of the target on the tensor grid; bounds the point buffer
-# and function-temporary arrays of grid evaluation
-_EVAL_CHUNK = 65_536
-# rows per block of the anchored kernel (see _anchor_block_rows).  The value
-# budget holds a block's (rows, dim) float64 evaluation buffer to 512 KiB,
-# so the columns the kernel rewrites and the target reads stay near cache;
-# the row floor holds while it costs at most _ANCHOR_FLOOR_COST times the
-# budget (dim <= 39), because the target's cost per value steps down between
+# rows per call of the target, on every path (see _block_rows).  The value
+# budget holds a block's (rows, dim) float64 points to 512 KiB, so the
+# columns the kernels write and the target reads stay near cache; the row
+# floor holds while it costs at most _BLOCK_FLOOR_COST times the budget
+# (dim <= 39), because the target's cost per value steps down between
 # 4 096 and 4 200 rows (product_linear and sobol_g).  bench/anchor_blocks.py
-# swept fixed block sizes (BENCH_30.json; 2 cores, one BLAS thread): 5 000
-# rows ran 29-63% faster than the budget's 3 276 at N = 20 and 20-28% faster
-# than its 2 048 at N = 32; at N = 50 and 100 no size from 655 to 16 384
-# rows stood out of the spread of repeats, so the budget keeps them small
-_ANCHOR_BLOCK_VALUES = 1 << 16
-_ANCHOR_BLOCK_ROWS = 5_000
-_ANCHOR_FLOOR_COST = 3
+# swept fixed block sizes of the anchored kernel (BENCH_30.json; 2 cores,
+# one BLAS thread): 5 000 rows ran 29-63% faster than the budget's 3 276 at
+# N = 20 and 20-28% faster than its 2 048 at N = 32; at N = 50 and 100 no
+# size from 655 to 16 384 rows stood out of the spread of repeats, so the
+# budget keeps them small.  bench/grid_blocks.py swept the grid path the
+# same way (BENCH_33.json)
+_BLOCK_VALUES = 1 << 16
+_BLOCK_ROWS = 5_000
+_BLOCK_FLOOR_COST = 3
 
 # Structural tolerances: residuals scale with max(1, |y_empty|) (or its
 # square for second-moment checks).
@@ -104,11 +103,14 @@ class ProblemSpec:
         value.
         Batches are column-major and read-only on every path: each
         column ``x[:, j]`` is contiguous, and :meth:`evaluate` passes a
-        read-only view.  The tensor grid of :func:`build_add` reuses one
-        column-major buffer for all its chunks, the anchored kernel one
-        per row block, and sampled points are drawn into one column per
-        coordinate.  The function must not write into its input (a
-        read-only batch raises ``ValueError``) and must call
+        read-only view.  Each call sees at most one block of rows, by the
+        one rule of :func:`_block_rows` (``2**16`` values, raised to 5 000
+        rows up to ``dim = 39``), so a row's value must not depend on the
+        other rows of its batch.  The tensor grid of :func:`build_add`
+        reuses one column-major buffer for all its chunks, the anchored
+        kernel one per row block, and sampled points are drawn into one
+        column per coordinate.  The function must not write into its
+        input (a read-only batch raises ``ValueError``) and must call
         ``np.ascontiguousarray`` itself if it needs C order.
     measure : ProductMeasure
         Independent product measure of the inputs.
@@ -144,13 +146,26 @@ class ProblemSpec:
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the target as a float array of shape ``x.shape[:-1]``.
 
+        Every grid, anchored and sampled evaluation of the package goes
+        through here.  A batch of ``(m, dim)`` points reaches the function
+        in the row blocks of :func:`_block_rows`, so no call sees more
+        than one block, and the function sees a read-only view of each.
         Raises ``ValueError`` naming both shapes when the function returns
         any other shape (say ``(m, 1)``), which would otherwise broadcast,
-        and when any value is not finite.  Every grid, anchored and sampled
-        evaluation of the package goes through here, and the function
-        sees a read-only view of `x`.
+        and when any value is not finite.
         """
         x = np.asarray(x, dtype=float)
+        m = len(x) if x.ndim == 2 else 1
+        step = _block_rows(m, self.dim)
+        if step >= m:
+            return self._call(x)
+        out = np.empty(m)
+        for start in range(0, m, step):
+            out[start : start + step] = self._call(x[start : start + step])
+        return out
+
+    def _call(self, x: np.ndarray) -> np.ndarray:
+        """One checked call of the function on the float array `x`."""
         batch = x.view()
         batch.flags.writeable = False
         out = np.asarray(self.function(batch), dtype=float)
@@ -291,9 +306,9 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
     Follows the operator form ``y_u = prod_{j in u} (I - P_j)
     prod_{j not in u} P_j y``, where ``P_j`` is Gauss quadrature over
     coordinate ``j``.  The target is evaluated once on the full tensor grid
-    (``prod q_j`` evaluations), in chunks of at most ``_EVAL_CHUNK`` rows
-    that cover the grid in C order and share one column-major point buffer
-    (see :func:`_evaluate_full_grid`).
+    (``prod q_j`` evaluations), in chunks of at most one block of rows
+    (:func:`_block_rows`) that cover the grid in C order and share one
+    column-major point buffer (see :func:`_evaluate_full_grid`).
 
     All components live in one C-ordered array ``T`` of shape
     ``(q_1 + 1, ..., q_N + 1)``: along axis ``j``, index ``i < q_j`` means
@@ -356,7 +371,7 @@ def rdd_direct(problem: ProblemSpec, order: int, anchor, x) -> float | np.ndarra
     ``sum_{k=0..S} (-1)**k C(N-S+k-1, k) sum_{|u|=S-k} y(x_u, c_-u)``.
 
     The ``sum_{k<=S} C(N, k)`` anchored evaluations per point run through
-    :func:`_anchored` in the row blocks of :func:`_anchor_block_rows`; each
+    :func:`_anchored` in the row blocks of :func:`_block_rows`; each
     row gets the value a single batch would give it, so the block size
     never changes a result.  This is the single-order case of
     :func:`rdd_direct_sums`.
@@ -407,7 +422,7 @@ def rdd_direct_sums(
     subsets = chain.from_iterable(subsets_of_cardinality(N, s) for s in range(top, -1, -1))
     # one block-sized array holds each product w * y; a weight of ±1 adds
     # or subtracts y itself, which IEEE arithmetic rounds the same way
-    scratch = np.empty(_anchor_block_rows(X.shape[0], N))
+    scratch = np.empty(_block_rows(X.shape[0], N))
     for rows, block in _anchored(problem, C, X, subsets):
         accs = [[(sums[S][rows], w) for S, w in t] for t in terms]
         wy = scratch[: rows.stop - rows.start]
@@ -730,7 +745,7 @@ def _anchored(
 
     The one anchored kernel.  `X` holds full ``(m, dim)`` points, and
     `anchor` is a checked ``(dim,)`` point or one anchor per row of `X`.
-    Blocks have the rows :func:`_anchor_block_rows` gives, so the buffers
+    Blocks have the rows :func:`_block_rows` gives, so the buffers
     they write and the target reads stay near cache while each target call
     sees enough rows; the batch as a whole is never copied.  Every block
     sees the same subsets in the same order, and each row gets the values
@@ -747,26 +762,28 @@ def _anchored(
         free = own
     per_row = anchor.ndim == 2
     m = X.shape[0]
-    step = _anchor_block_rows(m, N)
+    step = _block_rows(m, N)
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
         block_anchor = anchor[rows] if per_row else anchor
         yield rows, _anchored_block(problem, block_anchor, X[rows], steps)
 
 
-def _anchor_block_rows(m: int, dim: int) -> int:
-    """Rows per block of :func:`_anchored` for a batch of `m` rows.
+def _block_rows(m: int, dim: int) -> int:
+    """Rows per target call for a batch of `m` points of `dim` coordinates:
+    the package's one rule, which :meth:`ProblemSpec.evaluate` enforces and
+    the grid path and the anchored kernel size their buffers by.
 
-    The cap is ``_ANCHOR_BLOCK_VALUES // dim`` rows, raised to
-    ``_ANCHOR_BLOCK_ROWS`` wherever that costs at most
-    ``_ANCHOR_FLOOR_COST`` times the value budget (``dim <= 39``), and at
-    least one.  The batch splits into ``ceil(m / cap)`` blocks of
-    ``ceil(m / blocks)`` rows, so no call gets a short ragged tail: only
-    the last block is shorter, by fewer rows than there are blocks.
+    The cap is ``_BLOCK_VALUES // dim`` rows, raised to ``_BLOCK_ROWS``
+    wherever that costs at most ``_BLOCK_FLOOR_COST`` times the value
+    budget (``dim <= 39``), and at least one.  The batch splits into
+    ``ceil(m / cap)`` blocks of ``ceil(m / blocks)`` rows, so no call gets
+    a short ragged tail: only the last block is shorter, by fewer rows than
+    there are blocks.
     """
-    cap = _ANCHOR_BLOCK_VALUES // dim
-    if _ANCHOR_BLOCK_ROWS * dim <= _ANCHOR_FLOOR_COST * _ANCHOR_BLOCK_VALUES:
-        cap = max(cap, _ANCHOR_BLOCK_ROWS)
+    cap = _BLOCK_VALUES // dim
+    if _BLOCK_ROWS * dim <= _BLOCK_FLOOR_COST * _BLOCK_VALUES:
+        cap = max(cap, _BLOCK_ROWS)
     blocks = max(1, -(-m // max(cap, 1)))
     return max(1, -(-m // blocks))
 
@@ -802,31 +819,41 @@ def _anchored_block(
         yield u, y
 
 
-def _evaluate_full_grid(problem: ProblemSpec) -> np.ndarray:
-    """Target values on the full tensor Gauss grid, of shape ``orders``.
+def _evaluate_full_grid(
+    problem: ProblemSpec, fixed: dict[int, float] | None = None
+) -> np.ndarray:
+    """Target values on the full tensor Gauss grid, of shape ``orders``;
+    each coordinate ``j`` in `fixed` is held at ``fixed[j]`` instead, an
+    axis of length 1.
 
-    Chunks of at most ``_EVAL_CHUNK`` rows cover the grid in C order.  The
-    trailing block, the longest run of last axes with at most
-    ``_EVAL_CHUNK`` points, lies whole in every chunk, and a chunk holds as
-    many consecutive index tuples of the leading axes as fit.  One
-    column-major ``(rows, dim)`` buffer serves every chunk: its trailing
-    columns are written once, and each chunk rewrites only the leading
-    ones, so the target reads contiguous columns.
+    Equal chunks of at most one block of rows (:func:`_block_rows` of the
+    grid's points) cover the grid in C order.  The trailing block, the
+    longest run of last axes with at most one block of points, lies whole
+    in every chunk, and the chunks split the index tuples of the leading
+    axes evenly.  One column-major ``(rows, dim)`` buffer serves every
+    chunk: its trailing columns are written once, and each chunk rewrites
+    only the leading ones, so the target reads contiguous columns.
     """
-    orders = problem.orders
+    fixed = fixed or {}
+    nodes = [
+        np.array([fixed[j]]) if j in fixed else rule.nodes
+        for j, rule in enumerate(problem.rules)
+    ]
+    orders = tuple(len(n) for n in nodes)
     total = prod(orders)
     if total > DEFAULT_MAX_GRID_POINTS:
         raise ValueError(
             f"tensor grid has {total} points, over the budget {DEFAULT_MAX_GRID_POINTS}"
         )
-    nodes = [r.nodes for r in problem.rules]
     N = problem.dim
+    cap = _block_rows(total, N)
     t, T = N, 1  # the trailing block: axes t.. with T points
-    while t and T * orders[t - 1] <= _EVAL_CHUNK:
+    while t and T * orders[t - 1] <= cap:
         t -= 1
         T *= orders[t]
     n_lead = total // T
-    step = min(_EVAL_CHUNK // T, n_lead)
+    chunks = -(-n_lead // (cap // T))
+    step = -(-n_lead // chunks)  # leading index tuples per chunk
     # allocated before the point buffer: the other order raised the peak
     # RSS of add_grid runs by about 0.8 MiB through heap layout alone
     vals = np.empty(total)
@@ -875,24 +902,12 @@ def _conditional_mean(
     values: Iterable[float],
 ) -> float:
     """Quadrature of y over the coordinates not in `coords`, others fixed,
-    on a grid of its own (not the table's) integrated by :func:`_expectation`."""
-    N = problem.dim
-    rest = [j for j in range(N) if j not in set(coords)]
-    orders = problem.orders
-    total = prod(orders[j] for j in rest)
-    if total > DEFAULT_MAX_GRID_POINTS:
-        raise ValueError(
-            f"conditional-mean grid has {total} points, over the budget "
-            f"{DEFAULT_MAX_GRID_POINTS}"
-        )
-    pts = np.empty((total, N), order="F")
-    for j, val in zip(coords, values):
-        pts[:, j] = val
-    shape = [orders[j] for j in rest]
-    for j, i in zip(rest, np.indices(shape).reshape(len(rest), total)):
-        pts[:, j] = problem.rules[j].nodes[i]
-    vals = problem.evaluate(pts).reshape(shape)
-    return _expectation(vals, [problem.rules[j].weights for j in rest])
+    on a grid of its own (not the table's) evaluated by
+    :func:`_evaluate_full_grid` and integrated by :func:`_expectation`."""
+    rest = [j for j in range(problem.dim) if j not in set(coords)]
+    vals = _evaluate_full_grid(problem, dict(zip(coords, values)))
+    shape = [problem.orders[j] for j in rest]
+    return _expectation(vals.reshape(shape), [problem.rules[j].weights for j in rest])
 
 
 def _pair_inner(

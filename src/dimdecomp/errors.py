@@ -59,8 +59,8 @@ class CardinalitySums:
             s = _check_integer(s, "cardinality")
             if not 1 <= s <= self.dim:
                 raise ValueError(f"cardinality {s} outside [1, {self.dim}]")
-            v = float(v)
-            if not 0.0 <= v < math.inf:  # NaN fails too
+            v = _check_real(v, "variance sum")  # bools, strings, NaN and ±inf raise
+            if v < 0.0:
                 raise ValueError("variance sums must be finite and nonnegative")
             clean[s] = v
         object.__setattr__(self, "sums", dict(sorted(clean.items())))

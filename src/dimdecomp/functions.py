@@ -33,8 +33,9 @@ def product_linear(dim: int, a=None) -> Callable:
     coeff = np.ones(dim) if a is None else _vector(a, dim, _check_real, "coefficient")
 
     def fn(x):
-        arr = _check_points(x, dim)
-        return np.prod(1.0 + coeff * arr, axis=-1)
+        t = coeff * _check_points(x, dim)  # the one working array
+        t += 1.0
+        return np.prod(t, axis=-1)
 
     return fn
 
@@ -53,10 +54,15 @@ def sobol_g(dim: int, a=None) -> Callable:
     )
     if np.any(coeff < 0):
         raise ValueError("coefficients must be nonnegative")
+    den = 1.0 + coeff
 
     def fn(x):
-        arr = _check_points(x, dim)
-        return np.prod((np.abs(4.0 * arr - 2.0) + coeff) / (1.0 + coeff), axis=-1)
+        t = 4.0 * _check_points(x, dim)  # the one working array
+        t -= 2.0
+        np.abs(t, out=t)
+        t += coeff
+        t /= den
+        return np.prod(t, axis=-1)
 
     return fn
 
@@ -81,7 +87,8 @@ def poly(dim: int, terms) -> Callable:
 
     `terms` is a sequence of mappings with exactly the keys ``coeff``
     (a number) and ``exponents`` (length-`dim` list of nonnegative ints);
-    bools, strings and non-integer exponents raise ``ValueError``.
+    bools, strings and non-integer exponents raise ``ValueError``.  A term
+    reads only the coordinates of its nonzero exponents.
     """
     parsed = []
     for t in terms:
@@ -91,15 +98,16 @@ def poly(dim: int, terms) -> Callable:
         e = _vector(t["exponents"], dim, _check_integer, "exponent")
         if np.any(e < 0):
             raise ValueError("exponents must be nonnegative")
-        parsed.append((c, e))
+        own = np.flatnonzero(e)
+        parsed.append((c, own, e[own]))
     if not parsed:
         raise ValueError("poly needs at least one term")
 
     def fn(x):
         arr = _check_points(x, dim)
         out = np.zeros(arr.shape[:-1], dtype=float)
-        for c, e in parsed:
-            out += c * np.prod(arr**e, axis=-1)
+        for c, own, e in parsed:
+            out += c * np.prod(arr[..., own] ** e, axis=-1)
         return out
 
     return fn

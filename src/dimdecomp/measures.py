@@ -213,12 +213,12 @@ def product_rules(
 ) -> tuple[QuadratureRule, ...]:
     """One Gauss rule per coordinate; a scalar order is broadcast.
 
-    `orders` is checked by :func:`_check_quad_orders`.
+    `orders` is checked by :func:`_check_quad_orders`.  Coordinates with
+    the same marginal and order share one rule, built once per call.
     """
-    return tuple(
-        gauss_rule(m, n)
-        for m, n in zip(measure.marginals, _check_quad_orders(orders, measure.dim))
-    )
+    keys = list(zip(measure.marginals, _check_quad_orders(orders, measure.dim)))
+    rules = {key: gauss_rule(*key) for key in dict.fromkeys(keys)}
+    return tuple(rules[key] for key in keys)
 
 
 def _check_quad_orders(orders, dim: int) -> tuple[int, ...]:

@@ -30,6 +30,7 @@ from dimdecomp import (
     make_function,
     mc_add_error,
     mc_expected_rdd_error,
+    mc_rdd_error,
     rdd_direct,
     rdd_direct_sums,
     rdd_expected_error,
@@ -286,10 +287,11 @@ class TestFullGrid:
     @pytest.mark.parametrize(
         "chunk, dim, q",
         [
-            # a 10**4-point trailing block, 6 leading tuples per chunk and
-            # a ragged last chunk of 4
+            # a 10**4-point trailing block, one leading tuple per chunk
             (None, 6, 10),
-            (None, 10, 3),  # the whole grid in one chunk
+            # a 3**7-point trailing block, 2 leading tuples per chunk and
+            # a last chunk of 1
+            (None, 10, 3),
             (None, 3, (7, 64, 50)),
             (None, 3, (64, 64, 3)),
             (None, 1, 13),
@@ -306,7 +308,7 @@ class TestFullGrid:
         self, monkeypatch, make, chunk, dim, q
     ):
         if chunk is not None:
-            monkeypatch.setattr(decomp, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(decomp, "_BLOCK_VALUES", chunk * dim)
         problem = make(dim, quad_order=q)
         p, seen = counted(problem)
         got = decomp._evaluate_full_grid(p)
@@ -316,7 +318,7 @@ class TestFullGrid:
         # each point once, in C order, in calls of at most one chunk
         start = 0
         for rows in seen:
-            assert len(rows) <= decomp._EVAL_CHUNK
+            assert len(rows) <= decomp._block_rows(math.prod(p.orders), dim)
             assert np.array_equal(rows, pts[start : start + len(rows)])
             start += len(rows)
         assert start == math.prod(p.orders)
@@ -718,7 +720,7 @@ class TestAnchoredKernel:
         monkeypatch.setattr(decomp, "FORM_EQUIVALENCE_PAIRS", m)
 
         whole = routes()
-        monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", block_rows * dim)
         for anchor in (C[0], C):
             got = rdd_direct(p, order, anchor, X)
             assert np.array_equal(got, reference_rdd_direct(p, order, anchor, X))
@@ -733,7 +735,7 @@ class TestAnchoredKernel:
         # through the subsets in the kernel's order: m * count_up_to(N, S)
         # rows in all, the paper's cost
         dim, order, m = 5, 2, 50
-        monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", block_rows * dim)
         p, seen = counted(product_linear_problem(dim))
         g = rng(32)
         X = g.uniform(-1.0, 1.0, (m, dim))
@@ -780,7 +782,7 @@ class TestAnchoredKernel:
         # only the subsets of the largest order: m * count_up_to(N, S_max) rows
         m = 50
         if block_rows is not None:
-            monkeypatch.setattr(decomp, "_ANCHOR_BLOCK_VALUES", block_rows * dim)
+            monkeypatch.setattr(decomp, "_BLOCK_VALUES", block_rows * dim)
         lo = -1.0 if make is product_linear_problem else 0.0
         g = rng(dim)
         X = g.uniform(lo, 1.0, (m, dim))
@@ -825,7 +827,7 @@ class TestAnchoredKernel:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_add_error_cardinal_matrices_stay_small(self):
+    def test_optimality_split_at_five_variables_order_six_stays_under_24_mib(self):
         # the sampled gates read no table: their chunk of points, one anchor
         # batch at a time and the anchored sums stay below 24 MiB
         p = product_linear_problem(5, quad_order=6)
@@ -1169,11 +1171,11 @@ def test_output_shape_contract(plin3):
 
 @pytest.mark.parametrize("chunk", [None, 8])
 def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
-    # the batch contract of ProblemSpec on every path; at 8 rows per grid
-    # call, q = (5, 3, 4) gives 2 trailing blocks per chunk and a ragged
-    # last chunk of one
+    # the batch contract of ProblemSpec on every path; at 8 rows per call
+    # (every path), q = (5, 3, 4) gives 2 trailing blocks per grid chunk
+    # and a last chunk of one
     if chunk is not None:
-        monkeypatch.setattr(decomp, "_EVAL_CHUNK", chunk)
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", chunk * 3)
     problem = product_linear_problem(3, quad_order=(5, 3, 4))
     rows = []
 
@@ -1197,3 +1199,66 @@ def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
     u = VariableSubset.from_indices([0, 2], 3)
     explicit_component(p, u, [0.1, 0.2])
     explicit_component(p, u, [0.1, 0.2], anchor=c)
+
+
+def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
+    # grid, conditional-mean, sampled and anchored paths alike: at 16 rows
+    # per block no call holds more than the rule gives its batch (or one
+    # block, where a path's batches differ in size), each path evaluates
+    # as many rows as its pin says, and every result is bit for bit the
+    # one of the default rule (one block per batch here)
+    dim, n, block = 3, MIN_PAIRS, 16
+    p, seen = counted(product_linear_problem(dim, quad_order=(5, 3, 4)))
+    c = np.array([0.25, -0.5, 0.75])
+    u = VariableSubset.from_indices([0, 2], dim)
+    budgets = [rdd_expected_error(s, variance_components(build_add(p))) for s in range(dim)]
+    grid_rows = [
+        math.prod(q for j, q in enumerate(p.orders) if j not in v.indices())
+        for v in [*strict_subsets(u), u]
+    ]
+    paths = {
+        # name: (call, rows of its one batch size, rows in all)
+        "build_add": (lambda: build_add(p)._array, 60, 60),
+        "mc_expected_rdd_error": (
+            lambda: mc_expected_rdd_error(p, 2, n, 4),
+            n,
+            n * (1 + count_up_to(dim, 2)),
+        ),
+        "check_optimality_split": (
+            lambda: check_optimality_split(p, budgets, n, 6),
+            n,
+            n * (1 + 2 * count_up_to(dim, dim - 1)),
+        ),
+        "mc_rdd_error": (lambda: mc_rdd_error(p, 1, c, n, 5), n, n * (1 + count_up_to(dim, 1))),
+        "explicit_component": (
+            lambda: explicit_component(p, u, [0.1, 0.2]),
+            None,
+            sum(grid_rows),
+        ),
+        # 100 random points: 100 rows for y, 100 * 2**N for the full sum,
+        # and per drawn subset its rows times 2**|u|, plus y(anchor)
+        "check_rdd_structure": (lambda: check_rdd_structure(build_rdd(p, c), seed=5), None, None),
+    }
+
+    def run():
+        out = {}
+        for name, (call, _, _) in paths.items():
+            seen.clear()
+            out[name] = (call(), [len(b) for b in seen])
+        return out
+
+    whole = run()
+    monkeypatch.setattr(decomp, "_BLOCK_VALUES", block * dim)
+    blocked = run()
+    for name, (_, m, total) in paths.items():
+        got, rows = blocked[name]
+        want, whole_rows = whole[name]
+        assert max(rows) <= (block if m is None else decomp._block_rows(m, dim)) <= block, name
+        assert len(rows) > len(whole_rows), name
+        assert sum(rows) == sum(whole_rows), name
+        if total is not None:
+            assert sum(rows) == total, name
+        if isinstance(got, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name

@@ -207,6 +207,22 @@ class TestCardinalitySums:
             CardinalitySums(3, sums)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # float() once read these as 0.2 and 1.0
+            ("0.2", "variance sum must be a number, got '0.2'"),
+            (True, "variance sum must be a number, got True"),
+            (math.nan, "variance sum must be finite, got nan"),
+            (math.inf, "variance sum must be finite, got inf"),
+            (-1, "variance sums must be finite and nonnegative"),
+        ],
+    )
+    def test_sums_are_finite_nonnegative_numbers(self, value, message):
+        with pytest.raises(ValueError) as info:
+            CardinalitySums(3, {1: value, 2: 0.1})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_sums(self, bad):
         # a NaN fails every comparison: a `v < 0` test alone would hand it

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimdecomp.functions import default_marginal, function_names, make_function
 
@@ -118,3 +120,58 @@ def test_default_marginals():
     assert default_marginal("sobol_g").lo == 0.0
     m = default_marginal("ishigami")
     assert m.lo == pytest.approx(-math.pi) and m.hi == pytest.approx(math.pi)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values).tobytes()
+
+
+# every batch layout a target may get: C and F order, a read-only view and a
+# single point
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "read-only": lambda x: np.lib.stride_tricks.as_strided(x, writeable=False),
+    "1-D": lambda x: x[0],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 30), st.data())
+def test_builtin_targets_equal_their_one_line_forms_bit_for_bit(dim, rows, data):
+    # the one working array performs the same IEEE operations in the same
+    # order as the expressions the targets were written as
+    coords = st.floats(-2.0, 2.0, allow_subnormal=False)
+    a = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=dim, max_size=dim)))
+    x = np.array(data.draw(st.lists(coords, min_size=rows * dim, max_size=rows * dim)))
+    x = x.reshape(rows, dim)
+    forms = {
+        "product_linear": lambda x: np.prod(1.0 + a * x, axis=-1),
+        "sobol_g": lambda x: np.prod((np.abs(4.0 * x - 2.0) + a) / (1.0 + a), axis=-1),
+    }
+    for name, form in forms.items():
+        fn = make_function(name, dim, a=a)
+        for layout in LAYOUTS.values():
+            assert _bits(fn(layout(x))) == _bits(form(layout(x))), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 30), st.data())
+def test_poly_equals_its_dense_form_bit_for_bit(dim, rows, data):
+    # dropping the exact x**0 = 1.0 factors leaves numpy's sequential
+    # product unchanged
+    exps = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    terms = data.draw(st.lists(st.tuples(st.floats(-5.0, 5.0), exps), min_size=1, max_size=4))
+    coords = st.floats(-2.0, 2.0)
+    x = np.array(data.draw(st.lists(coords, min_size=rows * dim, max_size=rows * dim)))
+    x = x.reshape(rows, dim)
+    fn = make_function("poly", dim, terms=[{"coeff": c, "exponents": e} for c, e in terms])
+
+    def dense(x):
+        out = np.zeros(x.shape[:-1])
+        for c, e in terms:
+            out += c * np.prod(x ** np.array(e), axis=-1)
+        return out
+
+    for layout in LAYOUTS.values():
+        assert _bits(fn(layout(x))) == _bits(dense(layout(x)))

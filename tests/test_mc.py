@@ -16,7 +16,6 @@ from dimdecomp import (
     ProductMeasure,
     add_error,
     build_add,
-    build_rdd,
     check_form_equivalence,
     check_optimality_split,
     mc_add_error,

@@ -202,6 +202,35 @@ class TestProductMeasure:
         monkeypatch.setattr(measures, "GAUSS_MAX_ORDER", 128)
         assert ProblemSpec(f, m, 80).orders == (80, 80)
 
+    @pytest.mark.parametrize(
+        "marginals, orders, builds",
+        [
+            # iid: one rule serves all six coordinates
+            ((UNIFORMS[0],) * 6, 10, 1),
+            # one rule per distinct (marginal, order) pair
+            ((UNIFORMS[0], NORMAL, UNIFORMS[0], NORMAL, UNIFORMS[1]), (4, 4, 4, 5, 4), 4),
+            ((UNIFORMS[0], UNIFORMS[0]), (3, 7), 2),
+        ],
+    )
+    def test_one_gauss_rule_per_distinct_pair(self, monkeypatch, marginals, orders, builds):
+        calls = []
+
+        def counted(marginal, order):
+            calls.append((marginal, order))
+            return gauss_rule(marginal, order)
+
+        m = ProductMeasure(marginals)
+        monkeypatch.setattr(measures, "gauss_rule", counted)
+        rules = product_rules(m, orders)
+        assert len(calls) == len(set(calls)) == builds
+        monkeypatch.undo()
+        # the same nodes and weights as a rule built per coordinate
+        per_coord = orders if isinstance(orders, tuple) else (orders,) * len(marginals)
+        for rule, marginal, n in zip(rules, marginals, per_coord, strict=True):
+            want = gauss_rule(marginal, n)
+            assert np.array_equal(rule.nodes, want.nodes)
+            assert np.array_equal(rule.weights, want.weights)
+
     @pytest.mark.parametrize("orders", [np.int64(3), (np.int64(3), 3), np.array([3, 3])])
     def test_rules_accept_numpy_integers(self, orders):
         m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
