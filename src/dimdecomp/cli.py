@@ -32,9 +32,9 @@ import numpy as np
 
 from dimdecomp import __version__
 from dimdecomp.decomp import (
-    MAX_ORTHOGONALITY_DIM,
     CheckResult,
     ProblemSpec,
+    _worst,
     build_add,
     build_rdd,
     check_add_structure,
@@ -62,7 +62,7 @@ from dimdecomp.measures import (
     _check_real,
     gauss_exactness_residual,
 )
-from dimdecomp.subsets import _check_orders, all_subsets_up_to, count_up_to
+from dimdecomp.subsets import VariableSubset, _check_orders, all_subsets_up_to, count_up_to
 from dimdecomp.variance import (
     CLOSURE_RTOL,
     _checked_closure,
@@ -292,6 +292,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(cells)
 
 
+def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+
+
 def _print_checks(checks: list[CheckResult]) -> None:
     for c in checks:
         status = "ok " if c.passed else "FAIL"
@@ -331,8 +336,7 @@ def cmd_decompose(cfg: RunConfig) -> int:
         "checks": [asdict(c) for c in checks],
         "passed": all(c.passed for c in checks),
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "properties.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(out / "properties.json", report)
     print(f"decompose: {cfg.function_name}, dim {dim}")
     print(f"  mean {_fmt(table.y_empty)}, total variance {_fmt(vmap.total)}")
     if constant:
@@ -394,21 +398,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     closure = variance_closure_residual(table, vmap)
     checks.append(CheckResult("variance_closure", closure, CLOSURE_RTOL))
 
-    if dim <= MAX_ORTHOGONALITY_DIM:
-        worst = 0.0
-        worst_label = ""
-        denom = max(vmap.total, _variance_floor(table.y_empty))
-        for u in all_subsets_up_to(dim, dim):
-            if u.is_empty:
-                continue
-            direct = sobol_D(table, u)
-            subset_sum = sum(
-                vmap.sigma2[m] for m in vmap.sigma2 if m & ~u.mask == 0
-            )
-            r = abs(direct - subset_sum) / denom
-            if r > worst:
-                worst, worst_label = r, f"subset {u.label()}"
-        checks.append(CheckResult("subset_sum_variance_identity", worst, 1e-8, worst_label))
+    # every D_u against sum_{v ⊆ u} sigma2_v, a cumulative sum per mask axis
+    direct = sobol_D(table)
+    summed = np.zeros((2,) * dim)
+    summed.flat[list(vmap.sigma2)] = list(vmap.sigma2.values())
+    for ax in range(dim):
+        summed = summed.cumsum(axis=ax)
+    masks = list(direct)
+    worst, worst_label = _worst(
+        np.abs(np.array(list(direct.values())) - summed.flat[masks])
+        / max(vmap.total, _variance_floor(table.y_empty)),
+        lambda k: f"subset {VariableSubset(masks[k], dim).label()}",
+    )
+    checks.append(CheckResult("subset_sum_variance_identity", worst, 1e-8, worst_label))
 
     rng = np.random.default_rng(cfg.seed)
     anchor = problem.measure.sample(rng)
@@ -447,8 +449,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "checks": [asdict(c) for c in checks],
         "passed": passed,
     }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(cfg.out_dir / "verify_report.json", report)
     print(f"verify: {cfg.function_name}, dim {dim}, seed {cfg.seed}")
     _print_checks(checks)
     print(f"  report: {cfg.out_dir / 'verify_report.json'}")
@@ -491,10 +492,7 @@ def cmd_figure1(cfg: RunConfig) -> int:
 def cmd_contrived(cfg: RunConfig) -> int:
     rep = contrived_example()
     out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "contrived.json").write_text(
-        json.dumps(asdict(rep), indent=2) + "\n"
-    )
+    _write_json(out / "contrived.json", asdict(rep))
     print(f"two-scale stress case: {rep.dim} variables,")
     print(
         f"  {_fmt(100 * rep.univariate_share)}% of the variance univariate, "

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -82,8 +82,7 @@ TOL_ORTHOGONALITY = 1e-10
 TOL_EXACTNESS = 1e-10
 TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
-#: the O(4**N) loops over pairs of subsets (ADD orthogonality, verify's
-#: subset-sum identity) run up to here
+#: add_orthogonality loops over pairs of subsets, O(4**N); it runs up to here
 MAX_ORTHOGONALITY_DIM = 5
 #: random points at which check_rdd_structure probes an anchored table
 RDD_STRUCTURE_POINTS = 100
@@ -529,16 +528,13 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     results.append(CheckResult("add_zero_mean", worst, tol, worst_label))
 
     if N <= MAX_ORTHOGONALITY_DIM:
-        worst = 0.0
-        worst_label = ""
         # each component's grid values are sliced once, not once per pair
         grids = [(u, table.grid_values(u)) for u in all_subsets_up_to(N, N) if not u.is_empty]
-        for a in range(len(grids)):
-            for b in range(a + 1, len(grids)):
-                (u, U), (v, V) = grids[a], grids[b]
-                r = abs(_pair_inner(u, U, v, V, q, weights))
-                if r > worst:
-                    worst, worst_label = r, f"pair {u.label()} x {v.label()}"
+        pairs = list(combinations(grids, 2))
+        worst, worst_label = _worst(
+            [abs(_pair_inner(u, U, v, V, q, weights)) for (u, U), (v, V) in pairs],
+            lambda k: f"pair {pairs[k][0][0].label()} x {pairs[k][1][0].label()}",
+        )
         tol = TOL_ORTHOGONALITY * scale**2
         results.append(CheckResult("add_orthogonality", worst, tol, worst_label))
 
@@ -606,11 +602,9 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
     for coords, rows in rows_of.items():
         u = VariableSubset.from_indices(coords, N)
         resid[rows] = np.abs(table.component(u, Z[np.ix_(rows, coords)]))
-    worst = 0.0
-    worst_label = ""
-    for r, (u, pin) in zip(resid, drawn):
-        if r > worst:
-            worst, worst_label = float(r), f"subset {u.label()}, pinned coordinate {pin + 1}"
+    worst, worst_label = _worst(
+        resid, lambda k: f"subset {drawn[k][0].label()}, pinned coordinate {drawn[k][1] + 1}"
+    )
     tol = TOL_ANNIHILATION * scale
     results.append(CheckResult("rdd_annihilation", worst, tol, worst_label))
     return results
@@ -648,6 +642,15 @@ def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -
 
 
 # -- helpers ----------------------------------------------------------------
+
+
+def _worst(residuals, label: Callable[[int], str]) -> tuple[float, str]:
+    """The largest of the nonnegative `residuals`, a NaN counting as the
+    largest, and ``label(k)`` of its first holder ``k``, formatted for the
+    winner only; ``(0.0, "")`` when none is above zero."""
+    r = np.asarray(residuals, dtype=float)
+    k = int(np.argmax(r)) if r.size else 0  # a NaN is the argmax
+    return (float(r[k]), label(k)) if r.size and r[k] != 0.0 else (0.0, "")
 
 
 def _as_rows(x, width: int) -> tuple[np.ndarray, bool]:

@@ -106,6 +106,7 @@ class ProductMeasure:
 
     @classmethod
     def iid(cls, marginal: MarginalMeasure, dim: int) -> "ProductMeasure":
+        dim = _check_integer(dim, "dimension")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         return cls((marginal,) * dim)

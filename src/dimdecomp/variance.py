@@ -3,8 +3,8 @@
 Orthogonality of the integration-based decomposition makes second moments
 additive: the variance of the target is the sum, over nonempty subsets, of
 the mean squares of the components.  That split is computed here, along
-with its normalized form (sensitivity indices) and the cross-covariance
-subset-sum identity that connects anchored evaluations back to sums of
+with its normalized form (sensitivity indices) and, by a second route
+from the grid values, the subset-sum variances that must equal sums of
 component variances.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import fsum, inf
 import numpy as np
 
 from dimdecomp.decomp import ComponentTable, _axis_map, _expectation
-from dimdecomp.subsets import VariableSubset, all_subsets_up_to
+from dimdecomp.subsets import all_subsets_up_to
 
 #: variance closure must hold this tightly (relative)
 CLOSURE_RTOL = 1e-9
@@ -73,36 +73,20 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
     """Mean squares of all nonempty components of an ADD table.
 
     Each component variance is its weighted sum of squares on its own
-    subgrid.  All come from the squared table array (see
-    :func:`~dimdecomp.decomp.build_add`) by N axis maps, each taking axis
-    ``j`` to two entries, the slot and the Gauss sum over the nodes, so
-    entry ``b`` of the ``(2,) * N`` result belongs to the mask with bits
-    ``b``.  One leading-axis slab is squared at a time, so no temporary is
-    table-sized.  The total is cross-checked against direct
-    quadrature of ``(y - y_empty)**2`` on the full grid; disagreement beyond
-    ``CLOSURE_RTOL`` means the table is inconsistent and raises.  Pass
-    ``check_closure=False`` to get the map anyway (diagnostic callers
-    record the residual themselves via
+    subgrid, all from one :func:`_mean_squares` pass over the table array
+    (see :func:`~dimdecomp.decomp.build_add`).  The total is cross-checked
+    against direct quadrature of ``(y - y_empty)**2`` on the full grid;
+    disagreement beyond ``CLOSURE_RTOL`` means the table is inconsistent
+    and raises.  Pass ``check_closure=False`` to get the map anyway
+    (diagnostic callers record the residual themselves via
     :func:`variance_closure_residual`).
 
     Gauss weights are positive, so every entry is a sum of nonnegative
     terms and no variance can come out negative.
     """
-    N = table.dim
-    weights = [r.weights for r in table.problem.rules]
-    # row 0 carries the slot ("j not in u"), row 1 sums the nodes ("j in u")
-    split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
-    T = table._array
-    slabs = []
-    for i in range(len(T)):
-        slab = np.square(T[i : i + 1])
-        for j in range(1, N):
-            slab = _axis_map(split[j], slab, j)
-        slabs.append(slab)
-    by_mask = _axis_map(split[0], np.concatenate(slabs), 0).ravel(order="F")
-    sigma2 = {u.mask: float(by_mask[u.mask]) for u in all_subsets_up_to(N, N) if not u.is_empty}
+    sigma2 = _mean_squares(table._array, [r.weights for r in table.problem.rules])
     total = fsum(sigma2.values())
-    vmap = VarianceMap(N, table.y_empty, sigma2, total)
+    vmap = VarianceMap(table.dim, table.y_empty, sigma2, total)
     if check_closure:
         _checked_closure(variance_closure_residual(table, vmap))
     return vmap
@@ -145,30 +129,43 @@ def sobol_indices(vmap: VarianceMap) -> dict[int, float]:
     return {mask: v / vmap.total for mask, v in vmap.sigma2.items()}
 
 
-def sobol_D(table: ComponentTable, u: VariableSubset) -> float:
-    """Subset-sum variance of `u` via the cross-covariance identity.
+def sobol_D(table: ComponentTable) -> dict[int, float]:
+    """Subset-sum variance ``D_u`` of every nonempty subset, keyed by mask
+    like ``VarianceMap.sigma2``: the Gauss mean square of ``E[z | X_u]``,
+    ``z = y - E[y]``, which equals ``sum_{v ⊆ u, v != {}} sigma2_v``.
 
-    Evaluates ``E[ z(X) * E[z | X_u] ]`` with ``z = y - E[y]``, which is
-    ``E[ y(X) * E[y | X_u] ] - (E[y])**2`` without its cancellation at a
-    large mean, by nested tensor quadrature on the full grid of target
-    values that :func:`build_add` evaluated for the ADD `table` (``E[y]``
-    its own Gauss mean) — the inner conditional mean integrates over the
-    complement coordinates, the outer expectation over everything.
-    It reads those grid values only, never the table array of components,
-    so it stays a route independent of the build's axis passes, and it
-    calls the target no further.  Equals
-    ``sum_{v ⊆ u, v != {}} sigma2_v``; the test-suite pins that identity
-    against :func:`variance_components`.
+    All conditional means are one table-shaped array ``(x)_j [I; w_j^T] z``
+    on the grid of target values that :func:`build_add` evaluated for
+    `table`: the build's axis loop without its centering line.  It reads
+    those values only, never the table array, and calls no target, so it
+    stays a route independent of the build's centering passes.
     """
-    if u.dim != table.dim:
-        raise ValueError(f"subset dimension {u.dim} != table dimension {table.dim}")
-    if u.is_empty:
-        return 0.0
+    Y = table._full_values
     weights = [r.weights for r in table.problem.rules]
-    Y = table._full_values - _expectation(table._full_values, weights)
-    own = set(u.indices())
-    # conditional mean, its integrated axes kept with length 1
-    cond = Y
-    for ax in reversed([j for j in range(table.dim) if j not in own]):
-        cond = _axis_map(weights[ax][None, :], cond, ax)
-    return _expectation(Y * cond, weights)
+    C = np.zeros(tuple(n + 1 for n in Y.shape))
+    nodes = tuple(slice(0, n) for n in Y.shape)
+    np.subtract(Y, _expectation(Y, weights), out=C[nodes])
+    for j in reversed(range(Y.ndim)):
+        V = C.reshape(C.shape[: j + 1] + (-1,))[nodes[:j]]
+        np.matmul(weights[j], V[..., :-1, :], out=V[..., -1, :])  # P_j
+    return _mean_squares(C, weights)
+
+
+def _mean_squares(A: np.ndarray, weights: list[np.ndarray]) -> dict[int, float]:
+    """Gauss mean square of each nonempty mask's entries of the
+    nodes-plus-slot array `A`, by mask in (cardinality, mask) order: N axis
+    maps take axis ``j`` to the slot and the Gauss sum over the nodes, so
+    entry ``b`` of the ``(2,) * N`` result belongs to the mask with bits
+    ``b``.  One leading-axis slab is squared at a time (no table-sized
+    temporary)."""
+    N = A.ndim
+    # row 0 carries the slot ("j not in u"), row 1 sums the nodes ("j in u")
+    split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
+    slabs = []
+    for i in range(len(A)):
+        slab = np.square(A[i : i + 1])
+        for j in range(1, N):
+            slab = _axis_map(split[j], slab, j)
+        slabs.append(slab)
+    by_mask = _axis_map(split[0], np.concatenate(slabs), 0).ravel(order="F")
+    return {u.mask: float(by_mask[u.mask]) for u in all_subsets_up_to(N, N) if not u.is_empty}

@@ -368,6 +368,56 @@ class TestVerify:
             assert err.startswith("error: variance closure violated")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("dim,q", [(6, 4), (10, 2)])
+    def test_subset_sum_identity_runs_above_five_variables(self, tmp_path, dim, q):
+        # it was skipped there while it cost O(4**N)
+        cfg = write_config(
+            tmp_path,
+            {
+                **BASE,
+                "dim": dim,
+                "quad_order": q,
+                "truncation_orders": [1],
+                "out": str(tmp_path / "out"),
+                "mc": {"n_samples": 10_000},
+            },
+        )
+        main(["verify", "--config", cfg])
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        identity = checks["subset_sum_variance_identity"]
+        assert identity["passed"], identity
+        assert "add_orthogonality" not in checks
+
+    def test_identity_catches_a_grid_fault_at_six_variables(self, tmp_path, monkeypatch):
+        build = cli.build_add
+
+        def corrupted(problem):
+            # one target value of the grid, which sobol_D reads and the
+            # component table does not
+            table = build(problem)
+            table._full_values.flat[-1] += 1e-3 * table.scale
+            return table
+
+        monkeypatch.setattr(cli, "build_add", corrupted)
+        cfg = write_config(
+            tmp_path,
+            {
+                **BASE,
+                "dim": 6,
+                "quad_order": 4,
+                "truncation_orders": [1],
+                "out": str(tmp_path / "out"),
+                "mc": {"n_samples": 10_000},
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 2
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        identity = {c["name"]: c for c in report["checks"]}["subset_sum_variance_identity"]
+        assert not identity["passed"]
+        assert identity["residual"] > identity["tolerance"] == 1e-8
+        assert identity["detail"].startswith("subset [")
+
 
 def test_decompose_computes_the_closure_residual_once(tmp_path, monkeypatch):
     # variance_components and the report each computed it

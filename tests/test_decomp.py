@@ -266,6 +266,19 @@ class TestAddTableArray:
         assert checks["add_zero_mean"].detail.startswith("subset [2,4], coordinate ")
         assert not checks["add_grid_exactness"].passed
 
+
+def test_a_nan_fails_orthogonality():
+    # the pair loop skipped a NaN residual and passed at 2.7e-17
+    t = build_add(product_linear_problem(3, quad_order=4))
+    t.grid_values(VariableSubset.from_indices([0, 1], 3))[0, 0] = np.nan
+    checks = {c.name: c for c in check_add_structure(t)}
+    assert math.isnan(checks["add_zero_mean"].residual)
+    orthogonality = checks["add_orthogonality"]
+    assert math.isnan(orthogonality.residual)
+    assert not orthogonality.passed
+    assert orthogonality.detail.startswith("pair ")
+
+
 def test_variance_and_checks_stay_within_a_few_slabs():
     # neither a table-sized nor a grid-sized temporary: at most three
     # leading-axis slabs of the table (161 051 values here) at once
@@ -504,6 +517,20 @@ class TestRddBuild:
         assert not got.passed
         assert got.residual > 1e3 * got.tolerance
         assert re.fullmatch(r"subset \[[1-3](,[1-3])*\], pinned coordinate [1-3]", got.detail)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_fails_annihilation(self):
+        # the component passes overflow to inf - inf; the row loop skipped
+        # the NaN residuals and passed at 0.0
+        fn = make_function("poly", 2, terms=[{"coeff": 1.7e308, "exponents": [1, 0]}])
+        p = ProblemSpec(fn, ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 2), 4)
+        t = build_rdd(p, np.array([-0.99, 0.0]))
+        results = {c.name: c for c in check_rdd_structure(t, seed=0)}
+        assert math.isnan(results["rdd_full_sum_exactness"].residual)
+        annihilation = results["rdd_annihilation"]
+        assert math.isnan(annihilation.residual)
+        assert not annihilation.passed
+        assert re.fullmatch(r"subset \[[12](,2)?\], pinned coordinate [12]", annihilation.detail)
 
     def test_anchor_validation(self, plin3):
         with pytest.raises(ValueError):
@@ -1101,7 +1128,7 @@ def test_rdd_annihilation_property(mask, data):
     [
         lambda p, add, rdd: variance_components(rdd),
         lambda p, add, rdd: variance_closure_residual(rdd, variance_components(add)),
-        lambda p, add, rdd: sobol_D(rdd, VariableSubset.from_indices([0, 2], 3)),
+        lambda p, add, rdd: sobol_D(rdd),
         lambda p, add, rdd: check_add_structure(rdd),
         lambda p, add, rdd: mc_add_error(rdd, 1, 1000),
         lambda p, add, rdd: check_optimality_split(

@@ -149,6 +149,15 @@ class TestProductMeasure:
         assert m.contains(np.array([0.5, 1.0, 1.5]))
         assert not m.contains(np.array([0.5, 1.0, 2.5]))
 
+    @pytest.mark.parametrize("dim", [True, 2.0, "3", 0])
+    def test_iid_dimension_is_a_positive_integer(self, dim):
+        # True built a one-variable measure, 2.0 raised TypeError
+        with pytest.raises(ValueError, match="dimension"):
+            ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), dim)
+
+    def test_iid_takes_a_numpy_integer(self):
+        assert ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), np.int64(2)).dim == 2
+
     def test_mixed_marginals(self):
         m = ProductMeasure((MarginalMeasure.uniform(0.0, 1.0), NORMAL))
         np.testing.assert_array_equal(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimdecomp import (
     MarginalMeasure,
@@ -12,12 +14,13 @@ from dimdecomp import (
     VariableSubset,
     all_subsets_up_to,
     build_add,
+    make_function,
     sobol_D,
     sobol_indices,
     variance_closure_residual,
     variance_components,
 )
-from dimdecomp.decomp import _expectation
+from dimdecomp.decomp import _axis_map, _expectation
 from dimdecomp.variance import CLOSURE_RTOL
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
@@ -145,10 +148,11 @@ class TestSubsetSumIdentity:
     def test_identity(self, factory, dim):
         table = build_add(factory(dim))
         vmap = variance_components(table)
+        D = sobol_D(table)
         for u in all_subsets_up_to(dim, dim):
             if u.is_empty:
                 continue
-            direct = sobol_D(table, u)
+            direct = D[u.mask]
             summed = math.fsum(
                 vmap.sigma2[v.mask]
                 for v in all_subsets_up_to(dim, dim)
@@ -157,7 +161,7 @@ class TestSubsetSumIdentity:
             assert direct == pytest.approx(summed, rel=1e-8, abs=1e-12)
 
     def test_full_subset_gives_total(self, plin3_table, plin3_vmap):
-        D = sobol_D(plin3_table, VariableSubset.full(3))
+        D = sobol_D(plin3_table)[VariableSubset.full(3).mask]
         assert D == pytest.approx(plin3_vmap.total, rel=1e-10)
 
     def test_reads_the_table_grid_without_target_calls(self):
@@ -165,13 +169,52 @@ class TestSubsetSumIdentity:
         problem, seen = counted(product_linear_problem(3, quad_order=6))
         table = build_add(problem)
         seen.clear()
-        for u in all_subsets_up_to(3, 3):
-            sobol_D(table, u)
+        sobol_D(table)
         assert seen == []
 
     def test_single_variable_value(self, plin3_table):
-        D = sobol_D(plin3_table, VariableSubset.from_indices([0], 3))
+        D = sobol_D(plin3_table)[VariableSubset.from_indices([0], 3).mask]
         assert D == pytest.approx(1.0 / 3.0, rel=1e-10)
+
+
+def sobol_D_of_subset(table, u: VariableSubset) -> float:
+    """Reference route, one subset per grid pass: ``E[z(X) * E[z | X_u]]``
+    with ``z = y - E[y]``, the conditional mean by nested quadrature over
+    the complement coordinates."""
+    weights = [r.weights for r in table.problem.rules]
+    Y = table._full_values - _expectation(table._full_values, weights)
+    own = set(u.indices())
+    # conditional mean, its integrated axes kept with length 1
+    cond = Y
+    for ax in reversed([j for j in range(table.dim) if j not in own]):
+        cond = _axis_map(weights[ax][None, :], cond, ax)
+    return _expectation(Y * cond, weights)
+
+
+MARGINALS = [MarginalMeasure.uniform(-1.0, 2.0), MarginalMeasure.standard_normal()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_all_subsets_equal_the_per_subset_route(dim, data):
+    marginals = [data.draw(st.sampled_from(MARGINALS)) for _ in range(dim)]
+    orders = tuple(data.draw(st.integers(1, 6)) for _ in range(dim))
+    coeff = st.floats(-3.0, 3.0, allow_subnormal=False)
+    if data.draw(st.booleans()):
+        fn = make_function(
+            "product_linear", dim, a=data.draw(st.lists(coeff, min_size=dim, max_size=dim))
+        )
+    else:
+        exps = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+        terms = data.draw(st.lists(st.tuples(coeff, exps), min_size=1, max_size=4))
+        fn = make_function("poly", dim, terms=[{"coeff": c, "exponents": e} for c, e in terms])
+    table = build_add(ProblemSpec(fn, ProductMeasure(marginals), orders))
+    D = sobol_D(table)
+    nonempty = [u for u in all_subsets_up_to(dim, dim) if not u.is_empty]
+    assert list(D) == [u.mask for u in nonempty]
+    floor = 1e-12 * (table.scale**2 + D[(1 << dim) - 1])  # D of the full set: the total
+    for u in nonempty:
+        assert D[u.mask] == pytest.approx(sobol_D_of_subset(table, u), rel=1e-12, abs=floor)
 
 
 @pytest.mark.parametrize(
