@@ -59,18 +59,22 @@ def sweep(N: int, S: int) -> dict:
     per_point = count_up_to(N, S)
     rng = np.random.default_rng(N * 100 + S)
     best = {R: (float("inf"), float("inf")) for R in BLOCK_ROWS}
-    for _ in range(REPEATS):
-        for R in random.sample(BLOCK_ROWS, len(BLOCK_ROWS)):
-            m = R * ceil(ROWS / per_point / R)
-            X = problem.measure.sample(rng, m)
-            C = problem.measure.sample(rng, m)
-            decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = R * N, 0
-            spent[0] = 0.0
-            t = time.perf_counter()
-            decomp.rdd_direct(problem, S, C, X)
-            total = time.perf_counter() - t
-            rows = m * per_point
-            best[R] = min(best[R], (total / rows, spent[0] / (rows * N)))
+    rule = (decomp._BLOCK_VALUES, decomp._BLOCK_ROWS)
+    try:
+        for _ in range(REPEATS):
+            for R in random.sample(BLOCK_ROWS, len(BLOCK_ROWS)):
+                m = R * ceil(ROWS / per_point / R)
+                X = problem.measure.sample(rng, m)
+                C = problem.measure.sample(rng, m)
+                decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = R * N, 0
+                spent[0] = 0.0
+                t = time.perf_counter()
+                decomp.rdd_direct(problem, S, C, X)
+                total = time.perf_counter() - t
+                rows = m * per_point
+                best[R] = min(best[R], (total / rows, spent[0] / (rows * N)))
+    finally:
+        decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = rule
     return {
         "N": N,
         "S": S,

@@ -50,17 +50,19 @@ def sweep(name: str, N: int, q: int) -> dict:
     problem = decomp.ProblemSpec(counted, timed.measure, q)
     problem.rules  # the Gauss rules are built outside the timings
     best = {}
-    for _ in range(REPEATS):
-        for R in random.sample(CAPS + ["rule"], len(CAPS) + 1):
-            decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = RULE if R == "rule" else (R * N, 0)
-            rows.clear()
-            spent[0] = 0.0
-            t = time.perf_counter()
-            decomp._evaluate_full_grid(problem)
-            total = time.perf_counter() - t
-            old = best.get(R, (float("inf"), float("inf"), 0, 0))
-            best[R] = min(old[:2], (total, spent[0])) + (len(rows), sum(rows) / len(rows))
-    decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = RULE
+    try:
+        for _ in range(REPEATS):
+            for R in random.sample(CAPS + ["rule"], len(CAPS) + 1):
+                decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = RULE if R == "rule" else (R * N, 0)
+                rows.clear()
+                spent[0] = 0.0
+                t = time.perf_counter()
+                decomp._evaluate_full_grid(problem)
+                total = time.perf_counter() - t
+                old = best.get(R, (float("inf"), float("inf"), 0, 0))
+                best[R] = min(old[:2], (total, spent[0])) + (len(rows), sum(rows) / len(rows))
+    finally:
+        decomp._BLOCK_VALUES, decomp._BLOCK_ROWS = RULE
     return {
         "target": name,
         "N": N,

@@ -146,14 +146,16 @@ class ProblemSpec:
         """Evaluate the target as a float array of shape ``x.shape[:-1]``.
 
         Every grid, anchored and sampled evaluation of the package goes
-        through here.  A batch of ``(m, dim)`` points reaches the function
-        in the row blocks of :func:`_block_rows`, so no call sees more
+        through here.  A batch of points reaches the function as ``(m, dim)``
+        rows in the row blocks of :func:`_block_rows`, so no call sees more
         than one block, and the function sees a read-only view of each.
         Raises ``ValueError`` naming both shapes when the function returns
         any other shape (say ``(m, 1)``), which would otherwise broadcast,
         and when any value is not finite.
         """
         x = np.asarray(x, dtype=float)
+        if x.ndim > 2:
+            return self.evaluate(x.reshape(-1, x.shape[-1])).reshape(x.shape[:-1])
         m = len(x) if x.ndim == 2 else 1
         step = _block_rows(m, self.dim)
         if step >= m:
@@ -561,7 +563,8 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
     coordinates sits at the matching anchor coordinate.  Exactness: summing
     all components reproduces the target at arbitrary points.  Both are
     probed at ``RDD_STRUCTURE_POINTS`` random points drawn from the input
-    measure.
+    measure, by one pass each over the full subset lattice; annihilation
+    pins one coordinate of each row's drawn subset and reads its component.
 
     For a deterministic target the annihilation residual is exactly 0 by
     construction: with a coordinate pinned at the anchor, each anchored
@@ -586,22 +589,22 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
     r = float(np.max(np.abs(full - y) / denom))
     results.append(CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS))
 
-    # each row draws its subset and pinned coordinate; the rows of one
-    # subset then share one component evaluation
+    # each row draws its subset and pinned coordinate; one pass over the
+    # full lattice at the pinned points then holds every row's component
     Z = X.copy()
     drawn = []
-    rows_of: dict[tuple[int, ...], list[int]] = {}
     for row in range(n_points):
         size = int(rng.integers(1, N + 1))
-        coords = tuple(sorted(rng.choice(N, size=size, replace=False).tolist()))
+        coords = sorted(rng.choice(N, size=size, replace=False).tolist())
         pin = coords[int(rng.integers(size))]
         Z[row, pin] = anchor[pin]
         drawn.append((VariableSubset.from_indices(coords, N), pin))
-        rows_of.setdefault(coords, []).append(row)
+    lattice = list(all_subsets_up_to(N, N))
+    # its masks permute range(2**N), so argsort gives each mask's position
+    own = np.argsort([u.mask for u in lattice])[[u.mask for u, _ in drawn]]
     resid = np.empty(n_points)
-    for coords, rows in rows_of.items():
-        u = VariableSubset.from_indices(coords, N)
-        resid[rows] = np.abs(table.component(u, Z[np.ix_(rows, coords)]))
+    for rows, comps in _rdd_components(table.problem, anchor, Z, lattice):
+        resid[rows] = np.abs(comps[own[rows], np.arange(comps.shape[1])])
     worst, worst_label = _worst(
         resid, lambda k: f"subset {drawn[k][0].label()}, pinned coordinate {drawn[k][1] + 1}"
     )
@@ -613,10 +616,10 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
 def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -> CheckResult:
     """Truncated component-sum route vs direct collapsed route, pointwise.
 
-    Draws ``FORM_EQUIVALENCE_PAIRS`` independent (anchor, point) pairs from
-    the input measure, anchor first within each pair, and runs each route
-    once on the whole batch with one anchor per row: the components up to
-    ``|u| <= order`` summed by the helper behind
+    Draws ``FORM_EQUIVALENCE_PAIRS`` anchors and then as many points from
+    the input measure, two batches that pair up row by row, and runs each
+    route once on the whole batch with one anchor per row: the components
+    up to ``|u| <= order`` summed by the helper behind
     :meth:`AnchoredTable.truncated` (so each row gets what
     ``build_rdd(problem, c).truncated(order, x)`` gives for its pair)
     against :func:`rdd_direct`.  Relative deviation is measured against
@@ -624,12 +627,8 @@ def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -
     """
     n_pairs = FORM_EQUIVALENCE_PAIRS
     rng = np.random.default_rng(seed)
-    pairs = [
-        (problem.measure.sample(rng), problem.measure.sample(rng))
-        for _ in range(n_pairs)
-    ]
-    C = np.array([c for c, _ in pairs])
-    X = np.array([x for _, x in pairs])
+    C = problem.measure.sample(rng, n_pairs)
+    X = problem.measure.sample(rng, n_pairs)
     direct = rdd_direct(problem, order, C, X)
     summed = _rdd_truncated(problem, C, X, order)
     worst = float(np.max(np.abs(summed - direct) / np.maximum(1.0, np.abs(direct))))

@@ -1,0 +1,46 @@
+"""Smoke runs of the block-size sweeps in ``bench/`` on one tiny shape each.
+
+The sweeps patch private names of :mod:`dimdecomp.decomp`
+(``_BLOCK_VALUES``, ``_BLOCK_ROWS``, ``_evaluate_full_grid``), so a rename
+there shows here, and each sweep must hand the package its one block rule
+back.
+"""
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from dimdecomp import decomp
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_sweeps_write_their_keys_and_restore_the_block_rule(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import anchor_blocks
+    import grid_blocks
+
+    rule = (decomp._BLOCK_VALUES, decomp._BLOCK_ROWS)
+    # set to themselves, so teardown restores them should a sweep fail
+    for name, value in zip(("_BLOCK_VALUES", "_BLOCK_ROWS"), rule):
+        monkeypatch.setattr(decomp, name, value)
+    monkeypatch.setattr(anchor_blocks, "BLOCK_ROWS", [7, 13])
+    monkeypatch.setattr(anchor_blocks, "ROWS", 200)
+    monkeypatch.setattr(anchor_blocks, "REPEATS", 1)
+    out = json.loads(json.dumps(anchor_blocks.sweep(5, 2)))
+    assert set(out) == {"N", "S", "rows_per_point", "by_block_rows"}
+    assert set(out["by_block_rows"]) == {"7", "13"}
+    for cell in out["by_block_rows"].values():
+        assert set(cell) == {"mrows_per_s", "target_ns_per_value"}
+    assert (decomp._BLOCK_VALUES, decomp._BLOCK_ROWS) == rule
+
+    monkeypatch.setattr(grid_blocks, "CAPS", [4])
+    monkeypatch.setattr(grid_blocks, "REPEATS", 1)
+    out = json.loads(json.dumps(grid_blocks.sweep("product_linear", 2, 3)))
+    assert set(out) == {"target", "N", "q", "points", "by_cap"}
+    assert set(out["by_cap"]) == {"4", "rule"}
+    for cell in out["by_cap"].values():
+        assert set(cell) == {"calls", "rows_per_call", "grid_ms", "target_ms"}
+    # the 9 grid points: one call under the rule, three at 4 rows a call
+    assert [out["by_cap"][R]["calls"] for R in ("rule", "4")] == [1, 3]
+    assert (decomp._BLOCK_VALUES, decomp._BLOCK_ROWS) == rule

@@ -69,6 +69,15 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "total variance" in out
 
+    def test_one_marginal_in_a_list_serves_every_coordinate(self, tmp_path):
+        written = []
+        for k, form in enumerate((BASE["marginals"], [BASE["marginals"]])):
+            out = tmp_path / f"out{k}"
+            cfg = write_config(tmp_path, {**BASE, "marginals": form, "out": str(out)})
+            assert main(["decompose", "--config", cfg]) == 0
+            written.append((out / "components.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_constant_function_leaves_indices_blank(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

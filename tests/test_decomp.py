@@ -410,6 +410,7 @@ class TestRddBuild:
     def test_product_components_at_zero_anchor(self, plin3):
         t = build_rdd(plin3, np.zeros(3))
         assert t.y_empty == pytest.approx(1.0)
+        assert t.component(VariableSubset.empty(3), np.empty(0)) == t.y_empty
         x = np.array([0.7])
         u = VariableSubset.from_indices([1], 3)
         assert t.component(u, x) == pytest.approx(0.7)
@@ -463,20 +464,21 @@ class TestRddBuild:
             (ishigami_problem, 3),
         ],
     )
-    def test_annihilation_batched_by_subset(self, make, seed):
-        # the rows of each drawn subset share one component evaluation; the
-        # per-row route below (one evaluation per row, as the check once
-        # ran) must give the same residual and label, bit for bit, from the
-        # same target rows
+    def test_annihilation_from_one_lattice_pass(self, make, seed):
+        # every row reads its drawn subset's component from one pass over
+        # the full lattice at the pinned points; the per-row route below
+        # (one component evaluation per row, as the check once ran) must
+        # give the same residual and label, bit for bit
         problem, seen = counted(make())
         N = problem.dim
         anchor = problem.measure.sample(rng(seed))
         table = build_rdd(problem, anchor)
         seen.clear()
         results = {c.name: c for c in check_rdd_structure(table, seed=seed)}
-        batched_rows = sum(len(x) for x in seen)
+        # the full sum and the pinned points take one call of 100 rows per
+        # subset of all N each, and y(X) one more
+        assert [len(x) for x in seen] == [100] * (2 ** (N + 1) + 1)
 
-        seen.clear()
         g = np.random.default_rng(seed)
         X = problem.measure.sample(g, 100)
         worst, label = 0.0, ""
@@ -490,7 +492,6 @@ class TestRddBuild:
             r = abs(float(table.component(u, x_u)))
             if r > worst:
                 worst, label = r, f"subset {u.label()}, pinned coordinate {coords[pin] + 1}"
-        per_row_rows = sum(len(x) for x in seen)
 
         got = results["rdd_annihilation"]
         assert (got.residual, got.detail) == (worst, label)
@@ -498,8 +499,6 @@ class TestRddBuild:
         # pinned coordinate, so the pinned axis's pass cancels to exactly
         # zero; a wrong pin in either route shows as a nonzero residual
         assert worst == 0.0
-        # the full-sum check adds 100 rows per subset of all N, plus 100
-        assert batched_rows == per_row_rows + 100 * 2**N + 100
 
     def test_annihilation_catches_a_broken_axis_pass(self, plin3, monkeypatch):
         # axis passes that never subtract the constant component leave y(c)
@@ -1033,12 +1032,13 @@ class TestExplicitComponent:
 
 
 def reference_form_residual(problem, order, n_pairs, seed):
-    """The pair-by-pair form check: one RDD table and one point per pair."""
+    """The pair-by-pair form check: one RDD table and one point per pair,
+    the anchors and then the points drawn as two batches."""
     g = np.random.default_rng(seed)
+    C = problem.measure.sample(g, n_pairs)
+    X = problem.measure.sample(g, n_pairs)
     worst = 0.0
-    for _ in range(n_pairs):
-        c = problem.measure.sample(g)
-        x = problem.measure.sample(g)
+    for c, x in zip(C, X):
         a = build_rdd(problem, c).truncated(order, x)
         b = rdd_direct(problem, order, c, x)
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
@@ -1229,9 +1229,9 @@ def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
 
 
 def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
-    # grid, conditional-mean, sampled and anchored paths alike: at 16 rows
-    # per block no call holds more than the rule gives its batch (or one
-    # block, where a path's batches differ in size), each path evaluates
+    # grid, conditional-mean, sampled, anchored and direct paths alike: at
+    # 16 rows per block no call holds more than the rule gives its batch (or
+    # one block, where a path's batches differ in size), each path evaluates
     # as many rows as its pin says, and every result is bit for bit the
     # one of the default rule (one block per batch here)
     dim, n, block = 3, MIN_PAIRS, 16
@@ -1262,9 +1262,15 @@ def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
             None,
             sum(grid_rows),
         ),
-        # 100 random points: 100 rows for y, 100 * 2**N for the full sum,
-        # and per drawn subset its rows times 2**|u|, plus y(anchor)
-        "check_rdd_structure": (lambda: check_rdd_structure(build_rdd(p, c), seed=5), None, None),
+        # points of more axes split as their (m, dim) rows
+        "evaluate": (lambda: p.evaluate(rng(2).uniform(-1.0, 1.0, (25, 2, dim))), 50, 50),
+        # 100 random points: 100 rows for y and 100 * 2**N each for the
+        # full sum and the pinned points, plus y(anchor)
+        "check_rdd_structure": (
+            lambda: check_rdd_structure(build_rdd(p, c), seed=5),
+            None,
+            1 + 100 + 200 * 2**dim,
+        ),
     }
 
     def run():
