@@ -17,6 +17,7 @@ from dimdecomp.decomp import (
     build_rdd,
     check_add_structure,
     check_form_equivalence,
+    check_rdd_on_grid,
     check_rdd_structure,
     explicit_component,
     rdd_direct,

@@ -39,6 +39,7 @@ from dimdecomp.decomp import (
     build_rdd,
     check_add_structure,
     check_form_equivalence,
+    check_rdd_on_grid,
     check_rdd_structure,
 )
 from dimdecomp.errors import (
@@ -416,6 +417,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     anchor = problem.measure.sample(rng)
     rdd_table = build_rdd(problem, anchor)
     checks.extend(check_rdd_structure(rdd_table, seed=cfg.seed))
+    checks.append(check_rdd_on_grid(table, seed=cfg.seed))
 
     for s in range(min(3, dim - 1) + 1):
         checks.append(check_form_equivalence(problem, s, seed=cfg.seed + s))

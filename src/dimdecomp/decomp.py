@@ -14,6 +14,9 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   checks are ``N`` axis passes each.  The table answers on its own grid:
   under the Gauss grid measure (the nodes with their product weights) its
   values are the target's exact ADD; it holds no values off the nodes.
+  One sweep makes it from the grid values, a Gauss-weight row per axis;
+  the one-hot rows of a node anchor make the anchored decomposition there,
+  with no target call, which :func:`check_rdd_on_grid` holds the kernel to.
 * **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
   ``j`` at an anchor point ``c``.  Components cost only function calls —
   no grids — and every nonempty component vanishes as soon as one of its
@@ -80,11 +83,10 @@ _BLOCK_FLOOR_COST = 3
 TOL_ZERO_MEAN = 1e-10
 TOL_ORTHOGONALITY = 1e-10
 TOL_EXACTNESS = 1e-10
-TOL_ANNIHILATION = 1e-12
 TOL_FORM_EQUIVALENCE = 1e-10
 #: add_orthogonality loops over pairs of subsets, O(4**N); it runs up to here
 MAX_ORTHOGONALITY_DIM = 5
-#: random points at which check_rdd_structure probes an anchored table
+#: points at which check_rdd_structure and check_rdd_on_grid probe the anchored kernel
 RDD_STRUCTURE_POINTS = 100
 #: (anchor, point) pairs at which check_form_equivalence compares the routes
 FORM_EQUIVALENCE_PAIRS = 100
@@ -151,7 +153,8 @@ class ProblemSpec:
         than one block, and the function sees a read-only view of each.
         Raises ``ValueError`` naming both shapes when the function returns
         any other shape (say ``(m, 1)``), which would otherwise broadcast,
-        and when any value is not finite.
+        and naming the count and the first value with its point when any
+        value is not finite.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim > 2:
@@ -176,7 +179,12 @@ class ProblemSpec:
                 f"{x.shape}; expected {x.shape[:-1]}"
             )
         if not np.isfinite(out).all():
-            raise ValueError("function returned non-finite values")
+            bad = np.flatnonzero(~np.isfinite(out))
+            at = ", ".join(f"{v:.12g}" for v in x.reshape(-1, x.shape[-1])[bad[0]])
+            raise ValueError(
+                f"function returned {len(bad)} non-finite values, "
+                f"the first {out.flat[bad[0]]} at x = [{at}]"
+            )
         return out
 
 
@@ -246,7 +254,7 @@ class AnchoredTable:
     """Components of an RDD decomposition at the reference point `anchor`.
 
     Holds a checked, read-only copy of the anchor and ``y_empty =
-    y(anchor)``, no other values: each query evaluates the target at
+    y(anchor)``, no other values: :meth:`truncated` evaluates the target at
     anchored points, per row block (see :func:`_rdd_components`).  Build
     through :func:`build_rdd`.
     """
@@ -269,25 +277,6 @@ class AnchoredTable:
     def scale(self) -> float:
         """Magnitude used to normalize structural residuals."""
         return max(1.0, abs(self.y_empty))
-
-    def component(self, u: VariableSubset, x) -> float | np.ndarray:
-        """Evaluate one component at points ``x`` of shape ``(|u|,)`` or ``(m, |u|)``.
-
-        Columns of ``x`` follow ``u.indices()`` in ascending order.  Only
-        the ``2**|u|`` subsets of `u` are evaluated.
-        """
-        if u.dim != self.dim:
-            raise ValueError(f"subset dimension {u.dim} != table dimension {self.dim}")
-        if u.is_empty:
-            return self.y_empty
-        X, squeeze = _as_rows(x, u.cardinality)
-        Z = np.tile(self.anchor, (X.shape[0], 1))
-        Z[:, u.indices()] = X
-        lattice = list(strict_subsets(u)) + [u]
-        out = np.empty(X.shape[0])
-        for rows, comps in _rdd_components(self.problem, self.anchor, Z, lattice):
-            out[rows] = comps[-1]
-        return float(out[0]) if squeeze else out
 
     def truncated(self, order: int, x) -> float | np.ndarray:
         """Evaluate the S-variate truncated sum at full points ``x``;
@@ -315,13 +304,10 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
     ``(q_1 + 1, ..., q_N + 1)``: along axis ``j``, index ``i < q_j`` means
     "``j`` in ``u``, at node ``i``" and the slot ``q_j`` means "integrated
     out".  Component ``u`` is the view taking ``:q_j`` on its own axes and
-    the slot on the others; the all-slot entry is the mean.  ``T`` is the
-    Kronecker operator ``(x)_j [I - 1 w_j^T; w_j^T]`` applied to the grid:
-    in 2N axis passes, last axis first, each axis gets its slot (the Gauss
-    sum over its nodes) and then has the slot subtracted from its nodes,
-    skipping the still-zero slots of the axes not yet passed.  On a Gauss
-    grid zero means, orthogonality and grid exactness hold to roundoff by
-    construction.
+    the slot on the others; the all-slot entry is the mean.  ``T`` is
+    ``(x)_j [I - 1 w_j^T; w_j^T]`` applied to the grid, :func:`_sweep` with
+    the Gauss weights ``w_j``.  On a Gauss grid zero means, orthogonality
+    and grid exactness hold to roundoff by construction.
 
     Builds whose full tensor grid exceeds ``DEFAULT_MAX_GRID_POINTS``
     points, or whose table would exceed ``MAX_TABLE_VALUES`` values, are
@@ -343,15 +329,7 @@ def build_add(problem: ProblemSpec) -> ComponentTable:
             f"ADD table needs {table_values} values, over the budget {MAX_TABLE_VALUES}"
         )
     Y = _evaluate_full_grid(problem)
-    T = np.zeros(tuple(n + 1 for n in q))
-    nodes = tuple(slice(0, n) for n in q)
-    T[nodes] = Y
-    for j in reversed(range(len(q))):
-        # (q_0, ..., q_{j-1}, q_j + 1, rest): earlier axes have no slots yet
-        V = T.reshape(T.shape[: j + 1] + (-1,))[nodes[:j]]
-        np.matmul(problem.rules[j].weights, V[..., :-1, :], out=V[..., -1, :])  # P_j
-        V[..., :-1, :] -= V[..., -1:, :]  # I - P_j
-    return ComponentTable(problem, T, Y)
+    return ComponentTable(problem, _sweep(Y, [r.weights for r in problem.rules]), Y)
 
 
 def build_rdd(problem: ProblemSpec, anchor) -> AnchoredTable:
@@ -445,8 +423,8 @@ def explicit_component(problem: ProblemSpec, u: VariableSubset, x_u, *, anchor=N
     conditional means over all ``v ⊆ u`` (each one a fresh quadrature over
     the complementary coordinates).  With one it is the RDD component at
     that anchor: it sums signed anchored evaluations.  Exists as an
-    independent route against the tables' axis passes — the two must agree
-    to roundoff.
+    independent route against the axis passes of the ADD table and of the
+    anchored kernel — the routes must agree to roundoff.
     """
     if u.dim != problem.dim:
         raise ValueError(f"subset dimension {u.dim} != problem dimension {problem.dim}")
@@ -557,60 +535,55 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
 
 
 def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckResult]:
-    """Anchor annihilation and full-sum exactness of an anchored table.
+    """Full-sum exactness of an anchored table: summing all components
+    reproduces the target at ``RDD_STRUCTURE_POINTS`` random points drawn
+    from the input measure, by one pass over the full subset lattice.
 
-    Annihilation: a nonempty component is zero whenever any one of its own
-    coordinates sits at the matching anchor coordinate.  Exactness: summing
-    all components reproduces the target at arbitrary points.  Both are
-    probed at ``RDD_STRUCTURE_POINTS`` random points drawn from the input
-    measure, by one pass each over the full subset lattice; annihilation
-    pins one coordinate of each row's drawn subset and reads its component.
-
-    For a deterministic target the annihilation residual is exactly 0 by
-    construction: with a coordinate pinned at the anchor, each anchored
-    evaluation is bit-equal to its partner without that coordinate, the
-    axis passes before the pinned axis's keep every such pair bit-equal,
-    and the pinned axis's pass subtracts bit-equal partners.  The check
-    therefore guards the bookkeeping of the axis passes (which partner each
-    pass subtracts), not roundoff; its label names the subset and the
-    pinned coordinate of the worst row.
+    The axis passes of the anchored kernel are checked against an
+    independent route by :func:`check_rdd_on_grid`.
     """
-    anchor = table.anchor  # a ComponentTable has none: fails before any evaluation
-    n_points = RDD_STRUCTURE_POINTS
-    N = table.dim
-    rng = np.random.default_rng(seed)
-    X = table.problem.measure.sample(rng, n_points)
-    scale = table.scale
-    results = []
-
-    full = table.truncated(N, X)
+    table.anchor  # a ComponentTable has none: fails before any evaluation
+    X = table.problem.measure.sample(np.random.default_rng(seed), RDD_STRUCTURE_POINTS)
+    full = table.truncated(table.dim, X)
     y = table.problem.evaluate(X)
-    denom = np.maximum(1.0, np.abs(y))
-    r = float(np.max(np.abs(full - y) / denom))
-    results.append(CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS))
+    r = float(np.max(np.abs(full - y) / np.maximum(1.0, np.abs(y))))
+    return [CheckResult("rdd_full_sum_exactness", r, TOL_EXACTNESS)]
 
-    # each row draws its subset and pinned coordinate; one pass over the
-    # full lattice at the pinned points then holds every row's component
-    Z = X.copy()
-    drawn = []
-    for row in range(n_points):
-        size = int(rng.integers(1, N + 1))
-        coords = sorted(rng.choice(N, size=size, replace=False).tolist())
-        pin = coords[int(rng.integers(size))]
-        Z[row, pin] = anchor[pin]
-        drawn.append((VariableSubset.from_indices(coords, N), pin))
-    lattice = list(all_subsets_up_to(N, N))
-    # its masks permute range(2**N), so argsort gives each mask's position
-    own = np.argsort([u.mask for u in lattice])[[u.mask for u, _ in drawn]]
-    resid = np.empty(n_points)
-    for rows, comps in _rdd_components(table.problem, anchor, Z, lattice):
-        resid[rows] = np.abs(comps[own[rows], np.arange(comps.shape[1])])
-    worst, worst_label = _worst(
-        resid, lambda k: f"subset {drawn[k][0].label()}, pinned coordinate {drawn[k][1] + 1}"
+
+def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
+    """The anchored kernel against the anchored table swept on an ADD grid.
+
+    Draws a node anchor ``a`` and ``RDD_STRUCTURE_POINTS`` node points with
+    the Gauss weights.  :func:`_sweep` with the one-hot rows of ``a`` gives
+    the anchored table at ``a`` from the grid values, with no target call;
+    one pass of the anchored kernel over the full lattice at the points
+    must match every component, relative to ``max(1, max|y|)`` on the grid
+    (a NaN counts as the worst; the label names its subset).  A component
+    with an own coordinate at ``a``'s node is exactly 0 in the table.  The
+    wanted table values are gathered and the table freed before the pass.
+    """
+    Y = table._full_values  # an AnchoredTable has none: fails before any evaluation
+    rules = table.problem.rules
+    rng = np.random.default_rng(seed)
+    idx = np.column_stack(
+        [rng.choice(len(r.weights), RDD_STRUCTURE_POINTS + 1, p=r.weights) for r in rules]
     )
-    tol = TOL_ANNIHILATION * scale
-    results.append(CheckResult("rdd_annihilation", worst, tol, worst_label))
-    return results
+    T = _sweep(Y, [np.eye(len(r.weights))[k] for r, k in zip(rules, idx[0])])
+    lattice = list(all_subsets_up_to(table.dim, table.dim))
+    # component u at point k sits at node idx[k, j] on its own axes and at
+    # the slot q_j on the others: the subset bits times the per-axis offsets
+    # from the all-slot entry give every flat index
+    q = np.array(table.problem.orders)
+    strides = np.array(T.strides) // T.itemsize
+    bits = np.array([u.mask for u in lattice])[:, None] >> np.arange(table.dim) & 1
+    G = T.ravel()[bits @ ((idx[1:] - q) * strides).T + int(q @ strides)]
+    del T
+    P = np.column_stack([r.nodes[i] for r, i in zip(rules, idx.T)])
+    for rows, comps in _rdd_components(table.problem, P[0], P[1:], lattice):
+        np.abs(np.subtract(comps, G[:, rows], out=comps), out=G[:, rows])
+    worst, label = _worst(G.ravel(), lambda k: f"subset {lattice[k // G.shape[1]].label()}")
+    scale = max(1.0, float(Y.max()), -float(Y.min()))
+    return CheckResult("rdd_grid_agreement", worst / scale, TOL_EXACTNESS, label)
 
 
 def check_form_equivalence(problem: ProblemSpec, order: int, *, seed: int = 0) -> CheckResult:
@@ -873,6 +846,28 @@ def _evaluate_full_grid(
                 Z[: n * T, k].reshape(n, T)[...] = nodes[k][i][:, None]
         vals[start * T : (start + n) * T] = problem.evaluate(Z[: n * T])
     return vals.reshape(orders)
+
+
+def _sweep(grid: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """``(x)_j [I - 1 p_j^T; p_j^T]`` applied to the grid values `grid`, in
+    the nodes-plus-slot layout of :func:`build_add`, with ``p_j = rows[j]``.
+
+    In 2N axis passes, last axis first, each axis gets its slot ``P_j`` (the
+    row applied to its nodes) and then has it subtracted from its nodes,
+    skipping the still-zero slots of the axes not yet passed.  Gauss weights
+    give the ADD table.  The one-hot rows of a node anchor ``a`` give the
+    anchored table at ``a``: the slot of axis ``j`` copies node ``a_j``'s
+    slice exactly, so every component with an own coordinate there is 0.
+    """
+    T = np.zeros(tuple(n + 1 for n in grid.shape))
+    nodes = tuple(slice(0, n) for n in grid.shape)
+    T[nodes] = grid
+    for j in reversed(range(grid.ndim)):
+        # (q_0, ..., q_{j-1}, q_j + 1, rest): earlier axes have no slots yet
+        V = T.reshape(T.shape[: j + 1] + (-1,))[nodes[:j]]
+        np.matmul(rows[j], V[..., :-1, :], out=V[..., -1, :])  # P_j
+        V[..., :-1, :] -= V[..., -1:, :]  # I - P_j
+    return T
 
 
 def _around(arr: np.ndarray, k: int) -> np.ndarray:

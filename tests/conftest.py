@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dimdecomp import (
+    ComponentTable,
     MarginalMeasure,
     ProblemSpec,
     ProductMeasure,
@@ -18,6 +19,7 @@ from dimdecomp import (
     make_function,
     variance_components,
 )
+from dimdecomp.decomp import _sweep
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -67,6 +69,14 @@ def poly_problem(dim: int = 4, quad_order: int = 6) -> ProblemSpec:
         ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), dim),
         quad_order,
     )
+
+
+def node_anchored_table(add: ComponentTable, a) -> ComponentTable:
+    """The anchored table at node anchor `a` (node indices), swept from the
+    grid values of the ADD table `add` with the one-hot rows of `a`."""
+    Y = add._full_values
+    rows = [np.eye(len(r.weights))[k] for r, k in zip(add.problem.rules, a)]
+    return ComponentTable(add.problem, _sweep(Y, rows), Y)
 
 
 def counted(problem: ProblemSpec):

@@ -23,6 +23,7 @@ from dimdecomp import (
     check_add_structure,
     check_form_equivalence,
     check_optimality_split,
+    check_rdd_on_grid,
     check_rdd_structure,
     coeff_b,
     contrived_example,
@@ -125,11 +126,13 @@ def test_c05_structure_battery(criterion):
                 "add_orthogonality": 1e-10 * table.scale**2,
                 "add_grid_exactness": 1e-10,
                 "rdd_full_sum_exactness": 1e-10,
-                "rdd_annihilation": 1e-12 * rdd.scale,
+                "rdd_grid_agreement": 1e-10,
             }
-            for c in list(check_add_structure(table)) + list(
-                check_rdd_structure(rdd, seed=5)
-            ):
+            for c in [
+                *check_add_structure(table),
+                *check_rdd_structure(rdd, seed=5),
+                check_rdd_on_grid(table, seed=5),
+            ]:
                 assert c.tolerance == stated[c.name], c.name
                 assert c.passed, (c.name, c.residual, c.detail)
         # the two anchored-expansion routes agree pointwise

@@ -39,7 +39,7 @@ EXPORTS = {
     "GAUSS_MAX_ORDER",
     # decomp
     "AnchoredTable", "CheckResult", "ComponentTable", "ProblemSpec", "build_add",
-    "build_rdd", "check_add_structure", "check_form_equivalence",
+    "build_rdd", "check_add_structure", "check_form_equivalence", "check_rdd_on_grid",
     "check_rdd_structure", "explicit_component", "rdd_direct", "rdd_direct_sums",
     # errors
     "CardinalitySums", "DecayModel", "DecayPoint", "ErrorBudget", "TwoScaleReport",
@@ -65,8 +65,7 @@ EXPORTS = {
 # per operation, so a second spelling added here is an API change too.
 MEMBERS = {
     # decomp
-    "AnchoredTable.component", "AnchoredTable.dim", "AnchoredTable.scale",
-    "AnchoredTable.truncated",
+    "AnchoredTable.dim", "AnchoredTable.scale", "AnchoredTable.truncated",
     "ComponentTable.dim", "ComponentTable.grid_values", "ComponentTable.scale",
     "ComponentTable.truncated",
     "ProblemSpec.dim", "ProblemSpec.evaluate", "ProblemSpec.orders", "ProblemSpec.rules",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dimdecomp import (
     AnchoredTable,
+    ComponentTable,
     MarginalMeasure,
     ProblemSpec,
     ProductMeasure,
@@ -24,6 +25,7 @@ from dimdecomp import (
     check_add_structure,
     check_form_equivalence,
     check_optimality_split,
+    check_rdd_on_grid,
     check_rdd_structure,
     count_up_to,
     explicit_component,
@@ -46,6 +48,7 @@ from dimdecomp.mc import MIN_PAIRS
 from tests.conftest import (
     counted,
     ishigami_problem,
+    node_anchored_table,
     poly_problem,
     product_linear_problem,
     sobol_g_problem,
@@ -200,6 +203,22 @@ class TestAddBuild:
         )
         with pytest.raises(ValueError, match="finite"):
             build_add(p)
+
+    def test_nonfinite_error_names_the_first_bad_point(self):
+        # the count of bad values in the call, and the first with its row
+        m = ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 3)
+
+        def function(x):
+            return np.where(x[..., 0] > 0.8, np.nan, np.where(x[..., 1] < -0.9, -np.inf, 1.0))
+
+        p = ProblemSpec(function, m, 3)
+        X = np.array([[0.1, 0.2, 0.3], [0.95, -0.95, 0.0], [0.9, 1 / 3, 0.0], [0.0, -1.0, 0.5]])
+        want = "function returned 3 non-finite values, the first nan at x = [0.95, -0.95, 0]"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            p.evaluate(X)
+        want = "function returned 1 non-finite values, the first -inf at x = [0, -1, 0.5]"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            p.evaluate(X[3])
 
 
 # mixed orders catch any mix-up of axes; N=10 has 1023 components
@@ -406,27 +425,50 @@ class TestAddEvaluation:
             plin3_table.truncated((1,))
 
 
+def kernel_component(problem, anchor, u, X_u):
+    """The anchored component of `u` at the rows of `X_u` (columns in
+    ``u.indices()`` order), by one pass of the anchored kernel over the
+    lattice of `u` at rows that start at `anchor`."""
+    c = np.asarray(anchor, dtype=float)
+    X_u = np.atleast_2d(np.asarray(X_u, dtype=float))
+    Z = np.tile(c, (len(X_u), 1))
+    Z[:, u.indices()] = X_u
+    out = np.empty(len(Z))
+    for rows, comps in decomp._rdd_components(problem, c, Z, [*strict_subsets(u), u]):
+        out[rows] = comps[-1]
+    return out
+
+
+def grid_draws(problem, seed):
+    """The node anchor and the 100 node points of ``check_rdd_on_grid(...,
+    seed=seed)``, as node indices, drawn with the Gauss weights."""
+    g = np.random.default_rng(seed)
+    draws = [g.choice(len(r.weights), size=101, p=r.weights) for r in problem.rules]
+    idx = np.column_stack(draws)
+    return idx[0], idx[1:]
+
+
 class TestRddBuild:
     def test_product_components_at_zero_anchor(self, plin3):
-        t = build_rdd(plin3, np.zeros(3))
+        c = np.zeros(3)
+        t = build_rdd(plin3, c)
         assert t.y_empty == pytest.approx(1.0)
-        assert t.component(VariableSubset.empty(3), np.empty(0)) == t.y_empty
-        x = np.array([0.7])
+        assert explicit_component(plin3, VariableSubset.empty(3), [], anchor=c) == t.y_empty
         u = VariableSubset.from_indices([1], 3)
-        assert t.component(u, x) == pytest.approx(0.7)
+        assert explicit_component(plin3, u, [0.7], anchor=c) == pytest.approx(0.7)
         u = VariableSubset.from_indices([0, 2], 3)
         # (1+x0)(1+x2) - 1 - x0 - x2 = x0 x2
-        assert t.component(u, np.array([0.5, -0.4])) == pytest.approx(-0.2)
+        assert explicit_component(plin3, u, [0.5, -0.4], anchor=c) == pytest.approx(-0.2)
 
     def test_annihilation_at_anchor_coordinate(self, plin3):
         c = np.array([0.3, -0.1, 0.8])
-        t = build_rdd(plin3, c)
         u = VariableSubset.from_indices([0], 3)
-        assert t.component(u, np.array([c[0]])) == pytest.approx(0.0, abs=1e-14)
+        assert explicit_component(plin3, u, [c[0]], anchor=c) == pytest.approx(0.0, abs=1e-14)
         u = VariableSubset.from_indices([0, 1], 3)
-        # pinning either own coordinate kills the component
-        assert t.component(u, np.array([c[0], 0.9])) == pytest.approx(0.0, abs=1e-13)
-        assert t.component(u, np.array([0.9, c[1]])) == pytest.approx(0.0, abs=1e-13)
+        # pinning either own coordinate kills the component, in both routes
+        for x_u in ([c[0], 0.9], [0.9, c[1]]):
+            assert explicit_component(plin3, u, x_u, anchor=c) == pytest.approx(0.0, abs=1e-13)
+            assert kernel_component(plin3, c, u, x_u)[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_telescoping_sum_equals_anchored_value(self, plin3):
         # sum over the sublattice of u reproduces y(x_u, c_{-u})
@@ -442,17 +484,16 @@ class TestRddBuild:
             z[list(coords)] = x_u
             anchored = float(plin3.evaluate(z[None, :])[0])
             total = t.y_empty
-            for v in strict_subsets(u):
+            for v in [*strict_subsets(u), u]:
                 if v.is_empty:
                     continue
                 pos = [coords.index(j) for j in v.indices()]
-                total += float(t.component(v, x_u[pos]))
-            total += float(t.component(u, x_u))
+                total += explicit_component(plin3, v, x_u[pos], anchor=c)
             assert total == pytest.approx(anchored, rel=1e-12)
 
-    def test_structure_checks_pass(self, plin3):
+    def test_structure_checks_pass(self, plin3, plin3_table):
         t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
-        for c in check_rdd_structure(t, seed=7):
+        for c in [*check_rdd_structure(t, seed=7), check_rdd_on_grid(plin3_table, seed=7)]:
             assert c.passed, (c.name, c.residual)
 
     @pytest.mark.parametrize(
@@ -465,44 +506,52 @@ class TestRddBuild:
         ],
     )
     def test_annihilation_from_one_lattice_pass(self, make, seed):
-        # every row reads its drawn subset's component from one pass over
-        # the full lattice at the pinned points; the per-row route below
-        # (one component evaluation per row, as the check once ran) must
-        # give the same residual and label, bit for bit
+        # the grid check reads every point's components from one kernel
+        # pass over the full lattice at the node points; the row-by-row
+        # reference below (one kernel pass per point, the swept table read
+        # through grid_values) must give the same residual and label, bit
+        # for bit, and every component with an own coordinate at the
+        # anchor's node is exactly 0 in the swept table
         problem, seen = counted(make())
         N = problem.dim
-        anchor = problem.measure.sample(rng(seed))
-        table = build_rdd(problem, anchor)
+        rdd = build_rdd(problem, problem.measure.sample(rng(seed)))
+        add = build_add(problem)
         seen.clear()
-        results = {c.name: c for c in check_rdd_structure(table, seed=seed)}
-        # the full sum and the pinned points take one call of 100 rows per
+        check_rdd_structure(rdd, seed=seed)
+        got = check_rdd_on_grid(add, seed=seed)
+        # the full sum and the node points take one call of 100 rows per
         # subset of all N each, and y(X) one more
         assert [len(x) for x in seen] == [100] * (2 ** (N + 1) + 1)
 
-        g = np.random.default_rng(seed)
-        X = problem.measure.sample(g, 100)
-        worst, label = 0.0, ""
-        for row in range(100):
-            size = int(g.integers(1, N + 1))
-            coords = tuple(sorted(g.choice(N, size=size, replace=False).tolist()))
-            u = VariableSubset.from_indices(coords, N)
-            x_u = X[row, list(coords)].copy()
-            pin = int(g.integers(size))
-            x_u[pin] = anchor[coords[pin]]
-            r = abs(float(table.component(u, x_u)))
-            if r > worst:
-                worst, label = r, f"subset {u.label()}, pinned coordinate {coords[pin] + 1}"
+        a, I = grid_draws(problem, seed)
+        table = node_anchored_table(add, a)
+        nodes = [r.nodes for r in problem.rules]
+        c = np.array([x[k] for x, k in zip(nodes, a)])
+        lattice = list(all_subsets_up_to(N, N))
+        resid = np.empty((len(lattice), 100))
+        hits = 0
+        for k, at in enumerate(I):
+            x = np.array([[x[i] for x, i in zip(nodes, at)]])
+            ((_, comps),) = decomp._rdd_components(problem, c, x, lattice)
+            for n, (u, comp) in enumerate(zip(lattice, comps[:, 0])):
+                own = list(u.indices())
+                value = table.grid_values(u)
+                value = value if u.is_empty else value[tuple(at[own])]
+                resid[n, k] = abs(comp - value)
+                if np.any(at[own] == a[own]):
+                    assert value == 0.0, (u.label(), k)
+                    hits += 1
+        assert hits > 0
+        n = int(np.argmax(resid))
+        Y = add._full_values
+        scale = max(1.0, float(Y.max()), -float(Y.min()))
+        want = (resid.flat[n] / scale, f"subset {lattice[n // 100].label()}")
+        assert (got.residual, got.detail) == want
+        assert got.passed, got
 
-        got = results["rdd_annihilation"]
-        assert (got.residual, got.detail) == (worst, label)
-        # pinning makes each evaluation equal its partner without the
-        # pinned coordinate, so the pinned axis's pass cancels to exactly
-        # zero; a wrong pin in either route shows as a nonzero residual
-        assert worst == 0.0
-
-    def test_annihilation_catches_a_broken_axis_pass(self, plin3, monkeypatch):
+    def test_annihilation_catches_a_broken_axis_pass(self, plin3_table, monkeypatch):
         # axis passes that never subtract the constant component leave y(c)
-        # in every univariate component at its own anchor coordinate
+        # in every univariate component of the kernel
         real = decomp._axis_passes
 
         def broken(subsets, dim):
@@ -510,26 +559,87 @@ class TestRddBuild:
             return [(h[~np.isin(d, empty)], d[~np.isin(d, empty)]) for h, d in real(subsets, dim)]
 
         monkeypatch.setattr(decomp, "_axis_passes", broken)
-        t = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
-        results = {c.name: c for c in check_rdd_structure(t, seed=7)}
-        got = results["rdd_annihilation"]
+        got = check_rdd_on_grid(plin3_table, seed=7)
         assert not got.passed
         assert got.residual > 1e3 * got.tolerance
-        assert re.fullmatch(r"subset \[[1-3](,[1-3])*\], pinned coordinate [1-3]", got.detail)
+        assert re.fullmatch(r"subset \[[1-3](,[1-3])*\]", got.detail)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_nan_fails_annihilation(self):
-        # the component passes overflow to inf - inf; the row loop skipped
-        # the NaN residuals and passed at 0.0
+    def test_a_nan_fails_annihilation(self, plin3_table, monkeypatch):
+        # the component passes overflow to inf - inf, in the kernel and the
+        # sweep alike
         fn = make_function("poly", 2, terms=[{"coeff": 1.7e308, "exponents": [1, 0]}])
         p = ProblemSpec(fn, ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 2), 4)
         t = build_rdd(p, np.array([-0.99, 0.0]))
-        results = {c.name: c for c in check_rdd_structure(t, seed=0)}
-        assert math.isnan(results["rdd_full_sum_exactness"].residual)
-        annihilation = results["rdd_annihilation"]
-        assert math.isnan(annihilation.residual)
-        assert not annihilation.passed
-        assert re.fullmatch(r"subset \[[12](,2)?\], pinned coordinate [12]", annihilation.detail)
+        (full,) = check_rdd_structure(t, seed=0)
+        assert math.isnan(full.residual)
+        got = check_rdd_on_grid(build_add(p), seed=0)
+        assert math.isnan(got.residual)
+        assert not got.passed
+        assert re.fullmatch(r"subset \[[12](,2)?\]", got.detail)
+        # one NaN among finite residuals is the worst, and its subset the label
+        real = decomp._rdd_components
+
+        def one_nan(problem, anchor, X, subsets):
+            for rows, comps in real(problem, anchor, X, subsets):
+                comps[5, 0] = np.nan
+                yield rows, comps
+
+        monkeypatch.setattr(decomp, "_rdd_components", one_nan)
+        got = check_rdd_on_grid(plin3_table, seed=0)
+        assert math.isnan(got.residual) and not got.passed
+        assert got.detail == f"subset {list(all_subsets_up_to(3, 3))[5].label()}"
+
+    @pytest.mark.parametrize("fault", ["node_one_off", "first_axis_first", "batch_dependent"])
+    def test_grid_agreement_catches_a_fault(self, plin3, monkeypatch, fault):
+        # each fault breaks one route: the sweep anchored one node off on
+        # the first axis, the sweep's passes in the wrong order, or a
+        # target whose values depend on the rows of their batch
+        problem = plin3
+        if fault == "node_one_off":
+            real = decomp._sweep
+            monkeypatch.setattr(
+                decomp, "_sweep", lambda grid, rows: real(grid, [np.roll(rows[0], 1), *rows[1:]])
+            )
+        elif fault == "first_axis_first":
+            # the sweep's loop reads reversed() from its module first
+            monkeypatch.setattr(decomp, "reversed", lambda r: r, raising=False)
+        else:
+            def function(x):
+                y = plin3.function(x)
+                return y + 1e-3 * np.mean(y)
+
+            problem = ProblemSpec(function, plin3.measure, plin3.quad_order)
+        got = check_rdd_on_grid(build_add(problem), seed=7)
+        assert not got.passed
+        assert got.residual > 1e3 * got.tolerance
+        assert re.fullmatch(r"subset \[[1-3]?(,[1-3])*\]", got.detail)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: product_linear_problem(3, quad_order=(5, 3, 4)),
+                 lambda: sobol_g_problem(4, quad_order=5), lambda: ishigami_problem(6)]
+    )
+    def test_one_hot_sweep_is_exact(self, make):
+        # the sweep with one-hot rows copies node a_j's slice into the slot
+        # of axis j: fixing x_j at the anchor leaves the anchored table of
+        # the slice, bit for bit, and every component with an own
+        # coordinate at a_j is exactly 0
+        add = build_add(make())
+        Y = add._full_values
+        rules = add.problem.rules
+        g = rng(4)
+        for _ in range(3):
+            a = [int(g.integers(len(r.weights))) for r in rules]
+            table = node_anchored_table(add, a)
+            T = table._array
+            assert table.y_empty == Y[tuple(a)]
+            rows = [np.eye(len(r.weights))[k] for r, k in zip(rules, a)]
+            for j, (r, k) in enumerate(zip(rules, a)):
+                sliced = decomp._sweep(np.take(Y, k, axis=j), rows[:j] + rows[j + 1 :])
+                assert np.array_equal(np.take(T, len(r.weights), axis=j), sliced)
+                assert np.all(np.take(T, k, axis=j) == 0.0)
+            r = np.max(np.abs(table.truncated(add.dim) - Y))
+            assert r <= decomp.TOL_EXACTNESS * max(1.0, float(np.max(np.abs(Y))))
 
     def test_anchor_validation(self, plin3):
         with pytest.raises(ValueError):
@@ -739,7 +849,7 @@ class TestAnchoredKernel:
         def routes():
             return (
                 [table.truncated(s, X) for s in range(dim + 1)],
-                table.component(u, X[:, [1, 3, 4]]),
+                kernel_component(p, C[0], u, X[:, [1, 3, 4]]),
                 check_form_equivalence(p, order, seed=5).residual,
             )
 
@@ -967,14 +1077,13 @@ class TestExplicitComponent:
         p = sobol_g_problem(4)
         g = rng(19)
         c = g.uniform(0.0, 1.0, 4)
-        t = build_rdd(p, c)
         for _ in range(50):
             size = int(g.integers(1, 5))
             coords = tuple(sorted(g.choice(4, size=size, replace=False).tolist()))
             u = VariableSubset.from_indices(coords, 4)
             x_u = g.uniform(0.0, 1.0, size)
             direct = explicit_component(p, u, x_u, anchor=c)
-            recursive = float(t.component(u, x_u))
+            recursive = kernel_component(p, c, u, x_u)[0]
             assert direct == pytest.approx(recursive, rel=1e-10, abs=1e-12)
 
     def test_rdd_route_agrees_with_table_on_every_subset(self):
@@ -982,13 +1091,12 @@ class TestExplicitComponent:
         p = sobol_g_problem(6)
         g = rng(23)
         c = g.uniform(0.0, 1.0, 6)
-        t = build_rdd(p, c)
         for u in all_subsets_up_to(6, 6):
             if u.is_empty:
                 continue
             x_u = g.uniform(0.0, 1.0, u.cardinality)
             direct = explicit_component(p, u, x_u, anchor=c)
-            assert abs(direct - float(t.component(u, x_u))) <= 1e-12, u.label()
+            assert abs(direct - kernel_component(p, c, u, x_u)[0]) <= 1e-12, u.label()
 
     @pytest.mark.parametrize("coords", [(0,), (1, 3), (0, 2, 3), (0, 1, 2, 3)])
     def test_target_rows_match_the_closed_forms(self, coords):
@@ -1112,7 +1220,6 @@ def test_rdd_annihilation_property(mask, data):
     # pin one own coordinate of a random component at the anchor: it dies
     p = product_linear_problem(4)
     c = np.array([0.15, -0.35, 0.55, -0.75])
-    t = build_rdd(p, c)
     u = VariableSubset(mask, 4)
     coords = u.indices()
     x_u = np.array(
@@ -1120,7 +1227,7 @@ def test_rdd_annihilation_property(mask, data):
     )
     pin = data.draw(st.integers(0, len(coords) - 1))
     x_u[pin] = c[coords[pin]]
-    assert abs(float(t.component(u, x_u))) <= 1e-12
+    assert abs(explicit_component(p, u, x_u, anchor=c)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -1135,6 +1242,7 @@ def test_rdd_annihilation_property(mask, data):
             rdd, [rdd_expected_error(1, variance_components(add))], MIN_PAIRS, 0
         ),
         lambda p, add, rdd: check_rdd_structure(add),
+        lambda p, add, rdd: check_rdd_on_grid(rdd, seed=0),
     ],
     ids=[
         "variance_components",
@@ -1144,14 +1252,20 @@ def test_rdd_annihilation_property(mask, data):
         "mc_add_error",
         "check_optimality_split",
         "check_rdd_structure",
+        "check_rdd_on_grid",
     ],
 )
 def test_table_of_the_other_decomposition_raises(plin3, plin3_table, call):
     # the table type carries the decomposition: an entry point given the
-    # other type fails at the first attribute that type lacks
-    rdd = build_rdd(plin3, np.array([0.1, 0.2, 0.3]))
+    # other type fails at the first attribute that type lacks, before any
+    # target call
+    p, seen = counted(plin3)
+    add = ComponentTable(p, plin3_table._array, plin3_table._full_values)
+    rdd = build_rdd(p, np.array([0.1, 0.2, 0.3]))
+    seen.clear()
     with pytest.raises(AttributeError):
-        call(plin3, plin3_table, rdd)
+        call(p, add, rdd)
+    assert seen == []
 
 
 def test_problem_spec_validation():
@@ -1222,6 +1336,7 @@ def test_every_batch_is_read_only_with_contiguous_columns(monkeypatch, chunk):
     mc_add_error(p, 2, 1000, 3)
     mc_expected_rdd_error(p, 2, MIN_PAIRS, 4)
     check_rdd_structure(build_rdd(p, c), seed=5)
+    check_rdd_on_grid(table, seed=5)
     check_optimality_split(p, [rdd_expected_error(1, variance_components(table))], MIN_PAIRS, 6)
     u = VariableSubset.from_indices([0, 2], 3)
     explicit_component(p, u, [0.1, 0.2])
@@ -1238,7 +1353,8 @@ def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
     p, seen = counted(product_linear_problem(dim, quad_order=(5, 3, 4)))
     c = np.array([0.25, -0.5, 0.75])
     u = VariableSubset.from_indices([0, 2], dim)
-    budgets = [rdd_expected_error(s, variance_components(build_add(p))) for s in range(dim)]
+    table = build_add(p)
+    budgets = [rdd_expected_error(s, variance_components(table)) for s in range(dim)]
     grid_rows = [
         math.prod(q for j, q in enumerate(p.orders) if j not in v.indices())
         for v in [*strict_subsets(u), u]
@@ -1264,13 +1380,15 @@ def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
         ),
         # points of more axes split as their (m, dim) rows
         "evaluate": (lambda: p.evaluate(rng(2).uniform(-1.0, 1.0, (25, 2, dim))), 50, 50),
-        # 100 random points: 100 rows for y and 100 * 2**N each for the
-        # full sum and the pinned points, plus y(anchor)
+        # 100 random points: 100 rows for y and 100 * 2**N for the full
+        # sum, plus y(anchor)
         "check_rdd_structure": (
             lambda: check_rdd_structure(build_rdd(p, c), seed=5),
             None,
-            1 + 100 + 200 * 2**dim,
+            1 + 100 + 100 * 2**dim,
         ),
+        # 100 node points: 100 rows per subset of all N, on a prebuilt table
+        "check_rdd_on_grid": (lambda: check_rdd_on_grid(table, seed=5), 100, 100 * 2**dim),
     }
 
     def run():
@@ -1281,6 +1399,7 @@ def test_every_path_calls_the_target_in_blocks_of_the_one_rule(monkeypatch):
         return out
 
     whole = run()
+    assert whole["check_rdd_on_grid"][1] == [100] * 2**dim
     monkeypatch.setattr(decomp, "_BLOCK_VALUES", block * dim)
     blocked = run()
     for name, (_, m, total) in paths.items():

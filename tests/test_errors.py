@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb
@@ -13,6 +14,7 @@ from dimdecomp import (
     CardinalitySums,
     DecayModel,
     add_error,
+    build_add,
     coeff_b,
     contrived_example,
     decay_curves,
@@ -21,8 +23,17 @@ from dimdecomp import (
     lambert_w0,
     pmin_for_N,
     rdd_expected_error,
+    variance_components,
 )
+from dimdecomp import errors
 from dimdecomp.errors import _amplification_rows, _decay_term
+from dimdecomp.variance import _variance_floor
+from tests.conftest import (
+    ishigami_problem,
+    node_anchored_table,
+    product_linear_problem,
+    sobol_g_problem,
+)
 
 
 def frac_binomial(r: int, k: int) -> Fraction:
@@ -561,3 +572,54 @@ def test_vanishing_tail_for_fast_decay():
         if prev is not None:
             assert b.e_rdd_expected < prev
         prev = b.e_rdd_expected
+
+
+def _grid_rdd_errors(table, orders):
+    """Per order, the Gauss-weighted mean over every node anchor ``a`` of
+    ``e_rdd(a) = sum_x w(x) (y - truncated_S)**2`` and its minimum over the
+    anchors, each anchored table swept from the grid with one-hot rows."""
+    Y = table._full_values
+    rules = table.problem.rules
+    W = np.ones(())
+    for r in rules:
+        W = np.multiply.outer(W, r.weights)
+    mean = dict.fromkeys(orders, 0.0)
+    low = dict.fromkeys(orders, math.inf)
+    for a in itertools.product(*(range(len(r.weights)) for r in rules)):
+        anchored = node_anchored_table(table, a)
+        for S in orders:
+            e = float(np.sum(W * (Y - anchored.truncated(S)) ** 2))
+            mean[S] += W[a] * e
+            low[S] = min(low[S], e)
+    return mean, low
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: product_linear_problem(4, quad_order=3),
+        lambda: sobol_g_problem(4, quad_order=4),  # kinked
+        lambda: ishigami_problem(5),
+    ],
+    ids=["product_linear", "sobol_g", "ishigami"],
+)
+def test_expected_rdd_error_is_exact_on_the_gauss_grid(make, monkeypatch):
+    # under the Gauss grid measure the ADD table is the target's exact ADD,
+    # so the anchor average of the anchored errors is the budget to
+    # roundoff at every order, and no anchor beats ADD's error
+    table = build_add(make())
+    vmap = variance_components(table)
+    floor = _variance_floor(table.y_empty)
+    budgets = {S: rdd_expected_error(S, vmap) for S in range(table.dim)}
+    orders = [S for S, b in budgets.items() if b.e_add > floor]
+    assert 1 in orders
+    mean, low = _grid_rdd_errors(table, orders)
+    for S in orders:
+        want = budgets[S].e_rdd_expected
+        assert abs(mean[S] - want) <= 1e-12 * want, S
+        assert low[S] >= budgets[S].e_add * (1 - 1e-12), S
+    # a coefficient off by one at (S, s) = (1, 2) breaks the identity
+    real = errors.coeff_b
+    monkeypatch.setattr(errors, "coeff_b", lambda S, s: real(S, s) + ((S, s) == (1, 2)))
+    broken = rdd_expected_error(1, vmap).e_rdd_expected
+    assert abs(mean[1] - broken) > 1e-6 * broken
