@@ -11,7 +11,10 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   components are orthogonal, so variances add across subsets.  All
   components live in one array with, per axis, the Gauss nodes plus one
   slot for "integrated out", so the build, the variances and the structure
-  checks are ``N`` axis passes each.  The table answers on its own grid:
+  checks are ``N`` axis passes each.  The passes that read a built table
+  and its grid take them in pieces of about one block (``_BLOCK_VALUES``)
+  that round every value as whole-slab passes do, so an ADD run holds the
+  table, its grid and a few blocks.  The table answers on its own grid:
   under the Gauss grid measure (the nodes with their product weights) its
   values are the target's exact ADD; it holds no values off the nodes.
   One sweep makes it from the grid values, a Gauss-weight row per axis;
@@ -49,6 +52,14 @@ from dimdecomp.measures import (
     _check_quad_orders,
     product_rules,
 )
+from dimdecomp.passes import (
+    _around,
+    _expectation,
+    _grid_gap,
+    _largest_mean,
+    _lattice_values,
+    _trailing_block,
+)
 from dimdecomp.subsets import (
     VariableSubset,
     _check_orders,
@@ -73,7 +84,8 @@ MAX_TABLE_VALUES = 1 << 24
 # N = 20 and 20-28% faster than its 2 048 at N = 32; at N = 50 and 100 no
 # size from 655 to 16 384 rows stood out of the spread of repeats, so the
 # budget keeps them small.  bench/grid_blocks.py swept the grid path the
-# same way (BENCH_33.json)
+# same way (BENCH_33.json).  The same budget sizes one piece of the passes
+# over a built table and its grid (dimdecomp.passes)
 _BLOCK_VALUES = 1 << 16
 _BLOCK_ROWS = 5_000
 _BLOCK_FLOOR_COST = 3
@@ -482,8 +494,9 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     above ``MAX_ORTHOGONALITY_DIM`` variables to keep the cost
     quadratic-small.  Exactness inverts the build's map (nodes plus slot,
     axis by axis) and compares the sum with the stored grid values.  Both
-    sweeps read one leading-axis slab of the table at a time, so no
-    temporary is larger than a few slabs.
+    sweeps work in pieces of at most about one block (``_BLOCK_VALUES``)
+    and add and round every value as whole-slab passes do, so the check
+    holds the table, its grid and a few blocks.
     """
     N = table.dim
     q = table.problem.orders
@@ -492,15 +505,14 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     scale = table.scale
     results = []
 
-    # Gauss sums along axis j over its nodes: axis 0 whole, the others by slab
+    # Gauss sums along axis j over its nodes: axis 0 over the whole table,
+    # the others slab by slab, each part in block-sized pieces
     parts = chain([(0, 0, T)], ((i, j, T[i : i + 1]) for i in range(len(T)) for j in range(1, N)))
     worst, worst_label = 0.0, ""
     for i, j, part in parts:
-        means = _axis_map(weights[j][None, :], part, j)
-        k = int(np.abs(means, out=means).argmax())  # a NaN is the argmax
-        r = float(means.flat[k])
+        r, k = _largest_mean(weights[j], _around(part, j), _BLOCK_VALUES)
         if r > worst or np.isnan(r):
-            at = list(np.unravel_index(k, means.shape))
+            at = list(np.unravel_index(k, part.shape[:j] + (1,) + part.shape[j + 1 :]))
             at[0] += i
             u = VariableSubset.from_indices([c for c in range(N) if at[c] < q[c]], N)
             worst, worst_label = r, f"subset {u.label()}, coordinate {j + 1}"
@@ -519,17 +531,7 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
         results.append(CheckResult("add_orthogonality", worst, tol, worst_label))
 
     Y = table._full_values
-    r = 0.0
-    for i in range(q[0]):
-        # slab i of the grid: nodes + slot on every axis, dropping the slot
-        recon = T[i : i + 1] + T[-1:]
-        for j in range(1, N):
-            V = _around(recon, j)
-            shape = recon.shape[:j] + (q[j],) + recon.shape[j + 1 :]
-            recon = (V[:, :-1] + V[:, -1:]).reshape(shape)
-        np.subtract(recon, Y[i : i + 1], out=recon)
-        r = np.maximum(r, np.abs(recon, out=recon).max())  # keeps a NaN
-    r = float(r) / max(1.0, float(Y.max()), -float(Y.min()))
+    r = float(_grid_gap(T, Y, _BLOCK_VALUES)) / max(1.0, float(Y.max()), -float(Y.min()))
     results.append(CheckResult("add_grid_exactness", r, TOL_EXACTNESS))
     return results
 
@@ -537,7 +539,9 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
 def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckResult]:
     """Full-sum exactness of an anchored table: summing all components
     reproduces the target at ``RDD_STRUCTURE_POINTS`` random points drawn
-    from the input measure, by one pass over the full subset lattice.
+    from the input measure, by one pass over the full subset lattice in
+    the point groups of :func:`_rdd_components` (one group up to
+    ``N = 17``).
 
     The axis passes of the anchored kernel are checked against an
     independent route by :func:`check_rdd_on_grid`.
@@ -560,7 +564,10 @@ def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
     must match every component, relative to ``max(1, max|y|)`` on the grid
     (a NaN counts as the worst; the label names its subset).  A component
     with an own coordinate at ``a``'s node is exactly 0 in the table.  The
-    wanted table values are gathered and the table freed before the pass.
+    points go in the groups of :func:`_rdd_components`, so no ``(subsets,
+    points)`` array outgrows ``MAX_TABLE_VALUES``: with one group (every
+    ``N <= 17``) the wanted table values are gathered and the table freed
+    before the pass, with more each group gathers its own as it comes.
     """
     Y = table._full_values  # an AnchoredTable has none: fails before any evaluation
     rules = table.problem.rules
@@ -570,18 +577,23 @@ def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
     )
     T = _sweep(Y, [np.eye(len(r.weights))[k] for r, k in zip(rules, idx[0])])
     lattice = list(all_subsets_up_to(table.dim, table.dim))
+    masks = np.array([u.mask for u in lattice])
     # component u at point k sits at node idx[k, j] on its own axes and at
-    # the slot q_j on the others: the subset bits times the per-axis offsets
-    # from the all-slot entry give every flat index
+    # the slot q_j on the others: offsets per axis from the all-slot entry
     q = np.array(table.problem.orders)
     strides = np.array(T.strides) // T.itemsize
-    bits = np.array([u.mask for u in lattice])[:, None] >> np.arange(table.dim) & 1
-    G = T.ravel()[bits @ ((idx[1:] - q) * strides).T + int(q @ strides)]
-    del T
+    steps, base = (idx[1:] - q) * strides, int(q @ strides)
     P = np.column_stack([r.nodes[i] for r, i in zip(rules, idx.T)])
+    whole = len(steps) <= MAX_TABLE_VALUES // len(lattice)  # one group of points
+    if whole:
+        G = _lattice_values(T, masks, steps, base)
+        del T
+    per_subset = np.zeros(len(lattice))
     for rows, comps in _rdd_components(table.problem, P[0], P[1:], lattice):
-        np.abs(np.subtract(comps, G[:, rows], out=comps), out=G[:, rows])
-    worst, label = _worst(G.ravel(), lambda k: f"subset {lattice[k // G.shape[1]].label()}")
+        want = G[:, rows] if whole else _lattice_values(T, masks, steps[rows], base)
+        np.abs(np.subtract(comps, want, out=comps), out=comps)
+        np.maximum(per_subset, comps.max(axis=1), out=per_subset)  # keeps a NaN
+    worst, label = _worst(per_subset, lambda k: f"subset {lattice[k].label()}")
     scale = max(1.0, float(Y.max()), -float(Y.min()))
     return CheckResult("rdd_grid_agreement", worst / scale, TOL_EXACTNESS, label)
 
@@ -682,17 +694,24 @@ def _rdd_components(
     every ``u`` holding ``j``, ``sum_u |u|`` subtractions in all.
     `subsets` must be closed under taking subsets; `anchor`, `X` and the
     row blocks are as in :func:`_anchored`, and a per-row anchor
-    gives each row its own decomposition.
+    gives each row its own decomposition.  The rows go to the kernel in
+    groups of at most ``MAX_TABLE_VALUES // len(subsets)``, so no `comps`
+    outgrows the table budget; one group, and the kernel's own row blocks,
+    serve every batch within it.
     """
     subsets = list(subsets)
     passes = _axis_passes(subsets, problem.dim)
-    for rows, block in _anchored(problem, anchor, X, subsets):
-        comps = np.empty((len(subsets), len(X[rows])))
-        for k, (_, y) in enumerate(block):
-            comps[k] = y
-        for hold, drop in passes:
-            comps[hold] -= comps[drop]
-        yield rows, comps
+    group = max(1, MAX_TABLE_VALUES // len(subsets))
+    for start in range(0, len(X), group):
+        points = slice(start, start + group)
+        at = anchor[points] if anchor.ndim == 2 else anchor
+        for rows, block in _anchored(problem, at, X[points], subsets):
+            comps = np.empty((len(subsets), rows.stop - rows.start))
+            for k, (_, y) in enumerate(block):
+                comps[k] = y
+            for hold, drop in passes:
+                comps[hold] -= comps[drop]
+            yield slice(start + rows.start, start + rows.stop), comps
 
 
 def _axis_passes(
@@ -822,10 +841,8 @@ def _evaluate_full_grid(
         )
     N = problem.dim
     cap = _block_rows(total, N)
-    t, T = N, 1  # the trailing block: axes t.. with T points
-    while t and T * orders[t - 1] <= cap:
-        t -= 1
-        T *= orders[t]
+    t = _trailing_block(orders, cap)  # the trailing block: axes t.. with T points
+    T = prod(orders[t:])
     n_lead = total // T
     chunks = -(-n_lead // (cap // T))
     step = -(-n_lead // chunks)  # leading index tuples per chunk
@@ -854,12 +871,14 @@ def _sweep(grid: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
 
     In 2N axis passes, last axis first, each axis gets its slot ``P_j`` (the
     row applied to its nodes) and then has it subtracted from its nodes,
-    skipping the still-zero slots of the axes not yet passed.  Gauss weights
-    give the ADD table.  The one-hot rows of a node anchor ``a`` give the
-    anchored table at ``a``: the slot of axis ``j`` copies node ``a_j``'s
-    slice exactly, so every component with an own coordinate there is 0.
+    skipping the slots of the axes not yet passed.  So the pass of an
+    entry's lowest slot axis writes it before any pass reads it, and the
+    table starts uninitialized.  Gauss weights give the ADD table.  The
+    one-hot rows of a node anchor ``a`` give the anchored table at ``a``:
+    the slot of axis ``j`` copies node ``a_j``'s slice exactly, so every
+    component with an own coordinate there is 0.
     """
-    T = np.zeros(tuple(n + 1 for n in grid.shape))
+    T = np.empty(tuple(n + 1 for n in grid.shape))
     nodes = tuple(slice(0, n) for n in grid.shape)
     T[nodes] = grid
     for j in reversed(range(grid.ndim)):
@@ -868,29 +887,6 @@ def _sweep(grid: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
         np.matmul(rows[j], V[..., :-1, :], out=V[..., -1, :])  # P_j
         V[..., :-1, :] -= V[..., -1:, :]  # I - P_j
     return T
-
-
-def _around(arr: np.ndarray, k: int) -> np.ndarray:
-    """``(before, n_k, after)`` view of the C-contiguous `arr` around axis
-    `k`; callers that write through it rely on the view."""
-    shape = arr.shape
-    return arr.reshape(prod(shape[:k]), shape[k], -1)
-
-
-def _axis_map(matrix: np.ndarray, arr: np.ndarray, k: int) -> np.ndarray:
-    """`matrix` applied to the first ``matrix.shape[1]`` entries of axis `k`
-    of the C-contiguous `arr` (one matmul); axis `k` gets ``len(matrix)``."""
-    out = np.matmul(matrix, _around(arr, k)[:, : matrix.shape[1]])
-    return out.reshape(arr.shape[:k] + (len(matrix),) + arr.shape[k + 1 :])
-
-
-def _expectation(arr, weights: Sequence[np.ndarray]) -> float:
-    """Gauss expectation of a subgrid array: axis ``k`` is integrated
-    against ``weights[k]``, contracting the last axis first, one
-    matrix-vector product per axis."""
-    for k in reversed(range(np.ndim(arr))):
-        arr = np.dot(arr.reshape(-1, arr.shape[-1]), weights[k]).reshape(arr.shape[:-1])
-    return float(arr)
 
 
 def _conditional_mean(

@@ -3,7 +3,7 @@
 The sweeps patch private names of :mod:`dimdecomp.decomp`
 (``_BLOCK_VALUES``, ``_BLOCK_ROWS``, ``_evaluate_full_grid``), so a rename
 there shows here, and each sweep must hand the package its one block rule
-back.
+back.  ``bench/table_memory.py`` runs the CLI in fresh processes.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from dimdecomp import decomp
+from dimdecomp.mc import MIN_PAIRS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -44,3 +45,19 @@ def test_sweeps_write_their_keys_and_restore_the_block_rule(monkeypatch):
     # the 9 grid points: one call under the rule, three at 4 rows a call
     assert [out["by_cap"][R]["calls"] for R in ("rule", "4")] == [1, 3]
     assert (decomp._BLOCK_VALUES, decomp._BLOCK_ROWS) == rule
+
+
+def test_table_memory_reads_every_command_in_fresh_processes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import table_memory
+
+    monkeypatch.setattr(table_memory, "SAMPLES", MIN_PAIRS)
+    monkeypatch.setattr(table_memory, "REPEATS", 1)
+    out = json.loads(json.dumps(table_memory.sweep(2, 2)))
+    assert set(out) == {"N", "q", "table_mib", "by_command"}
+    assert set(out["by_command"]) == {"decompose", "errors", "verify"}
+    for cell in out["by_command"].values():
+        assert set(cell) == {"exit_codes", "max_rss_mib", "wall_s"}
+        assert cell["exit_codes"] == [0]
+        # a fresh interpreter with numpy is tens of MiB, not a pass of the parent's
+        assert 10 < cell["max_rss_mib"][0] < 500

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from dimdecomp import (
     variance_closure_residual,
     variance_components,
 )
-from dimdecomp import decomp
+from dimdecomp import decomp, passes, variance
 from dimdecomp.cli import main
 from dimdecomp.mc import MIN_PAIRS
 from tests.conftest import (
@@ -312,6 +314,218 @@ def test_variance_and_checks_stay_within_a_few_slabs():
     finally:
         tracemalloc.stop()
     assert peak < 3 * slab * 8
+
+
+# -- whole-slab references: the passes over the table before they took
+# block-sized pieces, kept to hold the pieces to the same rounding
+
+
+def whole_slab_mean_squares(A, weights):
+    split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
+    slabs = []
+    for i in range(len(A)):
+        slab = np.square(A[i : i + 1])
+        for j in range(1, A.ndim):
+            slab = passes._axis_map(split[j], slab, j)
+        slabs.append(slab)
+    by_mask = passes._axis_map(split[0], np.concatenate(slabs), 0).ravel(order="F")
+    return {mask: float(by_mask[mask]) for mask in range(1, 1 << A.ndim)}
+
+
+def whole_slab_closure(table, vmap):
+    weights = [r.weights for r in table.problem.rules]
+    slabs = [passes._expectation((y - table.y_empty) ** 2, weights[1:]) for y in table._full_values]
+    direct = float(np.dot(weights[0], slabs))
+    floor = variance._variance_floor(table.y_empty)
+    return abs(vmap.total - direct) / max(direct, vmap.total, floor)
+
+
+def whole_slab_structure(table):
+    """(zero-mean residual, its label, grid-exactness residual)."""
+    N, q, T = table.dim, table.problem.orders, table._array
+    weights = [r.weights for r in table.problem.rules]
+    parts = itertools.chain(
+        [(0, 0, T)], ((i, j, T[i : i + 1]) for i in range(len(T)) for j in range(1, N))
+    )
+    worst, label = 0.0, ""
+    for i, j, part in parts:
+        means = passes._axis_map(weights[j][None, :], part, j)
+        k = int(np.abs(means, out=means).argmax())
+        r = float(means.flat[k])
+        if r > worst or np.isnan(r):
+            at = list(np.unravel_index(k, means.shape))
+            at[0] += i
+            u = VariableSubset.from_indices([c for c in range(N) if at[c] < q[c]], N)
+            worst, label = r, f"subset {u.label()}, coordinate {j + 1}"
+    Y = table._full_values
+    r = 0.0
+    for i in range(q[0]):
+        recon = T[i : i + 1] + T[-1:]
+        for j in range(1, N):
+            V = passes._around(recon, j)
+            shape = recon.shape[:j] + (q[j],) + recon.shape[j + 1 :]
+            recon = (V[:, :-1] + V[:, -1:]).reshape(shape)
+        np.subtract(recon, Y[i : i + 1], out=recon)
+        r = np.maximum(r, np.abs(recon, out=recon).max())
+    return worst, label, float(r) / max(1.0, float(Y.max()), -float(Y.min()))
+
+
+@pytest.mark.parametrize(
+    "make, dim, q, block",
+    [
+        # slabs of 1.2, 2 and 1.35 MiB in runs of one block: the add_grid shapes
+        (product_linear_problem, 6, 10, None),
+        (product_linear_problem, 10, 3, None),
+        (product_linear_problem, 12, 2, None),
+        # a 17-point axis after the first, and a slab of 107 100 values
+        (sobol_g_problem, 6, (1, 16, 5, 14, 6, 9), None),
+        # a 64-value block splits every pass of small tables many ways: four
+        # leading axes in the exactness sums, head maps of four axes
+        (product_linear_problem, 7, 2, 64),
+        (sobol_g_problem, 4, 8, 64),
+        (poly_problem, 4, 6, 64),
+        (ishigami_problem, 3, 24, 64),
+    ],
+)
+def test_block_passes_round_as_whole_slab_passes(monkeypatch, make, dim, q, block):
+    # every variance, the closure residual and every structure residual and
+    # label as whole-slab passes give them, bit for bit
+    p = make(quad_order=q) if make is ishigami_problem else make(dim, quad_order=q)
+    t = build_add(p)
+    if block:
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", block)
+    weights = [r.weights for r in p.rules]
+    vmap = variance_components(t, check_closure=False)
+    assert vmap.sigma2 == whole_slab_mean_squares(t._array, weights)
+    assert variance_closure_residual(t, vmap) == whole_slab_closure(t, vmap)
+    checks = {c.name: c for c in check_add_structure(t)}
+    zero, label, exact = whole_slab_structure(t)
+    assert (checks["add_zero_mean"].residual, checks["add_zero_mean"].detail) == (zero, label)
+    assert checks["add_grid_exactness"].residual == exact
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_block_zero_means_keep_the_label_of_a_nan(monkeypatch, block):
+    # NaN entries in two slabs, and in slab 7 two whose subsets differ, far
+    # apart in the last part of that slab: the whole-slab pass names that
+    # part's first NaN
+    t = build_add(product_linear_problem(6, quad_order=10))
+    t._array[2, 3, 1, 0, 4, 5] = np.nan
+    t._array[7, 1, 2, 3, 0, 9] = np.nan
+    t._array[7, 6, 2, 10, 0, 9] = np.nan
+    if block:
+        monkeypatch.setattr(decomp, "_BLOCK_VALUES", block)
+    got = check_add_structure(t)[0]
+    zero, label, _ = whole_slab_structure(t)
+    assert math.isnan(got.residual) and math.isnan(zero)
+    assert got.detail == label
+
+
+@pytest.mark.parametrize(
+    "name", ["variance_components", "variance_closure_residual", "check_add_structure"]
+)
+def test_table_passes_hold_a_few_blocks_above_table_and_grid(name):
+    # 3**12 table values, 1.35 MiB slabs: each pass holds at most four
+    # blocks (2 MiB) beyond the table and its grid, the variances' result
+    # included, where whole-slab passes took 2.3 and 2.7 MiB
+    t = build_add(product_linear_problem(12, quad_order=2))
+    vmap = variance_components(t)
+    run = {
+        "variance_components": lambda: variance_components(t, check_closure=False),
+        "variance_closure_residual": lambda: variance_closure_residual(t, vmap),
+        "check_add_structure": lambda: check_add_structure(t),
+    }[name]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * decomp._BLOCK_VALUES * 8
+
+
+def test_table_passes_keep_no_reference_to_the_table():
+    # with the cyclic collector off, the table array goes as soon as its
+    # last owner drops it: no pass leaves a cycle holding a view of it
+    t = build_add(product_linear_problem(7, quad_order=2))
+    array = weakref.ref(t._array)
+    gc.disable()
+    try:
+        vmap = variance_components(t)
+        check_add_structure(t)
+        sobol_D(t)
+        check_rdd_on_grid(t, seed=1)
+        del t
+        assert array() is None
+    finally:
+        gc.enable()
+    assert vmap.total > 0
+
+
+@pytest.mark.parametrize(
+    "n, per_item",
+    [(1, 1), (10, 1), (15, 5000), (100, 1000), (161_051, 1), (14_641, 11), (6561, 27), (729, 6561)],
+)
+def test_runs_are_tile_multiples_with_a_long_last_run(n, per_item):
+    runs = passes._runs(n, per_item, decomp._BLOCK_VALUES)
+    assert runs[0].start == 0 and runs[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+    widths = [r.stop - r.start for r in runs]
+    if len(runs) > 1:
+        assert len(set(widths[:-1])) == 1 and widths[0] % 16 == 0 and widths[-1] >= 16
+        # the fewest runs of about a block: within 31 items of the budget
+        assert max(widths) * per_item <= decomp._BLOCK_VALUES + 31 * per_item
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_anchored_checks_take_points_in_groups_of_the_table_budget(monkeypatch, N):
+    # a budget of 7 points' components: 15 groups of the 100 points, every
+    # residual and label bit for bit as one group gives them, and one
+    # kernel pass of 2**N calls per group
+    problem, seen = counted(product_linear_problem(N, quad_order=4))
+    rdd = build_rdd(problem, problem.measure.sample(rng(3)))
+    add = build_add(problem)
+    want = check_rdd_structure(rdd, seed=3) + [check_rdd_on_grid(add, seed=3)]
+    monkeypatch.setattr(decomp, "MAX_TABLE_VALUES", 7 << N)
+    seen.clear()
+    got = check_rdd_structure(rdd, seed=3) + [check_rdd_on_grid(add, seed=3)]
+    assert [(c.residual, c.detail) for c in got] == [(c.residual, c.detail) for c in want]
+    calls = [rows for rows in [7] * 14 + [2] for _ in range(2**N)]
+    assert [len(x) for x in seen] == calls + [100] + calls
+
+
+def test_sweep_writes_every_entry_before_reading_it(monkeypatch):
+    # the table starts uninitialized: poisoned with NaN, both sweeps of
+    # the package must still give every byte of a zero-started sweep
+    add = build_add(product_linear_problem(4, quad_order=(3, 5, 2, 4)))
+    Y = add._full_values
+
+    def zeros_sweep(grid, rows):
+        T = np.zeros(tuple(n + 1 for n in grid.shape))
+        nodes = tuple(slice(0, n) for n in grid.shape)
+        T[nodes] = grid
+        for j in reversed(range(grid.ndim)):
+            V = T.reshape(T.shape[: j + 1] + (-1,))[nodes[:j]]
+            np.matmul(rows[j], V[..., :-1, :], out=V[..., -1, :])
+            V[..., :-1, :] -= V[..., -1:, :]
+        return T
+
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    for rows in (
+        [r.weights for r in add.problem.rules],
+        [np.eye(len(r.weights))[k] for r, k in zip(add.problem.rules, (2, 0, 1, 3))],
+    ):
+        want = zeros_sweep(Y, rows)
+        monkeypatch.setattr(np, "empty", poisoned)
+        got = decomp._sweep(Y, rows)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFullGrid:

@@ -20,7 +20,7 @@ from dimdecomp import (
     variance_closure_residual,
     variance_components,
 )
-from dimdecomp.decomp import _axis_map, _expectation
+from dimdecomp.passes import _axis_map, _expectation
 from dimdecomp.variance import CLOSURE_RTOL
 from tests.conftest import counted, product_linear_problem, sobol_g_problem
 
