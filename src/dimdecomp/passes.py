@@ -3,18 +3,15 @@
 An ADD table (:func:`~dimdecomp.decomp.build_add`) is one C-ordered array
 with, per axis, the Gauss nodes plus one slot, and its grid the target
 values at the nodes.  Every pass over them maps, sums or adds along one
-axis at a time.  The passes that read a built table or grid take them in
-pieces of about one block of values (`block`, the package's
-``decomp._BLOCK_VALUES``), so a run holds the table, its grid and a few
-blocks whatever the orders, and every piece rounds each value as a pass
-over whole slabs does: additions happen per value in the same order, and
-a BLAS call on a run of columns (:func:`_runs`) gives each column the bits
-the call on the whole range gives it.
+axis at a time.  The passes that read a built table or grid take runs of
+index tuples of at least one leading axis, the trailing axes holding about
+one block (:func:`_trailing_block` of `block`, ``decomp._BLOCK_VALUES``),
+so a run holds the table, its grid and a few blocks whatever the orders.
 """
 from __future__ import annotations
 
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +23,14 @@ def _around(arr: np.ndarray, k: int) -> np.ndarray:
     return arr.reshape(prod(shape[:k]), shape[k], -1)
 
 
-def _axis_map(matrix: np.ndarray, arr: np.ndarray, k: int) -> np.ndarray:
+def _axis_map(matrix: np.ndarray, arr: np.ndarray, k: int, buf=None) -> np.ndarray:
     """`matrix` applied to the first ``matrix.shape[1]`` entries of axis `k`
-    of the C-contiguous `arr` (one matmul); axis `k` gets ``len(matrix)``."""
-    out = np.matmul(matrix, _around(arr, k)[:, : matrix.shape[1]])
+    of the C-contiguous `arr` (one matmul), written to the front of the
+    flat array `buf` if one is given; axis `k` gets ``len(matrix)``."""
+    V = _around(arr, k)[:, : matrix.shape[1]]
+    if buf is not None:
+        buf = buf[: len(V) * len(matrix) * V.shape[2]].reshape(len(V), len(matrix), -1)
+    out = np.matmul(matrix, V, out=buf)
     return out.reshape(arr.shape[:k] + (len(matrix),) + arr.shape[k + 1 :])
 
 
@@ -52,45 +53,59 @@ def _trailing_block(shape: Sequence[int], budget: int) -> int:
     return t
 
 
-def _runs(n: int, per_item: int, block: int) -> list[slice]:
-    """The fewest runs covering ``range(n)`` with about `block` values
-    each, at `per_item` values an item.
+def _kron_map(A: np.ndarray, rows: Sequence[np.ndarray], f: Callable, block: int) -> np.ndarray:
+    """``(x)_j rows[j]`` applied to ``f(A)``, shape ``(len(rows[j]), ...)``,
+    where ``f(piece, out)`` writes `f` of a piece of `A` into `out`.
 
-    Every run but the last holds the same multiple of 16 items, and the
-    last holds the rest, at least 16 unless it is the only run.  A BLAS
-    call on a run then rounds each item as one call on the whole range
-    does: single-threaded OpenBLAS rounds every column of a call alike but
-    those of its last partial tile, and only the last run ends where the
-    whole range does.
+    Per run of leading index tuples, ``f`` and the trailing axes' maps take
+    turns in two reused buffers; chunks of mapped runs then meet their
+    columns of the Kronecker matrix of the leading axes' rows in one
+    matmul, each chunk array at most a block.
     """
-    k = max(1, -(-n * per_item // block))
-    width = 16 * -(-n // (16 * k))
-    cuts = [start for start in range(0, n, width) if n - start >= 16] or [0]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
+    n = A.shape
+    t = max(1, _trailing_block(n, block))
+    lead, size = prod(n[:t]), prod(n[t:])
+    M, R = prod(len(r) for r in rows[:t]), prod(len(r) for r in rows[t:])
+    step = min(lead, max(1, block // size))
+    chunk = min(lead, step * max(1, block // (step * max(M, R))))
+    first = step * size // n[t] * len(rows[t]) if t < len(n) else 0
+    bufs, G = [np.empty(step * size), np.empty(first)], np.empty((chunk, R))
+    out = np.zeros((M, R))
+    A = A.reshape(lead, size)
+    for c0 in range(0, lead, chunk):
+        c1 = min(c0 + chunk, lead)
+        for start in range(c0, c1, step):
+            L = min(step, c1 - start)
+            z = f(A[start : start + L], bufs[0][: L * size].reshape(L, size)).reshape((L,) + n[t:])
+            for k, r in enumerate(rows[t:], 1):
+                z = _axis_map(r, z, k, bufs[k % 2])
+            G[start - c0 : start - c0 + L] = z.reshape(L, R)
+        K = np.ones((1, c1 - c0))
+        for r, i in zip(rows, np.unravel_index(np.arange(c0, c1), n[:t])):
+            K = (K[:, None] * r[:, i]).reshape(-1, c1 - c0)
+        out += K @ G[: c1 - c0]
+    return out.reshape([len(r) for r in rows])
 
 
 def _largest_mean(weights: np.ndarray, V: np.ndarray, block: int) -> tuple[float, int]:
     """``(|m|, k)``: the largest magnitude of the Gauss sums
     ``m = weights @ V[b, :q]`` of the ``(batches, rows, cols)`` array `V`
     and its flat index ``k`` into their ``(batches, cols)``, the first
-    NaN, else the first largest.
-
-    The sums go in C order in pieces of about `block` of them: runs of
-    whole batches while one holds at most a block, else each batch in the
-    column runs of :func:`_runs`.
+    NaN, else the first largest.  The sums go in C order into one reused
+    buffer, in runs of whole batches or of `block` columns of one batch.
     """
     B, _, cols = V.shape
-    if cols <= block:
-        step = block // cols
-        pieces = [(slice(b, b + step), slice(0, cols)) for b in range(0, B, step)]
-    else:
-        pieces = [(slice(b, b + 1), c) for b in range(B) for c in _runs(cols, 1, block)]
+    step, width = max(1, block // cols), min(cols, block)
+    out = np.empty(min(B, step) * width)
+    pieces = [(b, c) for b in range(0, B, step) for c in range(0, cols, width)]
     best, at = 0.0, 0
     for b, c in pieces:
-        means = np.matmul(weights[None, :], V[b, : len(weights), c])
+        piece = V[b : b + step, : len(weights), c : c + width]
+        means = out[: len(piece) * piece.shape[2]].reshape(len(piece), 1, -1)
+        np.matmul(weights[None, :], piece, out=means)
         k = int(np.abs(means, out=means).argmax())  # a NaN is the argmax
         if means.flat[k] > best or np.isnan(means.flat[k]):
-            best, at = float(means.flat[k]), b.start * cols + c.start + k
+            best, at = float(means.flat[k]), b * cols + c + k
             if np.isnan(best):
                 break
     return best, at
@@ -98,57 +113,37 @@ def _largest_mean(weights: np.ndarray, V: np.ndarray, block: int) -> tuple[float
 
 def _grid_gap(T: np.ndarray, Y: np.ndarray, block: int):
     """The largest ``|recon - Y|`` over the grid, a NaN if any: ``recon``
-    sums node and slot of the table `T` on every axis, node + slot, first
-    axis first, as one pass over whole slabs adds them.
-
-    The grid goes in runs of its last leading axis, the trailing axes
-    holding at most `block` table values; each run redoes its leading
-    axes' sums (:func:`_corner_sum`), sharing those of the slot of the
-    last leading axis, in two buffers that the trailing axes then take
-    turns to read and write.
+    sums node and slot of the table `T` on every axis.  Per run of the
+    last leading axis, the leading axes' corners (node or slot on each)
+    are added, then node + slot on each trailing axis, in two reused
+    buffers.
     """
     n, q = T.shape, Y.shape
     t = max(1, _trailing_block(n, block))
     lead, grid = T.reshape(n[:t] + (-1,)), Y.reshape(q[:t] + (-1,))
     size = lead.shape[-1]
-    step = max(1, block // size)
-    pair = [np.empty(min(step, q[t - 1]) * size) for _ in range(2)]
-    spare = [pair[1]] + [np.empty(pair[1].size) for _ in range(t - 3)]
-    slot_sums = np.empty(size) if t > 1 else None
+    step = min(q[t - 1], max(1, block // size))
+    bufs = [np.empty(step * size), np.empty(step * size)]
     gap = 0.0
     for p in np.ndindex(*q[: t - 1]):
-        slot = _corner_sum(lead, p, (-1,), slot_sums, spare)
+        corners = np.ndindex((2,) * (t - 1))
+        heads = [lead[tuple(-1 if c else i for c, i in zip(cs, p))] for cs in corners]
         for g in range(0, q[t - 1], step):
             run = slice(g, min(g + step, q[t - 1]))
-            recon = pair[0][: (run.stop - run.start) * size].reshape(-1, size)
-            recon = np.add(_corner_sum(lead, p, (run,), recon, spare), slot, out=recon)
+            recon = bufs[0][: (run.stop - run.start) * size].reshape(-1, size)
+            np.add(heads[0][run], heads[0][-1], out=recon)
+            for h in heads[1:]:
+                np.add(recon, h[run], out=recon)
+                np.add(recon, h[-1], out=recon)
             recon = recon.reshape((-1,) + n[t:])
             for j in range(1, recon.ndim):
                 V = _around(recon, j)
                 shape = recon.shape[:j] + (V.shape[1] - 1,) + recon.shape[j + 1 :]
-                into = pair[j % 2][: prod(shape)].reshape(V.shape[0], -1, V.shape[2])
+                into = bufs[j % 2][: prod(shape)].reshape(V.shape[0], -1, V.shape[2])
                 recon = np.add(V[:, :-1], V[:, -1:], out=into).reshape(shape)
             np.subtract(recon, grid[p + (run,)].reshape(recon.shape), out=recon)
             gap = np.maximum(gap, np.abs(recon, out=recon).max())  # keeps a NaN
     return gap
-
-
-def _corner_sum(
-    A: np.ndarray, prefix: tuple[int, ...], rest: tuple, out: np.ndarray, spare: list[np.ndarray]
-) -> np.ndarray:
-    """``A[..., *rest]`` summed over node ``prefix[m]`` and slot of each
-    leading axis ``m``, node + slot, the first axis innermost: the adds of
-    the grid reconstruction over those axes, written into `out` with one
-    array of `spare` per axis after the first for partial sums.  With no
-    `prefix` it is the view ``A[rest]``."""
-    if not prefix:
-        return A[rest]
-    *head, node = prefix
-    if not head:
-        return np.add(A[(node,) + rest], A[(-1,) + rest], out=out)
-    _corner_sum(A, head, (node,) + rest, out, spare)
-    slots = spare[len(head) - 1][: out.size].reshape(out.shape)
-    return np.add(out, _corner_sum(A, head, (-1,) + rest, slots, spare), out=out)
 
 
 def _lattice_values(T: np.ndarray, masks: np.ndarray, steps: np.ndarray, base: int) -> np.ndarray:

@@ -10,13 +10,13 @@ component variances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, inf, prod
+from math import fsum, inf
 
 import numpy as np
 
 from dimdecomp import decomp
 from dimdecomp.decomp import ComponentTable
-from dimdecomp.passes import _axis_map, _expectation, _runs, _trailing_block
+from dimdecomp.passes import _expectation, _kron_map
 from dimdecomp.subsets import all_subsets_up_to
 
 #: variance closure must hold this tightly (relative)
@@ -103,44 +103,11 @@ def _checked_closure(resid: float) -> float:
 
 def variance_closure_residual(table: ComponentTable, vmap: VarianceMap) -> float:
     """Relative gap between the subset-sum total and direct quadrature of
-    ``(y - y_empty)**2`` on the full grid.
-
-    Each slab of the grid is taken in runs of its leading index tuples
-    (see :func:`~dimdecomp.passes._runs`), one run squared and integrated
-    over the trailing axes at a time in two reused buffers, and the slab's
-    leading axes integrated after, so no temporary exceeds about a block
-    and every Gauss sum rounds as on the whole slab."""
-    weights = [r.weights for r in table.problem.rules]
-    Y = table._full_values
-    q = Y.shape
-    # trailing blocks of at most 1/32 block, so runs of 16 tuples fit one
-    t = max(1, _trailing_block(q, decomp._BLOCK_VALUES // 32))
-    lead, size = prod(q[1:t]), prod(q[t:])
-    means = np.empty(lead)
-    # per run: where its squares go, then each trailing Gauss sum's
-    # operands, last axis first, in two buffers reused for every slab
-    runs = _runs(lead, size, decomp._BLOCK_VALUES)
-    width = max(r.stop - r.start for r in runs)
-    squares, spare = np.empty(width * size), np.empty(width * size // q[-1])
-    pieces = []
-    for run in runs:
-        L = run.stop - run.start
-        z = squares[: L * size] if t < len(q) else means[run]
-        src, dst, rows, sums = z, spare, L * size, []
-        for k in reversed(range(t, len(q))):
-            rows //= q[k]
-            into = means[run] if k == t else dst[:rows]
-            sums.append((src.reshape(rows, q[k]), weights[k], into))
-            src, dst = into, src
-        pieces.append((run, z.reshape(L, size), sums))
-    slabs = []
-    for y in Y.reshape(q[0], lead, size):
-        for run, z, sums in pieces:
-            np.square(np.subtract(y[run], table.y_empty, out=z), out=z)
-            for a, w, into in sums:
-                np.dot(a, w, out=into)
-        slabs.append(_expectation(means.reshape(q[1:t]), weights[1:t]))
-    direct = float(np.dot(weights[0], slabs))
+    ``(y - y_empty)**2`` on the full grid, centered and squared in place
+    piece by piece (:func:`~dimdecomp.passes._kron_map`)."""
+    rows = [r.weights[None, :] for r in table.problem.rules]
+    center = lambda y, out: np.square(np.subtract(y, table.y_empty, out=out), out=out)
+    direct = _kron_map(table._full_values, rows, center, decomp._BLOCK_VALUES).item()
     # floored so a (near-)constant function compares noise against noise
     # instead of dividing by it
     denom = max(direct, vmap.total, _variance_floor(table.y_empty))
@@ -188,78 +155,12 @@ def sobol_D(table: ComponentTable) -> dict[int, float]:
 
 def _mean_squares(A: np.ndarray, weights: list[np.ndarray]) -> dict[int, float]:
     """Gauss mean square of each nonempty mask's entries of the
-    nodes-plus-slot array `A`, by mask in (cardinality, mask) order: N axis
-    maps take axis ``j`` to the slot and the Gauss sum over the nodes, so
-    entry ``b`` of the ``(2,) * N`` result belongs to the mask with bits
-    ``b``: axes 1, ..., N-1 slab by slab (:func:`_slab_maps`), then axis 0
-    over the stacked slabs."""
+    nodes-plus-slot array `A`, by mask in (cardinality, mask) order: the
+    maps of :func:`~dimdecomp.passes._kron_map` take axis ``j`` of the
+    squares to the slot and the Gauss sum over the nodes, so entry ``b``
+    of the ``(2,) * N`` result belongs to the mask with bits ``b``."""
     N = A.ndim
     # row 0 carries the slot ("j not in u"), row 1 sums the nodes ("j in u")
     split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
-    by_mask = _axis_map(split[0], _slab_maps(A, split), 0).reshape((2,) * N).ravel(order="F")
+    by_mask = _kron_map(A, split, np.square, decomp._BLOCK_VALUES).ravel(order="F")
     return {u.mask: float(by_mask[u.mask]) for u in all_subsets_up_to(N, N) if not u.is_empty}
-
-
-def _slab_maps(A: np.ndarray, split: list[np.ndarray]) -> np.ndarray:
-    """``(len(A), 2**(N-1))``: each slab ``A[i]`` squared and mapped by
-    ``split[j]`` on each of its axes ``j = 1, ..., N-1`` in turn.
-
-    A slab's first ``s`` axes (:func:`_head_axes`) are squared and mapped
-    in pieces that hold them whole and a run of the index tuples of the
-    other axes (see :func:`~dimdecomp.passes._runs`), into one reused
-    ``(2**s, rest)`` array that the other axes are then mapped on whole,
-    so no temporary is slab-sized and each column of each map rounds as
-    in one map of the whole slab."""
-    N, n = A.ndim, A.shape
-    s = _head_axes(n[1:])
-    head, rest = prod(n[1 : s + 1]), prod(n[s + 1 :])
-    X = np.empty((2**s, rest))
-    # per run of the other axes' index tuples: where its squares go, and
-    # the operands of each head map, views of two buffers that the maps
-    # take turns to read and write, reused for every slab
-    runs = _runs(rest, head, decomp._BLOCK_VALUES)
-    width = max(r.stop - r.start for r in runs)
-    buffers = [np.empty(head * width), np.empty(2 * head // n[1] * width)] if s else []
-    pieces = []
-    for c in runs:
-        L = c.stop - c.start
-        squares = buffers[0][: head * L].reshape(head, L) if s else X[:, c]
-        src, maps = squares, []
-        for j in range(1, s + 1):
-            cols = prod(n[j + 1 : s + 1]) * L
-            dst = X[:, c] if j == s else buffers[j % 2][: 2**j * cols]
-            batches = 2 ** (j - 1)
-            maps.append((split[j], src.reshape(batches, n[j], cols), dst.reshape(batches, 2, cols)))
-            src = dst
-        pieces.append((c, squares, maps))
-    out = np.empty((n[0], 2 ** (N - 1)))
-    for i in range(n[0]):
-        slab = A[i].reshape(head, rest)
-        for c, squares, maps in pieces:
-            np.square(slab[:, c], out=squares)
-            for matrix, a, b in maps:
-                np.matmul(matrix, a, out=b)
-        Z = X.reshape((2,) * s + n[s + 1 :])
-        for j in range(s + 1, N):
-            Z = _axis_map(split[j], Z, j - 1)
-        out[i] = Z.ravel()
-    return out
-
-
-def _head_axes(shape: tuple[int, ...]) -> int:
-    """The number ``s`` of first axes of a slab of `shape` that
-    :func:`_mean_squares` maps in pieces: the smallest whose kept
-    ``(2**s, rest)`` array and largest piece both hold at most a block,
-    else the one that makes the larger of the two smallest."""
-
-    def cost(s: int) -> int:
-        head, rest = prod(shape[:s]), prod(shape[s:])
-        runs = _runs(rest, head, decomp._BLOCK_VALUES)
-        return max(2**s * rest, head * max(r.stop - r.start for r in runs))
-
-    costs = []
-    for s in range(len(shape) + 1):
-        costs.append(cost(s))
-        if costs[-1] <= decomp._BLOCK_VALUES:
-            return s
-    return costs.index(min(costs))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimdecomp import (
+    GAUSS_MAX_ORDER,
     AnchoredTable,
     ComponentTable,
     MarginalMeasure,
@@ -300,24 +301,8 @@ def test_a_nan_fails_orthogonality():
     assert orthogonality.detail.startswith("pair ")
 
 
-def test_variance_and_checks_stay_within_a_few_slabs():
-    # neither a table-sized nor a grid-sized temporary: at most three
-    # leading-axis slabs of the table (161 051 values here) at once
-    p = product_linear_problem(6, quad_order=10)
-    t = build_add(p)
-    slab = math.prod(n + 1 for n in p.orders) // (p.orders[0] + 1)
-    tracemalloc.start()
-    try:
-        variance_components(t)
-        check_add_structure(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * slab * 8
-
-
 # -- whole-slab references: the passes over the table before they took
-# block-sized pieces, kept to hold the pieces to the same rounding
+# block-sized pieces, kept to hold the pieces to roundoff of them
 
 
 def whole_slab_mean_squares(A, weights):
@@ -388,20 +373,78 @@ def whole_slab_structure(table):
     ],
 )
 def test_block_passes_round_as_whole_slab_passes(monkeypatch, make, dim, q, block):
-    # every variance, the closure residual and every structure residual and
-    # label as whole-slab passes give them, bit for bit
     p = make(quad_order=q) if make is ishigami_problem else make(dim, quad_order=q)
     t = build_add(p)
     if block:
         monkeypatch.setattr(decomp, "_BLOCK_VALUES", block)
-    weights = [r.weights for r in p.rules]
+    assert_near_whole_slab_passes(t)
+
+
+def assert_near_whole_slab_passes(t):
+    # every variance within 1e-14 of the total, the closure, zero-mean and
+    # exactness residuals within 1e-15 of the whole-slab passes' and the
+    # zero-mean label equal: the pieces move values by roundoff only
     vmap = variance_components(t, check_closure=False)
-    assert vmap.sigma2 == whole_slab_mean_squares(t._array, weights)
-    assert variance_closure_residual(t, vmap) == whole_slab_closure(t, vmap)
+    want = whole_slab_mean_squares(t._array, [r.weights for r in t.problem.rules])
+    assert vmap.sigma2.keys() == want.keys()
+    assert max(abs(vmap.sigma2[m] - want[m]) for m in want) <= 1e-14 * vmap.total
+    assert abs(variance_closure_residual(t, vmap) - whole_slab_closure(t, vmap)) <= 1e-15
     checks = {c.name: c for c in check_add_structure(t)}
     zero, label, exact = whole_slab_structure(t)
-    assert (checks["add_zero_mean"].residual, checks["add_zero_mean"].detail) == (zero, label)
-    assert checks["add_grid_exactness"].residual == exact
+    assert abs(checks["add_zero_mean"].residual - zero) <= 1e-15
+    assert checks["add_zero_mean"].detail == label
+    assert abs(checks["add_grid_exactness"].residual - exact) <= 1e-15
+
+
+def skip_second_piece(real):
+    def run(A, rows, f, block):
+        pieces = itertools.count()
+
+        def skipping(piece, out):
+            out = f(piece, out)
+            if next(pieces) == 1:
+                out[...] = 0.0
+            return out
+
+        return real(A, rows, skipping, block)
+
+    return run
+
+
+def drop_a_leading_weight(real):
+    # axis 0 is always a leading axis: its node 0 leaves the Gauss sums
+    def run(A, rows, f, block):
+        first = rows[0].copy()
+        first[-1, 0] = 0.0
+        return real(A, [first, *rows[1:]], f, block)
+
+    return run
+
+
+def take_a_wrong_corner(real):
+    # the slot of axis 0, a leading axis, read from its node 0
+    def run(T, Y, block):
+        T = T.copy()
+        T[-1] = T[0]
+        return real(T, Y, block)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "module, name, fault",
+    [
+        (variance, "_kron_map", skip_second_piece),
+        (variance, "_kron_map", drop_a_leading_weight),
+        (decomp, "_grid_gap", take_a_wrong_corner),
+    ],
+)
+def test_roundoff_bounds_catch_a_faulty_piece(monkeypatch, module, name, fault):
+    t = build_add(sobol_g_problem(4, quad_order=8))
+    monkeypatch.setattr(decomp, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    with pytest.raises(AssertionError):
+        assert_near_whole_slab_passes(t)
 
 
 @pytest.mark.parametrize("block", [None, 64])
@@ -425,23 +468,58 @@ def test_block_zero_means_keep_the_label_of_a_nan(monkeypatch, block):
     "name", ["variance_components", "variance_closure_residual", "check_add_structure"]
 )
 def test_table_passes_hold_a_few_blocks_above_table_and_grid(name):
-    # 3**12 table values, 1.35 MiB slabs: each pass holds at most four
-    # blocks (2 MiB) beyond the table and its grid, the variances' result
-    # included, where whole-slab passes took 2.3 and 2.7 MiB
-    t = build_add(product_linear_problem(12, quad_order=2))
-    vmap = variance_components(t)
-    run = {
-        "variance_components": lambda: variance_components(t, check_closure=False),
-        "variance_closure_residual": lambda: variance_closure_residual(t, vmap),
-        "check_add_structure": lambda: check_add_structure(t),
-    }[name]
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * decomp._BLOCK_VALUES * 8
+    # 3**12 and 11**6 table values, slabs of 1.35 and 1.23 MiB: each pass
+    # holds at most four blocks (2 MiB) beyond the table and its grid, the
+    # variances' result included, where whole-slab passes took 2.3-2.7 MiB
+    for N, q in [(12, 2), (6, 10)]:
+        t = build_add(product_linear_problem(N, quad_order=q))
+        vmap = variance_components(t)
+        run = {
+            "variance_components": lambda: variance_components(t, check_closure=False),
+            "variance_closure_residual": lambda: variance_closure_residual(t, vmap),
+            "check_add_structure": lambda: check_add_structure(t),
+        }[name]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * decomp._BLOCK_VALUES * 8, (N, q)
+
+
+def test_kron_map_chunks_stay_within_a_block_at_every_admitted_shape():
+    # at every shape build_add admits, both chunk arrays of _kron_map for
+    # the split rows stay within a block: the Kronecker columns (2**t rows
+    # by the chunk's leading tuples) and the mapped runs (the chunk's
+    # tuples by 2**(N - t)).  One witness of the fewest axes in
+    # [2, GAUSS_MAX_ORDER + 1] stands for each trailing size s <= block;
+    # in front of it, the shortest last leading axis n with n * s > block
+    # and as many leading 2s as the table budget allows give the most rows
+    # (with no such n, t = 1)
+    block, cap = decomp._BLOCK_VALUES, decomp.MAX_TABLE_VALUES
+    axes = range(2, GAUSS_MAX_ORDER + 2)
+    witness, frontier = {}, {1: ()}
+    while frontier:
+        frontier = {
+            s * n: (n,) + w
+            for s, w in frontier.items()
+            for n in axes
+            if s * n <= block and s * n not in witness
+        }
+        witness.update(frontier)
+    largest = 0
+    for s, w in witness.items():
+        n = block // s + 1
+        heads = [(2,) * ((cap // (n * s)).bit_length() - 1) + (n,)] if n in axes else []
+        for shape in [w] + [head + w for head in heads]:
+            t = max(1, passes._trailing_block(shape, block))
+            lead, size = math.prod(shape[:t]), math.prod(shape[t:])
+            M, R = 2**t, 2 ** (len(shape) - t)
+            step = min(lead, max(1, block // size))
+            chunk = min(lead, step * max(1, block // (step * max(M, R))))
+            largest = max(largest, M * chunk, chunk * R)
+    assert largest <= block
 
 
 def test_table_passes_keep_no_reference_to_the_table():
@@ -463,18 +541,23 @@ def test_table_passes_keep_no_reference_to_the_table():
 
 
 @pytest.mark.parametrize(
-    "n, per_item",
-    [(1, 1), (10, 1), (15, 5000), (100, 1000), (161_051, 1), (14_641, 11), (6561, 27), (729, 6561)],
+    "N, S", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (6, 2), (10, 3), (70, 2)]
 )
-def test_runs_are_tile_multiples_with_a_long_last_run(n, per_item):
-    runs = passes._runs(n, per_item, decomp._BLOCK_VALUES)
-    assert runs[0].start == 0 and runs[-1].stop == n
-    assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
-    widths = [r.stop - r.start for r in runs]
-    if len(runs) > 1:
-        assert len(set(widths[:-1])) == 1 and widths[0] % 16 == 0 and widths[-1] >= 16
-        # the fewest runs of about a block: within 31 items of the budget
-        assert max(widths) * per_item <= decomp._BLOCK_VALUES + 31 * per_item
+def test_axis_passes_pair_each_subset_with_its_partner(N, S):
+    # the (hold, drop) arrays of a list-built reference, on full lattices
+    # and truncated ones in (cardinality, mask) order, masks past 62 bits too
+    subsets = list(all_subsets_up_to(N, S))
+    at = {u.mask: k for k, u in enumerate(subsets)}
+    pairs = [
+        [(k, at[u.mask ^ 1 << j]) for k, u in enumerate(subsets) if u.mask >> j & 1]
+        for j in range(N)
+    ]
+    want = [tuple(np.array(p).T) for p in pairs if p]
+    got = decomp._axis_passes(subsets, N)
+    assert len(got) == len(want) == N
+    for (hold, drop), (h, d) in zip(got, want):
+        np.testing.assert_array_equal(hold, h)
+        np.testing.assert_array_equal(drop, d)
 
 
 @pytest.mark.parametrize("N", [3, 5])
