@@ -1,7 +1,7 @@
 """Max RSS of the table subcommands, each run in a fresh process.
 
-For each (N, q) in SHAPES and each subcommand in COMMANDS, runs
-``dimdecomp.cli.main`` on ``product_linear`` (default coefficients,
+For each (N, q, commands) in SHAPES and each subcommand in its commands,
+runs ``dimdecomp.cli.main`` on ``product_linear`` (default coefficients,
 ``SAMPLES`` MC samples for ``verify``) in a fresh Python process with one
 BLAS thread, and reads that process's max RSS (``resource.getrusage``)
 when the command returns.  Prints one JSON object: per shape, the table
@@ -28,9 +28,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-#: the shapes of the ROADMAP's RSS table: 109, 75 and 37 MiB tables
-SHAPES = [(15, 2), (10, 4), (6, 12)]
 COMMANDS = ["decompose", "errors", "verify"]
+#: the shapes of the ROADMAP's RSS table, 109, 75 and 37 MiB tables, then
+#: the lattice edge: 2**18 subsets on a 2 MiB table, where the per-subset
+#: results outweigh the table.  verify is left out there: its anchored
+#: checks would sample all 262 143 nonempty subsets at every point
+SHAPES = [
+    (15, 2, COMMANDS),
+    (10, 4, COMMANDS),
+    (6, 12, COMMANDS),
+    (18, 1, ["decompose", "errors"]),
+]
 SAMPLES = 10_000
 REPEATS = 3
 
@@ -66,10 +74,10 @@ def measure(command: str, N: int, q: int, workdir: Path) -> tuple[int, float, fl
     return last["rc"], last["max_rss_mib"], wall
 
 
-def sweep(N: int, q: int) -> dict:
+def sweep(N: int, q: int, commands: list[str] = COMMANDS) -> dict:
     by_command = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
+        for command in commands:
             runs = [measure(command, N, q, Path(tmp)) for _ in range(REPEATS)]
             by_command[command] = {
                 "exit_codes": [rc for rc, _, _ in runs],
@@ -92,7 +100,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "samples": SAMPLES,
         "repeats": REPEATS,
-        "shapes": [sweep(N, q) for N, q in SHAPES],
+        "shapes": [sweep(*shape) for shape in SHAPES],
     }
     print(json.dumps(out, indent=1))
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -96,7 +96,7 @@ TOL_ZERO_MEAN = 1e-10
 TOL_ORTHOGONALITY = 1e-10
 TOL_EXACTNESS = 1e-10
 TOL_FORM_EQUIVALENCE = 1e-10
-#: add_orthogonality loops over pairs of subsets, O(4**N); it runs up to here
+#: add_orthogonality's Gram matrix has 4**N entries; it runs up to here
 MAX_ORTHOGONALITY_DIM = 5
 #: points at which check_rdd_structure and check_rdd_on_grid probe the anchored kernel
 RDD_STRUCTURE_POINTS = 100
@@ -490,12 +490,16 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     must hold to roundoff whatever the target function.  Summing axis
     ``j`` of the table array over its nodes gives the mean along ``j`` of
     every component holding ``j``; the label decodes the worst subset from
-    its index.  Orthogonality loops over all component pairs and is skipped
-    above ``MAX_ORTHOGONALITY_DIM`` variables to keep the cost
-    quadratic-small.  Exactness inverts the build's map (nodes plus slot,
-    axis by axis) and compares the sum with the stored grid values.  Both
-    sweeps work in pieces of about one block (``_BLOCK_VALUES``), so the
-    check holds the table, its grid and a few blocks.
+    its index.  Orthogonality is one Gram matrix of all components,
+    ``sum_x w(x) c(x) c(x)^T`` over the grid points ``x`` with ``c(x)``
+    the components at ``x`` by mask, gathered a block of values at a time;
+    its off-diagonal entries of nonempty pairs must vanish, and it is
+    skipped above ``MAX_ORTHOGONALITY_DIM`` variables, where its ``4**N``
+    entries stop being small.  Exactness inverts the build's map (nodes
+    plus slot, axis by axis) and compares the sum with the stored grid
+    values.  Both sweeps work in pieces of about one block
+    (``_BLOCK_VALUES``), so the check holds the table, its grid and a few
+    blocks.
     """
     N = table.dim
     q = table.problem.orders
@@ -516,12 +520,19 @@ def check_add_structure(table: ComponentTable) -> list[CheckResult]:
     results.append(CheckResult("add_zero_mean", worst, tol, worst_label))
 
     if N <= MAX_ORTHOGONALITY_DIM:
-        # each component's grid values are sliced once, not once per pair
-        grids = [(u, table.grid_values(u)) for u in all_subsets_up_to(N, N) if not u.is_empty]
-        pairs = list(combinations(grids, 2))
+        gram = np.zeros((1 << N, 1 << N))
+        step = max(1, _BLOCK_VALUES >> N)
+        for start in range(0, prod(q), step):
+            idx = np.unravel_index(np.arange(start, min(start + step, prod(q))), q)
+            C = _lattice_values(T, np.column_stack(idx), q)
+            w = np.prod([weights[j][i] for j, i in enumerate(idx)], axis=0)
+            gram += (C * w) @ C.T
+        u, v = np.triu_indices(1 << N, 1)  # pairs of masks u < v
+        nonempty = u > 0  # y_empty's row holds the zero means, checked above
+        u, v = u[nonempty].tolist(), v[nonempty].tolist()
         worst, worst_label = _worst(
-            [abs(_pair_inner(u, U, v, V, q, weights)) for (u, U), (v, V) in pairs],
-            lambda k: f"pair {pairs[k][0][0].label()} x {pairs[k][1][0].label()}",
+            np.abs(gram[u, v]),
+            lambda k: f"pair {VariableSubset(u[k], N).label()} x {VariableSubset(v[k], N).label()}",
         )
         tol = TOL_ORTHOGONALITY * scale**2
         results.append(CheckResult("add_orthogonality", worst, tol, worst_label))
@@ -572,21 +583,16 @@ def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
         [rng.choice(len(r.weights), RDD_STRUCTURE_POINTS + 1, p=r.weights) for r in rules]
     )
     T = _sweep(Y, [np.eye(len(r.weights))[k] for r, k in zip(rules, idx[0])])
-    lattice = list(all_subsets_up_to(table.dim, table.dim))
-    masks = np.array([u.mask for u in lattice])
-    # component u at point k sits at node idx[k, j] on its own axes and at
-    # the slot q_j on the others: offsets per axis from the all-slot entry
-    q = np.array(table.problem.orders)
-    strides = np.array(T.strides) // T.itemsize
-    steps, base = (idx[1:] - q) * strides, int(q @ strides)
+    lattice = [VariableSubset(m, table.dim) for m in range(1 << table.dim)]
+    q, points = table.problem.orders, idx[1:]
     P = np.column_stack([r.nodes[i] for r, i in zip(rules, idx.T)])
-    whole = len(steps) <= MAX_TABLE_VALUES // len(lattice)  # one group of points
+    whole = len(points) <= MAX_TABLE_VALUES // len(lattice)  # one group of points
     if whole:
-        G = _lattice_values(T, masks, steps, base)
+        G = _lattice_values(T, points, q)
         del T
     per_subset = np.zeros(len(lattice))
     for rows, comps in _rdd_components(table.problem, P[0], P[1:], lattice):
-        want = G[:, rows] if whole else _lattice_values(T, masks, steps[rows], base)
+        want = G[:, rows] if whole else _lattice_values(T, points[rows], q)
         np.abs(np.subtract(comps, want, out=comps), out=comps)
         np.maximum(per_subset, comps.max(axis=1), out=per_subset)  # keeps a NaN
     worst, label = _worst(per_subset, lambda k: f"subset {lattice[k].label()}")
@@ -902,22 +908,3 @@ def _conditional_mean(
     vals = _evaluate_full_grid(problem, dict(zip(coords, values)))
     shape = [problem.orders[j] for j in rest]
     return _expectation(vals.reshape(shape), [problem.rules[j].weights for j in rest])
-
-
-def _pair_inner(
-    u: VariableSubset,
-    U: np.ndarray,
-    v: VariableSubset,
-    V: np.ndarray,
-    orders: tuple[int, ...],
-    weights: list[np.ndarray],
-) -> float:
-    """E[y_u y_v] under the discrete Gauss measure on the union subgrid,
-    from the grid values `U` of `u` and `V` of `v`."""
-    union = sorted(set(u.indices()) | set(v.indices()))
-
-    def lift(w: VariableSubset, W: np.ndarray) -> np.ndarray:
-        own = set(w.indices())
-        return W.reshape(tuple(orders[j] if j in own else 1 for j in union))
-
-    return _expectation(lift(u, U) * lift(v, V), [weights[j] for j in union])

@@ -146,17 +146,17 @@ def _grid_gap(T: np.ndarray, Y: np.ndarray, block: int):
     return gap
 
 
-def _lattice_values(T: np.ndarray, masks: np.ndarray, steps: np.ndarray, base: int) -> np.ndarray:
-    """Entries of the C-ordered nodes-plus-slot array `T`, row ``k`` for
-    the component of mask ``masks[k]`` at each point: the all-slot entry
-    `base` plus, per axis of the mask, that point's flat offset in
-    `steps` (one row per point, one column per axis).  The flat indices
-    are built by mask, doubling over the axes, with no subset-bit matrix."""
+def _lattice_values(T: np.ndarray, idx: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Entries of the C-ordered nodes-plus-slot array `T`, row ``m`` for
+    the component of mask ``m`` at each point: the node ``idx[k, j]`` of
+    point ``k`` on each axis ``j`` of the mask, the slot ``orders[j]`` on
+    the others.  The flat indices are built by mask from the all-slot
+    entry, doubling over the axes, with no subset-bit matrix."""
+    strides = np.array(T.strides) // T.itemsize
+    steps = (idx - np.asarray(orders)) * strides
     N = steps.shape[1]
     at = np.empty((1 << N, len(steps)), dtype=np.intp)
-    at[0] = base
+    at[0] = np.dot(orders, strides)
     for j in range(N):
         np.add(at[: 1 << j], steps[:, j], out=at[1 << j : 2 << j])
-    values = T.ravel()[at]
-    del at
-    return values[masks]
+    return T.ravel()[at]

@@ -5,7 +5,8 @@ additive: the variance of the target is the sum, over nonempty subsets, of
 the mean squares of the components.  That split is computed here, along
 with its normalized form (sensitivity indices) and, by a second route
 from the grid values, the subset-sum variances that must equal sums of
-component variances.
+component variances.  Each per-subset result is one read-only float array
+of ``2**N`` entries indexed by subset mask, 0.0 at the empty set.
 """
 from __future__ import annotations
 
@@ -17,43 +18,43 @@ import numpy as np
 from dimdecomp import decomp
 from dimdecomp.decomp import ComponentTable
 from dimdecomp.passes import _expectation, _kron_map
-from dimdecomp.subsets import all_subsets_up_to
+from dimdecomp.subsets import all_subsets_up_to  # noqa: F401 - a trace target
 
 #: variance closure must hold this tightly (relative)
 CLOSURE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceMap:
-    """Variance split of a function over nonempty variable subsets.
+    """Variance split of a function over the subsets of its variables.
 
     Attributes
     ----------
     dim : int
     y_empty : float
         Mean of the target under the input measure.
-    sigma2 : dict
-        Component variance per nonempty subset mask; keys cover all
-        ``2**dim - 1`` nonempty subsets.
+    sigma2 : numpy.ndarray
+        Component variance by subset mask, a read-only float array of
+        ``2**dim`` entries; entry 0, the empty set, is 0.0.
     total : float
         Sum of all component variances.
     """
 
     dim: int
     y_empty: float
-    sigma2: dict[int, float]
+    sigma2: np.ndarray
     total: float
 
     def __post_init__(self) -> None:
-        expected = (1 << self.dim) - 1
-        if len(self.sigma2) != expected:
+        sigma2 = np.asarray(self.sigma2, dtype=float).view()
+        if sigma2.shape != (1 << self.dim,) or sigma2[0] != 0.0:
             raise ValueError(
-                f"variance map must cover all {expected} nonempty subsets"
+                f"variance map must hold {1 << self.dim} variances by mask, 0.0 at the empty set"
             )
-        if any(m <= 0 or m >> self.dim for m in self.sigma2):
-            raise ValueError("variance map keys must be nonempty in-range masks")
-        if not all(0.0 <= v < inf for v in self.sigma2.values()):  # NaN fails too
+        if not np.all((sigma2 >= 0.0) & (sigma2 < inf)):  # NaN fails too
             raise ValueError("component variances must be finite and nonnegative")
+        sigma2.flags.writeable = False
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def degenerate(self) -> bool:
@@ -64,11 +65,12 @@ class VarianceMap:
         return self.total <= _variance_floor(self.y_empty)
 
     def cardinality_sums(self) -> dict[int, float]:
-        """Total variance per cardinality: ``s -> sum_{|u|=s} sigma2_u``."""
-        buckets: dict[int, list[float]] = {}
-        for mask, v in self.sigma2.items():
-            buckets.setdefault(mask.bit_count(), []).append(v)
-        return {s: fsum(vals) for s, vals in sorted(buckets.items())}
+        """Total variance per cardinality: ``s -> sum_{|u|=s} sigma2_u``,
+        each an ``fsum`` over the masks of ``s`` bits."""
+        bits = np.zeros(1 << self.dim, dtype=np.int8)
+        for j in range(self.dim):
+            np.add(bits[: 1 << j], 1, out=bits[1 << j : 2 << j])
+        return {s: fsum(self.sigma2[bits == s]) for s in range(1, self.dim + 1)}
 
 
 def variance_components(table: ComponentTable, *, check_closure: bool = True) -> VarianceMap:
@@ -87,7 +89,7 @@ def variance_components(table: ComponentTable, *, check_closure: bool = True) ->
     terms and no variance can come out negative.
     """
     sigma2 = _mean_squares(table._array, [r.weights for r in table.problem.rules])
-    total = fsum(sigma2.values())
+    total = fsum(sigma2)
     vmap = VarianceMap(table.dim, table.y_empty, sigma2, total)
     if check_closure:
         _checked_closure(variance_closure_residual(table, vmap))
@@ -120,21 +122,25 @@ def _variance_floor(mean: float) -> float:
     return 1e-14 * max(1.0, abs(mean)) ** 2
 
 
-def sobol_indices(vmap: VarianceMap) -> dict[int, float]:
-    """Normalized variance shares ``sigma2_u / total`` per nonempty mask.
+def sobol_indices(vmap: VarianceMap) -> np.ndarray:
+    """Normalized variance shares ``sigma2_u / total`` by mask, a read-only
+    array like ``VarianceMap.sigma2`` (entry 0, the empty set, 0.0).
 
     Raises for a degenerate (numerically constant) map: indices are
     undefined there, and quietly returning NaN would poison reports.
     """
     if vmap.degenerate:
         raise ValueError("total variance is zero; sensitivity indices are undefined")
-    return {mask: v / vmap.total for mask, v in vmap.sigma2.items()}
+    indices = vmap.sigma2 / vmap.total
+    indices.flags.writeable = False
+    return indices
 
 
-def sobol_D(table: ComponentTable) -> dict[int, float]:
-    """Subset-sum variance ``D_u`` of every nonempty subset, keyed by mask
-    like ``VarianceMap.sigma2``: the Gauss mean square of ``E[z | X_u]``,
-    ``z = y - E[y]``, which equals ``sum_{v ⊆ u, v != {}} sigma2_v``.
+def sobol_D(table: ComponentTable) -> np.ndarray:
+    """Subset-sum variance ``D_u`` of every subset, a read-only array by
+    mask like ``VarianceMap.sigma2``: the Gauss mean square of
+    ``E[z | X_u]``, ``z = y - E[y]``, which equals
+    ``sum_{v ⊆ u, v != {}} sigma2_v`` (0.0 at the empty set).
 
     All conditional means are one table-shaped array ``(x)_j [I; w_j^T] z``
     on the grid of target values that :func:`build_add` evaluated for
@@ -153,14 +159,15 @@ def sobol_D(table: ComponentTable) -> dict[int, float]:
     return _mean_squares(C, weights)
 
 
-def _mean_squares(A: np.ndarray, weights: list[np.ndarray]) -> dict[int, float]:
-    """Gauss mean square of each nonempty mask's entries of the
-    nodes-plus-slot array `A`, by mask in (cardinality, mask) order: the
-    maps of :func:`~dimdecomp.passes._kron_map` take axis ``j`` of the
-    squares to the slot and the Gauss sum over the nodes, so entry ``b``
-    of the ``(2,) * N`` result belongs to the mask with bits ``b``."""
-    N = A.ndim
+def _mean_squares(A: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Gauss mean square of each mask's entries of the nodes-plus-slot
+    array `A`, a read-only array by mask, 0.0 at the empty set: the maps of
+    :func:`~dimdecomp.passes._kron_map` take axis ``j`` of the squares to
+    the slot and the Gauss sum over the nodes, so entry ``b`` of the
+    ``(2,) * N`` result belongs to the mask with bits ``b``."""
     # row 0 carries the slot ("j not in u"), row 1 sums the nodes ("j in u")
     split = [np.vstack((np.eye(1, len(w) + 1, len(w)), np.append(w, 0.0))) for w in weights]
     by_mask = _kron_map(A, split, np.square, decomp._BLOCK_VALUES).ravel(order="F")
-    return {u.mask: float(by_mask[u.mask]) for u in all_subsets_up_to(N, N) if not u.is_empty}
+    by_mask[0] = 0.0
+    by_mask.flags.writeable = False
+    return by_mask

@@ -61,3 +61,15 @@ def test_table_memory_reads_every_command_in_fresh_processes(monkeypatch):
         assert cell["exit_codes"] == [0]
         # a fresh interpreter with numpy is tens of MiB, not a pass of the parent's
         assert 10 < cell["max_rss_mib"][0] < 500
+
+
+def test_table_memory_runs_only_the_commands_of_a_shape(monkeypatch):
+    # the lattice-edge shape leaves verify out
+    monkeypatch.syspath_prepend(str(BENCH))
+    import table_memory
+
+    monkeypatch.setattr(table_memory, "REPEATS", 1)
+    assert ["decompose", "errors"] in [commands for _, _, commands in table_memory.SHAPES]
+    out = json.loads(json.dumps(table_memory.sweep(2, 1, ["errors"])))
+    assert set(out["by_command"]) == {"errors"}
+    assert out["by_command"]["errors"]["exit_codes"] == [0]

@@ -301,6 +301,17 @@ def test_a_nan_fails_orthogonality():
     assert orthogonality.detail.startswith("pair ")
 
 
+def test_a_perturbed_two_way_node_fails_orthogonality():
+    # y_{12} raised at one node is no longer orthogonal to y_1 and y_2:
+    # only a pair holding [1,2] can carry the worst residual
+    t = build_add(product_linear_problem(4, quad_order=4))
+    t.grid_values(VariableSubset.from_indices([0, 1], 4))[1, 2] += 0.5
+    orthogonality = {c.name: c for c in check_add_structure(t)}["add_orthogonality"]
+    assert orthogonality.residual > 1e3 * orthogonality.tolerance
+    assert not orthogonality.passed
+    assert orthogonality.detail.startswith("pair ") and "[1,2]" in orthogonality.detail
+
+
 # -- whole-slab references: the passes over the table before they took
 # block-sized pieces, kept to hold the pieces to roundoff of them
 
@@ -314,7 +325,8 @@ def whole_slab_mean_squares(A, weights):
             slab = passes._axis_map(split[j], slab, j)
         slabs.append(slab)
     by_mask = passes._axis_map(split[0], np.concatenate(slabs), 0).ravel(order="F")
-    return {mask: float(by_mask[mask]) for mask in range(1, 1 << A.ndim)}
+    by_mask[0] = 0.0
+    return by_mask
 
 
 def whole_slab_closure(table, vmap):
@@ -373,8 +385,16 @@ def whole_slab_structure(table):
     ],
 )
 def test_block_passes_round_as_whole_slab_passes(monkeypatch, make, dim, q, block):
-    p = make(quad_order=q) if make is ishigami_problem else make(dim, quad_order=q)
+    if make is ishigami_problem:
+        p = make(quad_order=q)
+    elif make is sobol_g_problem:
+        # the default a_j = j - 1 but a_1 = 0.5: a one-node axis 1 (node 0.5,
+        # where |4x - 2| = 0) with a_1 = 0 makes the target 0 on the grid
+        p = make(dim, quad_order=q, a=[0.5, *range(1, dim)])
+    else:
+        p = make(dim, quad_order=q)
     t = build_add(p)
+    assert variance_components(t, check_closure=False).total > 0.0
     if block:
         monkeypatch.setattr(decomp, "_BLOCK_VALUES", block)
     assert_near_whole_slab_passes(t)
@@ -386,8 +406,8 @@ def assert_near_whole_slab_passes(t):
     # zero-mean label equal: the pieces move values by roundoff only
     vmap = variance_components(t, check_closure=False)
     want = whole_slab_mean_squares(t._array, [r.weights for r in t.problem.rules])
-    assert vmap.sigma2.keys() == want.keys()
-    assert max(abs(vmap.sigma2[m] - want[m]) for m in want) <= 1e-14 * vmap.total
+    assert vmap.sigma2.shape == want.shape
+    assert np.abs(vmap.sigma2 - want).max() <= 1e-14 * vmap.total
     assert abs(variance_closure_residual(t, vmap) - whole_slab_closure(t, vmap)) <= 1e-15
     checks = {c.name: c for c in check_add_structure(t)}
     zero, label, exact = whole_slab_structure(t)

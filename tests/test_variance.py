@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,7 +86,8 @@ class TestSobolIndices:
         assert idx[VariableSubset.from_indices([0], 2).mask] == pytest.approx(3.0 / 7.0, rel=1e-12)
         assert idx[VariableSubset.from_indices([1], 2).mask] == pytest.approx(3.0 / 7.0, rel=1e-12)
         assert idx[VariableSubset.full(2).mask] == pytest.approx(1.0 / 7.0, rel=1e-12)
-        assert math.fsum(idx.values()) == pytest.approx(1.0, rel=1e-12)
+        assert idx[0] == 0.0  # the empty set
+        assert math.fsum(idx) == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_function_rejected(self):
         m = ProductMeasure.iid(MarginalMeasure.uniform(0.0, 1.0), 2)
@@ -102,7 +104,7 @@ class TestClosure:
     def test_closure_guard_trips_on_bad_map(self, plin3_table, plin3_vmap):
         res = variance_closure_residual(plin3_table, plin3_vmap)
         assert res <= 1e-10  # sanity before perturbing
-        bad = dict(plin3_vmap.sigma2)
+        bad = plin3_vmap.sigma2.copy()
         bad[1] += 0.5
         from dimdecomp.variance import VarianceMap
 
@@ -211,7 +213,7 @@ def test_all_subsets_equal_the_per_subset_route(dim, data):
     table = build_add(ProblemSpec(fn, ProductMeasure(marginals), orders))
     D = sobol_D(table)
     nonempty = [u for u in all_subsets_up_to(dim, dim) if not u.is_empty]
-    assert list(D) == [u.mask for u in nonempty]
+    assert D.shape == (1 << dim,) and D[0] == 0.0  # index = mask
     floor = 1e-12 * (table.scale**2 + D[(1 << dim) - 1])  # D of the full set: the total
     for u in nonempty:
         assert D[u.mask] == pytest.approx(sobol_D_of_subset(table, u), rel=1e-12, abs=floor)
@@ -231,7 +233,7 @@ def test_components_equal_per_subset_sums_of_squares(problem):
     vmap = variance_components(table)
     weights = [r.weights for r in problem.rules]
     nonempty = [u for u in all_subsets_up_to(problem.dim, problem.dim) if not u.is_empty]
-    assert list(vmap.sigma2) == [u.mask for u in nonempty]  # (cardinality, mask) order
+    assert vmap.sigma2.shape == (1 << problem.dim,) and vmap.sigma2[0] == 0.0  # index = mask
     for u in nonempty:
         want = _expectation(table.grid_values(u) ** 2, [weights[j] for j in u.indices()])
         assert vmap.sigma2[u.mask] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -240,15 +242,44 @@ def test_components_equal_per_subset_sums_of_squares(problem):
 def test_variance_map_requires_complete_cover(plin3_vmap):
     from dimdecomp.variance import VarianceMap
 
-    partial = {k: v for k, v in plin3_vmap.sigma2.items() if k != 5}
-    with pytest.raises(ValueError):
-        VarianceMap(dim=3, y_empty=1.0, sigma2=partial, total=plin3_vmap.total)
+    # one entry per mask: a short array, or a variance at the empty set
+    with_empty = plin3_vmap.sigma2.copy()
+    with_empty[0] = 1.0
+    for sigma2 in (plin3_vmap.sigma2[:-1], with_empty):
+        with pytest.raises(ValueError, match="by mask"):
+            VarianceMap(dim=3, y_empty=1.0, sigma2=sigma2, total=plin3_vmap.total)
+
+
+@pytest.mark.parametrize("route", [variance_components, sobol_D])
+def test_lattice_edge_results_are_one_array_by_mask(route):
+    # 2**16 subsets on a 2.5 MiB table: one 0.5 MiB array by mask, where a
+    # dict of 65 535 floats held 6 MiB after the call returned
+    table = build_add(product_linear_problem(16, quad_order=(2,) * 4 + (1,) * 12))
+    tracemalloc.start()
+    try:
+        result = route(table)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1 << 20
+    assert len(getattr(result, "sigma2", result)) == 1 << 16
+
+
+def test_results_by_mask_are_read_only(plin3_table, plin3_vmap):
+    for arr in (plin3_vmap.sigma2, sobol_indices(plin3_vmap), sobol_D(plin3_table)):
+        assert arr.shape == (8,) and arr[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 0.0
+    # identity equality: no array is asked for its truth value
+    assert plin3_vmap == plin3_vmap
+    assert plin3_vmap != variance_components(plin3_table)
 
 
 def test_variance_map_rejects_nan(plin3_vmap):
     from dimdecomp.variance import VarianceMap
 
-    sigma2 = {**plin3_vmap.sigma2, 3: math.nan}
+    sigma2 = plin3_vmap.sigma2.copy()
+    sigma2[3] = math.nan
     with pytest.raises(ValueError, match="finite"):
         VarianceMap(dim=3, y_empty=1.0, sigma2=sigma2, total=plin3_vmap.total)
 
