@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from math import comb, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -410,15 +409,15 @@ def rdd_direct_sums(
         [(S, (-1) ** (S - s) * comb(N - s - 1, S - s)) for S in sums if S >= s]
         for s in range(top + 1)
     ]
-    subsets = chain.from_iterable(subsets_of_cardinality(N, s) for s in range(top, -1, -1))
+    masks = [u.mask for s in range(top, -1, -1) for u in subsets_of_cardinality(N, s)]
     # one block-sized array holds each product w * y; a weight of ±1 adds
     # or subtracts y itself, which IEEE arithmetic rounds the same way
     scratch = np.empty(_block_rows(X.shape[0], N))
-    for rows, block in _anchored(problem, C, X, subsets):
+    for rows, block in _anchored(problem, C, X, masks):
         accs = [[(sums[S][rows], w) for S, w in t] for t in terms]
         wy = scratch[: rows.stop - rows.start]
-        for u, y in block:
-            for acc, w in accs[u.cardinality]:
+        for m, y in zip(masks, block):
+            for acc, w in accs[m.bit_count()]:
                 if w == 1:
                     acc += y
                 elif w == -1:
@@ -443,22 +442,21 @@ def explicit_component(problem: ProblemSpec, u: VariableSubset, x_u, *, anchor=N
     pt = np.asarray(x_u, dtype=float).reshape(-1)
     if pt.shape != (u.cardinality,):
         raise ValueError(f"x_u must have shape ({u.cardinality},)")
-    lattice = list(strict_subsets(u)) + [u]
+    lattice = [v.mask for v in strict_subsets(u)] + [u.mask]
     if anchor is not None:
         c = _check_anchor(problem, anchor)
         z = np.tile(c, (1, 1))
         z[:, u.indices()] = pt
         ((_, block),) = _anchored(problem, c, z, lattice)
-        terms = [float(y[0]) for _, y in block]
+        terms = [float(y[0]) for y in block]
     else:
-        value_at = dict(zip(u.indices(), pt))
         terms = [
-            _conditional_mean(problem, v.indices(), [value_at[j] for j in v.indices()])
-            for v in lattice
+            _conditional_mean(problem, {j: x for j, x in zip(u.indices(), pt) if m >> j & 1})
+            for m in lattice
         ]
     total = 0.0
-    for v, term in zip(lattice, terms):
-        total += (-1) ** (u.cardinality - v.cardinality) * term
+    for m, term in zip(lattice, terms):
+        total += (-1) ** (u.cardinality - m.bit_count()) * term
     return total
 
 
@@ -583,19 +581,18 @@ def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
         [rng.choice(len(r.weights), RDD_STRUCTURE_POINTS + 1, p=r.weights) for r in rules]
     )
     T = _sweep(Y, [np.eye(len(r.weights))[k] for r, k in zip(rules, idx[0])])
-    lattice = [VariableSubset(m, table.dim) for m in range(1 << table.dim)]
-    q, points = table.problem.orders, idx[1:]
+    N, q, points = table.dim, table.problem.orders, idx[1:]
     P = np.column_stack([r.nodes[i] for r, i in zip(rules, idx.T)])
-    whole = len(points) <= MAX_TABLE_VALUES // len(lattice)  # one group of points
+    whole = len(points) <= MAX_TABLE_VALUES >> N  # one group of points
     if whole:
         G = _lattice_values(T, points, q)
         del T
-    per_subset = np.zeros(len(lattice))
-    for rows, comps in _rdd_components(table.problem, P[0], P[1:], lattice):
+    per_subset = np.zeros(1 << N)
+    for rows, comps in _rdd_components(table.problem, P[0], P[1:], range(1 << N)):
         want = G[:, rows] if whole else _lattice_values(T, points[rows], q)
         np.abs(np.subtract(comps, want, out=comps), out=comps)
         np.maximum(per_subset, comps.max(axis=1), out=per_subset)  # keeps a NaN
-    worst, label = _worst(per_subset, lambda k: f"subset {lattice[k].label()}")
+    worst, label = _worst(per_subset, lambda k: f"subset {VariableSubset(k, N).label()}")
     scale = max(1.0, float(Y.max()), -float(Y.min()))
     return CheckResult("rdd_grid_agreement", worst / scale, TOL_EXACTNESS, label)
 
@@ -674,8 +671,8 @@ def _rdd_truncated(
     """Sum of the anchored components with ``|u| <= order`` at the rows of
     `X`, in (cardinality, mask) order; `anchor` is one point or one per row."""
     out = np.zeros(X.shape[0])
-    subsets = all_subsets_up_to(problem.dim, order)
-    for rows, comps in _rdd_components(problem, anchor, X, subsets):
+    masks = [u.mask for u in all_subsets_up_to(problem.dim, order)]
+    for rows, comps in _rdd_components(problem, anchor, X, masks):
         acc = out[rows]
         for y in comps:
             acc += y
@@ -686,45 +683,46 @@ def _rdd_components(
     problem: ProblemSpec,
     anchor: np.ndarray,
     X: np.ndarray,
-    subsets: Iterable[VariableSubset],
+    masks: Sequence[int],
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, comps)`` per row block, row ``k`` of `comps` the
-    anchored component of ``subsets[k]`` at those rows.
+    anchored component of the subset of mask ``masks[k]`` at those rows.
 
     The block's anchored values ``y(x_u, c_{-u})`` are copied into `comps`;
     then pass ``j`` applies ``I - P_j``, ``y_u <- y_u - y_{u - {j}}`` for
-    every ``u`` holding ``j``, ``sum_u |u|`` subtractions in all.
-    `subsets` must be closed under taking subsets; `anchor`, `X` and the
+    every ``u`` holding ``j``, ``sum_u |u|`` subtractions in all, in slices
+    of the pairs of about one block (``_BLOCK_VALUES``).
+    `masks` must be closed under taking subsets; `anchor`, `X` and the
     row blocks are as in :func:`_anchored`, and a per-row anchor
     gives each row its own decomposition.  The rows go to the kernel in
-    groups of at most ``MAX_TABLE_VALUES // len(subsets)``, so no `comps`
+    groups of at most ``MAX_TABLE_VALUES // len(masks)``, so no `comps`
     outgrows the table budget; one group, and the kernel's own row blocks,
     serve every batch within it.
     """
-    subsets = list(subsets)
-    passes = _axis_passes(subsets, problem.dim)
-    group = max(1, MAX_TABLE_VALUES // len(subsets))
+    passes = _axis_passes(masks, problem.dim)
+    group = max(1, MAX_TABLE_VALUES // len(masks))
     for start in range(0, len(X), group):
         points = slice(start, start + group)
         at = anchor[points] if anchor.ndim == 2 else anchor
-        for rows, block in _anchored(problem, at, X[points], subsets):
-            comps = np.empty((len(subsets), rows.stop - rows.start))
-            for k, (_, y) in enumerate(block):
+        for rows, block in _anchored(problem, at, X[points], masks):
+            comps = np.empty((len(masks), rows.stop - rows.start))
+            for k, y in enumerate(block):
                 comps[k] = y
+            step = max(1, _BLOCK_VALUES // comps.shape[1])
             for hold, drop in passes:
-                comps[hold] -= comps[drop]
+                for k in range(0, len(hold), step):
+                    comps[hold[k : k + step]] -= comps[drop[k : k + step]]
             yield slice(start + rows.start, start + rows.stop), comps
 
 
-def _axis_passes(subsets: list[VariableSubset], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis ``j`` that some subset holds, ``(hold, drop)``: the
-    positions in `subsets` of every ``u`` holding ``j`` and of its partner
+def _axis_passes(masks: Sequence[int], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis ``j`` that some mask holds, ``(hold, drop)``: the
+    positions in `masks` of every ``u`` holding ``j`` and of its partner
     ``u - {j}``, which never holds ``j``: a pass reads no entry it writes.
     Both come from one array of the masks (Python ints past 62 axes) by
     shifts, remainders and differences, ranked by a Python sort: numpy's
     sort and its int64 bitwise loops run nowhere else, and their first
     call maps code that a CLI run keeps resident (0.2-0.4 MiB)."""
-    masks = [u.mask for u in subsets]
     order = np.array(sorted(range(len(masks)), key=masks.__getitem__), dtype=np.intp)
     masks = np.array(masks, dtype=np.int64 if dim < 63 else object)
     ranked, passes = masks[order], []
@@ -739,10 +737,11 @@ def _anchored(
     problem: ProblemSpec,
     anchor: np.ndarray,
     X: np.ndarray,
-    subsets: Iterable[VariableSubset],
-) -> Iterator[tuple[slice, Iterator[tuple[VariableSubset, np.ndarray]]]]:
+    masks: Iterable[int],
+) -> Iterator[tuple[slice, Iterator[np.ndarray]]]:
     """Yield ``(rows, block)`` per row block of `X`; `block` yields
-    ``(u, y(x_u, c_{-u}))`` at those rows for each subset ``u``, in order.
+    ``y(x_u, c_{-u})`` at those rows for the subset ``u`` of each mask, in
+    order.
 
     The one anchored kernel.  `X` holds full ``(m, dim)`` points, and
     `anchor` is a checked ``(dim,)`` point or one anchor per row of `X`.
@@ -751,16 +750,19 @@ def _anchored(
     sees enough rows; the batch as a whole is never copied.  Every block
     sees the same subsets in the same order, and each row gets the values
     a single batch would give it.  Which columns change between
-    consecutive subsets is worked out once: a block restores only the
-    columns that leave and writes only those that enter.
+    consecutive subsets is worked out once, one plan shared by the steps
+    that move the same columns: a block restores only the columns that
+    leave and writes only those that enter.
     """
     N = problem.dim
-    steps = []  # (u, columns to restore, columns to write)
-    free: set[int] = set()
-    for u in subsets:
-        own = set(u.indices())
-        steps.append((u, free - own, own - free))
-        free = own
+    plans = {}  # (leaving, entering) masks -> (columns to restore, to write)
+    steps, free = [], 0
+    for u in masks:
+        key = (free & ~u, u & ~free)
+        if key not in plans:
+            plans[key] = tuple([j for j in range(N) if b >> j & 1] for b in key)
+        steps.append(plans[key])
+        free = u
     per_row = anchor.ndim == 2
     m = X.shape[0]
     step = _block_rows(m, N)
@@ -793,8 +795,8 @@ def _anchored_block(
     problem: ProblemSpec,
     anchor: np.ndarray,
     X: np.ndarray,
-    steps: list[tuple[VariableSubset, set[int], set[int]]],
-) -> Iterator[tuple[VariableSubset, np.ndarray]]:
+    steps: list[tuple[list[int], list[int]]],
+) -> Iterator[np.ndarray]:
     """One row block of :func:`_anchored`.
 
     Each column written is a contiguous copy: the block's points and
@@ -809,7 +811,7 @@ def _anchored_block(
     Z = np.empty((X.shape[0], problem.dim), order="F")
     Z[:] = C
     z, x, c = ([A[..., j] for j in range(problem.dim)] for A in (Z, X, C))
-    for u, leave, enter in steps:
+    for leave, enter in steps:
         for j in leave:
             np.copyto(z[j], c[j])
         for j in enter:
@@ -817,7 +819,7 @@ def _anchored_block(
         y = problem.evaluate(Z)
         if np.may_share_memory(y, Z):
             y = y.copy()  # the target returned a view of its input
-        yield u, y
+        yield y
 
 
 def _evaluate_full_grid(
@@ -896,15 +898,12 @@ def _sweep(grid: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     return T
 
 
-def _conditional_mean(
-    problem: ProblemSpec,
-    coords: tuple[int, ...],
-    values: Iterable[float],
-) -> float:
-    """Quadrature of y over the coordinates not in `coords`, others fixed,
-    on a grid of its own (not the table's) evaluated by
-    :func:`_evaluate_full_grid` and integrated by :func:`_expectation`."""
-    rest = [j for j in range(problem.dim) if j not in set(coords)]
-    vals = _evaluate_full_grid(problem, dict(zip(coords, values)))
+def _conditional_mean(problem: ProblemSpec, fixed: dict[int, float]) -> float:
+    """Quadrature of y over the coordinates not in `fixed`, each coordinate
+    ``j`` in it held at ``fixed[j]``, on a grid of its own (not the table's)
+    evaluated by :func:`_evaluate_full_grid` and integrated by
+    :func:`_expectation`."""
+    rest = [j for j in range(problem.dim) if j not in fixed]
+    vals = _evaluate_full_grid(problem, fixed)
     shape = [problem.orders[j] for j in rest]
     return _expectation(vals.reshape(shape), [problem.rules[j].weights for j in rest])

@@ -151,7 +151,10 @@ def _lattice_values(T: np.ndarray, idx: np.ndarray, orders: Sequence[int]) -> np
     the component of mask ``m`` at each point: the node ``idx[k, j]`` of
     point ``k`` on each axis ``j`` of the mask, the slot ``orders[j]`` on
     the others.  The flat indices are built by mask from the all-slot
-    entry, doubling over the axes, with no subset-bit matrix."""
+    entry, doubling over the axes, with no subset-bit matrix, and the
+    values are gathered into their memory: each index is read before its
+    value is written, and ``mode="clip"`` (past one bounds check) keeps
+    ``np.take`` from buffering a copy."""
     strides = np.array(T.strides) // T.itemsize
     steps = (idx - np.asarray(orders)) * strides
     N = steps.shape[1]
@@ -159,4 +162,6 @@ def _lattice_values(T: np.ndarray, idx: np.ndarray, orders: Sequence[int]) -> np
     at[0] = np.dot(orders, strides)
     for j in range(N):
         np.add(at[: 1 << j], steps[:, j], out=at[1 << j : 2 << j])
-    return T.ravel()[at]
+    if at.size and not 0 <= at.min() <= at.max() < T.size:
+        raise IndexError(f"lattice index outside the {T.size} table values")
+    return np.take(T.ravel(), at, out=at.view(np.float64), mode="clip")

@@ -3,7 +3,8 @@
 The sweeps patch private names of :mod:`dimdecomp.decomp`
 (``_BLOCK_VALUES``, ``_BLOCK_ROWS``, ``_evaluate_full_grid``), so a rename
 there shows here, and each sweep must hand the package its one block rule
-back.  ``bench/table_memory.py`` runs the CLI in fresh processes.
+back.  ``bench/table_memory.py`` runs the CLI and the anchored checks in
+fresh processes.
 """
 from __future__ import annotations
 
@@ -73,3 +74,22 @@ def test_table_memory_runs_only_the_commands_of_a_shape(monkeypatch):
     out = json.loads(json.dumps(table_memory.sweep(2, 1, ["errors"])))
     assert set(out["by_command"]) == {"errors"}
     assert out["by_command"]["errors"]["exit_codes"] == [0]
+
+
+def test_table_memory_reads_the_anchored_checks_in_fresh_processes(monkeypatch):
+    # one traced process for the peak and one untraced for the seconds
+    monkeypatch.syspath_prepend(str(BENCH))
+    import table_memory
+
+    monkeypatch.setattr(table_memory, "REPEATS", 1)
+    assert table_memory.CHECK_SHAPES == [(16, 1), (18, 1)]
+    out = json.loads(json.dumps(table_memory.sweep_checks(3, 2)))
+    assert set(out) == {"N", "q", "by_check"}
+    assert set(out["by_check"]) == {"check_rdd_structure", "check_rdd_on_grid"}
+    for cell in out["by_check"].values():
+        assert set(cell) == {"passed", "peak_mib", "wall_s"}
+        assert cell["passed"] == [True, True]
+        # the check's own allocations at N = 3, not a fresh interpreter's
+        assert len(cell["peak_mib"]) == len(cell["wall_s"]) == 1
+        assert 0 <= cell["peak_mib"][0] < 10
+        assert 0 <= cell["wall_s"][0] < 60

@@ -566,18 +566,36 @@ def test_table_passes_keep_no_reference_to_the_table():
 def test_axis_passes_pair_each_subset_with_its_partner(N, S):
     # the (hold, drop) arrays of a list-built reference, on full lattices
     # and truncated ones in (cardinality, mask) order, masks past 62 bits too
-    subsets = list(all_subsets_up_to(N, S))
-    at = {u.mask: k for k, u in enumerate(subsets)}
-    pairs = [
-        [(k, at[u.mask ^ 1 << j]) for k, u in enumerate(subsets) if u.mask >> j & 1]
-        for j in range(N)
-    ]
+    masks = [u.mask for u in all_subsets_up_to(N, S)]
+    at = {m: k for k, m in enumerate(masks)}
+    pairs = [[(k, at[m ^ 1 << j]) for k, m in enumerate(masks) if m >> j & 1] for j in range(N)]
     want = [tuple(np.array(p).T) for p in pairs if p]
-    got = decomp._axis_passes(subsets, N)
+    got = decomp._axis_passes(masks, N)
     assert len(got) == len(want) == N
     for (hold, drop), (h, d) in zip(got, want):
         np.testing.assert_array_equal(hold, h)
         np.testing.assert_array_equal(drop, d)
+
+
+@pytest.mark.parametrize("block", [1, 13, 1 << 16])
+def test_axis_passes_in_slices_give_the_whole_pass_components(monkeypatch, block):
+    # a pass reads no entry it writes, so slices of its pairs of about one
+    # block give every component bit for bit as the whole-array pass of
+    # the reference, whatever the row blocks: 1 row and 1 pair a slice,
+    # 2 rows and 6 pairs, or one block for all
+    problem = sobol_g_problem(6, a=[0.0, 1.0, 2.0, 4.0, 9.0, 99.0])
+    X = problem.measure.sample(rng(2), 5)
+    c = problem.measure.sample(rng(3))
+    masks = [u.mask for u in all_subsets_up_to(6, 4)]
+    ((_, values),) = decomp._anchored(problem, c, X, masks)
+    want = np.array(list(values))
+    for hold, drop in decomp._axis_passes(masks, 6):
+        want[hold] -= want[drop]
+    monkeypatch.setattr(decomp, "_BLOCK_VALUES", block)
+    got = np.full_like(want, np.nan)
+    for rows, comps in decomp._rdd_components(problem, c, X, masks):
+        got[:, rows] = comps
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("N", [3, 5])
@@ -595,6 +613,29 @@ def test_anchored_checks_take_points_in_groups_of_the_table_budget(monkeypatch, 
     assert [(c.residual, c.detail) for c in got] == [(c.residual, c.detail) for c in want]
     calls = [rows for rows in [7] * 14 + [2] for _ in range(2**N)]
     assert [len(x) for x in seen] == calls + [100] + calls
+
+
+@pytest.mark.parametrize("name, arrays", [("check_rdd_structure", 1), ("check_rdd_on_grid", 2)])
+def test_anchored_checks_hold_their_lattice_arrays_and_little_more(name, arrays):
+    # at N = 14, q = 1 one (2**N, 100) float array is 12.5 MiB: the full
+    # sum holds the components, the grid check the gathered table values
+    # too.  6 MiB of slack cover the rest: the axis passes' index pairs
+    # (1.75 MiB), the mask list and the points.  Per-subset objects and
+    # full-size pass temporaries took the peaks to 38 and 50 MiB
+    N = 14
+    problem = product_linear_problem(N, quad_order=1)
+    if name == "check_rdd_structure":
+        check, table = check_rdd_structure, build_rdd(problem, problem.measure.sample(rng(0)))
+    else:
+        check, table = check_rdd_on_grid, build_add(problem)
+    tracemalloc.start()
+    try:
+        got = check(table, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in np.atleast_1d(got)), got
+    assert peak <= arrays * (8 << N) * decomp.RDD_STRUCTURE_POINTS + 6 * 2**20, peak / 2**20
 
 
 def test_sweep_writes_every_entry_before_reading_it(monkeypatch):
@@ -751,7 +792,8 @@ def kernel_component(problem, anchor, u, X_u):
     Z = np.tile(c, (len(X_u), 1))
     Z[:, u.indices()] = X_u
     out = np.empty(len(Z))
-    for rows, comps in decomp._rdd_components(problem, c, Z, [*strict_subsets(u), u]):
+    lattice = [v.mask for v in (*strict_subsets(u), u)]
+    for rows, comps in decomp._rdd_components(problem, c, Z, lattice):
         out[rows] = comps[-1]
     return out
 
@@ -849,7 +891,7 @@ class TestRddBuild:
         hits = 0
         for k, at in enumerate(I):
             x = np.array([[x[i] for x, i in zip(nodes, at)]])
-            ((_, comps),) = decomp._rdd_components(problem, c, x, lattice)
+            ((_, comps),) = decomp._rdd_components(problem, c, x, [u.mask for u in lattice])
             for n, (u, comp) in enumerate(zip(lattice, comps[:, 0])):
                 own = list(u.indices())
                 value = table.grid_values(u)
@@ -871,9 +913,9 @@ class TestRddBuild:
         # in every univariate component of the kernel
         real = decomp._axis_passes
 
-        def broken(subsets, dim):
-            empty = [k for k, u in enumerate(subsets) if u.is_empty]
-            return [(h[~np.isin(d, empty)], d[~np.isin(d, empty)]) for h, d in real(subsets, dim)]
+        def broken(masks, dim):
+            empty = [k for k, m in enumerate(masks) if m == 0]
+            return [(h[~np.isin(d, empty)], d[~np.isin(d, empty)]) for h, d in real(masks, dim)]
 
         monkeypatch.setattr(decomp, "_axis_passes", broken)
         got = check_rdd_on_grid(plin3_table, seed=7)
@@ -897,8 +939,8 @@ class TestRddBuild:
         # one NaN among finite residuals is the worst, and its subset the label
         real = decomp._rdd_components
 
-        def one_nan(problem, anchor, X, subsets):
-            for rows, comps in real(problem, anchor, X, subsets):
+        def one_nan(problem, anchor, X, masks):
+            for rows, comps in real(problem, anchor, X, masks):
                 comps[5, 0] = np.nan
                 yield rows, comps
 
