@@ -18,8 +18,8 @@ prod_{j in u} (I - P_j) prod_{j not in u} P_j y`` with different ``P_j``:
   under the Gauss grid measure (the nodes with their product weights) its
   values are the target's exact ADD; it holds no values off the nodes.
   One sweep makes it from the grid values, a Gauss-weight row per axis;
-  the one-hot rows of a node anchor make the anchored decomposition there,
-  with no target call, which :func:`check_rdd_on_grid` holds the kernel to.
+  at a node anchor, Möbius sums of the grid values give the anchored
+  components, which :func:`check_rdd_on_grid` holds the kernel to.
 * **RDD** (:func:`build_rdd`, an :class:`AnchoredTable`) fixes coordinate
   ``j`` at an anchor point ``c``.  Components cost only function calls —
   no grids — and every nonempty component vanishes as soon as one of its
@@ -560,19 +560,17 @@ def check_rdd_structure(table: AnchoredTable, *, seed: int = 0) -> list[CheckRes
 
 
 def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
-    """The anchored kernel against the anchored table swept on an ADD grid.
+    """The anchored kernel against Möbius sums of the grid values.
 
     Draws a node anchor ``a`` and ``RDD_STRUCTURE_POINTS`` node points with
-    the Gauss weights.  :func:`_sweep` with the one-hot rows of ``a`` gives
-    the anchored table at ``a`` from the grid values, with no target call;
-    one pass of the anchored kernel over the full lattice at the points
-    must match every component, relative to ``max(1, max|y|)`` on the grid
-    (a NaN counts as the worst; the label names its subset).  A component
-    with an own coordinate at ``a``'s node is exactly 0 in the table.  The
-    points go in the groups of :func:`_rdd_components`, so no ``(subsets,
-    points)`` array outgrows ``MAX_TABLE_VALUES``: with one group (every
-    ``N <= 17``) the wanted table values are gathered and the table freed
-    before the pass, with more each group gathers its own as it comes.
+    the Gauss weights.  Per point group of :func:`_rdd_components`, the
+    grid values ``y(x_v, a_{-v})`` of every subset ``v``, gathered by mask,
+    are Möbius-inverted on the subset lattice into the anchored components
+    at ``a``, ``y_u = sum_{v <= u} (-1)**|u - v| y(x_v, a_{-v})``, with no
+    target call or kernel index pair (exactly 0 for an own coordinate at
+    ``a``'s node).  The kernel's pass over the full lattice must match
+    every component, relative to ``max(1, max|y|)`` on the grid (a NaN
+    counts as the worst; the label names its subset).
     """
     Y = table._full_values  # an AnchoredTable has none: fails before any evaluation
     rules = table.problem.rules
@@ -580,18 +578,17 @@ def check_rdd_on_grid(table: ComponentTable, *, seed: int) -> CheckResult:
     idx = np.column_stack(
         [rng.choice(len(r.weights), RDD_STRUCTURE_POINTS + 1, p=r.weights) for r in rules]
     )
-    T = _sweep(Y, [np.eye(len(r.weights))[k] for r, k in zip(rules, idx[0])])
-    N, q, points = table.dim, table.problem.orders, idx[1:]
+    N, points = table.dim, idx[1:]
     P = np.column_stack([r.nodes[i] for r, i in zip(rules, idx.T)])
-    whole = len(points) <= MAX_TABLE_VALUES >> N  # one group of points
-    if whole:
-        G = _lattice_values(T, points, q)
-        del T
     per_subset = np.zeros(1 << N)
     for rows, comps in _rdd_components(table.problem, P[0], P[1:], range(1 << N)):
-        want = G[:, rows] if whole else _lattice_values(T, points[rows], q)
+        want = _lattice_values(Y, points[rows], idx[0])
+        for j in range(N):  # one Möbius pass per axis of the (2,)**N view, bit N - 1 first
+            V = _around(want.reshape((2,) * N + (-1,)), j)
+            V[:, 1] -= V[:, 0]
         np.abs(np.subtract(comps, want, out=comps), out=comps)
         np.maximum(per_subset, comps.max(axis=1), out=per_subset)  # keeps a NaN
+        del comps, want, V  # before the next group's arrays are made
     worst, label = _worst(per_subset, lambda k: f"subset {VariableSubset(k, N).label()}")
     scale = max(1.0, float(Y.max()), -float(Y.min()))
     return CheckResult("rdd_grid_agreement", worst / scale, TOL_EXACTNESS, label)
@@ -676,6 +673,7 @@ def _rdd_truncated(
         acc = out[rows]
         for y in comps:
             acc += y
+        del comps, y  # a row view keeps the block's components alive
     return out
 
 
@@ -713,6 +711,7 @@ def _rdd_components(
                 for k in range(0, len(hold), step):
                     comps[hold[k : k + step]] -= comps[drop[k : k + step]]
             yield slice(start + rows.start, start + rows.stop), comps
+            del comps  # before the next block's array is made
 
 
 def _axis_passes(masks: Sequence[int], dim: int) -> list[tuple[np.ndarray, np.ndarray]]:

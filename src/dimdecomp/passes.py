@@ -146,20 +146,20 @@ def _grid_gap(T: np.ndarray, Y: np.ndarray, block: int):
     return gap
 
 
-def _lattice_values(T: np.ndarray, idx: np.ndarray, orders: Sequence[int]) -> np.ndarray:
-    """Entries of the C-ordered nodes-plus-slot array `T`, row ``m`` for
-    the component of mask ``m`` at each point: the node ``idx[k, j]`` of
-    point ``k`` on each axis ``j`` of the mask, the slot ``orders[j]`` on
-    the others.  The flat indices are built by mask from the all-slot
-    entry, doubling over the axes, with no subset-bit matrix, and the
-    values are gathered into their memory: each index is read before its
-    value is written, and ``mode="clip"`` (past one bounds check) keeps
-    ``np.take`` from buffering a copy."""
+def _lattice_values(T: np.ndarray, idx: np.ndarray, off: Sequence[int]) -> np.ndarray:
+    """Entries of the C-ordered array `T`, row ``m`` for mask ``m`` at each
+    point: the index ``idx[k, j]`` of point ``k`` on each axis ``j`` of the
+    mask, the index ``off[j]`` on the axes off the mask (the slot of a
+    nodes-plus-slot table, an anchor node of a grid).  The flat indices are
+    built by mask from the all-off entry, doubling over the axes, with no
+    subset-bit matrix, and the values are gathered into their memory: each
+    index is read before its value is written, and ``mode="clip"`` (past
+    one bounds check) keeps ``np.take`` from buffering a copy."""
     strides = np.array(T.strides) // T.itemsize
-    steps = (idx - np.asarray(orders)) * strides
+    steps = (idx - np.asarray(off)) * strides
     N = steps.shape[1]
     at = np.empty((1 << N, len(steps)), dtype=np.intp)
-    at[0] = np.dot(orders, strides)
+    at[0] = np.dot(off, strides)
     for j in range(N):
         np.add(at[: 1 << j], steps[:, j], out=at[1 << j : 2 << j])
     if at.size and not 0 <= at.min() <= at.max() < T.size:

@@ -615,19 +615,33 @@ def test_anchored_checks_take_points_in_groups_of_the_table_budget(monkeypatch, 
     assert [len(x) for x in seen] == calls + [100] + calls
 
 
-@pytest.mark.parametrize("name, arrays", [("check_rdd_structure", 1), ("check_rdd_on_grid", 2)])
-def test_anchored_checks_hold_their_lattice_arrays_and_little_more(name, arrays):
-    # at N = 14, q = 1 one (2**N, 100) float array is 12.5 MiB: the full
-    # sum holds the components, the grid check the gathered table values
-    # too.  6 MiB of slack cover the rest: the axis passes' index pairs
-    # (1.75 MiB), the mask list and the points.  Per-subset objects and
-    # full-size pass temporaries took the peaks to 38 and 50 MiB
-    N = 14
-    problem = product_linear_problem(N, quad_order=1)
+@pytest.mark.parametrize(
+    "name, arrays, N, q, points",
+    [
+        ("check_rdd_structure", 1, 14, 1, 100),
+        ("check_rdd_on_grid", 2, 14, 1, 100),
+        ("check_rdd_on_grid", 2, 10, 4, 100),
+        ("check_rdd_structure", 1, 14, 1, 50),
+        ("check_rdd_on_grid", 2, 14, 1, 50),
+    ],
+)
+def test_anchored_checks_hold_their_lattice_arrays_and_little_more(
+    monkeypatch, name, arrays, N, q, points
+):
+    # one (2**N, points) float array is 12.5 MiB at N = 14 and 100 points:
+    # the full sum holds the components, the grid check the gathered grid
+    # values too.  6 MiB of slack cover the rest: the axis passes' index
+    # pairs (1.75 MiB), the mask list and the points.  Per-subset objects
+    # and full-size pass temporaries took the peaks to 38 and 50 MiB; a
+    # table-sized reference at N = 10, q = 4 to 76 MiB.  With a budget of
+    # 50 points' components, the 100 points go in two groups, and each
+    # group's arrays are dropped before the next group's are made
+    problem = product_linear_problem(N, quad_order=q)
     if name == "check_rdd_structure":
         check, table = check_rdd_structure, build_rdd(problem, problem.measure.sample(rng(0)))
     else:
         check, table = check_rdd_on_grid, build_add(problem)
+    monkeypatch.setattr(decomp, "MAX_TABLE_VALUES", points << N)
     tracemalloc.start()
     try:
         got = check(table, seed=0)
@@ -635,7 +649,7 @@ def test_anchored_checks_hold_their_lattice_arrays_and_little_more(name, arrays)
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in np.atleast_1d(got)), got
-    assert peak <= arrays * (8 << N) * decomp.RDD_STRUCTURE_POINTS + 6 * 2**20, peak / 2**20
+    assert peak <= arrays * (8 << N) * points + 6 * 2**20, peak / 2**20
 
 
 def test_sweep_writes_every_entry_before_reading_it(monkeypatch):
@@ -926,7 +940,7 @@ class TestRddBuild:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_nan_fails_annihilation(self, plin3_table, monkeypatch):
         # the component passes overflow to inf - inf, in the kernel and the
-        # sweep alike
+        # Möbius sums alike
         fn = make_function("poly", 2, terms=[{"coeff": 1.7e308, "exponents": [1, 0]}])
         p = ProblemSpec(fn, ProductMeasure.iid(MarginalMeasure.uniform(-1.0, 1.0), 2), 4)
         t = build_rdd(p, np.array([-0.99, 0.0]))
@@ -949,20 +963,25 @@ class TestRddBuild:
         assert math.isnan(got.residual) and not got.passed
         assert got.detail == f"subset {list(all_subsets_up_to(3, 3))[5].label()}"
 
-    @pytest.mark.parametrize("fault", ["node_one_off", "first_axis_first", "batch_dependent"])
+    @pytest.mark.parametrize("fault", ["node_one_off", "wrong_axis", "batch_dependent"])
     def test_grid_agreement_catches_a_fault(self, plin3, monkeypatch, fault):
-        # each fault breaks one route: the sweep anchored one node off on
-        # the first axis, the sweep's passes in the wrong order, or a
+        # each fault breaks one route: the reference gathered at an anchor
+        # one node off on the first axis, one Möbius pass of the reference
+        # run on the wrong axis (the first pass's axis on the second), or a
         # target whose values depend on the rows of their batch
         problem = plin3
         if fault == "node_one_off":
-            real = decomp._sweep
+            real = decomp._lattice_values
             monkeypatch.setattr(
-                decomp, "_sweep", lambda grid, rows: real(grid, [np.roll(rows[0], 1), *rows[1:]])
+                decomp,
+                "_lattice_values",
+                lambda T, idx, off: real(T, idx, [(off[0] + 1) % T.shape[0], *off[1:]]),
             )
-        elif fault == "first_axis_first":
-            # the sweep's loop reads reversed() from its module first
-            monkeypatch.setattr(decomp, "reversed", lambda r: r, raising=False)
+        elif fault == "wrong_axis":
+            # the Möbius passes take their (before, 2, after) views from
+            # the module's _around, axis 0 first
+            real = decomp._around
+            monkeypatch.setattr(decomp, "_around", lambda arr, k: real(arr, k or 1))
         else:
             def function(x):
                 y = plin3.function(x)
