@@ -284,11 +284,6 @@ class AnchoredTable:
     def dim(self) -> int:
         return self.problem.dim
 
-    @property
-    def scale(self) -> float:
-        """Magnitude used to normalize structural residuals."""
-        return max(1.0, abs(self.y_empty))
-
     def truncated(self, order: int, x) -> float | np.ndarray:
         """Evaluate the S-variate truncated sum at full points ``x``;
         ``order = dim`` sums every component."""

@@ -113,20 +113,23 @@ def poly(dim: int, terms) -> Callable:
     return fn
 
 
+# Each run-config name: its factory and the marginal used when a run
+# config names the function but no measure.
 _REGISTRY = {
-    "product_linear": product_linear,
-    "sobol_g": sobol_g,
-    "ishigami": ishigami,
-    "poly": poly,
+    "product_linear": (product_linear, MarginalMeasure.uniform(-1.0, 1.0)),
+    "sobol_g": (sobol_g, MarginalMeasure.uniform(0.0, 1.0)),
+    "ishigami": (ishigami, MarginalMeasure.uniform(-math.pi, math.pi)),
+    "poly": (poly, MarginalMeasure.uniform(-1.0, 1.0)),
 }
 
-# Marginal used when a run config names a function but no measure.
-_DEFAULT_MARGINALS = {
-    "product_linear": MarginalMeasure.uniform(-1.0, 1.0),
-    "sobol_g": MarginalMeasure.uniform(0.0, 1.0),
-    "ishigami": MarginalMeasure.uniform(-math.pi, math.pi),
-    "poly": MarginalMeasure.uniform(-1.0, 1.0),
-}
+
+def _entry(name: str) -> tuple[Callable, MarginalMeasure]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown function {name!r}; choose from {function_names()}"
+        ) from None
 
 
 def function_names() -> tuple[str, ...]:
@@ -135,20 +138,9 @@ def function_names() -> tuple[str, ...]:
 
 def make_function(name: str, dim: int, **params) -> Callable:
     """Instantiate a registry function by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown function {name!r}; choose from {function_names()}"
-        ) from None
-    return factory(dim, **params)
+    return _entry(name)[0](dim, **params)
 
 
 def default_marginal(name: str) -> MarginalMeasure:
     """The marginal measure conventionally paired with a registry function."""
-    try:
-        return _DEFAULT_MARGINALS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown function {name!r}; choose from {function_names()}"
-        ) from None
+    return _entry(name)[1]

@@ -169,11 +169,6 @@ def _anchor_averaged(
     return _sampled(n, seed, len(orders) * per_order, values)
 
 
-def _cross(y, r1, r2):
-    """``(y - r1) * (y - r2)``: given X its mean is ``(y - yhat_S)**2``."""
-    yield (y - r1) * (y - r2)
-
-
 def _squared_gap(y, r):
     """``(y - r)**2``, squared in place."""
     gap = y - r
@@ -181,11 +176,12 @@ def _squared_gap(y, r):
 
 
 def _split(y, r1, r2):
-    """The three statistics of :func:`check_optimality_split` from ``y -
-    r1``, ``y - r2`` and ``r1 - r2``, each formed once: ``(y - r1) * (y -
-    r2)``, then ``((y - r1)**2 + (y - r2)**2) / 2`` and ``(r1 - r2)**2 / 2``
-    in place, the same operations in the same order as the written-out
-    forms."""
+    """The one statistics body of the two-anchor draw, the three of
+    :func:`check_optimality_split` from ``y - r1``, ``y - r2`` and ``r1 -
+    r2``, each formed once: ``(y - r1) * (y - r2)`` (all that
+    :func:`mc_add_error` keeps), then ``((y - r1)**2 + (y - r2)**2) / 2``
+    and ``(r1 - r2)**2 / 2`` in place, the same operations in the same
+    order as the written-out forms."""
     a, b = y - r1, y - r2
     yield a * b
     np.square(a, out=a)
@@ -214,7 +210,7 @@ def mc_add_error(
     """
     n, seed = _check_draws(n, seed, MIN_SAMPLES, "mc_add_error", "n")
     orders = _check_orders((order,), problem.dim - 1)
-    return _anchor_averaged(problem, orders, n, seed, 2, _cross)[0]
+    return _anchor_averaged(problem, orders, n, seed, 2, _split, 3)[0]
 
 
 def mc_rdd_error(
@@ -231,7 +227,7 @@ def mc_rdd_error(
 
     def squared_gap(rng, m):
         X = problem.measure.sample(rng, m)
-        return [(problem.evaluate(X) - rdd_direct(problem, order, c, X)) ** 2]
+        return _squared_gap(problem.evaluate(X), rdd_direct(problem, order, c, X))
 
     return _sampled(n, seed, 1, squared_gap)[0]
 

@@ -79,10 +79,7 @@ def subsets_of_cardinality(dim: int, size: int) -> Iterator[VariableSubset]:
     if not 0 <= size <= dim:
         raise ValueError(f"cardinality {size} outside [0, {dim}]")
     _check_count(comb(dim, size))
-    masks = sorted(
-        sum(1 << i for i in c) for c in combinations(range(dim), size)
-    )
-    for m in masks:
+    for m in _masks_of_size(range(dim), size):
         yield VariableSubset(m, dim)
 
 
@@ -145,15 +142,13 @@ def _check_count(count: int) -> None:
 def strict_subsets(u: VariableSubset) -> Iterator[VariableSubset]:
     """All proper subsets of `u` (the empty set included), ordered by
     (cardinality, mask)."""
-    if u.mask == 0:
-        return
-    masks = []
-    sub = u.mask
-    while True:
-        sub = (sub - 1) & u.mask  # standard submask walk
-        masks.append(sub)
-        if sub == 0:
-            break
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    for m in masks:
-        yield VariableSubset(m, u.dim)
+    own = u.indices()
+    for size in range(len(own)):
+        for m in _masks_of_size(own, size):
+            yield VariableSubset(m, u.dim)
+
+
+def _masks_of_size(indices: Iterable[int], size: int) -> list[int]:
+    """The masks of the `size`-subsets of `indices`, ascending: the one
+    (cardinality, mask) order of the enumerators, a cardinality at a time."""
+    return sorted(sum(1 << i for i in c) for c in combinations(indices, size))

@@ -65,7 +65,7 @@ EXPORTS = {
 # per operation, so a second spelling added here is an API change too.
 MEMBERS = {
     # decomp
-    "AnchoredTable.dim", "AnchoredTable.scale", "AnchoredTable.truncated",
+    "AnchoredTable.dim", "AnchoredTable.truncated",
     "ComponentTable.dim", "ComponentTable.grid_values", "ComponentTable.scale",
     "ComponentTable.truncated",
     "ProblemSpec.dim", "ProblemSpec.evaluate", "ProblemSpec.orders", "ProblemSpec.rules",

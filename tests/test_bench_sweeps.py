@@ -4,7 +4,8 @@ The sweeps patch private names of :mod:`dimdecomp.decomp`
 (``_BLOCK_VALUES``, ``_BLOCK_ROWS``, ``_evaluate_full_grid``), so a rename
 there shows here, and each sweep must hand the package its one block rule
 back.  ``bench/table_memory.py`` runs the CLI and the anchored checks in
-fresh processes.
+fresh processes, and ``bench/cli_outputs.py`` keeps every output of the
+CLI for a byte-identity diff.
 """
 from __future__ import annotations
 
@@ -93,3 +94,21 @@ def test_table_memory_reads_the_anchored_checks_in_fresh_processes(monkeypatch):
         assert len(cell["peak_mib"]) == len(cell["wall_s"]) == 1
         assert 0 <= cell["peak_mib"][0] < 10
         assert 0 <= cell["wall_s"][0] < 60
+
+
+def test_cli_outputs_keeps_every_output_of_the_five_commands(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import cli_outputs
+
+    rundir = cli_outputs.run_seed(11, tmp_path)
+    outputs = sorted(p.relative_to(rundir).as_posix() for p in rundir.glob("*/*"))
+    assert outputs == [
+        "contrived/contrived.json", "decompose/components.csv", "decompose/properties.json",
+        "errors/errors.csv", "figure1/figure1_left.csv", "figure1/figure1_right.csv",
+        "verify/verify_report.json",
+    ]
+    for command in cli_outputs.COMMANDS:
+        assert (rundir / f"{command}.exit").read_text() == "0\n"
+        assert (rundir / f"{command}.stderr").read_text() == ""
+        # paths print relative to the run's directory, so two trees' runs diff clean
+        assert str(tmp_path) not in (rundir / f"{command}.stdout").read_text()

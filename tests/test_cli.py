@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dimdecomp import VariableSubset, cli, count_up_to, mc, variance
+from dimdecomp import AnchoredTable, VariableSubset, cli, count_up_to, mc, variance
 from dimdecomp.cli import _build_parser, load_config, main
+from dimdecomp.decomp import RDD_STRUCTURE_POINTS
 from dimdecomp.errors import rdd_expected_error
 from dimdecomp.mc import check_optimality_split
 from test_api import FLAGS
@@ -243,6 +245,28 @@ class TestVerify:
         )
         assert main(["verify", "--config", cfg]) == 0
         assert calls == [([0, 1, 2], 10_000, 7)]
+
+    @pytest.mark.parametrize("seed", [0, 11, 4271])
+    def test_full_sum_anchor_is_drawn_apart_from_its_points(self, tmp_path, monkeypatch, seed):
+        # drawn from the stream of the check's points, the anchor would be
+        # the head of their first column, and every component holding
+        # variable 1 exactly 0 at the first point
+        seen = []
+        truncated = AnchoredTable.truncated
+
+        def recorded(table, order, x):
+            seen.append((table.anchor, np.array(x)))
+            return truncated(table, order, x)
+
+        monkeypatch.setattr(AnchoredTable, "truncated", recorded)
+        cfg = write_config(
+            tmp_path,
+            {**BASE, "out": str(tmp_path / "out"), "mc": {"n_samples": 10_000, "seed": seed}},
+        )
+        main(["verify", "--config", cfg])
+        [(anchor, X)] = seen
+        assert X.shape == (RDD_STRUCTURE_POINTS, 3)
+        assert not np.any(X == anchor)
 
     def test_add_gates_target_the_error_budget(self, tmp_path, monkeypatch):
         # each mc_gate_add_S{s} compares with the budget's e_add, shifted

@@ -125,7 +125,7 @@ class TestAddErrorOrders:
         # builds its add gates, gives each order's estimate bit for bit
         monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
         problem = plin3 if name == "plin3" else sobol5
-        got = mc._anchor_averaged(problem, tuple(orders), n, 13, 2, mc._cross)
+        got = mc._anchor_averaged(problem, tuple(orders), n, 13, 2, mc._split, 3)[::3]
         want = [mc_add_error(problem, s, n, seed=13) for s in orders]
         assert got == want
 
@@ -333,6 +333,23 @@ class TestOptimalitySplit:
         # per sample (a**2 + b**2) / 2 = a * b + (a - b)**2 / 2
         assert ests["rdd"].mean == pytest.approx(ests["add"].mean + ests["excess"].mean, rel=1e-12)
         assert ests["add"] == mc_add_error(plin3, 1, 20_000, 3)
+
+    @pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 4096])
+    def test_add_gates_are_the_public_estimator(self, sobol5, chunk, monkeypatch):
+        # the public add estimator is what each mc_gate_add_S{S} gates, bit
+        # for bit, at every order of the draw and across chunk merges
+        monkeypatch.setattr(mc, "DEFAULT_CHUNK", chunk)
+        ests, gate = {}, mc._mc_gate
+
+        def recorded(kind, order, est, target):
+            ests[kind, order] = est
+            return gate(kind, order, est, target)
+
+        monkeypatch.setattr(mc, "_mc_gate", recorded)
+        check_optimality_split(sobol5, budgets_of(5, (3, 1)), MIN_PAIRS, 23)
+        assert [ests["add", s] for s in (3, 1)] == [
+            mc_add_error(sobol5, s, MIN_PAIRS, seed=23) for s in (3, 1)
+        ]
 
     def test_multi_order_matches_single_order_calls(self, plin3, plin3_vmap):
         budgets = [rdd_expected_error(s, plin3_vmap) for s in (2, 0, 1)]

@@ -109,10 +109,24 @@ class TestStrictSubsets:
         assert len(subs) == 2**5 - 1
         assert all(v.mask & ~u.mask == 0 and v != u for v in subs)
 
-    def test_ordering(self):
-        u = VariableSubset.from_indices([1, 2, 4], 6)
-        keys = [(v.cardinality, v.mask) for v in strict_subsets(u)]
-        assert keys == sorted(keys)
+    @given(st.integers(0, 10).flatmap(lambda dim: st.builds(
+        VariableSubset, st.integers(0, (1 << dim) - 1), st.just(dim)
+    )))
+    def test_ordering(self, u):
+        # the (cardinality, mask) order, against a submask walk sorted by
+        # (popcount, mask) as the reference
+        masks = []
+        if u.mask:
+            sub = u.mask
+            while True:
+                sub = (sub - 1) & u.mask  # standard submask walk
+                masks.append(sub)
+                if sub == 0:
+                    break
+        masks.sort(key=lambda m: (m.bit_count(), m))
+        got = list(strict_subsets(u))
+        assert [v.mask for v in got] == masks
+        assert all(v.dim == u.dim for v in got)
 
 
 def test_enumeration_matches_itertools_reference():
